@@ -23,8 +23,7 @@ for dims, degree in [(4, 4), (4, 7)]:
     print(f"N={dims}, P={degree}: {len(basis)} chaos blocks, "
           f"{tensor.n_blocks} nonzero blocks of {len(basis) ** 2}")
     print(f"  nested partition sizes: {hierarchy_dims(dims, degree)}")
-    print("  same-degree blocks diagonal:",
-          all(tensor.is_level_diagonal(l) for l in range(degree + 1)))
+    print("  same-degree blocks diagonal:", tensor.has_block_diagonal_levels())
     path = os.path.join(OUT, f"pattern_N{dims}_P{degree}.csv")
     tensor.write_block_pattern_csv(path)
     print(f"  wrote {path}")

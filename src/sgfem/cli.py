@@ -18,6 +18,7 @@ from dataclasses import fields
 
 from .experiments import (ExperimentConfig, run_experiment, run_table,
                           spectral_diagnostic)
+from .operator import InnerSolveError
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = {"N", "P", "seed", "n_quad", "max_iter"}
@@ -121,7 +122,8 @@ def cmd_run(args) -> int:
     config = build_config(args)
     _, report = run_experiment(config)
     print(f"iterations={report.iterations} kappa={report.kappa_estimate:.6g} "
-          f"converged={report.converged} spd_suspect={report.spd_suspect}")
+          f"converged={report.converged} spd_suspect={report.spd_suspect} "
+          f"non_finite={report.non_finite}")
     if report.work:
         print(f"work: {report.work}")
     if args.out:
@@ -154,7 +156,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_diag(args)
-    except (ValueError, FileNotFoundError) as exc:
+    # scipy's LinAlgError is a ValueError
+    except (ValueError, FileNotFoundError, InnerSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

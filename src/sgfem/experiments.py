@@ -136,7 +136,9 @@ def run_experiment(config: ExperimentConfig,
             report.work.update(work_count(config.N, config.P).as_dict())
     if report.spd_suspect:
         row.flags.append("not guaranteed: indefiniteness detected")
-    if not report.converged and not report.spd_suspect:
+    if report.non_finite:
+        row.flags.append("stopped: non-finite value")
+    elif not report.converged and not report.spd_suspect:
         row.flags.append("max_iter reached")
     return row, report
 

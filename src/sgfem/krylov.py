@@ -32,6 +32,7 @@ class SolveReport:
     kappa_estimate: float = 1.0
     converged: bool = False
     spd_suspect: bool = False
+    non_finite: bool = False
     work: dict | None = None
     wall_time: float = 0.0
     method: str = "cg"
@@ -73,13 +74,21 @@ def lanczos_condition_estimate(alphas, betas) -> float:
     return float(ev[-1] / ev[0])
 
 
+def _halt(report: SolveReport, value: float, indefinite: bool) -> bool:
+    """Flag a non-finite value or an indefiniteness signal; True to stop."""
+    report.non_finite = not np.isfinite(value)
+    report.spd_suspect = indefinite
+    return report.non_finite or indefinite
+
+
 def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None):
     """Preconditioned conjugate gradients with a fixed preconditioner.
 
     apply_a and apply_m are callables on flat vectors; apply_m defaults to
     the identity.  Returns (solution, SolveReport).  Exceeding max_iter is
     reported, not raised; an indefiniteness signal (negative <p, Ap> or
-    negative <r, z>) sets spd_suspect and stops the iteration.
+    negative <r, z>) sets spd_suspect and a non-finite <p, Ap>, <r, z> or
+    residual sets non_finite, and either stops the iteration.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float).ravel()
@@ -100,13 +109,11 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     alphas: list[float] = []
     betas: list[float] = []
     report.relative_residuals.append(1.0)
-    if rz < 0.0:
-        report.spd_suspect = True
-    while report.iterations < max_iter and not report.spd_suspect:
+    _halt(report, rz, rz < 0.0)
+    while report.iterations < max_iter and not (report.spd_suspect or report.non_finite):
         Ap = apply_a(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            report.spd_suspect = True
+        if _halt(report, pAp, pAp <= 0.0):
             break
         alpha = rz / pAp
         x += alpha * p
@@ -118,10 +125,11 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
         if relres <= tol:
             report.converged = True
             break
+        if _halt(report, relres, False):
+            break
         z = apply_m(r) if apply_m else r.copy()
         rz_new = float(r @ z)
-        if rz_new < 0.0:
-            report.spd_suspect = True
+        if _halt(report, rz_new, rz_new < 0.0):
             break
         beta = rz_new / rz
         betas.append(beta)
@@ -165,8 +173,7 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
     while report.iterations < max_iter:
         z = apply_m(r) if apply_m else r.copy()
         rz = float(r @ z)
-        if rz < 0.0:
-            report.spd_suspect = True
+        if _halt(report, rz, rz < 0.0):
             break
         if rz_prev is not None:
             betas.append(rz / rz_prev)
@@ -177,8 +184,7 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
             p -= (float(z @ adirs[i]) / pap[i]) * dirs[i]
         Ap = apply_a(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            report.spd_suspect = True
+        if _halt(report, pAp, pAp <= 0.0):
             break
         alpha = float(p @ r) / pAp
         x += alpha * p
@@ -192,6 +198,8 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
         report.relative_residuals.append(float(relres))
         if relres <= tol:
             report.converged = True
+            break
+        if _halt(report, relres, False):
             break
     if alphas:
         report.kappa_estimate = lanczos_condition_estimate(alphas, betas[:len(alphas) - 1])

@@ -17,9 +17,9 @@ where k_0 is the pointwise mean of the (truncated) lognormal field.  The
 coefficient expansion is carried to twice the solution order, which keeps the
 discrete problem well posed; the resulting coupling tensor makes every block
 of the global matrix nonzero, so the same-degree matrices D_l are coupled
-systems rather than block diagonals and are solved here either by a direct
-factorization of the assembled level system or by an inner Krylov loop
-preconditioned blockwise with the mean matrix.
+systems rather than block diagonals; GalerkinOperator.d_block_solve solves
+them either by a direct factorization of the assembled level system or by an
+inner Krylov loop preconditioned blockwise with the mean matrix.
 """
 from __future__ import annotations
 
@@ -28,15 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import krylov
 from .fem import Mesh, assemble_weighted_stiffness
 from .kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from .multi_index import MultiIndexSet, build_multi_index_set
-from .operator import GalerkinOperator, InnerSolveError, InnerSolver
+from .operator import GalerkinOperator, InnerSolver
 from .orthopoly import hermite_family
 from .triple_product import build_triple_product_tensor
-
-DIRECT_LEVEL_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -113,46 +110,5 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,
                         policy: str = "auto", inner: InnerSolver = InnerSolver(),
                         outer_tol: float = 1e-8) -> np.ndarray:
-    """Solve the coupled level system D_l X = rhs.
-
-    policy "direct" assembles and factorizes the level matrix (guarded by a
-    size limit), "iterative" runs conjugate gradients on the level system
-    applied matrix-free and preconditioned blockwise with the mean matrix,
-    and "auto" picks direct when the level fits under the guard.
-    """
-    head, tail = op.level_slices(level)
-    blocks = np.arange(tail.start, tail.stop)
-    n_l = len(blocks)
-    dim = n_l * op.ndof
-    rhs = np.atleast_2d(rhs)
-    if policy == "auto":
-        policy = "direct" if dim <= DIRECT_LEVEL_LIMIT else "iterative"
-    if policy == "direct":
-        if dim > DIRECT_LEVEL_LIMIT:
-            raise ValueError(f"level {level} system of dimension {dim} exceeds "
-                             f"the direct-assembly guard {DIRECT_LEVEL_LIMIT}")
-        key = ("level_lu", level)
-        if key not in op._solver_cache:
-            import scipy.sparse.linalg as spla
-            mat = op.assemble_range(blocks, blocks).tocsc()
-            op._solver_cache[key] = spla.splu(mat)
-        lu = op._solver_cache[key]
-        return lu.solve(rhs.ravel()).reshape(n_l, op.ndof)
-    if policy != "iterative":
-        raise ValueError(f"unknown level-solve policy {policy!r}")
-    tol = inner.resolve_tol(outer_tol)
-    mean_solve = op.mean_solver(InnerSolver(kind="exact"), outer_tol)
-
-    def apply_level(x):
-        return op.masked_apply(blocks, blocks, x.reshape(n_l, op.ndof)).ravel()
-
-    def block_mean_prec(r):
-        R = r.reshape(n_l, op.ndof)
-        return (mean_solve(R) / op.diag_weights[tail][:, None]).ravel()
-
-    x, report = krylov.cg(apply_level, rhs.ravel(), apply_m=block_mean_prec,
-                          tol=tol, max_iter=inner.maxiter)
-    if not report.converged:
-        raise InnerSolveError(level, report.relative_residuals[-1],
-                              f"level {level} system")
-    return x.reshape(n_l, op.ndof)
+    """Solve D_l X = rhs under a GalerkinOperator.d_block_solve policy."""
+    return op.d_block_solve(level, rhs, inner, outer_tol, policy)

@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import krylov
 from .fem import Mesh, assemble_weighted_stiffness
 from .kle import KLExpansion
 from .multi_index import MultiIndexSet, build_multi_index_set, hierarchy_dims
@@ -123,6 +124,8 @@ def _inner_cg(A, b, prec, tol, maxiter, block):
 
 
 DENSE_ASSEMBLY_LIMIT = 2000
+# largest level dimension the direct level policy factorizes
+DIRECT_LEVEL_LIMIT = 20_000
 
 
 class GalerkinOperator:
@@ -131,9 +134,9 @@ class GalerkinOperator:
     matrices[i] is the spatial matrix of the i-th coefficient field; tensor
     holds the coupling matrices C_i over the same coefficient index range.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
-    the flat concatenation.  Immutable after construction (solver caches are
-    populated lazily but never change semantics), so concurrent applies are
-    safe.
+    the flat concatenation.  Immutable after construction (solver caches and
+    the per-level views are populated lazily but never change semantics), so
+    concurrent applies are safe.
     """
 
     def __init__(self, matrices, tensor: TripleProductTensor):
@@ -147,6 +150,7 @@ class GalerkinOperator:
         self.n_blocks = tensor.n_basis
         self.hierarchy = hierarchy_dims(self.basis.dims, self.basis.degree)
         self._solver_cache: dict = {}
+        self._levels: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = self.tensor.coupling[0].diagonal()
 
@@ -187,38 +191,56 @@ class GalerkinOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.apply(np.asarray(u).ravel())
 
+    def restricted_pairs(self, rows, cols) -> list:
+        """(C_i restricted to rows x cols, K_i) in ascending i, leaving out the
+        terms whose restricted coupling or spatial matrix is structurally zero.
+        rows and cols are both block slices or both block index arrays."""
+        key = (rows, cols) if isinstance(rows, slice) else np.ix_(rows, cols)
+        pairs = []
+        for Ci, Ki in zip(self.tensor.coupling, self.matrices):
+            if Ki.nnz:
+                sub = Ci[key]
+                if sub.nnz:
+                    pairs.append((sub, Ki))
+        return pairs
+
+    def apply_pairs(self, pairs, X: np.ndarray, n_rows: int) -> np.ndarray:
+        """sum_i (S_i @ X) @ K_i^T over (S_i, K_i) pairs, in their order."""
+        V = np.zeros((n_rows, self.ndof))
+        for sub, Ki in pairs:
+            # the same CSR product scipy runs for (S_i @ X) @ K_i^T, without
+            # building the transposed matrices on every call
+            V += (Ki @ (sub @ X).T).T
+        return V
+
     def masked_apply(self, rows, cols, X: np.ndarray) -> np.ndarray:
         """Product restricted to the sub-block (rows) x (cols) of the grid.
 
         X has one row per column block; the result has one row per row block.
         """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        V = np.zeros((len(rows), self.ndof))
-        for Ci, Ki in zip(self.tensor.coupling, self.matrices):
-            sub = Ci[rows][:, cols]
-            if sub.nnz:
-                V += (sub @ X) @ Ki.T
-        return V
+        pairs = self.restricted_pairs(np.asarray(rows), np.asarray(cols))
+        return self.apply_pairs(pairs, X, len(rows))
+
+    def level(self, level: int) -> "Level":
+        """The view of level l, built the first time it is used and kept."""
+        if level not in self._levels:
+            self._levels[level] = Level(self, level)
+        return self._levels[level]
 
     def apply_submatrix(self, level: int, part: str, X: np.ndarray) -> np.ndarray:
         """Action of the A/B/C/D sub-block of the level-l partition."""
-        head, tail = self.level_slices(level)
-        ranges = {
-            "A": (np.arange(head.stop), np.arange(head.stop)),
-            "B": (np.arange(head.stop), np.arange(tail.start, tail.stop)),
-            "C": (np.arange(tail.start, tail.stop), np.arange(head.stop)),
-            "D": (np.arange(tail.start, tail.stop), np.arange(tail.start, tail.stop)),
-        }
-        try:
-            rows, cols = ranges[part]
-        except KeyError:
+        if part not in ("A", "B", "C", "D"):
             raise ValueError(f"part must be one of A, B, C, D, got {part!r}")
+        lv = self.level(level)
+        rows, cols = {"A": (lv.head, lv.head), "B": (lv.head, lv.tail),
+                      "C": (lv.tail, lv.head), "D": (lv.tail, lv.tail)}[part]
         X = np.atleast_2d(X)
-        if X.shape[0] != len(cols):
-            raise ValueError(f"{part}-part at level {level} expects {len(cols)} "
-                             f"column blocks, got {X.shape[0]}")
-        return self.masked_apply(rows, cols, X)
+        if X.shape[0] != cols.stop - cols.start:
+            raise ValueError(f"{part}-part at level {level} expects "
+                             f"{cols.stop - cols.start} column blocks, got {X.shape[0]}")
+        pairs = (self.restricted_pairs(rows, cols) if part == "A"
+                 else lv.pairs[part])
+        return self.apply_pairs(pairs, X, rows.stop - rows.start)
 
     # -- diagonal-block solves -------------------------------------------
     def level_is_scalar_diagonal(self, level: int) -> bool:
@@ -227,18 +249,7 @@ class GalerkinOperator:
         Couplings whose spatial matrix is structurally zero (e.g. vanished
         fluctuation fields) cannot contribute and are ignored.
         """
-        _, tail = self.level_slices(level)
-        rows = np.arange(tail.start, tail.stop)
-        for i, (Ci, Ki) in enumerate(zip(self.tensor.coupling, self.matrices)):
-            if Ki.nnz == 0:
-                continue
-            sub = Ci[rows][:, rows].toarray()
-            if i == 0:
-                if np.any(sub - np.diag(np.diag(sub))):
-                    return False
-            elif np.any(sub):
-                return False
-        return True
+        return self.level(level).scalar
 
     def mean_solver(self, inner: InnerSolver, outer_tol: float = 1e-8):
         """Cached solver for the mean matrix K_0 under the given policy."""
@@ -248,41 +259,63 @@ class GalerkinOperator:
         return self._solver_cache[key]
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
-                      outer_tol: float = 1e-8) -> np.ndarray:
+                      outer_tol: float = 1e-8, policy: str = "auto") -> np.ndarray:
         """Solve D_l X = rhs, one row of rhs per degree-l block.
 
-        The scalar-multiple shortcut solves K_0 once (multi right-hand side)
-        and rescales by 1/c_0kk; it applies whenever the level is diagonal
-        with pure-K_0 blocks, which covers the linear coefficient case.
-        Coupled levels (chaos coefficient expansions) assemble the level
-        system; see lognormal.dense_d_block_solve for the policy choices.
+        policy "direct" factorizes the assembled level matrix once, for levels
+        of dimension up to DIRECT_LEVEL_LIMIT; "iterative" runs CG on the level
+        system preconditioned blockwise with the mean matrix.  "auto" solves
+        levels diagonal with blocks c_0kk K_0 (the linear coefficient case) by
+        one multi-right-hand-side K_0 solve under ``inner`` rescaled by
+        1/c_0kk, and the others directly when they fit under the limit.
         """
-        _, tail = self.level_slices(level)
+        lv = self.level(level)
         rhs = np.atleast_2d(rhs)
-        if rhs.shape[0] != tail.stop - tail.start:
-            raise ValueError(f"level {level} has {tail.stop - tail.start} blocks, "
+        if rhs.shape[0] != lv.n_l:
+            raise ValueError(f"level {level} has {lv.n_l} blocks, "
                              f"rhs has {rhs.shape[0]} rows")
-        if self.level_is_scalar_diagonal(level):
-            X = self.mean_solver(inner, outer_tol)(rhs)
-            return X / self.diag_weights[tail][:, None]
-        from .lognormal import dense_d_block_solve
-        return dense_d_block_solve(self, level, rhs,
-                                   policy="auto", inner=inner, outer_tol=outer_tol)
+        weights = self.diag_weights[lv.tail][:, None]
+        if policy == "auto" and lv.scalar:
+            return self.mean_solver(inner, outer_tol)(rhs) / weights
+        if policy == "auto":
+            policy = "direct" if rhs.size <= DIRECT_LEVEL_LIMIT else "iterative"
+        if policy == "direct":
+            if rhs.size > DIRECT_LEVEL_LIMIT:
+                raise ValueError(f"level {level} system of dimension {rhs.size} exceeds "
+                                 f"the direct-assembly guard {DIRECT_LEVEL_LIMIT}")
+            if lv.lu is None:
+                D = self.assemble_pairs(lv.pairs["D"], lv.n_l, lv.n_l)
+                lv.lu = spla.splu(D.tocsc())
+            return lv.lu.solve(rhs.ravel()).reshape(rhs.shape)
+        if policy != "iterative":
+            raise ValueError(f"unknown level-solve policy {policy!r}")
+        mean_solve = self.mean_solver(InnerSolver(kind="exact"), outer_tol)
+
+        def apply_level(x):
+            return self.apply_pairs(lv.pairs["D"], x.reshape(rhs.shape), lv.n_l).ravel()
+
+        def block_mean_prec(r):
+            return (mean_solve(r.reshape(rhs.shape)) / weights).ravel()
+
+        x, report = krylov.cg(apply_level, rhs.ravel(), apply_m=block_mean_prec,
+                              tol=inner.resolve_tol(outer_tol), max_iter=inner.maxiter)
+        if not report.converged:
+            raise InnerSolveError(level, report.relative_residuals[-1],
+                                  f"level {level} system")
+        return x.reshape(rhs.shape)
 
     # -- assembly helpers (oracle/diagnostic scale only) -------------------
+    def assemble_pairs(self, pairs, n_rows: int, n_cols: int) -> sp.csr_matrix:
+        """Explicit sum_i kron(S_i, K_i) over (S_i, K_i) pairs, in their order."""
+        acc = sp.csr_matrix((n_rows * self.ndof, n_cols * self.ndof))
+        for sub, Ki in pairs:
+            acc = acc + sp.kron(sub, Ki, format="csr")
+        return acc
+
     def assemble_range(self, rows, cols) -> sp.csr_matrix:
         """Explicitly assemble the sub-matrix spanning the given block ranges."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        acc = None
-        for Ci, Ki in zip(self.tensor.coupling, self.matrices):
-            sub = Ci[rows][:, cols]
-            if sub.nnz:
-                term = sp.kron(sub, Ki, format="csr")
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = sp.csr_matrix((len(rows) * self.ndof, len(cols) * self.ndof))
-        return acc
+        pairs = self.restricted_pairs(np.asarray(rows), np.asarray(cols))
+        return self.assemble_pairs(pairs, len(rows), len(cols))
 
     def dense(self, limit: int = DENSE_ASSEMBLY_LIMIT) -> np.ndarray:
         """Dense global matrix, guarded by a size limit (oracle tests only)."""
@@ -298,6 +331,30 @@ class GalerkinOperator:
         b = np.zeros((self.n_blocks, self.ndof))
         b[0] = load
         return b
+
+
+class Level:
+    """Level l of the partition A_l = [[A_{l-1}, B_l], [C_l, D_l]], built once.
+
+    ``pairs`` maps B, C and D to their restricted coupling pairs; ``n_blocks``
+    counts the nonzero blocks of B_l and C_l (the work-count unit); ``scalar``
+    tells whether D_l is diagonal with blocks c_0kk K_0; ``lu`` is the level
+    LU once needed.  No reference back to the operator: the cycle would delay
+    its garbage collection.
+    """
+
+    def __init__(self, op: GalerkinOperator, level: int):
+        self.head, self.tail = head, tail = op.level_slices(level)
+        self.n_l = tail.stop - tail.start
+        self.pairs = {"B": op.restricted_pairs(head, tail),
+                      "C": op.restricted_pairs(tail, head),
+                      "D": op.restricted_pairs(tail, tail)}
+        struct = op.tensor.structure
+        self.n_blocks = {"B": struct[head, tail].nnz, "C": struct[tail, head].nnz}
+        self.scalar = all(Ki is op.matrices[0]
+                          and not (sub - sp.diags(sub.diagonal())).count_nonzero()
+                          for sub, Ki in self.pairs["D"])
+        self.lu = None
 
 
 def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,

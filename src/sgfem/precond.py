@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import krylov
 from .multi_index import build_multi_index_set
@@ -175,25 +174,24 @@ class BlockSGS(_BlockPreconditioner):
 def _diagonal_block_solvers(op: GalerkinOperator, inner: InnerSolver,
                             outer_tol: float):
     """One solve callable per diagonal block A_jj = sum_i c_ijj K_i."""
-    scalar = all(np.all(Ci.diagonal() == 0.0) for Ci in op.tensor.coupling[1:])
-    if scalar:
+    cjj = np.array([Ci.diagonal() for Ci in op.tensor.coupling])   # c_ijj
+    if not np.any(cjj[1:]):
         mean = op.mean_solver(inner, outer_tol)
-        weights = op.diag_weights
-
-        def make(j):
-            return lambda r: mean(r[None, :])[0] / weights[j]
-
-        return [make(j) for j in range(op.n_blocks)]
+        return [lambda r, w=w: mean(r[None, :])[0] / w for w in op.diag_weights]
     solvers = []
     for j in range(op.n_blocks):
-        Ajj = None
-        for Ci, Ki in zip(op.tensor.coupling, op.matrices):
-            v = Ci[j, j]
-            if v != 0.0:
-                Ajj = v * Ki if Ajj is None else Ajj + v * Ki
-        solve = inner.make(Ajj.tocsc(), outer_tol)
+        solve = inner.make(_diagonal_block(op, cjj[:, j]).tocsc(), outer_tol)
         solvers.append(lambda r, s=solve: s(r[None, :])[0])
     return solvers
+
+
+def _diagonal_block(op: GalerkinOperator, c: np.ndarray):
+    """A_jj = sum_i c_ijj K_i, summed in ascending i over the nonzero c_ijj."""
+    Ajj = None
+    for i in np.flatnonzero(c):
+        term = c[i] * op.matrices[i]
+        Ajj = term if Ajj is None else Ajj + term
+    return Ajj
 
 
 class HierarchicalSchur(_BlockPreconditioner):
@@ -218,57 +216,34 @@ class HierarchicalSchur(_BlockPreconditioner):
         if d_policy not in ("auto", "direct", "iterative"):
             raise ValueError(f"unknown d_policy {d_policy!r}")
         self.d_policy = d_policy
-        A00 = None
-        for Ci, Ki in zip(op.tensor.coupling, op.matrices):
-            v = Ci[0, 0]
-            if v != 0.0:
-                A00 = v * Ki if A00 is None else A00 + v * Ki
-        self._bottom = inner.make(A00.tocsc(), outer_tol)
-        struct = op.tensor.structure
-        self._b_nnz = {}
-        self._c_nnz = {}
-        for l in range(1, self.degree + 1):
-            head, tail = op.level_slices(l)
-            self._b_nnz[l] = struct[head, tail].nnz
-            self._c_nnz[l] = struct[tail, head].nnz
-        self._scalar_level = {l: op.level_is_scalar_diagonal(l)
-                              for l in range(1, self.degree + 1)}
+        c00 = np.array([Ci[0, 0] for Ci in op.tensor.coupling])
+        self._bottom = inner.make(_diagonal_block(op, c00).tocsc(), outer_tol)
 
     def _d_solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        head, tail = self.op.level_slices(level)
-        n_l = tail.stop - tail.start
-        if self._scalar_level[level]:
-            # scalar-multiple shortcut; inner-iteration variants live in the
-            # InnerSolver policy, not in the level policy
-            X = self.op.d_block_solve(level, rhs, self.inner, self.outer_tol)
-        else:
-            from .lognormal import dense_d_block_solve
-            X = dense_d_block_solve(self.op, level, rhs, policy=self.d_policy,
-                                    inner=self.inner, outer_tol=self.outer_tol)
-        self.counters.block_solves += n_l
+        # d_policy is for coupled levels; scalar levels take the mean solve
+        policy = "auto" if self.op.level_is_scalar_diagonal(level) else self.d_policy
+        X = self.op.d_block_solve(level, rhs, self.inner, self.outer_tol, policy)
+        self.counters.block_solves += len(X)
         return X
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         op = self.op
-        if self.degree == 0:
-            self.counters.block_solves += 1
-            return self._bottom(R)
         residuals: list[np.ndarray] = [None] * (self.degree + 1)
         cur = np.asarray(R, dtype=float)
         for l in range(self.degree, 0, -1):
             residuals[l] = cur
-            head, tail = op.level_slices(l)
-            t = self._d_solve(l, cur[tail])
+            lv = op.level(l)
+            t = self._d_solve(l, cur[lv.tail])
             pre = op.apply_submatrix(l, "B", t)
-            self.counters.block_matvecs += self._b_nnz[l]
-            cur = cur[head] - pre
+            self.counters.block_matvecs += lv.n_blocks["B"]
+            cur = cur[lv.head] - pre
         u = self._bottom(cur[0][None, :])
         self.counters.block_solves += 1
         for l in range(1, self.degree + 1):
-            head, tail = op.level_slices(l)
+            lv = op.level(l)
             ct = op.apply_submatrix(l, "C", u)
-            self.counters.block_matvecs += self._c_nnz[l]
-            ut = self._d_solve(l, residuals[l][tail] - ct)
+            self.counters.block_matvecs += lv.n_blocks["C"]
+            ut = self._d_solve(l, residuals[l][lv.tail] - ct)
             u = np.vstack([u, ut])
         return u
 
@@ -318,7 +293,7 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
 
     def schur_apply(x):
         X = x.reshape(n_head, op.ndof)
-        AX = op.masked_apply(np.arange(n_head), np.arange(n_head), X)
+        AX = op.apply_submatrix(level, "A", X)
         CX = op.apply_submatrix(level, "C", X)
         AX -= op.apply_submatrix(level, "B", d_solve(CX))
         return AX.ravel()

@@ -16,6 +16,7 @@ block vanishes identically, which the hierarchical preconditioner relies on).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,9 +45,10 @@ class TripleProductTensor:
     def n_basis(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def structure(self) -> sp.csr_matrix:
-        """Boolean union of the per-i sparsity patterns."""
+        """sum_i |C_i|, whose pattern is the union of the per-i patterns;
+        computed on first access and kept."""
         acc = sum(abs(c) for c in self.coupling)
         acc.eliminate_zeros()
         return acc
@@ -70,18 +72,11 @@ class TripleProductTensor:
     def value(self, i: int, j: int, k: int) -> float:
         return self.coupling[i][j, k]
 
-    def level_offdiag_nnz(self, l: int) -> int:
-        """Structural nonzeros off the diagonal of the degree-l square block d_l."""
-        sl = self.basis.degree_slice(l)
-        block = self.structure[sl, sl].toarray()
-        return int(np.count_nonzero(block - np.diag(np.diag(block))))
-
-    def is_level_diagonal(self, l: int) -> bool:
-        return self.level_offdiag_nnz(l) == 0
-
     def has_block_diagonal_levels(self) -> bool:
         """True when every same-degree sub-block d_l is diagonal (linear case)."""
-        return all(self.is_level_diagonal(l) for l in range(self.basis.degree + 1))
+        degree = np.array(self.basis.degrees())
+        s = self.structure.tocoo()
+        return not np.any((degree[s.row] == degree[s.col]) & (s.row != s.col))
 
     def write_entries(self, path) -> None:
         """Text export, one line per entry: ``i j k value``."""

@@ -1,6 +1,8 @@
 import pytest
+from scipy.linalg import LinAlgError
 
 from sgfem import cli
+from sgfem.operator import InnerSolveError
 
 
 def test_config_file_parsing(tmp_path):
@@ -77,6 +79,18 @@ def test_solver_failure_exit_one(capsys):
     rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25",
                    "--preconditioner", "none", "--max-iter", "2"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("error", [InnerSolveError(3, 0.5, "inner cg"),
+                                   LinAlgError("singular level matrix")])
+def test_solver_error_exit_one_without_traceback(monkeypatch, capsys, error):
+    def failing_run(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {error}"
 
 
 def test_usage_error_exit_one(capsys):

@@ -1,0 +1,165 @@
+"""The per-level views of GalerkinOperator against the dense kron oracle.
+
+Small Legendre/linear and Hermite/lognormal configurations are drawn at
+random; every A/B/C/D product, every level-solve policy and the scalar-level
+flag are checked against the explicitly assembled matrix.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from sgfem import operator
+from sgfem.fem import build_mesh
+from sgfem.kle import CovarianceSpec, build_kl_expansion
+from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
+from sgfem.multi_index import build_multi_index_set
+from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
+from sgfem.orthopoly import legendre_family
+from sgfem.precond import HierarchicalSchur
+
+EXACT = InnerSolver(kind="exact")
+TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
+PARTS = ("A", "B", "C", "D")
+
+
+def uniform_operator(dims, degree, n_cells, sigma=0.5):
+    mesh = build_mesh(1.0 / n_cells)
+    kl = build_kl_expansion(CovarianceSpec(sigma=sigma, corr_length=0.5), dims, 1.0,
+                            mesh.node_coords)
+    return build_uniform_operator(mesh, kl, build_multi_index_set(dims, degree),
+                                  legendre_family())
+
+
+def lognormal_operator(dims, degree, n_cells, cov=1.0):
+    return build_lognormal_operator(LognormalFieldSpec(cov=cov),
+                                    build_mesh(1.0 / n_cells), dims, degree)
+
+
+configs = st.tuples(st.sampled_from(["uniform", "lognormal"]),
+                    st.integers(1, 3), st.integers(1, 3), st.integers(2, 4))
+
+
+def build(config) -> GalerkinOperator:
+    kind, dims, degree, n_cells = config
+    if kind == "uniform":
+        return uniform_operator(dims, degree, n_cells)
+    return lognormal_operator(dims, degree, n_cells)
+
+
+def dense_kron_oracle(op):
+    """sum_i kron(C_i, K_i), assembled without the operator's own helpers."""
+    return sum(np.kron(Ci.toarray(), Ki.toarray())
+               for Ci, Ki in zip(op.tensor.coupling, op.matrices))
+
+
+def block_ranges(op, level, part):
+    head, tail = op.level_slices(level)
+    return {"A": (head, head), "B": (head, tail),
+            "C": (tail, head), "D": (tail, tail)}[part]
+
+
+def dense_part(op, A, level, part):
+    rows, cols = block_ranges(op, level, part)
+    n = op.ndof
+    return A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n]
+
+
+def dense_is_scalar(op, D, level):
+    """D_l block diagonal with blocks c_0kk K_0, read off the dense matrix."""
+    _, tail = op.level_slices(level)
+    expect = np.kron(np.diag(op.diag_weights[tail]), op.matrices[0].toarray())
+    return np.allclose(D, expect, rtol=0.0, atol=1e-13 * np.abs(D).max())
+
+
+def check_against_oracle(op):
+    A = dense_kron_oracle(op)
+    assert np.allclose(op.dense(), A, rtol=0.0, atol=1e-13 * np.abs(A).max())
+    rng = np.random.default_rng(0)
+    for level in range(1, op.basis.degree + 1):
+        for part in PARTS:
+            rows, cols = block_ranges(op, level, part)
+            X = rng.standard_normal((cols.stop - cols.start, op.ndof))
+            ref = dense_part(op, A, level, part) @ X.ravel()
+            got = op.apply_submatrix(level, part, X).ravel()
+            assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        D = dense_part(op, A, level, "D")
+        assert op.level_is_scalar_diagonal(level) == dense_is_scalar(op, D, level)
+        R = rng.standard_normal((op.level(level).n_l, op.ndof))
+        ref = np.linalg.solve(D, R.ravel()).reshape(R.shape)
+        for policy, inner in (("auto", EXACT), ("direct", EXACT),
+                              ("iterative", TIGHT_CG)):
+            X = op.d_block_solve(level, R, inner, policy=policy)
+            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), policy
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs)
+def test_level_views_match_dense_oracle(config):
+    op = build(config)
+    check_against_oracle(op)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_level_views_match_dense_oracle_at_largest_config(kind):
+    check_against_oracle(build((kind, 3, 3, 4)))
+
+
+def test_linear_levels_are_scalar_and_lognormal_levels_coupled():
+    uni = uniform_operator(2, 3, 4)
+    logn = lognormal_operator(2, 3, 4)
+    for level in (1, 2, 3):
+        assert uni.level_is_scalar_diagonal(level)
+        assert not logn.level_is_scalar_diagonal(level)
+    # only the mean coupling survives on a linear level
+    (_, K), = uni.level(2).pairs["D"]
+    assert K is uni.matrices[0]
+
+
+def test_levels_are_built_lazily_and_once(monkeypatch):
+    calls = []
+    original = GalerkinOperator.restricted_pairs
+
+    def spy(self, rows, cols):
+        calls.append((rows, cols))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(GalerkinOperator, "restricted_pairs", spy)
+    op = lognormal_operator(2, 2, 3)
+    HierarchicalSchur(op, EXACT)
+    assert calls == []
+    head, tail = op.level_slices(2)
+    X = np.ones((tail.stop - tail.start, op.ndof))
+    first = op.apply_submatrix(2, "B", X)
+    assert len(calls) == 3     # B, C and D of level 2
+    lv = op.level(2)
+    second = op.apply_submatrix(2, "B", X)
+    op.apply_submatrix(2, "C", np.ones((head.stop, op.ndof)))
+    assert len(calls) == 3 and op.level(2) is lv
+    assert np.array_equal(first, second)
+
+
+def test_level_lu_is_factorized_once(monkeypatch):
+    calls = []
+    original = operator.spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(operator.spla, "splu", spy)
+    op = lognormal_operator(2, 2, 3)
+    R = np.random.default_rng(1).standard_normal((op.level(2).n_l, op.ndof))
+    X1 = op.d_block_solve(2, R, EXACT, policy="direct")
+    X2 = op.d_block_solve(2, R, EXACT)
+    assert len(calls) == 1
+    assert np.array_equal(X1, X2)
+
+
+def test_d_block_solve_rejects_unknown_policy_and_wrong_rows():
+    op = lognormal_operator(1, 2, 2)
+    n_l = op.level(1).n_l
+    with pytest.raises(ValueError):
+        op.d_block_solve(1, np.zeros((n_l, op.ndof)), EXACT, policy="lu")
+    with pytest.raises(ValueError):
+        op.d_block_solve(1, np.zeros((n_l + 1, op.ndof)), EXACT)

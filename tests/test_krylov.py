@@ -167,3 +167,34 @@ def test_residual_history_csv(tmp_path):
     assert len(lines) == len(report.relative_residuals) + 1
     last = float(lines[-1].split(",")[1])
     assert last <= 1e-10
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_nan_matvec_stops_at_once(solver):
+    # NaN fails both the <p, Ap> <= 0 test and the tolerance test; without a
+    # finiteness check the iteration would run to max_iter
+    x, report = solver(lambda v: np.full_like(v, np.nan), np.ones(4), tol=1e-10)
+    assert report.non_finite
+    assert not report.converged and not report.spd_suspect
+    assert report.iterations <= 1
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_nan_preconditioner_stops_at_once(solver):
+    calls = {"k": 0}
+
+    def prec(r):
+        calls["k"] += 1
+        return r if calls["k"] < 3 else np.full_like(r, np.nan)
+
+    d = np.linspace(1.0, 10.0, 10)
+    _, report = solver(diag_apply(d), np.ones(10), apply_m=prec, tol=1e-12)
+    assert report.non_finite and not report.converged
+    assert report.iterations == 2
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_healthy_solve_not_flagged_non_finite(solver):
+    d = np.linspace(1.0, 10.0, 10)
+    _, report = solver(diag_apply(d), np.ones(10), tol=1e-12)
+    assert report.converged and not report.non_finite

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import sgfem.lognormal as lognormal
+import sgfem.operator as operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import KLExpansion
 from sgfem.krylov import cg
@@ -121,7 +121,8 @@ def test_level_solve_outer_counts_agree():
     assert abs(rep_d.iterations - rep_i.iterations) <= 1
 
 
-def test_zero_variance_levels_collapse_to_block_diagonal():
+def vanished_fluctuation_operator():
+    """Hermite operator over a zero Gaussian field: every fluctuation matrix is zero."""
     mesh = build_mesh(0.25)
     gauss = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 0.0)
     coeff = build_multi_index_set(2, 4)
@@ -134,7 +135,11 @@ def test_zero_variance_levels_collapse_to_block_diagonal():
     tensor = build_triple_product_tensor(basis, coeff, hermite_family())
     mats = [assemble_weighted_stiffness(mesh, fields[0], unit_boundary_diag=True)]
     mats += [assemble_weighted_stiffness(mesh, f) for f in fields[1:]]
-    op = GalerkinOperator(mats, tensor)
+    return GalerkinOperator(mats, tensor)
+
+
+def test_zero_variance_levels_collapse_to_block_diagonal():
+    op = vanished_fluctuation_operator()
     # the tensor still couples same-degree blocks, but the vanished
     # fluctuation matrices make every level effectively block diagonal
     assert all(op.level_is_scalar_diagonal(l) for l in (1, 2))
@@ -145,12 +150,37 @@ def test_zero_variance_levels_collapse_to_block_diagonal():
     assert np.allclose(X1, X2, atol=1e-10)
 
 
+def test_zero_variance_level_views_match_dense_oracle():
+    op = vanished_fluctuation_operator()
+    A = sum(np.kron(Ci.toarray(), Ki.toarray())
+            for Ci, Ki in zip(op.tensor.coupling, op.matrices))
+    n = op.ndof
+    rng = np.random.default_rng(4)
+    for level in (1, 2):
+        head, tail = op.level_slices(level)
+        # the tensor couples same-degree blocks, but only the K_0 term is kept
+        (_, K), = op.level(level).pairs["D"]
+        assert K is op.matrices[0]
+        for part, rows, cols in (("B", head, tail), ("C", tail, head), ("D", tail, tail)):
+            X = rng.standard_normal((cols.stop - cols.start, n))
+            ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
+            got = op.apply_submatrix(level, part, X).ravel()
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        D = A[tail.start * n:tail.stop * n, tail.start * n:tail.stop * n]
+        R = rng.standard_normal((tail.stop - tail.start, n))
+        ref = np.linalg.solve(D, R.ravel()).reshape(R.shape)
+        for policy, inner in (("auto", EXACT), ("direct", EXACT),
+                              ("iterative", InnerSolver(kind="cg", tol=1e-13))):
+            X = dense_d_block_solve(op, level, R, policy=policy, inner=inner)
+            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), policy
+
+
 def test_direct_policy_guard(monkeypatch):
     mesh = build_mesh(0.25)
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     _, tail = op.level_slices(2)
     R = np.zeros((tail.stop - tail.start, op.ndof))
-    monkeypatch.setattr(lognormal, "DIRECT_LEVEL_LIMIT", 10)
+    monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 10)
     with pytest.raises(ValueError):
         dense_d_block_solve(op, 2, R, policy="direct")
     # auto falls back to the iterative policy under the guard

@@ -19,6 +19,13 @@ def test_block_counts_match_structure_figures():
     assert kl_tensor(4, 7).n_blocks == 2010
 
 
+def test_structure_is_computed_once():
+    t = build_triple_product_tensor(build_multi_index_set(2, 2),
+                                    build_multi_index_set(2, 4), hermite_family())
+    assert t.structure is t.structure
+    assert t.n_blocks == t.structure.nnz == 36
+
+
 def test_constant_chaos_single_entry():
     t = kl_tensor(3, 0)
     entries = list(t.entries())

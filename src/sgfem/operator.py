@@ -22,6 +22,7 @@ way, so non-symmetric K_i are supported by the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +69,7 @@ class InnerSolver:
     def make(self, matrix: sp.spmatrix, outer_tol: float = 1e-8):
         if self.kind == "exact":
             lu = spla.splu(matrix.tocsc())
-            return lambda B: _solve_rows(lu, B)
+            return lambda B: lu.solve(np.atleast_2d(B).T).T
         if self.kind != "cg":
             raise ValueError(f"unknown inner solver kind {self.kind!r}")
         tol = self.resolve_tol(outer_tol)
@@ -88,39 +89,14 @@ class InnerSolver:
             B = np.atleast_2d(B)
             X = np.empty_like(B)
             for row in range(B.shape[0]):
-                X[row] = _inner_cg(A, B[row], prec, tol, self.maxiter, row)
+                # krylov.cg returns zero at once for a zero right-hand side
+                X[row], report = krylov.cg(A.dot, B[row], apply_m=prec, tol=tol,
+                                           max_iter=self.maxiter)
+                if not report.converged or report.spd_suspect or report.non_finite:
+                    raise InnerSolveError(row, report.relative_residuals[-1], "inner cg")
             return X
 
         return solve
-
-
-def _solve_rows(lu, B):
-    B = np.atleast_2d(B)
-    return lu.solve(B.T).T
-
-
-def _inner_cg(A, b, prec, tol, maxiter, block):
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = prec(r) if prec else r.copy()
-    p = z.copy()
-    rz = r @ z
-    for _ in range(maxiter):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        z = prec(r) if prec else r.copy()
-        rz_new = r @ z
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    raise InnerSolveError(block, np.linalg.norm(r) / bnorm, "inner cg")
 
 
 DENSE_ASSEMBLY_LIMIT = 2000
@@ -151,6 +127,9 @@ class GalerkinOperator:
         self.hierarchy = hierarchy_dims(self.basis.dims, self.basis.degree)
         self._solver_cache: dict = {}
         self._levels: dict = {}
+        # the terms of the full product: (C_i, K_i) with neither structurally zero
+        self._pairs = [(Ci, Ki) for Ci, Ki in zip(tensor.coupling, self.matrices)
+                       if Ci.nnz and Ki.nnz]
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = self.tensor.coupling[0].diagonal()
 
@@ -182,10 +161,7 @@ class GalerkinOperator:
         if U.shape != (self.n_blocks, self.ndof):
             raise ValueError(f"block vector has {U.shape}, "
                              f"expected {(self.n_blocks, self.ndof)}")
-        V = np.zeros_like(U)
-        for Ci, Ki in zip(self.tensor.coupling, self.matrices):
-            if Ci.nnz:
-                V += (Ci @ U) @ Ki.T
+        V = self.apply_pairs(self._pairs, U, self.n_blocks)
         return V.ravel() if flat else V
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
@@ -243,13 +219,32 @@ class GalerkinOperator:
         return self.apply_pairs(pairs, X, rows.stop - rows.start)
 
     # -- diagonal-block solves -------------------------------------------
+    @cached_property
+    def coupling_entries(self) -> tuple:
+        """(i, t, j, c_itj) of every stored coupling whose K_i is not empty,
+        as parallel arrays."""
+        keep = [i for i, (Ci, Ki) in enumerate(zip(self.tensor.coupling, self.matrices))
+                if Ci.nnz and Ki.nnz]
+        S = sp.vstack([self.tensor.coupling[i] for i in keep], format="csr").tocoo()
+        return np.array(keep)[S.row // self.n_blocks], S.row % self.n_blocks, S.col, S.data
+
+    @cached_property
+    def _scalar_levels(self) -> np.ndarray:
+        """Per degree: no same-degree coupling but c_0kk on the diagonal."""
+        i, t, j, v = self.coupling_entries
+        degree = np.array(self.basis.degrees())
+        other = (degree[t] == degree[j]) & ((i != 0) | ((t != j) & (v != 0.0)))
+        return ~np.isin(np.arange(self.basis.degree + 1), degree[j[other]])
+
     def level_is_scalar_diagonal(self, level: int) -> bool:
         """True when D_l is diagonal with blocks c_0kk * K_0.
 
         Couplings whose spatial matrix is structurally zero (e.g. vanished
-        fluctuation fields) cannot contribute and are ignored.
+        fluctuation fields) cannot contribute and are ignored.  Read off the
+        coupling entries; the level view is not built.
         """
-        return self.level(level).scalar
+        self.level_slices(level)    # rejects levels outside 1..P
+        return bool(self._scalar_levels[level])
 
     def mean_solver(self, inner: InnerSolver, outer_tol: float = 1e-8):
         """Cached solver for the mean matrix K_0 under the given policy."""
@@ -257,6 +252,26 @@ class GalerkinOperator:
         if key not in self._solver_cache:
             self._solver_cache[key] = inner.make(self.matrices[0], outer_tol)
         return self._solver_cache[key]
+
+    @cached_property
+    def diagonal_couplings(self) -> np.ndarray:
+        """c_ijj, one row per coefficient index i and one column per block j."""
+        return np.array([Ci.diagonal() for Ci in self.tensor.coupling])
+
+    def block_solver(self, j: int, inner: InnerSolver, outer_tol: float = 1e-8):
+        """Solver for the diagonal block A_jj = sum_i c_ijj K_i, on rows of
+        right-hand sides.  When A_jj = c_0jj K_0 it is the cached mean solve
+        divided by c_0jj; otherwise A_jj is summed in ascending i and handed
+        to ``inner``, which factorizes it for the exact policy."""
+        c = self.diagonal_couplings[:, j]
+        if not np.any(c[1:]):
+            mean = self.mean_solver(inner, outer_tol)
+            return lambda X: mean(X) / c[0]
+        Ajj = None
+        for i in np.flatnonzero(c):
+            term = c[i] * self.matrices[i]
+            Ajj = term if Ajj is None else Ajj + term
+        return inner.make(Ajj, outer_tol)
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
                       outer_tol: float = 1e-8, policy: str = "auto") -> np.ndarray:
@@ -269,14 +284,15 @@ class GalerkinOperator:
         one multi-right-hand-side K_0 solve under ``inner`` rescaled by
         1/c_0kk, and the others directly when they fit under the limit.
         """
-        lv = self.level(level)
+        _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
-        if rhs.shape[0] != lv.n_l:
-            raise ValueError(f"level {level} has {lv.n_l} blocks, "
+        if rhs.shape[0] != tail.stop - tail.start:
+            raise ValueError(f"level {level} has {tail.stop - tail.start} blocks, "
                              f"rhs has {rhs.shape[0]} rows")
-        weights = self.diag_weights[lv.tail][:, None]
-        if policy == "auto" and lv.scalar:
+        weights = self.diag_weights[tail][:, None]
+        if policy == "auto" and self.level_is_scalar_diagonal(level):
             return self.mean_solver(inner, outer_tol)(rhs) / weights
+        lv = self.level(level)
         if policy == "auto":
             policy = "direct" if rhs.size <= DIRECT_LEVEL_LIMIT else "iterative"
         if policy == "direct":
@@ -337,10 +353,9 @@ class Level:
     """Level l of the partition A_l = [[A_{l-1}, B_l], [C_l, D_l]], built once.
 
     ``pairs`` maps B, C and D to their restricted coupling pairs; ``n_blocks``
-    counts the nonzero blocks of B_l and C_l (the work-count unit); ``scalar``
-    tells whether D_l is diagonal with blocks c_0kk K_0; ``lu`` is the level
-    LU once needed.  No reference back to the operator: the cycle would delay
-    its garbage collection.
+    counts the nonzero blocks of B_l and C_l (the work-count unit); ``lu`` is
+    the level LU once needed.  No reference back to the operator: the cycle
+    would delay its garbage collection.
     """
 
     def __init__(self, op: GalerkinOperator, level: int):
@@ -351,9 +366,6 @@ class Level:
                       "D": op.restricted_pairs(tail, tail)}
         struct = op.tensor.structure
         self.n_blocks = {"B": struct[head, tail].nnz, "C": struct[tail, head].nnz}
-        self.scalar = all(Ki is op.matrices[0]
-                          and not (sub - sp.diags(sub.diagonal())).count_nonzero()
-                          for sub, Ki in self.pairs["D"])
         self.lu = None
 
 

@@ -6,7 +6,8 @@ Three preconditioners are provided, all operating block-wise and matrix-free:
   with the (scaled) mean matrix, one block solve per block.
 * block symmetric Gauss-Seidel: one forward and one backward block sweep over
   the natural block order, starting from a zero guess; symmetric whenever the
-  operator is.
+  operator is.  The sweeps step over groups of mutually uncoupled blocks (a
+  level with D_l = diag(c_0kk K_0), else one block), each solved at once.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem at the bottom, and walks back up with
@@ -23,15 +24,16 @@ solves, matching the tabulated work counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import krylov
 from .multi_index import build_multi_index_set
 from .operator import GalerkinOperator, InnerSolver
 from .orthopoly import PolynomialFamily, legendre_family
-from .triple_product import build_triple_product_tensor
+from .triple_product import TripleProductTensor, build_triple_product_tensor
 
 
 @dataclass
@@ -119,79 +121,66 @@ class BlockSGS(_BlockPreconditioner):
     The forward sweep solves (L + D) y = r block-row by block-row; the
     backward sweep forms z = (D + U)^{-1} D y reusing the forward residual,
     which makes the induced mapping symmetric for symmetric operators.
+
+    The sweeps step over groups of mutually uncoupled blocks, which gives the
+    block-by-block mapping: a level with D_l = diag(c_0kk K_0) is one group,
+    solved by one d_block_solve; every other block is its own group.  A
+    group's coupling to the later (forward) and earlier (backward) blocks is
+    a precomputed (L, [K_i]) pair: acc += L @ concat_i (K_i @ Y.T).T.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
         super().__init__(op)
-        self._diag_solvers = _diagonal_block_solvers(op, inner, outer_tol)
-        # per-column adjacency: which (i, target row) pairs receive K_i @ y_col
-        self._cols = [Ci.tocsc() for Ci in op.tensor.coupling]
-        struct = op.tensor.structure.tocsc()
-        self._fwd_blocks = []
-        self._bwd_blocks = []
-        for j in range(op.n_blocks):
-            rows = struct.indices[struct.indptr[j]:struct.indptr[j + 1]]
-            self._fwd_blocks.append(int(np.count_nonzero(rows > j)))
-            self._bwd_blocks.append(int(np.count_nonzero(rows < j)))
-
-    def _scatter(self, j: int, y: np.ndarray, acc: np.ndarray, direction: int) -> None:
-        """acc[t] += A_tj y for targets t beyond j in the sweep direction."""
-        for Ci, Ki in zip(self._cols, self.op.matrices):
-            start, stop = Ci.indptr[j], Ci.indptr[j + 1]
-            if start == stop:
-                continue
-            rows = Ci.indices[start:stop]
-            vals = Ci.data[start:stop]
-            mask = rows > j if direction > 0 else rows < j
-            if not np.any(mask):
-                continue
-            t = Ki @ y
-            for row, v in zip(rows[mask], vals[mask]):
-                acc[row] += v * t
+        spans = [(0, 1, None)]
+        for l in range(1, op.basis.degree + 1):
+            _, tail = op.level_slices(l)
+            if op.level_is_scalar_diagonal(l):
+                spans.append((tail.start, tail.stop, l))
+            else:
+                spans += [(j, j + 1, None) for j in range(tail.start, tail.stop)]
+        # (blocks, solve, forward (L, [K_i]), backward (L, [K_i])) per group
+        self._groups = [(slice(start, stop),
+                         op.block_solver(start, inner, outer_tol) if l is None
+                         else lambda X, l=l: op.d_block_solve(l, X, inner, outer_tol),
+                         _group_coupling(op, start, stop, stop, op.n_blocks),
+                         _group_coupling(op, start, stop, 0, start))
+                        for start, stop, l in spans]
+        # however the blocks are grouped, each application multiplies every
+        # off-diagonal block once: forward below the diagonal, backward above
+        self._n_products = op.tensor.n_blocks - op.n_blocks
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
-        m = self.op.n_blocks
-        Y = np.zeros_like(R)
-        acc = np.zeros_like(R)
-        for j in range(m):
-            Y[j] = self._diag_solvers[j](R[j] - acc[j])
-            self.counters.block_solves += 1
-            if j + 1 < m:
-                self._scatter(j, Y[j], acc, +1)
-                self.counters.block_matvecs += self._fwd_blocks[j]
-        Z = np.zeros_like(R)
-        acc2 = np.zeros_like(R)
-        for j in range(m - 1, -1, -1):
-            Z[j] = Y[j] - self._diag_solvers[j](acc2[j])
-            self.counters.block_solves += 1
-            if j > 0:
-                self._scatter(j, Z[j], acc2, -1)
-                self.counters.block_matvecs += self._bwd_blocks[j]
+        Y, acc = np.zeros_like(R), np.zeros_like(R)
+        for b, solve, (L, Ks), _ in self._groups:
+            Y[b] = solve(R[b] - acc[b])
+            if Ks:
+                acc[b.stop:] += L @ np.vstack([(K @ Y[b].T).T for K in Ks])
+        Z, acc = np.zeros_like(R), np.zeros_like(R)
+        for b, solve, _, (L, Ks) in reversed(self._groups):
+            Z[b] = Y[b] - solve(acc[b])
+            if Ks:
+                acc[:b.start] += L @ np.vstack([(K @ Z[b].T).T for K in Ks])
+        self.counters.block_solves += 2 * self.op.n_blocks
+        self.counters.block_matvecs += self._n_products
         return Z
 
 
-def _diagonal_block_solvers(op: GalerkinOperator, inner: InnerSolver,
-                            outer_tol: float):
-    """One solve callable per diagonal block A_jj = sum_i c_ijj K_i."""
-    cjj = np.array([Ci.diagonal() for Ci in op.tensor.coupling])   # c_ijj
-    if not np.any(cjj[1:]):
-        mean = op.mean_solver(inner, outer_tol)
-        return [lambda r, w=w: mean(r[None, :])[0] / w for w in op.diag_weights]
-    solvers = []
-    for j in range(op.n_blocks):
-        solve = inner.make(_diagonal_block(op, cjj[:, j]).tocsc(), outer_tol)
-        solvers.append(lambda r, s=solve: s(r[None, :])[0])
-    return solvers
-
-
-def _diagonal_block(op: GalerkinOperator, c: np.ndarray):
-    """A_jj = sum_i c_ijj K_i, summed in ascending i over the nonzero c_ijj."""
-    Ajj = None
-    for i in np.flatnonzero(c):
-        term = c[i] * op.matrices[i]
-        Ajj = term if Ajj is None else Ajj + term
-    return Ajj
+def _group_coupling(op: GalerkinOperator, start: int, stop: int,
+                    lo: int, hi: int) -> tuple:
+    """(L, [K_i]) taking the products of blocks start..stop-1 onto blocks
+    lo..hi-1 as L @ concat_i (K_i @ Y.T).T: L[t - lo, a * n + j - start] =
+    c_itj for the a-th coefficient i with such a term, n = stop - start."""
+    i, t, j, v = op.coupling_entries
+    keep = (j >= start) & (j < stop) & (t >= lo) & (t < hi)
+    active, a = np.unique(i[keep], return_inverse=True)
+    rows = t[keep] - lo
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=hi - lo))))
+    cols = a * (stop - start) + j[keep] - start
+    L = sp.csr_matrix((v[keep][order], cols[order], indptr),
+                      shape=(hi - lo, len(active) * (stop - start)))
+    return L, [op.matrices[k] for k in active]
 
 
 class HierarchicalSchur(_BlockPreconditioner):
@@ -216,8 +205,7 @@ class HierarchicalSchur(_BlockPreconditioner):
         if d_policy not in ("auto", "direct", "iterative"):
             raise ValueError(f"unknown d_policy {d_policy!r}")
         self.d_policy = d_policy
-        c00 = np.array([Ci[0, 0] for Ci in op.tensor.coupling])
-        self._bottom = inner.make(_diagonal_block(op, c00).tocsc(), outer_tol)
+        self._bottom = op.block_solver(0, inner, outer_tol)
 
     def _d_solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         # d_policy is for coupled levels; scalar levels take the mean solve
@@ -313,7 +301,6 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
 
 def truncate_operator(op: GalerkinOperator, degree: int) -> GalerkinOperator:
     """The leading-hierarchy operator over the order-``degree`` sub-basis."""
-    from .triple_product import TripleProductTensor
     sub_basis = op.basis.truncated(degree)
     m = len(sub_basis)
     coupling = tuple(Ci[:m, :m].tocsr() for Ci in op.tensor.coupling)

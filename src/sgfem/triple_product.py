@@ -49,7 +49,8 @@ class TripleProductTensor:
     def structure(self) -> sp.csr_matrix:
         """sum_i |C_i|, whose pattern is the union of the per-i patterns;
         computed on first access and kept."""
-        acc = sum(abs(c) for c in self.coupling)
+        S, n = abs(sp.vstack(self.coupling, format="csr")).tocoo(), self.n_basis
+        acc = sp.csr_matrix((S.data, (S.row % n, S.col)), shape=(n, n))
         acc.eliminate_zeros()
         return acc
 

@@ -1,8 +1,8 @@
 import pytest
 from scipy.linalg import LinAlgError
 
-from sgfem import cli
-from sgfem.operator import InnerSolveError
+from sgfem import cli, experiments
+from sgfem.operator import InnerSolveError, InnerSolver
 
 
 def test_config_file_parsing(tmp_path):
@@ -91,6 +91,17 @@ def test_solver_error_exit_one_without_traceback(monkeypatch, capsys, error):
     rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25"])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
+def test_stalled_inner_solve_exit_one(monkeypatch, capsys):
+    # one inner CG step cannot reach the tolerance: the block solve stalls
+    monkeypatch.setitem(experiments.INNER_POLICIES, "cg-none",
+                        InnerSolver(kind="cg", precond="none", maxiter=1))
+    rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25",
+                   "--preconditioner", "bsgs", "--inner", "cg-none"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inner solve for block") and "(inner cg)" in err
 
 
 def test_usage_error_exit_one(capsys):

@@ -1,8 +1,9 @@
 """The per-level views of GalerkinOperator against the dense kron oracle.
 
 Small Legendre/linear and Hermite/lognormal configurations are drawn at
-random; every A/B/C/D product, every level-solve policy and the scalar-level
-flag are checked against the explicitly assembled matrix.
+random; every A/B/C/D product, every level-solve policy, the scalar-level
+flag and the block symmetric Gauss-Seidel mapping with its work counters are
+checked against the explicitly assembled matrix.
 """
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
-from sgfem.precond import HierarchicalSchur
+from sgfem.precond import BlockSGS, HierarchicalSchur
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -163,3 +164,61 @@ def test_d_block_solve_rejects_unknown_policy_and_wrong_rows():
         op.d_block_solve(1, np.zeros((n_l, op.ndof)), EXACT, policy="lu")
     with pytest.raises(ValueError):
         op.d_block_solve(1, np.zeros((n_l + 1, op.ndof)), EXACT)
+
+
+# ---------------------------------------------------------------------------
+# block symmetric Gauss-Seidel
+# ---------------------------------------------------------------------------
+
+def dense_bsgs(op, A, r):
+    """(D + U)^{-1} D (D + L)^{-1} r with D, L, U the block diagonal, lower
+    and upper parts of the dense matrix."""
+    block = np.repeat(np.arange(op.n_blocks), op.ndof)
+    D = np.where(block[:, None] == block[None, :], A, 0.0)
+    L = np.where(block[:, None] > block[None, :], A, 0.0)
+    U = np.where(block[:, None] < block[None, :], A, 0.0)
+    return np.linalg.solve(D + U, D @ np.linalg.solve(D + L, r))
+
+
+def check_bsgs_against_oracle(op):
+    A = dense_kron_oracle(op)
+    r = np.random.default_rng(1).standard_normal(op.shape[0])
+    ref = dense_bsgs(op, A, r)
+    # nonzero blocks of the coupling pattern, read off the dense C_i
+    n_b = np.count_nonzero(sum(abs(Ci.toarray()) for Ci in op.tensor.coupling))
+    for inner in (EXACT, TIGHT_CG):
+        prec = BlockSGS(op, inner)
+        z = prec(r)
+        assert np.linalg.norm(z - ref) <= 1e-9 * np.linalg.norm(ref), inner.kind
+        assert prec.counters.block_solves == 2 * op.n_blocks
+        assert prec.counters.block_matvecs == n_b - op.n_blocks
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs)
+def test_bsgs_matches_dense_oracle(config):
+    check_bsgs_against_oracle(build(config))
+
+
+@pytest.mark.parametrize("config, level_groups", [
+    (("uniform", 2, 3, 3), True),      # every level one group
+    (("uniform", 1, 2, 2), True),
+    (("lognormal", 2, 2, 3), False),   # coupled levels: one group per block
+    (("lognormal", 1, 3, 3), False),   # one block per level, not scalar
+])
+def test_bsgs_groups_match_dense_oracle(monkeypatch, config, level_groups):
+    op = build(config)
+    calls = []
+    original = GalerkinOperator.d_block_solve
+
+    def spy(self, level, *args, **kwargs):
+        calls.append(level)
+        return original(self, level, *args, **kwargs)
+
+    monkeypatch.setattr(GalerkinOperator, "d_block_solve", spy)
+    check_bsgs_against_oracle(op)
+    levels = list(range(1, op.basis.degree + 1))
+    # two preconditioners, each one forward and one backward sweep
+    expected = 2 * (levels + levels[::-1]) if level_groups else []
+    assert calls == expected

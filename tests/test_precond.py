@@ -117,6 +117,47 @@ def test_bsgs_matches_dense_sweep_oracle():
     assert np.allclose(prec(r), z, atol=1e-9)
 
 
+def lognormal_operator(dims=2, degree=2, n_cells=4):
+    from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
+    return build_lognormal_operator(LognormalFieldSpec(cov=1.0),
+                                    build_mesh(1.0 / n_cells), dims, degree)
+
+
+@pytest.mark.parametrize("family", ["uniform", "lognormal"])
+@pytest.mark.parametrize("kind", [BlockSGS, HierarchicalSchur])
+def test_inner_cg_policy_matches_exact_apply(family, kind):
+    op = make_operator()[0] if family == "uniform" else lognormal_operator()
+    r = np.random.default_rng(7).standard_normal(op.shape[0])
+    z_exact = kind(op, EXACT)(r)
+    z_cg = kind(op, InnerSolver(kind="cg", precond="none", tol=1e-13))(r)
+    assert np.linalg.norm(z_cg - z_exact) <= 1e-10 * np.linalg.norm(z_exact)
+
+
+def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
+    import sgfem.operator as operator
+    calls = []
+    original = operator.spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(operator.spla, "splu", spy)
+    # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's
+    op, _ = make_operator(2, 3)
+    BlockSGS(op, EXACT)
+    HierarchicalSchur(op, EXACT)
+    assert len(calls) == 1
+    # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
+    calls.clear()
+    op = lognormal_operator()
+    BlockSGS(op, EXACT)
+    HierarchicalSchur(op, EXACT)
+    assert len(calls) == op.n_blocks
+    x = np.random.default_rng(8).standard_normal((1, op.ndof))
+    assert np.array_equal(op.block_solver(0, EXACT)(x), op.mean_solver(EXACT)(x))
+
+
 def test_bsgs_counts():
     op, b = make_operator(2, 2)
     prec = BlockSGS(op, EXACT)

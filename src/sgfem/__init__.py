@@ -2,7 +2,9 @@
 
 The package discretizes a 2D diffusion problem with a random coefficient by
 polynomial chaos in the stochastic variables and bilinear finite elements in
-space, applies the coupled block operator matrix-free, and solves it with
+space, applies the coupled block operator from the stiffness matrices of the
+coefficient expansion (matrix-free, or with pre-summed block columns when
+blocks sum several terms), and solves it with
 (flexible) conjugate gradients under mean-based, block symmetric
 Gauss-Seidel, or hierarchical Schur complement preconditioning.
 """

@@ -75,18 +75,21 @@ def build_mesh(h: float) -> Mesh:
 
 
 def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
-                                unit_boundary_diag: bool = False) -> sp.csr_matrix:
+                                unit_boundary_diag: bool = False):
     """Stiffness matrix of the coefficient field given by nodal samples.
 
     Boundary rows and columns are zeroed; with unit_boundary_diag the
     boundary diagonal is set to one (use this for the mean coefficient).
+    A 2-D ``field`` holds one field per row and gives the list of their
+    matrices, all assembled by one sparse product; unit_boundary_diag then
+    applies to the first row, the mean coefficient.
     """
-    field = np.asarray(field, dtype=float)
-    if field.shape != (mesh.n_nodes,):
-        raise ValueError(f"field has {field.shape}, expected ({mesh.n_nodes},)")
-    conn = mesh.connectivity
-    coeff = field[conn]                                  # (ne, 4)
-    ke = np.zeros((conn.shape[0], 4, 4))
+    fields = np.asarray(field, dtype=float)
+    if fields.ndim not in (1, 2) or fields.shape[-1] != mesh.n_nodes:
+        raise ValueError(f"field has {fields.shape}, expected ({mesh.n_nodes},) "
+                         f"or (n_fields, {mesh.n_nodes})")
+    coeff = np.atleast_2d(fields)[:, mesh.connectivity].reshape(-1, 4)
+    ke = np.zeros((len(coeff), 4, 4))                     # n_fields * n_elements
     for gx in (-_GAUSS, _GAUSS):
         for gy in (-_GAUSS, _GAUSS):
             shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy)
@@ -95,23 +98,49 @@ def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
             deta = np.array([0.25 * cy * (1 + cx * gx) for cx, cy in _CORNERS])
             # (2/h)^2 from the gradients cancels detJ = h^2/4
             grad = np.outer(dxi, dxi) + np.outer(deta, deta)
-            ke += (coeff @ shape)[:, None, None] * grad[None, :, :]
+            ke += (coeff @ shape)[:, None, None] * grad
+    S, indices, indptr = _assembly_map(mesh)
+    data = (S @ ke.reshape(-1, S.shape[1]).T).T
+    mats = []
+    for row in data:
+        K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2, copy=True)
+        K.eliminate_zeros()
+        mats.append(K)
+    if unit_boundary_diag:
+        mats[0] = (mats[0] + sp.diags(mesh.boundary_mask.astype(float))).tocsr()
+    return mats if fields.ndim == 2 else mats[0]
+
+
+def _assembly_map(mesh: Mesh) -> tuple:
+    """(S, indices, indptr): the element matrices, flattened to one row of
+    ``ke``, sum to the stiffness values S @ ke on the CSR pattern (indices,
+    indptr) of the interior nodes.
+
+    Each row of S adds the duplicates of one entry in the order in which
+    scipy's COO-to-CSR conversion adds them (rows bucketed stably, then each
+    row's columns sorted by a routine that compares columns only, which
+    entry numbers in place of values reproduce), so the values equal an
+    element-by-element assembly bit for bit.  Entries touching a boundary
+    node are left out, which zeroes the Dirichlet rows and columns.
+    """
+    conn, n = mesh.connectivity, mesh.n_nodes
     rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return apply_dirichlet(K, mesh.boundary_mask, unit_boundary_diag)
-
-
-def apply_dirichlet(K: sp.spmatrix, boundary: np.ndarray,
-                    unit_diag: bool) -> sp.csr_matrix:
-    """Zero boundary rows/columns; optionally set the boundary diagonal to 1."""
-    keep = sp.diags((~boundary).astype(float))
-    K = (keep @ K @ keep).tocsr()
-    if unit_diag:
-        K = K + sp.diags(boundary.astype(float))
-    K.eliminate_zeros()
-    return K.tocsr()
+    cols = np.tile(conn, (1, 4)).ravel().astype(np.int32)
+    order = np.argsort(rows, kind="stable")
+    P = sp.csr_matrix((order.astype(float), cols[order],
+                       np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)),
+                      shape=(n, n))
+    P.sort_indices()
+    perm = P.data.astype(np.intp)
+    first = np.flatnonzero(np.diff(rows[perm] * n + P.indices, prepend=-1))
+    inside = ~(mesh.boundary_mask[rows[perm[first]]] | mesh.boundary_mask[P.indices[first]])
+    runs = np.diff(np.append(first, len(perm)))
+    S = sp.csr_matrix((np.ones(runs[inside].sum()), perm[np.repeat(inside, runs)],
+                       np.append(0, np.cumsum(runs[inside]))),
+                      shape=(inside.sum(), perm.size))
+    pattern_rows = rows[perm[first[inside]]]
+    indptr = np.searchsorted(pattern_rows, np.arange(n + 1)).astype(np.int32)
+    return S, P.indices[first[inside]], indptr
 
 
 def assemble_load(mesh: Mesh, f=1.0) -> np.ndarray:

@@ -63,8 +63,9 @@ class KLExpansion:
                 fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
 
 
-# full decompositions keyed by (corr_length, n_quad); the dense symmetric
-# eigensolve dominates construction cost and is reused across operators
+# leading eigenpairs keyed by (corr_length, n_quad), reused across operators;
+# only the columns asked for are kept, and a request for more repeats the
+# same full eigensolve, so values never change
 _EIG_CACHE: dict = {}
 
 
@@ -80,19 +81,23 @@ def eig_1d_exponential(corr_length: float, n_quad: int = 1000,
     if n_modes > n_quad:
         raise ValueError(f"cannot extract {n_modes} modes from a {n_quad}-point grid")
     key = (float(corr_length), int(n_quad))
-    if key not in _EIG_CACHE:
+    if key not in _EIG_CACHE or _EIG_CACHE[key][1].size < n_modes:
         x = np.linspace(0.0, 1.0, n_quad)
         w = np.full(n_quad, 1.0 / (n_quad - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        kernel = np.exp(-np.abs(x[:, None] - x[None, :]) / corr_length)
+        # sym = diag(sw) kernel diag(sw) in one array: a lower memory peak
+        sym = np.abs(x[:, None] - x[None, :])
+        sym /= -corr_length
+        np.exp(sym, out=sym)
         sw = np.sqrt(w)
-        sym = sw[:, None] * kernel * sw[None, :]
+        sym *= sw[:, None]
+        sym *= sw[None, :]
         asym = float(np.max(np.abs(sym - sym.T)))
         if asym > 1e-12:
             raise RuntimeError(f"discretized kernel lost symmetry ({asym:.3e})")
         lam, vecs = np.linalg.eigh(sym)
-        order = np.argsort(lam)[::-1]
+        order = np.argsort(lam)[::-1][:n_modes]
         lam = lam[order]
         vecs = vecs[:, order] / sw[:, None]
         for j in range(vecs.shape[1]):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,17 +26,25 @@ from scipy.linalg import eigh_tridiagonal
 
 @dataclass
 class SolveReport:
-    """Outcome of one Krylov solve."""
+    """Outcome of one Krylov solve; ``kappa_estimate`` is computed from the
+    stored CG coefficients when first read, so inner solves skip it."""
 
     iterations: int = 0
     relative_residuals: list = field(default_factory=list)
-    kappa_estimate: float = 1.0
     converged: bool = False
     spd_suspect: bool = False
     non_finite: bool = False
     work: dict | None = None
     wall_time: float = 0.0
     method: str = "cg"
+    alphas: list = field(default_factory=list, repr=False)
+    betas: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def kappa_estimate(self) -> float:
+        if not self.alphas:
+            return 1.0
+        return lanczos_condition_estimate(self.alphas, self.betas[:len(self.alphas) - 1])
 
     def write_residual_history(self, path) -> None:
         """CSV export ``iter,relres`` of the residual history."""
@@ -106,8 +115,7 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     z = apply_m(r) if apply_m else r.copy()
     p = z.copy()
     rz = float(r @ z)
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas, betas = report.alphas, report.betas
     report.relative_residuals.append(1.0)
     _halt(report, rz, rz < 0.0)
     while report.iterations < max_iter and not (report.spd_suspect or report.non_finite):
@@ -135,8 +143,6 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
         betas.append(beta)
         rz = rz_new
         p = z + beta * p
-    if alphas:
-        report.kappa_estimate = lanczos_condition_estimate(alphas, betas[:len(alphas) - 1])
     report.wall_time = time.perf_counter() - start
     return x, report
 
@@ -166,8 +172,7 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
     dirs: list[np.ndarray] = []
     adirs: list[np.ndarray] = []
     pap: list[float] = []
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas, betas = report.alphas, report.betas
     rz_prev = None
     report.relative_residuals.append(1.0)
     while report.iterations < max_iter:
@@ -201,7 +206,5 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
             break
         if _halt(report, relres, False):
             break
-    if alphas:
-        report.kappa_estimate = lanczos_condition_estimate(alphas, betas[:len(alphas) - 1])
     report.wall_time = time.perf_counter() - start
     return x, report

@@ -101,9 +101,7 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
     gauss = gaussian_kl(spec, mesh, dims, n_quad)
     fields = lognormal_gpc_coefficients(gauss, coeff_set)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
-    mats = [assemble_weighted_stiffness(mesh, fields[0], unit_boundary_diag=True)]
-    for i in range(1, len(coeff_set)):
-        mats.append(assemble_weighted_stiffness(mesh, fields[i]))
+    mats = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
     return GalerkinOperator(mats, tensor)
 
 

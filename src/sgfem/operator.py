@@ -1,13 +1,17 @@
-"""Matrix-free coupled Galerkin operator and its hierarchical block views.
+"""Coupled Galerkin operator and its hierarchical block views.
 
 The global system matrix consists of (M+1)^2 spatial blocks
 
     K^(j,k) = sum_i c_ijk K_i,
 
-and is never formed: a product with a block vector U (rows = spatial blocks)
-is computed as  V = sum_i (C_i @ U) @ K_i^T  where C_i is the i-th sparse
-coupling matrix of the triple-product tensor.  The graded index ordering
-induces a nested 2x2 partition
+where the K_i share one CSR pattern and one (n_coeff, nnz) data array and
+C_i is the i-th sparse coupling matrix of the triple-product tensor.  Every
+product is a column product A[:, cols] @ U[cols]: matrix-free, as
+sum_i (C_i @ U) @ K_i^T, when each nonzero block holds a single term (the
+linear Karhunen-Loeve coefficient), and otherwise (the lognormal chaos
+coefficient) through pre-summed block columns sum_i C_i[:, j] (x) K_i, each
+assembled once from the data array.  The graded index ordering induces a
+nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
@@ -16,7 +20,7 @@ exactly l.  For the truncated linear (Karhunen-Loeve) coefficient case every
 D_l is block diagonal with each diagonal block a scalar multiple of the mean
 matrix K_0, so solving with D_l costs one multi-right-hand-side K_0 solve.
 C_l coincides with the transpose action of B_l whenever all K_i are
-symmetric; the masked product below computes the true sub-block action either
+symmetric; the column product computes the true sub-block action either
 way, so non-symmetric K_i are supported by the same code path.
 """
 from __future__ import annotations
@@ -107,29 +111,32 @@ DIRECT_LEVEL_LIMIT = 20_000
 class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
 
-    matrices[i] is the spatial matrix of the i-th coefficient field; tensor
+    The spatial matrices share one CSR pattern (``indices``, ``indptr``, the
+    union of the given patterns) and one ``(n_coeff, nnz)`` array ``data``;
+    matrices[i] is a CSR view of data[i].  A coefficient whose data row is
+    all zeros is structurally zero and takes part in no product.  tensor
     holds the coupling matrices C_i over the same coefficient index range.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
-    the flat concatenation.  Immutable after construction (solver caches and
-    the per-level views are populated lazily but never change semantics), so
-    concurrent applies are safe.
+    the flat concatenation.  Immutable after construction (solver caches,
+    block columns and per-level views are populated lazily but never change
+    semantics), so concurrent applies are safe.
     """
 
     def __init__(self, matrices, tensor: TripleProductTensor):
         if len(matrices) != tensor.n_coeff:
             raise ValueError(
                 f"{len(matrices)} spatial matrices vs {tensor.n_coeff} coefficient indices")
-        self.matrices = tuple(sp.csr_matrix(K) for K in matrices)
+        self.indices, self.indptr, self.data = _shared_pattern(matrices)
+        self.ndof = len(self.indptr) - 1
+        self.matrices = tuple(_csr_view(row, self.indices, self.indptr)
+                              for row in self.data)
         self.tensor = tensor
         self.basis = tensor.basis
-        self.ndof = self.matrices[0].shape[0]
         self.n_blocks = tensor.n_basis
         self.hierarchy = hierarchy_dims(self.basis.dims, self.basis.degree)
         self._solver_cache: dict = {}
         self._levels: dict = {}
-        # the terms of the full product: (C_i, K_i) with neither structurally zero
-        self._pairs = [(Ci, Ki) for Ci, Ki in zip(tensor.coupling, self.matrices)
-                       if Ci.nnz and Ki.nnz]
+        self._column_couplings: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = self.tensor.coupling[0].diagonal()
 
@@ -153,7 +160,64 @@ class GalerkinOperator:
         tail = self.hierarchy[level]
         return slice(0, head), slice(head, tail)
 
+    # -- representation ----------------------------------------------------
+    @cached_property
+    def coupling_entries(self) -> tuple:
+        """(i, t, j, c_itj) of every stored coupling whose K_i is not
+        structurally zero, as parallel arrays in ascending i."""
+        live = np.flatnonzero(self.data.any(axis=1))
+        S = sp.vstack([self.tensor.coupling[i] for i in live], format="csr").tocoo()
+        return live[S.row // self.n_blocks], S.row % self.n_blocks, S.col, S.data
+
+    @cached_property
+    def presummed(self) -> bool:
+        """Whether products use pre-summed block columns sum_i c_ijk K_i.
+
+        They pay when some block sums more than one term, that is when the
+        coupling entries outnumber the nonzero blocks; otherwise products run
+        matrix-free over the K_i and the blocks are never formed.
+        """
+        _, t, j, _ = self.coupling_entries
+        return len(t) > len(np.unique(t * self.n_blocks + j))
+
+    @cached_property
+    def _columns(self) -> list:
+        """Block column j of the global matrix as its own CSR matrix."""
+        return [self.assemble_range(slice(None), [j]) for j in range(self.n_blocks)]
+
+    def _column_coupling(self, start: int, stop: int) -> tuple:
+        """(L, [K_i]) with A[:, start:stop] @ X = L @ concat_i (K_i @ X.T).T:
+        L[t, a * n + j - start] = c_itj for the a-th coefficient i with a
+        term in these columns, n = stop - start.  Built once per range."""
+        key = (start, stop)
+        if key not in self._column_couplings:
+            i, t, j, v = self.coupling_entries
+            keep = (j >= start) & (j < stop)
+            active, a = np.unique(i[keep], return_inverse=True)
+            L = sp.csr_matrix((v[keep], (t[keep], a * (stop - start) + j[keep] - start)),
+                              shape=(self.n_blocks, len(active) * (stop - start)))
+            self._column_couplings[key] = L, [self.matrices[k] for k in active]
+        return self._column_couplings[key]
+
     # -- products -------------------------------------------------------
+    def apply_columns(self, cols: slice, X: np.ndarray) -> np.ndarray:
+        """A[:, cols] @ X for a range of block columns, X holding one row per
+        column block; the result has a row for every block of the grid."""
+        start, stop, _ = cols.indices(self.n_blocks)
+        if len(X) != stop - start:
+            raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
+        if self.presummed:
+            V = np.zeros(self.n_blocks * self.ndof)
+            for col, x in zip(self._columns[start:stop], X):
+                V += col @ x
+            return V.reshape(self.n_blocks, self.ndof)
+        L, Ks = self._column_coupling(start, stop)
+        XT = np.ascontiguousarray(X.T)     # scipy would copy X.T per product
+        Y = np.empty((len(Ks), stop - start, self.ndof))
+        for y, K in zip(Y, Ks):
+            y[...] = (K @ XT).T
+        return L @ Y.reshape(-1, self.ndof)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Product with a block vector; accepts flat or (n_blocks, ndof)."""
         flat = np.asarray(u).ndim == 1
@@ -161,41 +225,19 @@ class GalerkinOperator:
         if U.shape != (self.n_blocks, self.ndof):
             raise ValueError(f"block vector has {U.shape}, "
                              f"expected {(self.n_blocks, self.ndof)}")
-        V = self.apply_pairs(self._pairs, U, self.n_blocks)
+        V = self.apply_columns(slice(None), U)
         return V.ravel() if flat else V
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.apply(np.asarray(u).ravel())
-
-    def restricted_pairs(self, rows, cols) -> list:
-        """(C_i restricted to rows x cols, K_i) in ascending i, leaving out the
-        terms whose restricted coupling or spatial matrix is structurally zero.
-        rows and cols are both block slices or both block index arrays."""
-        key = (rows, cols) if isinstance(rows, slice) else np.ix_(rows, cols)
-        pairs = []
-        for Ci, Ki in zip(self.tensor.coupling, self.matrices):
-            if Ki.nnz:
-                sub = Ci[key]
-                if sub.nnz:
-                    pairs.append((sub, Ki))
-        return pairs
-
-    def apply_pairs(self, pairs, X: np.ndarray, n_rows: int) -> np.ndarray:
-        """sum_i (S_i @ X) @ K_i^T over (S_i, K_i) pairs, in their order."""
-        V = np.zeros((n_rows, self.ndof))
-        for sub, Ki in pairs:
-            # the same CSR product scipy runs for (S_i @ X) @ K_i^T, without
-            # building the transposed matrices on every call
-            V += (Ki @ (sub @ X).T).T
-        return V
 
     def masked_apply(self, rows, cols, X: np.ndarray) -> np.ndarray:
         """Product restricted to the sub-block (rows) x (cols) of the grid.
 
         X has one row per column block; the result has one row per row block.
         """
-        pairs = self.restricted_pairs(np.asarray(rows), np.asarray(cols))
-        return self.apply_pairs(pairs, X, len(rows))
+        sub = self.assemble_range(rows, cols)
+        return (sub @ np.asarray(X).ravel()).reshape(-1, self.ndof)
 
     def level(self, level: int) -> "Level":
         """The view of level l, built the first time it is used and kept."""
@@ -207,27 +249,16 @@ class GalerkinOperator:
         """Action of the A/B/C/D sub-block of the level-l partition."""
         if part not in ("A", "B", "C", "D"):
             raise ValueError(f"part must be one of A, B, C, D, got {part!r}")
-        lv = self.level(level)
-        rows, cols = {"A": (lv.head, lv.head), "B": (lv.head, lv.tail),
-                      "C": (lv.tail, lv.head), "D": (lv.tail, lv.tail)}[part]
+        head, tail = self.level_slices(level)
+        rows, cols = {"A": (head, head), "B": (head, tail),
+                      "C": (tail, head), "D": (tail, tail)}[part]
         X = np.atleast_2d(X)
         if X.shape[0] != cols.stop - cols.start:
             raise ValueError(f"{part}-part at level {level} expects "
                              f"{cols.stop - cols.start} column blocks, got {X.shape[0]}")
-        pairs = (self.restricted_pairs(rows, cols) if part == "A"
-                 else lv.pairs[part])
-        return self.apply_pairs(pairs, X, rows.stop - rows.start)
+        return self.apply_columns(cols, X)[rows]
 
     # -- diagonal-block solves -------------------------------------------
-    @cached_property
-    def coupling_entries(self) -> tuple:
-        """(i, t, j, c_itj) of every stored coupling whose K_i is not empty,
-        as parallel arrays."""
-        keep = [i for i, (Ci, Ki) in enumerate(zip(self.tensor.coupling, self.matrices))
-                if Ci.nnz and Ki.nnz]
-        S = sp.vstack([self.tensor.coupling[i] for i in keep], format="csr").tocoo()
-        return np.array(keep)[S.row // self.n_blocks], S.row % self.n_blocks, S.col, S.data
-
     @cached_property
     def _scalar_levels(self) -> np.ndarray:
         """Per degree: no same-degree coupling but c_0kk on the diagonal."""
@@ -261,17 +292,13 @@ class GalerkinOperator:
     def block_solver(self, j: int, inner: InnerSolver, outer_tol: float = 1e-8):
         """Solver for the diagonal block A_jj = sum_i c_ijj K_i, on rows of
         right-hand sides.  When A_jj = c_0jj K_0 it is the cached mean solve
-        divided by c_0jj; otherwise A_jj is summed in ascending i and handed
-        to ``inner``, which factorizes it for the exact policy."""
+        divided by c_0jj; otherwise A_jj is assembled and handed to
+        ``inner``, which factorizes it for the exact policy."""
         c = self.diagonal_couplings[:, j]
         if not np.any(c[1:]):
             mean = self.mean_solver(inner, outer_tol)
             return lambda X: mean(X) / c[0]
-        Ajj = None
-        for i in np.flatnonzero(c):
-            term = c[i] * self.matrices[i]
-            Ajj = term if Ajj is None else Ajj + term
-        return inner.make(Ajj, outer_tol)
+        return inner.make(self.assemble_range([j], [j]), outer_tol)
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
                       outer_tol: float = 1e-8, policy: str = "auto") -> np.ndarray:
@@ -292,23 +319,22 @@ class GalerkinOperator:
         weights = self.diag_weights[tail][:, None]
         if policy == "auto" and self.level_is_scalar_diagonal(level):
             return self.mean_solver(inner, outer_tol)(rhs) / weights
-        lv = self.level(level)
         if policy == "auto":
             policy = "direct" if rhs.size <= DIRECT_LEVEL_LIMIT else "iterative"
         if policy == "direct":
             if rhs.size > DIRECT_LEVEL_LIMIT:
                 raise ValueError(f"level {level} system of dimension {rhs.size} exceeds "
                                  f"the direct-assembly guard {DIRECT_LEVEL_LIMIT}")
+            lv = self.level(level)
             if lv.lu is None:
-                D = self.assemble_pairs(lv.pairs["D"], lv.n_l, lv.n_l)
-                lv.lu = spla.splu(D.tocsc())
+                lv.lu = spla.splu(self.assemble_range(tail, tail).tocsc())
             return lv.lu.solve(rhs.ravel()).reshape(rhs.shape)
         if policy != "iterative":
             raise ValueError(f"unknown level-solve policy {policy!r}")
         mean_solve = self.mean_solver(InnerSolver(kind="exact"), outer_tol)
 
         def apply_level(x):
-            return self.apply_pairs(lv.pairs["D"], x.reshape(rhs.shape), lv.n_l).ravel()
+            return self.apply_submatrix(level, "D", x.reshape(rhs.shape)).ravel()
 
         def block_mean_prec(r):
             return (mean_solve(r.reshape(rhs.shape)) / weights).ravel()
@@ -320,18 +346,34 @@ class GalerkinOperator:
                                   f"level {level} system")
         return x.reshape(rhs.shape)
 
-    # -- assembly helpers (oracle/diagnostic scale only) -------------------
-    def assemble_pairs(self, pairs, n_rows: int, n_cols: int) -> sp.csr_matrix:
-        """Explicit sum_i kron(S_i, K_i) over (S_i, K_i) pairs, in their order."""
-        acc = sp.csr_matrix((n_rows * self.ndof, n_cols * self.ndof))
-        for sub, Ki in pairs:
-            acc = acc + sp.kron(sub, Ki, format="csr")
-        return acc
+    # -- assembly ----------------------------------------------------------
+    @cached_property
+    def _block_couplings(self) -> sp.csr_matrix:
+        """Row t * n_blocks + j holds c_itj over the coefficients i that are
+        not structurally zero, in ascending i."""
+        i, t, j, v = self.coupling_entries
+        return sp.csr_matrix((v, (t * self.n_blocks + j, i)),
+                             shape=(self.n_blocks ** 2, len(self.data)))
 
     def assemble_range(self, rows, cols) -> sp.csr_matrix:
-        """Explicitly assemble the sub-matrix spanning the given block ranges."""
-        pairs = self.restricted_pairs(np.asarray(rows), np.asarray(cols))
-        return self.assemble_pairs(pairs, len(rows), len(cols))
+        """The sub-matrix sum_i C_i[rows, cols] (x) K_i over block ranges or
+        index arrays, assembled on the shared pattern: the values of the
+        nonzero blocks are W @ data with W[b, i] = c_itj of block b = (t, j),
+        and their positions broadcast the pattern."""
+        rows = np.arange(self.n_blocks)[rows]
+        cols = np.arange(self.n_blocks)[cols]
+        W = self._block_couplings[(rows[:, None] * self.n_blocks + cols).ravel()]
+        # int32 positions halve the memory of this step
+        blocks = np.flatnonzero(np.diff(W.indptr)).astype(np.int32)
+        n = self.ndof
+        pattern_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        R = (blocks // len(cols))[:, None] * n + pattern_rows
+        C = (blocks % len(cols))[:, None] * n + self.indices
+        sub = sp.csr_matrix(((W[blocks] @ self.data).ravel(), (R.ravel(), C.ravel())),
+                            shape=(len(rows) * n, len(cols) * n))
+        # e.g. the boundary diagonal of the off-diagonal blocks
+        sub.eliminate_zeros()
+        return sub
 
     def dense(self, limit: int = DENSE_ASSEMBLY_LIMIT) -> np.ndarray:
         """Dense global matrix, guarded by a size limit (oracle tests only)."""
@@ -339,8 +381,7 @@ class GalerkinOperator:
         if n > limit:
             raise ValueError(f"dense assembly of a {n}-dim operator exceeds the "
                              f"limit {limit}")
-        blocks = np.arange(self.n_blocks)
-        return self.assemble_range(blocks, blocks).toarray()
+        return self.assemble_range(slice(None), slice(None)).toarray()
 
     def rhs(self, load: np.ndarray) -> np.ndarray:
         """Global right-hand side: the load in block 0, zero elsewhere."""
@@ -349,21 +390,36 @@ class GalerkinOperator:
         return b
 
 
+def _shared_pattern(matrices) -> tuple:
+    """(indices, indptr, data): the union CSR pattern of the matrices and
+    their values on it, one row of data per matrix."""
+    n = matrices[0].shape[0]
+    S = sp.vstack(matrices, format="csr").tocoo()
+    keys, pos = np.unique((S.row % n).astype(np.int64) * n + S.col, return_inverse=True)
+    data = np.zeros((len(matrices), len(keys)))
+    np.add.at(data, (S.row // n, pos), S.data)
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    return (keys % n).astype(np.int32), indptr.astype(np.int32), data
+
+
+def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix on the given pattern holding a view of ``row``."""
+    K = sp.csr_matrix((row, indices, indptr), shape=(len(indptr) - 1,) * 2)
+    K.data = row    # scipy's format check copies a view of a larger array
+    return K
+
+
 class Level:
     """Level l of the partition A_l = [[A_{l-1}, B_l], [C_l, D_l]], built once.
 
-    ``pairs`` maps B, C and D to their restricted coupling pairs; ``n_blocks``
-    counts the nonzero blocks of B_l and C_l (the work-count unit); ``lu`` is
-    the level LU once needed.  No reference back to the operator: the cycle
-    would delay its garbage collection.
+    ``n_blocks`` counts the nonzero blocks of B_l and C_l (the work-count
+    unit); ``lu`` is the level LU once needed.  No reference back to the
+    operator: the cycle would delay its garbage collection.
     """
 
     def __init__(self, op: GalerkinOperator, level: int):
         self.head, self.tail = head, tail = op.level_slices(level)
         self.n_l = tail.stop - tail.start
-        self.pairs = {"B": op.restricted_pairs(head, tail),
-                      "C": op.restricted_pairs(tail, head),
-                      "D": op.restricted_pairs(tail, tail)}
         struct = op.tensor.structure
         self.n_blocks = {"B": struct[head, tail].nnz, "C": struct[tail, head].nnz}
         self.lu = None
@@ -383,9 +439,7 @@ def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,
         raise ValueError(f"expansion has {kl.n_terms} terms, basis {basis.dims} variables")
     coeff_set = build_multi_index_set(basis.dims, 1)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
-    mats = [assemble_weighted_stiffness(mesh, np.full(mesh.n_nodes, kl.mean),
-                                        unit_boundary_diag=True)]
-    for i in range(kl.n_terms):
-        field = family.variable_coeff * kl.fields[i]
-        mats.append(assemble_weighted_stiffness(mesh, field))
+    fields = np.vstack([np.full(mesh.n_nodes, kl.mean),
+                        family.variable_coeff * kl.fields])
+    mats = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
     return GalerkinOperator(mats, tensor)

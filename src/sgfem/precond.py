@@ -1,6 +1,6 @@
 """Block preconditioners for the coupled Galerkin system.
 
-Three preconditioners are provided, all operating block-wise and matrix-free:
+Three preconditioners are provided, all operating block-wise:
 
 * mean-based: every spatial block of the residual is solved independently
   with the (scaled) mean matrix, one block solve per block.
@@ -124,9 +124,10 @@ class BlockSGS(_BlockPreconditioner):
 
     The sweeps step over groups of mutually uncoupled blocks, which gives the
     block-by-block mapping: a level with D_l = diag(c_0kk K_0) is one group,
-    solved by one d_block_solve; every other block is its own group.  A
-    group's coupling to the later (forward) and earlier (backward) blocks is
-    a precomputed (L, [K_i]) pair: acc += L @ concat_i (K_i @ Y.T).T.
+    solved by one d_block_solve; every other block is its own group.  Each
+    solved group pushes its coupling to the other blocks through one column
+    product A[:, group] @ Y, the later blocks' rows in the forward sweep and
+    the earlier blocks' rows in the backward sweep.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -139,48 +140,30 @@ class BlockSGS(_BlockPreconditioner):
                 spans.append((tail.start, tail.stop, l))
             else:
                 spans += [(j, j + 1, None) for j in range(tail.start, tail.stop)]
-        # (blocks, solve, forward (L, [K_i]), backward (L, [K_i])) per group
+        # (blocks, solve) per group
         self._groups = [(slice(start, stop),
                          op.block_solver(start, inner, outer_tol) if l is None
-                         else lambda X, l=l: op.d_block_solve(l, X, inner, outer_tol),
-                         _group_coupling(op, start, stop, stop, op.n_blocks),
-                         _group_coupling(op, start, stop, 0, start))
+                         else lambda X, l=l: op.d_block_solve(l, X, inner, outer_tol))
                         for start, stop, l in spans]
         # however the blocks are grouped, each application multiplies every
         # off-diagonal block once: forward below the diagonal, backward above
         self._n_products = op.tensor.n_blocks - op.n_blocks
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+        op = self.op
         Y, acc = np.zeros_like(R), np.zeros_like(R)
-        for b, solve, (L, Ks), _ in self._groups:
+        for b, solve in self._groups:
             Y[b] = solve(R[b] - acc[b])
-            if Ks:
-                acc[b.stop:] += L @ np.vstack([(K @ Y[b].T).T for K in Ks])
+            if b.stop < op.n_blocks:
+                acc[b.stop:] += op.apply_columns(b, Y[b])[b.stop:]
         Z, acc = np.zeros_like(R), np.zeros_like(R)
-        for b, solve, _, (L, Ks) in reversed(self._groups):
+        for b, solve in reversed(self._groups):
             Z[b] = Y[b] - solve(acc[b])
-            if Ks:
-                acc[:b.start] += L @ np.vstack([(K @ Z[b].T).T for K in Ks])
+            if b.start > 0:
+                acc[:b.start] += op.apply_columns(b, Z[b])[:b.start]
         self.counters.block_solves += 2 * self.op.n_blocks
         self.counters.block_matvecs += self._n_products
         return Z
-
-
-def _group_coupling(op: GalerkinOperator, start: int, stop: int,
-                    lo: int, hi: int) -> tuple:
-    """(L, [K_i]) taking the products of blocks start..stop-1 onto blocks
-    lo..hi-1 as L @ concat_i (K_i @ Y.T).T: L[t - lo, a * n + j - start] =
-    c_itj for the a-th coefficient i with such a term, n = stop - start."""
-    i, t, j, v = op.coupling_entries
-    keep = (j >= start) & (j < stop) & (t >= lo) & (t < hi)
-    active, a = np.unique(i[keep], return_inverse=True)
-    rows = t[keep] - lo
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=hi - lo))))
-    cols = a * (stop - start) + j[keep] - start
-    L = sp.csr_matrix((v[keep][order], cols[order], indptr),
-                      shape=(hi - lo, len(active) * (stop - start)))
-    return L, [op.matrices[k] for k in active]
 
 
 class HierarchicalSchur(_BlockPreconditioner):

@@ -112,27 +112,22 @@ def build_triple_product_tensor(basis: MultiIndexSet, coeff_set: MultiIndexSet,
 
 
 def _build_general(basis, coeff_set, family, table) -> TripleProductTensor:
-    dims = basis.dims
     M1 = len(basis)
     jdeg = np.array(basis.indices)               # (M1, dims)
-    couplings = []
-    max_abs = 0.0
-    dense = []
-    for ind in coeff_set.indices:
-        C = np.ones((M1, M1))
-        for d in range(dims):
+    dense = np.ones((len(coeff_set), M1, M1))
+    for C, ind in zip(dense, coeff_set.indices):
+        for d in range(basis.dims):
             C *= table[ind[d]][jdeg[:, d][:, None], jdeg[:, d][None, :]]
-        dense.append(C)
-        if C.size:
-            max_abs = max(max_abs, float(np.max(np.abs(C))))
-    cutoff = STRUCTURAL_ZERO_RTOL * max_abs
+    cutoff = STRUCTURAL_ZERO_RTOL * max(float(np.max(np.abs(C))) for C in dense)
     pattern = np.zeros((M1, M1))
     for C in dense:
         C[np.abs(C) < cutoff] = 0.0
         pattern += C
-        couplings.append(sp.csr_matrix(C))
     pattern[np.abs(pattern) < cutoff] = 0.0
-    return TripleProductTensor(coeff_set, basis, family.kind, tuple(couplings), pattern)
+    # one sparse construction for all coefficients, split by row blocks
+    S = sp.csr_matrix(dense.reshape(-1, M1))
+    couplings = tuple(S[i * M1:(i + 1) * M1] for i in range(len(coeff_set)))
+    return TripleProductTensor(coeff_set, basis, family.kind, couplings, pattern)
 
 
 def _build_linear(basis, coeff_set, family, table) -> TripleProductTensor:

@@ -147,3 +147,52 @@ def test_matrix_coo_export(tmp_path):
         rows.append(int(r)); cols.append(int(c)); vals.append(float(v))
     K2 = sp.coo_matrix((vals, (rows, cols)), shape=K.shape)
     assert abs(K - K2).max() < 1e-15
+
+
+def element_by_element_stiffness(mesh, field, unit_boundary_diag=False):
+    """Oracle: 2x2 Gauss element matrices of one field scattered through a
+    COO matrix, Dirichlet rows/columns zeroed by diagonal products."""
+    g = 1.0 / np.sqrt(3.0)
+    corners = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    conn = mesh.connectivity
+    coeff = field[conn]
+    ke = np.zeros((len(conn), 4, 4))
+    for gx in (-g, g):
+        for gy in (-g, g):
+            shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy) for cx, cy in corners])
+            dxi = np.array([0.25 * cx * (1 + cy * gy) for cx, cy in corners])
+            deta = np.array([0.25 * cy * (1 + cx * gx) for cx, cy in corners])
+            grad = np.outer(dxi, dxi) + np.outer(deta, deta)
+            ke += (coeff @ shape)[:, None, None] * grad[None, :, :]
+    K = sp.coo_matrix((ke.ravel(), (np.repeat(conn, 4, axis=1).ravel(),
+                                    np.tile(conn, (1, 4)).ravel())),
+                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    keep = sp.diags((~mesh.boundary_mask).astype(float))
+    K = (keep @ K @ keep).tocsr()
+    if unit_boundary_diag:
+        K = K + sp.diags(mesh.boundary_mask.astype(float))
+    K.eliminate_zeros()
+    return K.tocsr()
+
+
+def test_batched_assembly_matches_per_field_assembly():
+    from sgfem.kle import CovarianceSpec, build_kl_expansion
+    from sgfem.lognormal import LognormalFieldSpec, gaussian_kl, lognormal_gpc_coefficients
+    from sgfem.multi_index import build_multi_index_set
+    mesh = build_mesh(0.125)
+    kl = build_kl_expansion(CovarianceSpec(0.5, 0.5), 4, 1.0, mesh.node_coords)
+    gauss = gaussian_kl(LognormalFieldSpec(cov=1.0), mesh, 2)
+    for fields in (np.vstack([np.ones(mesh.n_nodes), kl.fields]),
+                   lognormal_gpc_coefficients(gauss, build_multi_index_set(2, 4))):
+        batch = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
+        assert len(batch) == len(fields)
+        for k, (K, field) in enumerate(zip(batch, fields)):
+            one = assemble_weighted_stiffness(mesh, field, unit_boundary_diag=k == 0)
+            ref = element_by_element_stiffness(mesh, field, k == 0)
+            # the same sums in the same order: equal bit for bit
+            for M in (K, one):
+                assert np.array_equal(M.indptr, ref.indptr)
+                assert np.array_equal(M.indices, ref.indices)
+                assert np.array_equal(M.data, ref.data)
+    with pytest.raises(ValueError):
+        assemble_weighted_stiffness(mesh, np.ones((2, 3, mesh.n_nodes)))

@@ -1,17 +1,19 @@
-"""The per-level views of GalerkinOperator against the dense kron oracle.
+"""The products and views of GalerkinOperator against the dense kron oracle.
 
 Small Legendre/linear and Hermite/lognormal configurations are drawn at
-random; every A/B/C/D product, every level-solve policy, the scalar-level
-flag and the block symmetric Gauss-Seidel mapping with its work counters are
+random; the full and column products, sub-matrix assembly, every A/B/C/D
+product, every level-solve policy, the scalar-level flag, the representation
+rule and the block symmetric Gauss-Seidel mapping with its work counters are
 checked against the explicitly assembled matrix.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sgfem import operator
 from sgfem.fem import build_mesh
-from sgfem.kle import CovarianceSpec, build_kl_expansion
+from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
@@ -113,30 +115,32 @@ def test_linear_levels_are_scalar_and_lognormal_levels_coupled():
         assert uni.level_is_scalar_diagonal(level)
         assert not logn.level_is_scalar_diagonal(level)
     # only the mean coupling survives on a linear level
-    (_, K), = uni.level(2).pairs["D"]
-    assert K is uni.matrices[0]
+    _, tail = uni.level_slices(2)
+    D = uni.assemble_range(tail, tail).toarray()
+    expect = np.kron(np.diag(uni.diag_weights[tail]), uni.matrices[0].toarray())
+    assert np.array_equal(D, expect)
 
 
 def test_levels_are_built_lazily_and_once(monkeypatch):
     calls = []
-    original = GalerkinOperator.restricted_pairs
+    original = GalerkinOperator.assemble_range
 
     def spy(self, rows, cols):
         calls.append((rows, cols))
         return original(self, rows, cols)
 
-    monkeypatch.setattr(GalerkinOperator, "restricted_pairs", spy)
+    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy)
     op = lognormal_operator(2, 2, 3)
     HierarchicalSchur(op, EXACT)
-    assert calls == []
+    assert calls == [] and op._levels == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
     first = op.apply_submatrix(2, "B", X)
-    assert len(calls) == 3     # B, C and D of level 2
+    assert len(calls) == op.n_blocks     # the pre-summed block columns
     lv = op.level(2)
     second = op.apply_submatrix(2, "B", X)
     op.apply_submatrix(2, "C", np.ones((head.stop, op.ndof)))
-    assert len(calls) == 3 and op.level(2) is lv
+    assert len(calls) == op.n_blocks and op.level(2) is lv
     assert np.array_equal(first, second)
 
 
@@ -222,3 +226,100 @@ def test_bsgs_groups_match_dense_oracle(monkeypatch, config, level_groups):
     # two preconditioners, each one forward and one backward sweep
     expected = 2 * (levels + levels[::-1]) if level_groups else []
     assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# shared spatial pattern, pre-summed block columns and the representation rule
+# ---------------------------------------------------------------------------
+
+def oracle_presummed(op) -> bool:
+    """The representation rule read off the dense couplings: some block sums
+    more than one term of a coefficient that is not structurally zero."""
+    live = [Ci.toarray() for Ci, Ki in zip(op.tensor.coupling, op.matrices)
+            if np.any(Ki.toarray())]
+    terms = sum(np.count_nonzero(C) for C in live)
+    return terms > np.count_nonzero(sum(abs(C) for C in live))
+
+
+def check_products_against_oracle(op):
+    A = dense_kron_oracle(op)
+    n = op.ndof
+    tol = 1e-12 * np.abs(A).max()
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(op.shape[0])
+    assert np.linalg.norm(op.matvec(u) - A @ u) <= 1e-12 * np.linalg.norm(A @ u)
+    for start, stop in ((0, op.n_blocks), (0, 1), (op.n_blocks - 1, op.n_blocks),
+                        tuple(sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))):
+        X = rng.standard_normal((stop - start, n))
+        got = op.apply_columns(slice(start, stop), X)
+        ref = A[:, start * n:stop * n] @ X.ravel()
+        assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+    rows = rng.choice(op.n_blocks, rng.integers(1, op.n_blocks + 1), replace=False)
+    cols = rng.choice(op.n_blocks, rng.integers(1, op.n_blocks + 1), replace=False)
+    index = lambda blocks: (blocks[:, None] * n + np.arange(n)).ravel()
+    sub = op.assemble_range(rows, cols).toarray()
+    assert np.abs(sub - A[np.ix_(index(rows), index(cols))]).max() <= tol
+    X = rng.standard_normal((len(cols), n))
+    assert np.allclose(op.masked_apply(rows, cols, X).ravel(), sub @ X.ravel(),
+                       rtol=0.0, atol=tol * X.size)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs)
+def test_column_products_and_assembly_match_dense_oracle(config):
+    op = build(config)
+    # Legendre runs matrix-free, Hermite on pre-summed block columns
+    assert op.presummed == (config[0] == "lognormal") == oracle_presummed(op)
+    check_products_against_oracle(op)
+
+
+def test_matrices_are_views_of_one_shared_array():
+    op = lognormal_operator(2, 2, 3)
+    assert op.data.shape == (op.tensor.n_coeff, len(op.indices))
+    for i, K in enumerate(op.matrices):
+        assert np.shares_memory(K.data, op.data[i])
+        assert np.shares_memory(K.indices, op.indices)
+        assert np.array_equal(K.indptr, op.indptr)
+
+
+def test_zero_sigma_terms_are_dropped():
+    mesh = build_mesh(0.25)
+    kl = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 1.0)
+    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), legendre_family())
+    i, t, j, _ = op.coupling_entries
+    assert set(i) == {0} and np.array_equal(t, j)
+    assert not op.presummed and not oracle_presummed(op)
+    # the lognormal coefficient with vanished fluctuations is not pre-summed either
+    logn = lognormal_operator(1, 2, 3)
+    mats = [logn.matrices[0]] + [0.0 * K for K in logn.matrices[1:]]
+    flat = GalerkinOperator(mats, logn.tensor)
+    assert logn.presummed and not flat.presummed
+    check_products_against_oracle(flat)
+
+
+def test_nonsymmetric_matrices_on_the_presummed_path():
+    op = lognormal_operator(1, 2, 3)
+    mats = list(op.matrices)
+    n = op.ndof
+    pert = sp.random(n, n, density=0.1, random_state=3)
+    mats[2] = mats[2] + 0.01 * (pert - pert.T)      # outside the Q1 pattern
+    nonsym = GalerkinOperator(mats, op.tensor)
+    assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
+    for K, M in zip(nonsym.matrices, mats):
+        assert abs(K - M).max() == 0.0
+    check_products_against_oracle(nonsym)
+    A = dense_kron_oracle(nonsym)
+    assert np.abs(A - A.T).max() > 1e-6
+    rng = np.random.default_rng(5)
+    for level in (1, 2):
+        for part in PARTS:
+            rows, cols = block_ranges(nonsym, level, part)
+            X = rng.standard_normal((cols.stop - cols.start, n))
+            ref = dense_part(nonsym, A, level, part) @ X.ravel()
+            got = nonsym.apply_submatrix(level, part, X).ravel()
+            assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        R = rng.standard_normal((nonsym.level(level).n_l, n))
+        X = nonsym.d_block_solve(level, R, EXACT, policy="direct")
+        D = dense_part(nonsym, A, level, "D")
+        assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)

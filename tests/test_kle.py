@@ -157,3 +157,22 @@ def test_csv_exports(tmp_path):
     rows = field_path.read_text().strip().splitlines()
     assert rows[0] == "node_x,node_y,k_i"
     assert len(rows) == mesh.n_nodes + 1
+
+
+def test_eigen_cache_keeps_leading_columns_and_values():
+    from sgfem import kle
+    mesh = build_mesh(0.1)
+    spec = CovarianceSpec(sigma=0.5, corr_length=0.37)
+    key = (0.37, 1000)
+    kle._EIG_CACHE.pop(key, None)
+    first = build_kl_expansion(spec, 4, 1.0, mesh.node_coords)
+    # the 4 largest products need at most n_modes + 2 = 6 one-dimensional modes
+    assert kle._EIG_CACHE[key][2].shape == (1000, 6)
+    _, lam, vecs = eig_1d_exponential(0.37, 1000, 20)     # repeats the eigensolve
+    assert kle._EIG_CACHE[key][2].shape == (1000, 20)
+    again = build_kl_expansion(spec, 4, 1.0, mesh.node_coords)
+    assert np.array_equal(first.fields, again.fields)
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    _, lam6, vecs6 = eig_1d_exponential(0.37, 1000, 6)
+    assert np.array_equal(vecs6, vecs[:, :6]) and np.array_equal(lam6, lam[:6])
+    kle._EIG_CACHE.pop(key)

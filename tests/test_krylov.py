@@ -198,3 +198,21 @@ def test_healthy_solve_not_flagged_non_finite(solver):
     d = np.linspace(1.0, 10.0, 10)
     _, report = solver(diag_apply(d), np.ones(10), tol=1e-12)
     assert report.converged and not report.non_finite
+
+
+def test_condition_estimate_is_computed_on_first_read(monkeypatch):
+    from sgfem import krylov
+    calls = []
+    original = krylov.lanczos_condition_estimate
+
+    def spy(alphas, betas):
+        calls.append(len(alphas))
+        return original(alphas, betas)
+
+    monkeypatch.setattr(krylov, "lanczos_condition_estimate", spy)
+    d = np.arange(1.0, 11.0)
+    _, report = cg(diag_apply(d), np.ones(10), tol=1e-14, max_iter=10)
+    assert calls == []
+    assert report.kappa_estimate == pytest.approx(10.0, rel=1e-8)
+    assert report.kappa_estimate == original(report.alphas, report.betas[:9])
+    assert calls == [10]

@@ -142,3 +142,21 @@ def test_work_count_scale_is_fast():
     kl_tensor(8, 4)
     kl_tensor(4, 8)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_general_build_matches_per_coefficient_products():
+    from sgfem.triple_product import STRUCTURAL_ZERO_RTOL
+    fam = hermite_family()
+    basis = build_multi_index_set(2, 3)
+    coeff = build_multi_index_set(2, 6)
+    t = build_triple_product_tensor(basis, coeff, fam)
+    table = fam.triple_product_table(6, 3)
+    ref = np.ones((len(coeff), len(basis), len(basis)))
+    for i, a in enumerate(coeff.indices):
+        for j, b in enumerate(basis.indices):
+            for k, c in enumerate(basis.indices):
+                for d in range(2):
+                    ref[i, j, k] *= table[a[d], b[d], c[d]]
+    ref[np.abs(ref) < STRUCTURAL_ZERO_RTOL * np.abs(ref).max()] = 0.0
+    for C, R in zip(t.coupling, ref):
+        assert np.array_equal(C.toarray(), R) and C.nnz == np.count_nonzero(R)

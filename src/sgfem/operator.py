@@ -6,11 +6,13 @@ The global system matrix consists of (M+1)^2 spatial blocks
 
 where the K_i share one CSR pattern and one (n_coeff, nnz) data array and
 C_i is the i-th sparse coupling matrix of the triple-product tensor.  Every
-product is a column product A[:, cols] @ U[cols]: matrix-free, as
-sum_i (C_i @ U) @ K_i^T, when each nonzero block holds a single term (the
-linear Karhunen-Loeve coefficient), and otherwise (the lognormal chaos
-coefficient) through pre-summed block columns sum_i C_i[:, j] (x) K_i, each
-assembled once from the data array.  The graded index ordering induces a
+product is a sub-block product A[rows, cols] @ U[cols] over block ranges.
+When each nonzero block holds a single term (the linear Karhunen-Loeve
+coefficient) it runs matrix-free, as sum_i (C_i @ U) @ K_i^T over whole
+block columns; otherwise (the lognormal chaos coefficient) it reads the
+dense stochastic blocks blocks[e] = sum_i C_i * K_i[e] at every stored
+spatial position e, summed once from the data array, and computes only the
+rows asked for.  The graded index ordering induces a
 nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -118,7 +120,7 @@ class GalerkinOperator:
     holds the coupling matrices C_i over the same coefficient index range.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
-    block columns and per-level views are populated lazily but never change
+    dense blocks and per-level views are populated lazily but never change
     semantics), so concurrent applies are safe.
     """
 
@@ -171,7 +173,7 @@ class GalerkinOperator:
 
     @cached_property
     def presummed(self) -> bool:
-        """Whether products use pre-summed block columns sum_i c_ijk K_i.
+        """Whether products read the dense blocks sum_i c_itj K_i.
 
         They pay when some block sums more than one term, that is when the
         coupling entries outnumber the nonzero blocks; otherwise products run
@@ -181,9 +183,29 @@ class GalerkinOperator:
         return len(t) > len(np.unique(t * self.n_blocks + j))
 
     @cached_property
-    def _columns(self) -> list:
-        """Block column j of the global matrix as its own CSR matrix."""
-        return [self.assemble_range(slice(None), [j]) for j in range(self.n_blocks)]
+    def blocks(self) -> np.ndarray:
+        """blocks[e, t, j] = sum_i c_itj data[i, e]: the dense (n_blocks,
+        n_blocks) stochastic block at every stored spatial position e, in
+        pattern order.  Built by the first pre-summed product."""
+        n, nnz = self.n_blocks, len(self.indices)
+        return np.ascontiguousarray((self._block_couplings @ self.data).T).reshape(nnz, n, n)
+
+    @cached_property
+    def _row_starts(self) -> tuple:
+        """(rows, starts): the spatial rows that store entries and the
+        position of the first one; reduceat needs non-empty segments."""
+        rows = np.flatnonzero(np.diff(self.indptr))
+        return rows, self.indptr[rows]
+
+    def _block_rows(self, rows: slice, cols: slice, G: np.ndarray) -> np.ndarray:
+        """A[rows, cols] @ X from the dense blocks, G[e] = X[:, indices[e]]
+        holding the gathered column blocks: one batched product per stored
+        position, then a sum over each spatial row's positions."""
+        P = np.matmul(self.blocks[:, rows, cols], G[:, :, None])[:, :, 0]
+        nonempty, starts = self._row_starts
+        out = np.zeros((self.ndof, P.shape[1]))
+        out[nonempty] = np.add.reduceat(P, starts, axis=0)
+        return out.T
 
     def _column_coupling(self, start: int, stop: int) -> tuple:
         """(L, [K_i]) with A[:, start:stop] @ X = L @ concat_i (K_i @ X.T).T:
@@ -200,23 +222,27 @@ class GalerkinOperator:
         return self._column_couplings[key]
 
     # -- products -------------------------------------------------------
-    def apply_columns(self, cols: slice, X: np.ndarray) -> np.ndarray:
-        """A[:, cols] @ X for a range of block columns, X holding one row per
-        column block; the result has a row for every block of the grid."""
+    def product(self, rows: slice, cols: slice, X: np.ndarray) -> np.ndarray:
+        """A[rows, cols] @ X over block ranges, X holding one row per column
+        block; the result has one row per row block.  Pre-summed operators
+        compute only these rows; the matrix-free form computes whole block
+        columns and keeps the rows asked for."""
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
         if self.presummed:
-            V = np.zeros(self.n_blocks * self.ndof)
-            for col, x in zip(self._columns[start:stop], X):
-                V += col @ x
-            return V.reshape(self.n_blocks, self.ndof)
+            return self._block_rows(rows, cols, np.ascontiguousarray(X.T)[self.indices])
         L, Ks = self._column_coupling(start, stop)
         XT = np.ascontiguousarray(X.T)     # scipy would copy X.T per product
         Y = np.empty((len(Ks), stop - start, self.ndof))
         for y, K in zip(Y, Ks):
             y[...] = (K @ XT).T
-        return L @ Y.reshape(-1, self.ndof)
+        return (L @ Y.reshape(-1, self.ndof))[rows]
+
+    def apply_columns(self, cols: slice, X: np.ndarray) -> np.ndarray:
+        """A[:, cols] @ X for a range of block columns, X holding one row per
+        column block; the result has a row for every block of the grid."""
+        return self.product(slice(None), cols, X)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Product with a block vector; accepts flat or (n_blocks, ndof)."""
@@ -225,8 +251,41 @@ class GalerkinOperator:
         if U.shape != (self.n_blocks, self.ndof):
             raise ValueError(f"block vector has {U.shape}, "
                              f"expected {(self.n_blocks, self.ndof)}")
-        V = self.apply_columns(slice(None), U)
+        V = self.product(slice(None), slice(None), U)
         return V.ravel() if flat else V
+
+    def sweep_coupling(self, X: np.ndarray, backward: bool = False):
+        """couple(b) = A[b, solved] @ X[solved] for a block Gauss-Seidel
+        sweep over contiguous block ranges b, ascending (descending when
+        backward), where solved are the blocks before b (after b when
+        backward) and X[b] is written before the next range is coupled.
+
+        Pre-summed blocks read the rows of b against a gathered copy of the
+        solved blocks that grows with the sweep; the matrix-free form
+        scatters each solved range once, A[:, range] @ X[range], into the
+        rows still to come.
+        """
+        n = self.n_blocks
+        frontier = n if backward else 0     # X beyond it is taken into account
+        if self.presummed:
+            G = np.empty((len(self.indices), n))
+        else:
+            acc = np.zeros_like(X)
+
+        def couple(b: slice) -> np.ndarray:
+            nonlocal frontier
+            new = slice(b.stop, frontier) if backward else slice(frontier, b.start)
+            frontier = new.start if backward else new.stop
+            if self.presummed:
+                G[:, new] = X[new].T[self.indices]
+                solved = slice(b.stop, n) if backward else slice(0, b.start)
+                return self._block_rows(b, solved, G[:, solved])
+            if new.start < new.stop:
+                rest = slice(0, b.stop) if backward else slice(b.start, n)
+                acc[rest] += self.apply_columns(new, X[new])[rest]
+            return acc[b]
+
+        return couple
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.apply(np.asarray(u).ravel())
@@ -256,7 +315,7 @@ class GalerkinOperator:
         if X.shape[0] != cols.stop - cols.start:
             raise ValueError(f"{part}-part at level {level} expects "
                              f"{cols.stop - cols.start} column blocks, got {X.shape[0]}")
-        return self.apply_columns(cols, X)[rows]
+        return self.product(rows, cols, X)
 
     # -- diagonal-block solves -------------------------------------------
     @cached_property
@@ -289,6 +348,12 @@ class GalerkinOperator:
         """c_ijj, one row per coefficient index i and one column per block j."""
         return np.array([Ci.diagonal() for Ci in self.tensor.coupling])
 
+    @cached_property
+    def _diagonal_values(self) -> np.ndarray:
+        """Row j holds the values of A_jj = sum_i c_ijj K_i on the shared
+        pattern, every diagonal block from one product."""
+        return self._block_couplings[np.arange(self.n_blocks) * (self.n_blocks + 1)] @ self.data
+
     def block_solver(self, j: int, inner: InnerSolver, outer_tol: float = 1e-8):
         """Solver for the diagonal block A_jj = sum_i c_ijj K_i, on rows of
         right-hand sides.  When A_jj = c_0jj K_0 it is the cached mean solve
@@ -298,7 +363,10 @@ class GalerkinOperator:
         if not np.any(c[1:]):
             mean = self.mean_solver(inner, outer_tol)
             return lambda X: mean(X) / c[0]
-        return inner.make(self.assemble_range([j], [j]), outer_tol)
+        A_jj = sp.csr_matrix((self._diagonal_values[j], self.indices, self.indptr),
+                             shape=(self.ndof, self.ndof), copy=True)
+        A_jj.eliminate_zeros()      # as assemble_range does
+        return inner.make(A_jj, outer_tol)
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
                       outer_tol: float = 1e-8, policy: str = "auto") -> np.ndarray:

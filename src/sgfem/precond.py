@@ -124,10 +124,10 @@ class BlockSGS(_BlockPreconditioner):
 
     The sweeps step over groups of mutually uncoupled blocks, which gives the
     block-by-block mapping: a level with D_l = diag(c_0kk K_0) is one group,
-    solved by one d_block_solve; every other block is its own group.  Each
-    solved group pushes its coupling to the other blocks through one column
-    product A[:, group] @ Y, the later blocks' rows in the forward sweep and
-    the earlier blocks' rows in the backward sweep.
+    solved by one d_block_solve; every other block is its own group.  The
+    operator's ``sweep_coupling`` gives each group its coupling to the groups
+    solved before it in the sweep (the earlier blocks forward, the later
+    blocks backward).
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -150,17 +150,14 @@ class BlockSGS(_BlockPreconditioner):
         self._n_products = op.tensor.n_blocks - op.n_blocks
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
-        op = self.op
-        Y, acc = np.zeros_like(R), np.zeros_like(R)
+        Y = np.zeros_like(R)
+        couple = self.op.sweep_coupling(Y)
         for b, solve in self._groups:
-            Y[b] = solve(R[b] - acc[b])
-            if b.stop < op.n_blocks:
-                acc[b.stop:] += op.apply_columns(b, Y[b])[b.stop:]
-        Z, acc = np.zeros_like(R), np.zeros_like(R)
+            Y[b] = solve(R[b] - couple(b))
+        Z = np.zeros_like(R)
+        couple = self.op.sweep_coupling(Z, backward=True)
         for b, solve in reversed(self._groups):
-            Z[b] = Y[b] - solve(acc[b])
-            if b.start > 0:
-                acc[:b.start] += op.apply_columns(b, Z[b])[:b.start]
+            Z[b] = Y[b] - solve(couple(b))
         self.counters.block_solves += 2 * self.op.n_blocks
         self.counters.block_matvecs += self._n_products
         return Z

@@ -6,19 +6,22 @@ product, every level-solve policy, the scalar-level flag, the representation
 rule and the block symmetric Gauss-Seidel mapping with its work counters are
 checked against the explicitly assembled matrix.
 """
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sgfem import operator
+from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
-from sgfem.precond import BlockSGS, HierarchicalSchur
+from sgfem.precond import BlockSGS, make_preconditioner
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -123,24 +126,32 @@ def test_linear_levels_are_scalar_and_lognormal_levels_coupled():
 
 def test_levels_are_built_lazily_and_once(monkeypatch):
     calls = []
-    original = GalerkinOperator.assemble_range
+    original = GalerkinOperator.blocks.func
 
-    def spy(self, rows, cols):
-        calls.append((rows, cols))
-        return original(self, rows, cols)
+    def spy(self):
+        calls.append(self)
+        return original(self)
 
-    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy)
-    op = lognormal_operator(2, 2, 3)
-    HierarchicalSchur(op, EXACT)
+    blocks = cached_property(spy)
+    blocks.__set_name__(GalerkinOperator, "blocks")
+    monkeypatch.setattr(GalerkinOperator, "blocks", blocks)
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=1 / 3))
+    assert op.presummed
+    precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
+    # neither the build nor a preconditioner set-up forms the dense blocks
     assert calls == [] and op._levels == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
     first = op.apply_submatrix(2, "B", X)
-    assert len(calls) == op.n_blocks     # the pre-summed block columns
+    assert calls == [op]
     lv = op.level(2)
     second = op.apply_submatrix(2, "B", X)
     op.apply_submatrix(2, "C", np.ones((head.stop, op.ndof)))
-    assert len(calls) == op.n_blocks and op.level(2) is lv
+    r = np.ones(op.shape[0])
+    op.matvec(r)
+    for prec in precs:
+        prec(r)
+    assert calls == [op] and op.level(2) is lv
     assert np.array_equal(first, second)
 
 
@@ -323,3 +334,91 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
         X = nonsym.d_block_solve(level, R, EXACT, policy="direct")
         D = dense_part(nonsym, A, level, "D")
         assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
+
+
+# ---------------------------------------------------------------------------
+# dense stochastic blocks: exact-row products and row-wise sweeps
+# ---------------------------------------------------------------------------
+
+hermite_configs = st.tuples(st.just("lognormal"), st.integers(1, 3), st.integers(1, 3),
+                            st.integers(2, 4))
+
+
+def check_row_products_against_oracle(op, rng):
+    """Every A/B/C/D product and products over random row and column ranges
+    give exactly the rows asked for, equal to the dense oracle's."""
+    A = dense_kron_oracle(op)
+    n = op.ndof
+
+    def check(rows, cols, product):
+        X = rng.standard_normal((cols.stop - cols.start, n))
+        ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
+        got = product(X)
+        assert got.shape == (rows.stop - rows.start, n)
+        assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+    for level in range(1, op.basis.degree + 1):
+        for part in PARTS:
+            check(*block_ranges(op, level, part),
+                  lambda X: op.apply_submatrix(level, part, X))
+    for _ in range(4):
+        rows, cols = (slice(*sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))
+                      for _ in range(2))
+        check(rows, cols, lambda X: op.product(rows, cols, X))
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hermite_configs, st.integers(0, 2**32 - 1))
+def test_dense_block_products_and_row_sweeps_match_dense_oracle(config, seed):
+    op = build(config)
+    assert op.presummed
+    check_row_products_against_oracle(op, np.random.default_rng(seed))
+    check_products_against_oracle(op)
+    check_bsgs_against_oracle(op)
+
+
+def test_dense_blocks_with_empty_spatial_rows():
+    op = lognormal_operator(2, 2, 3)
+    n = op.ndof
+    empty = [0, n // 2, n - 1]          # first, interior and last row
+    keep = sp.diags(np.where(np.isin(np.arange(n), empty), 0.0, 1.0))
+    mats = [(keep @ K).tocsr() for K in op.matrices]
+    for K in mats:
+        K.eliminate_zeros()
+    holey = GalerkinOperator(mats, op.tensor)
+    assert holey.presummed
+    assert np.array_equal(np.flatnonzero(np.diff(holey.indptr) == 0), empty)
+    check_products_against_oracle(holey)
+    check_row_products_against_oracle(holey, np.random.default_rng(4))
+
+
+def test_dense_blocks_hold_the_block_sums():
+    op = lognormal_operator(2, 2, 3)
+    A = dense_kron_oracle(op)
+    n = op.ndof
+    rows = np.repeat(np.arange(n), np.diff(op.indptr))
+    # blocks[e, t, j] is entry (rows[e], indices[e]) of block (t, j)
+    grid = A.reshape(op.n_blocks, n, op.n_blocks, n)[:, rows, :, op.indices]
+    assert grid.shape == op.blocks.shape
+    assert np.abs(op.blocks - grid).max() <= 1e-14 * np.abs(A).max()
+
+
+def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
+    made = []
+    original = InnerSolver.make
+
+    def spy(self, matrix, *args, **kwargs):
+        made.append(matrix)
+        return original(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(InnerSolver, "make", spy)
+    op = lognormal_operator(2, 2, 3)
+    BlockSGS(op, EXACT)
+    # block 0 is c_000 K_0 and takes the mean solve; the others their own LU
+    assert len(made) == op.n_blocks and made[0] is op.matrices[0]
+    for j, A_jj in enumerate(made[1:], start=1):
+        ref = op.assemble_range([j], [j])
+        assert np.array_equal(A_jj.indptr, ref.indptr)
+        assert np.array_equal(A_jj.indices, ref.indices)
+        assert np.array_equal(A_jj.data, ref.data)

@@ -3,7 +3,7 @@
 The package discretizes a 2D diffusion problem with a random coefficient by
 polynomial chaos in the stochastic variables and bilinear finite elements in
 space, applies the coupled block operator from the stiffness matrices of the
-coefficient expansion (matrix-free, or with pre-summed block columns when
+coefficient expansion (matrix-free, or from dense stochastic blocks when
 blocks sum several terms), and solves it with
 (flexible) conjugate gradients under mean-based, block symmetric
 Gauss-Seidel, or hierarchical Schur complement preconditioning.

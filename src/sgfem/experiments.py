@@ -24,7 +24,7 @@ from .lognormal import LognormalFieldSpec, build_lognormal_operator
 from .multi_index import build_multi_index_set
 from .operator import GalerkinOperator, InnerSolver
 from .orthopoly import legendre_family
-from .precond import HierarchicalSchur, make_preconditioner, work_count
+from .precond import HierarchicalSchur, WorkCount, make_preconditioner, work_count
 from .operator import build_uniform_operator
 
 INNER_POLICIES = {
@@ -133,7 +133,7 @@ def run_experiment(config: ExperimentConfig,
     if prec is not None:
         report.work = prec.counters.__dict__.copy()
         if config.distribution == "uniform":
-            report.work.update(work_count(config.N, config.P).as_dict())
+            report.work.update(WorkCount.of(op.tensor).as_dict())
     if report.spd_suspect:
         row.flags.append("not guaranteed: indefiniteness detected")
     if report.non_finite:
@@ -192,7 +192,7 @@ def run_row(config: ExperimentConfig, kinds=reference.PRECONDITIONER_ORDER,
         if report.spd_suspect:
             row.flags.append(f"{kind}: not guaranteed (indefiniteness detected)")
     if config.distribution == "uniform":
-        row.work = work_count(config.N, config.P).as_dict()
+        row.work = WorkCount.of(op.tensor).as_dict()
     return row
 
 

@@ -18,8 +18,8 @@ coefficient expansion is carried to twice the solution order, which keeps the
 discrete problem well posed; the resulting coupling tensor makes every block
 of the global matrix nonzero, so the same-degree matrices D_l are coupled
 systems rather than block diagonals; GalerkinOperator.d_block_solve solves
-them either by a direct factorization of the assembled level system or by an
-inner Krylov loop preconditioned blockwise with the mean matrix.
+them by a factorization of the assembled level system while it is small and
+by an inner Krylov loop preconditioned blockwise with the mean matrix beyond.
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
 
 
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,
-                        policy: str = "auto", inner: InnerSolver = InnerSolver(),
+                        inner: InnerSolver = InnerSolver(),
                         outer_tol: float = 1e-8) -> np.ndarray:
-    """Solve D_l X = rhs under a GalerkinOperator.d_block_solve policy."""
-    return op.d_block_solve(level, rhs, inner, outer_tol, policy)
+    """Solve D_l X = rhs by GalerkinOperator.d_block_solve."""
+    return op.d_block_solve(level, rhs, inner, outer_tol)

@@ -106,7 +106,7 @@ class InnerSolver:
 
 
 DENSE_ASSEMBLY_LIMIT = 2000
-# largest level dimension the direct level policy factorizes
+# largest coupled level system that d_block_solve factorizes
 DIRECT_LEVEL_LIMIT = 20_000
 
 
@@ -120,7 +120,7 @@ class GalerkinOperator:
     holds the coupling matrices C_i over the same coefficient index range.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
-    dense blocks and per-level views are populated lazily but never change
+    dense blocks and level LUs are populated lazily but never change
     semantics), so concurrent applies are safe.
     """
 
@@ -137,7 +137,7 @@ class GalerkinOperator:
         self.n_blocks = tensor.n_basis
         self.hierarchy = hierarchy_dims(self.basis.dims, self.basis.degree)
         self._solver_cache: dict = {}
-        self._levels: dict = {}
+        self._level_lus: dict = {}
         self._column_couplings: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = self.tensor.coupling[0].diagonal()
@@ -239,11 +239,6 @@ class GalerkinOperator:
             y[...] = (K @ XT).T
         return (L @ Y.reshape(-1, self.ndof))[rows]
 
-    def apply_columns(self, cols: slice, X: np.ndarray) -> np.ndarray:
-        """A[:, cols] @ X for a range of block columns, X holding one row per
-        column block; the result has a row for every block of the grid."""
-        return self.product(slice(None), cols, X)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Product with a block vector; accepts flat or (n_blocks, ndof)."""
         flat = np.asarray(u).ndim == 1
@@ -282,7 +277,7 @@ class GalerkinOperator:
                 return self._block_rows(b, solved, G[:, solved])
             if new.start < new.stop:
                 rest = slice(0, b.stop) if backward else slice(b.start, n)
-                acc[rest] += self.apply_columns(new, X[new])[rest]
+                acc[rest] += self.product(slice(None), new, X[new])[rest]
             return acc[b]
 
         return couple
@@ -297,12 +292,6 @@ class GalerkinOperator:
         """
         sub = self.assemble_range(rows, cols)
         return (sub @ np.asarray(X).ravel()).reshape(-1, self.ndof)
-
-    def level(self, level: int) -> "Level":
-        """The view of level l, built the first time it is used and kept."""
-        if level not in self._levels:
-            self._levels[level] = Level(self, level)
-        return self._levels[level]
 
     def apply_submatrix(self, level: int, part: str, X: np.ndarray) -> np.ndarray:
         """Action of the A/B/C/D sub-block of the level-l partition."""
@@ -369,15 +358,14 @@ class GalerkinOperator:
         return inner.make(A_jj, outer_tol)
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
-                      outer_tol: float = 1e-8, policy: str = "auto") -> np.ndarray:
+                      outer_tol: float = 1e-8) -> np.ndarray:
         """Solve D_l X = rhs, one row of rhs per degree-l block.
 
-        policy "direct" factorizes the assembled level matrix once, for levels
-        of dimension up to DIRECT_LEVEL_LIMIT; "iterative" runs CG on the level
-        system preconditioned blockwise with the mean matrix.  "auto" solves
-        levels diagonal with blocks c_0kk K_0 (the linear coefficient case) by
-        one multi-right-hand-side K_0 solve under ``inner`` rescaled by
-        1/c_0kk, and the others directly when they fit under the limit.
+        A level diagonal with blocks c_0kk K_0 (the linear coefficient case)
+        takes one multi-right-hand-side K_0 solve under ``inner``, rescaled
+        by 1/c_0kk.  A coupled level of dimension up to DIRECT_LEVEL_LIMIT is
+        assembled and factorized once; a larger one runs CG on the level
+        system preconditioned blockwise by diag(c_0kk) (x) K_0.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -385,20 +373,12 @@ class GalerkinOperator:
             raise ValueError(f"level {level} has {tail.stop - tail.start} blocks, "
                              f"rhs has {rhs.shape[0]} rows")
         weights = self.diag_weights[tail][:, None]
-        if policy == "auto" and self.level_is_scalar_diagonal(level):
+        if self.level_is_scalar_diagonal(level):
             return self.mean_solver(inner, outer_tol)(rhs) / weights
-        if policy == "auto":
-            policy = "direct" if rhs.size <= DIRECT_LEVEL_LIMIT else "iterative"
-        if policy == "direct":
-            if rhs.size > DIRECT_LEVEL_LIMIT:
-                raise ValueError(f"level {level} system of dimension {rhs.size} exceeds "
-                                 f"the direct-assembly guard {DIRECT_LEVEL_LIMIT}")
-            lv = self.level(level)
-            if lv.lu is None:
-                lv.lu = spla.splu(self.assemble_range(tail, tail).tocsc())
-            return lv.lu.solve(rhs.ravel()).reshape(rhs.shape)
-        if policy != "iterative":
-            raise ValueError(f"unknown level-solve policy {policy!r}")
+        if rhs.size <= DIRECT_LEVEL_LIMIT:
+            if level not in self._level_lus:
+                self._level_lus[level] = spla.splu(self.assemble_range(tail, tail).tocsc())
+            return self._level_lus[level].solve(rhs.ravel()).reshape(rhs.shape)
         mean_solve = self.mean_solver(InnerSolver(kind="exact"), outer_tol)
 
         def apply_level(x):
@@ -475,22 +455,6 @@ def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.cs
     K = sp.csr_matrix((row, indices, indptr), shape=(len(indptr) - 1,) * 2)
     K.data = row    # scipy's format check copies a view of a larger array
     return K
-
-
-class Level:
-    """Level l of the partition A_l = [[A_{l-1}, B_l], [C_l, D_l]], built once.
-
-    ``n_blocks`` counts the nonzero blocks of B_l and C_l (the work-count
-    unit); ``lu`` is the level LU once needed.  No reference back to the
-    operator: the cycle would delay its garbage collection.
-    """
-
-    def __init__(self, op: GalerkinOperator, level: int):
-        self.head, self.tail = head, tail = op.level_slices(level)
-        self.n_l = tail.stop - tail.start
-        struct = op.tensor.structure
-        self.n_blocks = {"B": struct[head, tail].nnz, "C": struct[tail, head].nnz}
-        self.lu = None
 
 
 def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,

@@ -18,16 +18,16 @@ Three preconditioners are provided, all operating block-wise:
 
 Each preconditioner tallies block-level work: one counter unit is one
 diagonal-block solve or one off-diagonal block product.  For one application
-of the hierarchical preconditioner on a block-diagonal-level operator the
-tallies are exactly n_m = n_b - n_db products and n_ds = 2(n_db - 1) + 1
-solves, matching the tabulated work counts.
+of the hierarchical preconditioner the tallies are n_ds = 2(n_db - 1) + 1
+solves and one product per nonzero block whose two degrees differ; on a
+block-diagonal-level operator that is n_m = n_b - n_db, matching the
+tabulated work counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import krylov
 from .multi_index import build_multi_index_set
@@ -48,22 +48,28 @@ class WorkCount:
     def as_dict(self) -> dict:
         return {"n_b": self.n_b, "n_db": self.n_db, "n_m": self.n_m, "n_ds": self.n_ds}
 
+    @classmethod
+    def of(cls, tensor: TripleProductTensor) -> "WorkCount":
+        """Work counts for a linear-coefficient tensor's block structure.
+
+        n_b and n_db come from the block sparsity pattern; the
+        per-application counts follow from the two sweeps of the
+        hierarchical preconditioner: n_m = n_b - n_db and
+        n_ds = 2(n_db - 1) + 1.
+        """
+        n_b = tensor.n_blocks
+        n_db = tensor.n_diag_blocks
+        return cls(n_b, n_db, n_b - n_db, 2 * (n_db - 1) + 1)
+
 
 def work_count(dims: int, degree: int,
                family: PolynomialFamily | None = None) -> WorkCount:
-    """Work counts for the linear-coefficient block structure.
-
-    n_b and n_db come from the block sparsity pattern; the per-application
-    counts follow from the two sweeps of the hierarchical preconditioner:
-    n_m = n_b - n_db and n_ds = 2(n_db - 1) + 1.
-    """
+    """Work counts for the linear-coefficient block structure in ``dims``
+    variables to order ``degree`` (Legendre unless ``family`` is given)."""
     family = family or legendre_family()
     basis = build_multi_index_set(dims, degree)
     coeff = build_multi_index_set(dims, 1)
-    tensor = build_triple_product_tensor(basis, coeff, family)
-    n_b = tensor.n_blocks
-    n_db = tensor.n_diag_blocks
-    return WorkCount(n_b, n_db, n_b - n_db, 2 * (n_db - 1) + 1)
+    return WorkCount.of(build_triple_product_tensor(basis, coeff, family))
 
 
 @dataclass
@@ -171,28 +177,22 @@ class HierarchicalSchur(_BlockPreconditioner):
     and subtract B_l times that solution from the head (pre-correction).
     At the bottom solve the mean-value block.  Ascending, each level gets its
     tail from D_l^{-1} (r_l^tail - C_l u_head) (post-correction) and the
-    parts are concatenated.  d_policy selects how coupled (non-block-diagonal)
-    levels are solved; "auto" uses the scalar shortcut when available and a
-    direct level factorization otherwise.
+    parts are concatenated.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
-                 outer_tol: float = 1e-8, d_policy: str = "auto"):
+                 outer_tol: float = 1e-8):
         super().__init__(op)
         self.inner = inner
         self.outer_tol = outer_tol
         self.degree = op.basis.degree
-        if d_policy not in ("auto", "direct", "iterative"):
-            raise ValueError(f"unknown d_policy {d_policy!r}")
-        self.d_policy = d_policy
         self._bottom = op.block_solver(0, inner, outer_tol)
-
-    def _d_solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        # d_policy is for coupled levels; scalar levels take the mean solve
-        policy = "auto" if self.op.level_is_scalar_diagonal(level) else self.d_policy
-        X = self.op.d_block_solve(level, rhs, self.inner, self.outer_tol, policy)
-        self.counters.block_solves += len(X)
-        return X
+        # each application solves every block of degree >= 1 twice and the
+        # mean block once, and multiplies every nonzero block (t, j) with
+        # deg(t) != deg(j) once: it lies in exactly one B_l or C_l
+        degree = np.array(op.basis.degrees())
+        s = op.tensor.structure.tocoo()
+        self._n_products = int(np.count_nonzero(degree[s.row] != degree[s.col]))
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         op = self.op
@@ -200,19 +200,17 @@ class HierarchicalSchur(_BlockPreconditioner):
         cur = np.asarray(R, dtype=float)
         for l in range(self.degree, 0, -1):
             residuals[l] = cur
-            lv = op.level(l)
-            t = self._d_solve(l, cur[lv.tail])
-            pre = op.apply_submatrix(l, "B", t)
-            self.counters.block_matvecs += lv.n_blocks["B"]
-            cur = cur[lv.head] - pre
+            head, tail = op.level_slices(l)
+            t = op.d_block_solve(l, cur[tail], self.inner, self.outer_tol)
+            cur = cur[head] - op.apply_submatrix(l, "B", t)
         u = self._bottom(cur[0][None, :])
-        self.counters.block_solves += 1
         for l in range(1, self.degree + 1):
-            lv = op.level(l)
+            _, tail = op.level_slices(l)
             ct = op.apply_submatrix(l, "C", u)
-            self.counters.block_matvecs += lv.n_blocks["C"]
-            ut = self._d_solve(l, residuals[l][lv.tail] - ct)
+            ut = op.d_block_solve(l, residuals[l][tail] - ct, self.inner, self.outer_tol)
             u = np.vstack([u, ut])
+        self.counters.block_solves += 2 * op.n_blocks - 1
+        self.counters.block_matvecs += self._n_products
         return u
 
 
@@ -284,15 +282,14 @@ def truncate_operator(op: GalerkinOperator, degree: int) -> GalerkinOperator:
     sub_basis = op.basis.truncated(degree)
     m = len(sub_basis)
     coupling = tuple(Ci[:m, :m].tocsr() for Ci in op.tensor.coupling)
-    pattern = op.tensor.block_pattern[:m, :m]
     tensor = TripleProductTensor(op.tensor.coeff_set, sub_basis,
-                                 op.tensor.family_kind, coupling, pattern)
+                                 op.tensor.family_kind, coupling)
     return GalerkinOperator(op.matrices, tensor)
 
 
 def make_preconditioner(op: GalerkinOperator, kind: str,
                         inner: InnerSolver = InnerSolver(),
-                        outer_tol: float = 1e-8, d_policy: str = "auto"):
+                        outer_tol: float = 1e-8):
     """Factory over the preconditioner names used by the experiments."""
     if kind in (None, "none"):
         return None
@@ -301,5 +298,5 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     if kind in ("bsgs", "block_sgs", "bgs"):
         return BlockSGS(op, inner, outer_tol)
     if kind in ("hs", "hierarchical_schur", "schur"):
-        return HierarchicalSchur(op, inner, outer_tol, d_policy)
+        return HierarchicalSchur(op, inner, outer_tol)
     raise ValueError(f"unknown preconditioner kind {kind!r}")

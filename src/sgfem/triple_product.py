@@ -35,7 +35,6 @@ class TripleProductTensor:
     basis: MultiIndexSet           # indices j, k = 0..M
     family_kind: str
     coupling: tuple                # tuple of CSR matrices, one per i
-    block_pattern: np.ndarray      # dense (M+1, M+1), entries sum_i c_ijk
 
     @property
     def n_coeff(self) -> int:
@@ -69,9 +68,6 @@ class TripleProductTensor:
             coo = C.tocoo()
             for j, k, v in zip(coo.row, coo.col, coo.data):
                 yield i, int(j), int(k), float(v)
-
-    def value(self, i: int, j: int, k: int) -> float:
-        return self.coupling[i][j, k]
 
     def has_block_diagonal_levels(self) -> bool:
         """True when every same-degree sub-block d_l is diagonal (linear case)."""
@@ -119,15 +115,12 @@ def _build_general(basis, coeff_set, family, table) -> TripleProductTensor:
         for d in range(basis.dims):
             C *= table[ind[d]][jdeg[:, d][:, None], jdeg[:, d][None, :]]
     cutoff = STRUCTURAL_ZERO_RTOL * max(float(np.max(np.abs(C))) for C in dense)
-    pattern = np.zeros((M1, M1))
     for C in dense:
         C[np.abs(C) < cutoff] = 0.0
-        pattern += C
-    pattern[np.abs(pattern) < cutoff] = 0.0
     # one sparse construction for all coefficients, split by row blocks
     S = sp.csr_matrix(dense.reshape(-1, M1))
     couplings = tuple(S[i * M1:(i + 1) * M1] for i in range(len(coeff_set)))
-    return TripleProductTensor(coeff_set, basis, family.kind, couplings, pattern)
+    return TripleProductTensor(coeff_set, basis, family.kind, couplings)
 
 
 def _build_linear(basis, coeff_set, family, table) -> TripleProductTensor:
@@ -144,7 +137,6 @@ def _build_linear(basis, coeff_set, family, table) -> TripleProductTensor:
     jdeg = np.array(basis.indices)
     prod0 = np.prod(t0[jdeg], axis=1)            # prod_d t(0, j_d, j_d)
     couplings = [sp.diags(prod0, format="csr")]
-    pattern = np.diag(prod0.copy())
     for ind in coeff_set.indices:
         if sum(ind) == 0:
             continue
@@ -164,6 +156,4 @@ def _build_linear(basis, coeff_set, family, table) -> TripleProductTensor:
                     vals.append(v)
         C = sp.coo_matrix((vals, (rows, cols)), shape=(M1, M1)).tocsr()
         couplings.append(C)
-        pattern[rows, cols] += vals
-    return TripleProductTensor(coeff_set, basis, family.kind, tuple(couplings),
-                               pattern)
+    return TripleProductTensor(coeff_set, basis, family.kind, tuple(couplings))

@@ -1,0 +1,25 @@
+"""The demos that exercise the public API run to completion.
+
+Each demo is copied into a temporary directory, so the files it writes next
+to itself land there, and run as a script against the source tree.
+"""
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["02_block_structure.py",
+                                  "04_hierarchical_preconditioner.py",
+                                  "06_schur_reduction.py"])
+def test_demo_runs(tmp_path, name):
+    script = shutil.copy(ROOT / "demos" / name, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

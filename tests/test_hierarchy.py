@@ -2,9 +2,10 @@
 
 Small Legendre/linear and Hermite/lognormal configurations are drawn at
 random; the full and column products, sub-matrix assembly, every A/B/C/D
-product, every level-solve policy, the scalar-level flag, the representation
-rule and the block symmetric Gauss-Seidel mapping with its work counters are
-checked against the explicitly assembled matrix.
+product, every level-solve path, the scalar-level flag, the representation
+rule, the hierarchical Schur work counters and the block symmetric
+Gauss-Seidel mapping with its work counters are checked against the
+explicitly assembled matrix.
 """
 from functools import cached_property
 
@@ -21,7 +22,7 @@ from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
-from sgfem.precond import BlockSGS, make_preconditioner
+from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -58,6 +59,17 @@ def dense_kron_oracle(op):
                for Ci, Ki in zip(op.tensor.coupling, op.matrices))
 
 
+def coupling_pattern(op):
+    """The nonzero blocks of the coupling pattern, read off the dense C_i.
+
+    A block can vanish in the dense oracle while its couplings do not, when
+    its spatial matrices vanish on the mesh (odd Karhunen-Loeve modes at the
+    one interior node of the coarsest mesh); the work counters count the
+    pattern.
+    """
+    return sum(abs(Ci.toarray()) for Ci in op.tensor.coupling) != 0
+
+
 def block_ranges(op, level, part):
     head, tail = op.level_slices(level)
     return {"A": (head, head), "B": (head, tail),
@@ -90,12 +102,24 @@ def check_against_oracle(op):
             assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
         D = dense_part(op, A, level, "D")
         assert op.level_is_scalar_diagonal(level) == dense_is_scalar(op, D, level)
-        R = rng.standard_normal((op.level(level).n_l, op.ndof))
+        _, tail = op.level_slices(level)
+        R = rng.standard_normal((tail.stop - tail.start, op.ndof))
         ref = np.linalg.solve(D, R.ravel()).reshape(R.shape)
-        for policy, inner in (("auto", EXACT), ("direct", EXACT),
-                              ("iterative", TIGHT_CG)):
-            X = op.d_block_solve(level, R, inner, policy=policy)
-            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), policy
+        # scalar levels take the mean solve under either inner policy; coupled
+        # levels take the level LU, and CG once no level fits under the limit
+        for limit, inner in ((operator.DIRECT_LEVEL_LIMIT, EXACT), (0, TIGHT_CG)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operator, "DIRECT_LEVEL_LIMIT", limit)
+                X = op.d_block_solve(level, R, inner)
+            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), limit
+    # one HS application solves every block twice but the mean block once,
+    # and multiplies each nonzero block whose row and column degrees differ
+    degree = np.array(op.basis.degrees())
+    hs = HierarchicalSchur(op, EXACT)
+    hs(rng.standard_normal(op.shape[0]))
+    assert hs.counters.block_solves == 2 * op.n_blocks - 1
+    assert hs.counters.block_matvecs == np.count_nonzero(
+        coupling_pattern(op) & (degree[:, None] != degree[None, :]))
 
 
 @settings(max_examples=12, deadline=None,
@@ -139,19 +163,19 @@ def test_levels_are_built_lazily_and_once(monkeypatch):
     assert op.presummed
     precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
     # neither the build nor a preconditioner set-up forms the dense blocks
-    assert calls == [] and op._levels == {}
+    # or factorizes a level
+    assert calls == [] and op._level_lus == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
     first = op.apply_submatrix(2, "B", X)
     assert calls == [op]
-    lv = op.level(2)
     second = op.apply_submatrix(2, "B", X)
     op.apply_submatrix(2, "C", np.ones((head.stop, op.ndof)))
     r = np.ones(op.shape[0])
     op.matvec(r)
     for prec in precs:
         prec(r)
-    assert calls == [op] and op.level(2) is lv
+    assert calls == [op]
     assert np.array_equal(first, second)
 
 
@@ -165,20 +189,19 @@ def test_level_lu_is_factorized_once(monkeypatch):
 
     monkeypatch.setattr(operator.spla, "splu", spy)
     op = lognormal_operator(2, 2, 3)
-    R = np.random.default_rng(1).standard_normal((op.level(2).n_l, op.ndof))
-    X1 = op.d_block_solve(2, R, EXACT, policy="direct")
+    _, tail = op.level_slices(2)
+    R = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
+    X1 = op.d_block_solve(2, R, EXACT)
     X2 = op.d_block_solve(2, R, EXACT)
     assert len(calls) == 1
     assert np.array_equal(X1, X2)
 
 
-def test_d_block_solve_rejects_unknown_policy_and_wrong_rows():
+def test_d_block_solve_rejects_wrong_rows():
     op = lognormal_operator(1, 2, 2)
-    n_l = op.level(1).n_l
+    _, tail = op.level_slices(1)
     with pytest.raises(ValueError):
-        op.d_block_solve(1, np.zeros((n_l, op.ndof)), EXACT, policy="lu")
-    with pytest.raises(ValueError):
-        op.d_block_solve(1, np.zeros((n_l + 1, op.ndof)), EXACT)
+        op.d_block_solve(1, np.zeros((tail.stop - tail.start + 1, op.ndof)), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +222,7 @@ def check_bsgs_against_oracle(op):
     A = dense_kron_oracle(op)
     r = np.random.default_rng(1).standard_normal(op.shape[0])
     ref = dense_bsgs(op, A, r)
-    # nonzero blocks of the coupling pattern, read off the dense C_i
-    n_b = np.count_nonzero(sum(abs(Ci.toarray()) for Ci in op.tensor.coupling))
+    n_b = np.count_nonzero(coupling_pattern(op))
     for inner in (EXACT, TIGHT_CG):
         prec = BlockSGS(op, inner)
         z = prec(r)
@@ -262,7 +284,7 @@ def check_products_against_oracle(op):
     for start, stop in ((0, op.n_blocks), (0, 1), (op.n_blocks - 1, op.n_blocks),
                         tuple(sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))):
         X = rng.standard_normal((stop - start, n))
-        got = op.apply_columns(slice(start, stop), X)
+        got = op.product(slice(None), slice(start, stop), X)
         ref = A[:, start * n:stop * n] @ X.ravel()
         assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
     rows = rng.choice(op.n_blocks, rng.integers(1, op.n_blocks + 1), replace=False)
@@ -330,8 +352,9 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
             ref = dense_part(nonsym, A, level, part) @ X.ravel()
             got = nonsym.apply_submatrix(level, part, X).ravel()
             assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
-        R = rng.standard_normal((nonsym.level(level).n_l, n))
-        X = nonsym.d_block_solve(level, R, EXACT, policy="direct")
+        _, tail = nonsym.level_slices(level)
+        R = rng.standard_normal((tail.stop - tail.start, n))
+        X = nonsym.d_block_solve(level, R, EXACT)
         D = dense_part(nonsym, A, level, "D")
         assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
 

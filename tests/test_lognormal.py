@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import sgfem.operator as operator
 from sgfem.fem import assemble_load, build_mesh
@@ -95,28 +96,29 @@ def test_operator_block_density_and_symmetry():
     assert np.dot(v, op.matvec(u)) == pytest.approx(np.dot(u, op.matvec(v)), rel=1e-10)
 
 
-def test_level_solve_policies_agree():
+def test_level_solve_policies_agree(monkeypatch):
     mesh = build_mesh(0.25)
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     _, tail = op.level_slices(2)
     R = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
-    X_direct = dense_d_block_solve(op, 2, R, policy="direct")
-    X_iter = dense_d_block_solve(op, 2, R, policy="iterative",
-                                 inner=InnerSolver(kind="cg", tol=1e-12))
+    X_direct = dense_d_block_solve(op, 2, R)
+    # no level fits under the limit: the level takes inner CG
+    monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 0)
+    X_iter = dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-12))
     assert np.linalg.norm(X_iter - X_direct) <= 1e-8 * np.linalg.norm(X_direct)
     # residual of the direct solve
     res = op.apply_submatrix(2, "D", X_direct) - R
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(R)
 
 
-def test_level_solve_outer_counts_agree():
+def test_level_solve_outer_counts_agree(monkeypatch):
     mesh = build_mesh(0.25)
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     b = op.rhs(assemble_load(mesh, 1.0)).ravel()
-    hs_direct = HierarchicalSchur(op, EXACT, d_policy="direct")
-    hs_iter = HierarchicalSchur(op, InnerSolver(kind="cg", precond="exact"),
-                                d_policy="iterative")
+    hs_direct = HierarchicalSchur(op, EXACT)
+    hs_iter = HierarchicalSchur(op, InnerSolver(kind="cg", precond="exact"))
     _, rep_d = cg(op.matvec, b, apply_m=hs_direct, tol=1e-8)
+    monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 0)
     _, rep_i = cg(op.matvec, b, apply_m=hs_iter, tol=1e-8)
     assert abs(rep_d.iterations - rep_i.iterations) <= 1
 
@@ -146,7 +148,7 @@ def test_zero_variance_levels_collapse_to_block_diagonal():
     _, tail = op.level_slices(1)
     R = np.random.default_rng(2).standard_normal((tail.stop - tail.start, op.ndof))
     X1 = op.d_block_solve(1, R, EXACT)
-    X2 = dense_d_block_solve(op, 1, R, policy="direct")
+    X2 = spla.spsolve(op.assemble_range(tail, tail).tocsc(), R.ravel()).reshape(R.shape)
     assert np.allclose(X1, X2, atol=1e-10)
 
 
@@ -168,10 +170,9 @@ def test_zero_variance_level_views_match_dense_oracle():
         D = A[tail.start * n:tail.stop * n, tail.start * n:tail.stop * n]
         R = rng.standard_normal((tail.stop - tail.start, n))
         ref = np.linalg.solve(D, R.ravel()).reshape(R.shape)
-        for policy, inner in (("auto", EXACT), ("direct", EXACT),
-                              ("iterative", InnerSolver(kind="cg", tol=1e-13))):
-            X = dense_d_block_solve(op, level, R, policy=policy, inner=inner)
-            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), policy
+        for inner in (EXACT, InnerSolver(kind="cg", tol=1e-13)):
+            X = dense_d_block_solve(op, level, R, inner=inner)
+            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), inner.kind
 
 
 def test_direct_policy_guard(monkeypatch):
@@ -180,21 +181,19 @@ def test_direct_policy_guard(monkeypatch):
     _, tail = op.level_slices(2)
     R = np.zeros((tail.stop - tail.start, op.ndof))
     monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 10)
-    with pytest.raises(ValueError):
-        dense_d_block_solve(op, 2, R, policy="direct")
-    # auto falls back to the iterative policy under the guard
-    X = dense_d_block_solve(op, 2, R, policy="auto")
-    assert np.all(X == 0.0)
+    # a level over the limit takes inner CG, which returns zero at once
+    X = dense_d_block_solve(op, 2, R)
+    assert np.all(X == 0.0) and op._level_lus == {}
 
 
-def test_iterative_policy_reports_nonconvergence():
+def test_iterative_policy_reports_nonconvergence(monkeypatch):
     mesh = build_mesh(0.25)
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     _, tail = op.level_slices(2)
     R = np.random.default_rng(3).standard_normal((tail.stop - tail.start, op.ndof))
+    monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 0)
     with pytest.raises(InnerSolveError):
-        dense_d_block_solve(op, 2, R, policy="iterative",
-                            inner=InnerSolver(kind="cg", tol=1e-14, maxiter=2))
+        dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-14, maxiter=2))
 
 
 def test_dimension_mismatch():

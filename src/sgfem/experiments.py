@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.N < 1 or self.P < 0:
             raise ValueError(f"need N >= 1, P >= 0, got N={self.N}, P={self.P}")
+        if self.preconditioner not in reference.PRECONDITIONER_ORDER:
+            raise ValueError(f"unknown preconditioner {self.preconditioner!r}; "
+                             f"choose from {list(reference.PRECONDITIONER_ORDER)}")
         if self.inner not in INNER_POLICIES:
             raise ValueError(f"unknown inner policy {self.inner!r}; "
                              f"choose from {sorted(INNER_POLICIES)}")
@@ -370,7 +373,7 @@ def spectral_diagnostic(config: ExperimentConfig, size_limit: int = 2000,
         raise ValueError(f"spectral diagnostic needs dense assembly; dimension "
                          f"{n} exceeds the limit {size_limit}")
     A = op.dense(limit=size_limit)
-    sizes = [m * op.ndof for m in op.hierarchy]
+    sizes = [m * op.ndof for m in op.basis.degree_offsets[1:]]
     levels = []
     bound = 1.0
     for l in range(op.basis.degree - 1, -1, -1):

@@ -106,7 +106,6 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
 
 
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,
-                        inner: InnerSolver = InnerSolver(),
-                        outer_tol: float = 1e-8) -> np.ndarray:
+                        inner: InnerSolver = InnerSolver()) -> np.ndarray:
     """Solve D_l X = rhs by GalerkinOperator.d_block_solve."""
-    return op.d_block_solve(level, rhs, inner, outer_tol)
+    return op.d_block_solve(level, rhs, inner)

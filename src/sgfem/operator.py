@@ -18,9 +18,11 @@ nested 2x2 partition
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
 where A_{l-1} spans the blocks of degree < l and D_l the blocks of degree
-exactly l.  For the truncated linear (Karhunen-Loeve) coefficient case every
-D_l is block diagonal with each diagonal block a scalar multiple of the mean
-matrix K_0, so solving with D_l costs one multi-right-hand-side K_0 solve.
+exactly l; level 0 has an empty head and D_0 = A_00 = c_000 K_0, the mean
+block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
+(Karhunen-Loeve) coefficient case every D_l is block diagonal with each
+diagonal block a scalar multiple of the mean matrix K_0, so solving with D_l
+costs one multi-right-hand-side K_0 solve.
 C_l coincides with the transpose action of B_l whenever all K_i are
 symmetric; the column product computes the true sub-block action either
 way, so non-symmetric K_i are supported by the same code path.
@@ -37,7 +39,7 @@ import scipy.sparse.linalg as spla
 from . import krylov
 from .fem import Mesh, assemble_weighted_stiffness
 from .kle import KLExpansion
-from .multi_index import MultiIndexSet, build_multi_index_set, hierarchy_dims
+from .multi_index import MultiIndexSet, build_multi_index_set
 from .orthopoly import PolynomialFamily
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 
@@ -60,8 +62,10 @@ class InnerSolver:
 
     kind "exact" factorizes once (sparse LU); kind "cg" runs an inner
     conjugate gradient loop preconditioned by ``precond`` in
-    {"none", "diagonal", "exact"}.  A tol of None means: use the tolerance
-    of the surrounding outer iteration.
+    {"none", "diagonal", "exact"}.  ``tol`` and ``maxiter`` bound every
+    inner CG loop under the policy, level CG included.  A tol of None means
+    the outer tolerance: each preconditioner fills it in when built, and a
+    CG loop reached with tol None raises ValueError.
     """
 
     kind: str = "exact"
@@ -69,16 +73,12 @@ class InnerSolver:
     tol: float | None = None
     maxiter: int = 2000
 
-    def resolve_tol(self, outer_tol: float) -> float:
-        return outer_tol if self.tol is None else self.tol
-
-    def make(self, matrix: sp.spmatrix, outer_tol: float = 1e-8):
+    def make(self, matrix: sp.spmatrix):
         if self.kind == "exact":
             lu = spla.splu(matrix.tocsc())
             return lambda B: lu.solve(np.atleast_2d(B).T).T
         if self.kind != "cg":
             raise ValueError(f"unknown inner solver kind {self.kind!r}")
-        tol = self.resolve_tol(outer_tol)
         if self.precond == "none":
             prec = None
         elif self.precond == "diagonal":
@@ -95,14 +95,22 @@ class InnerSolver:
             B = np.atleast_2d(B)
             X = np.empty_like(B)
             for row in range(B.shape[0]):
-                # krylov.cg returns zero at once for a zero right-hand side
-                X[row], report = krylov.cg(A.dot, B[row], apply_m=prec, tol=tol,
-                                           max_iter=self.maxiter)
-                if not report.converged or report.spd_suspect or report.non_finite:
-                    raise InnerSolveError(row, report.relative_residuals[-1], "inner cg")
+                X[row] = self.cg(A.dot, B[row], prec, row, "inner cg")
             return X
 
         return solve
+
+    def cg(self, apply_a, b: np.ndarray, apply_m, block: int, where: str) -> np.ndarray:
+        """krylov.cg to this policy's tol and maxiter; InnerSolveError for
+        ``block`` unless it converged, finite and positive definite."""
+        if self.tol is None:
+            raise ValueError("inner tolerance is None, not set to the outer one")
+        # krylov.cg returns zero at once for a zero right-hand side
+        x, report = krylov.cg(apply_a, b, apply_m=apply_m, tol=self.tol,
+                              max_iter=self.maxiter)
+        if not report.converged or report.spd_suspect or report.non_finite:
+            raise InnerSolveError(block, report.relative_residuals[-1], where)
+        return x
 
 
 DENSE_ASSEMBLY_LIMIT = 2000
@@ -135,7 +143,6 @@ class GalerkinOperator:
         self.tensor = tensor
         self.basis = tensor.basis
         self.n_blocks = tensor.n_basis
-        self.hierarchy = hierarchy_dims(self.basis.dims, self.basis.degree)
         self._solver_cache: dict = {}
         self._level_lus: dict = {}
         self._column_couplings: dict = {}
@@ -155,12 +162,11 @@ class GalerkinOperator:
         return u
 
     def level_slices(self, level: int) -> tuple[slice, slice]:
-        """(head, tail) block ranges of the level-l partition."""
-        if not 1 <= level <= self.basis.degree:
-            raise ValueError(f"level must be in 1..{self.basis.degree}, got {level}")
-        head = self.hierarchy[level - 1]
-        tail = self.hierarchy[level]
-        return slice(0, head), slice(head, tail)
+        """(head, tail) block ranges of degree < l and of degree l."""
+        if not 0 <= level <= self.basis.degree:
+            raise ValueError(f"level must be in 0..{self.basis.degree}, got {level}")
+        offsets = self.basis.degree_offsets
+        return slice(0, offsets[level]), slice(offsets[level], offsets[level + 1])
 
     # -- representation ----------------------------------------------------
     @cached_property
@@ -172,15 +178,21 @@ class GalerkinOperator:
         return live[S.row // self.n_blocks], S.row % self.n_blocks, S.col, S.data
 
     @cached_property
+    def live_blocks(self) -> tuple:
+        """(t, j) of each block with a coupling entry: those products multiply."""
+        _, t, j, _ = self.coupling_entries
+        blocks = np.unique(t * self.n_blocks + j)
+        return blocks // self.n_blocks, blocks % self.n_blocks
+
+    @cached_property
     def presummed(self) -> bool:
         """Whether products read the dense blocks sum_i c_itj K_i.
 
         They pay when some block sums more than one term, that is when the
-        coupling entries outnumber the nonzero blocks; otherwise products run
+        coupling entries outnumber the live blocks; otherwise products run
         matrix-free over the K_i and the blocks are never formed.
         """
-        _, t, j, _ = self.coupling_entries
-        return len(t) > len(np.unique(t * self.n_blocks + j))
+        return len(self.coupling_entries[1]) > len(self.live_blocks[0])
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -293,19 +305,6 @@ class GalerkinOperator:
         sub = self.assemble_range(rows, cols)
         return (sub @ np.asarray(X).ravel()).reshape(-1, self.ndof)
 
-    def apply_submatrix(self, level: int, part: str, X: np.ndarray) -> np.ndarray:
-        """Action of the A/B/C/D sub-block of the level-l partition."""
-        if part not in ("A", "B", "C", "D"):
-            raise ValueError(f"part must be one of A, B, C, D, got {part!r}")
-        head, tail = self.level_slices(level)
-        rows, cols = {"A": (head, head), "B": (head, tail),
-                      "C": (tail, head), "D": (tail, tail)}[part]
-        X = np.atleast_2d(X)
-        if X.shape[0] != cols.stop - cols.start:
-            raise ValueError(f"{part}-part at level {level} expects "
-                             f"{cols.stop - cols.start} column blocks, got {X.shape[0]}")
-        return self.product(rows, cols, X)
-
     # -- diagonal-block solves -------------------------------------------
     @cached_property
     def _scalar_levels(self) -> np.ndarray:
@@ -316,26 +315,22 @@ class GalerkinOperator:
         return ~np.isin(np.arange(self.basis.degree + 1), degree[j[other]])
 
     def level_is_scalar_diagonal(self, level: int) -> bool:
-        """True when D_l is diagonal with blocks c_0kk * K_0.
+        """True when D_l is diagonal with blocks c_0kk * K_0, as the mean
+        block D_0 = A_00 is in an orthonormal basis.
 
         Couplings whose spatial matrix is structurally zero (e.g. vanished
         fluctuation fields) cannot contribute and are ignored.  Read off the
         coupling entries; the level view is not built.
         """
-        self.level_slices(level)    # rejects levels outside 1..P
+        self.level_slices(level)    # rejects levels outside 0..P
         return bool(self._scalar_levels[level])
 
-    def mean_solver(self, inner: InnerSolver, outer_tol: float = 1e-8):
-        """Cached solver for the mean matrix K_0 under the given policy."""
-        key = (inner, outer_tol)
+    def mean_solver(self, inner: InnerSolver):
+        """Cached solver for the mean matrix K_0; all exact policies share one LU."""
+        key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
-            self._solver_cache[key] = inner.make(self.matrices[0], outer_tol)
+            self._solver_cache[key] = inner.make(self.matrices[0])
         return self._solver_cache[key]
-
-    @cached_property
-    def diagonal_couplings(self) -> np.ndarray:
-        """c_ijj, one row per coefficient index i and one column per block j."""
-        return np.array([Ci.diagonal() for Ci in self.tensor.coupling])
 
     @cached_property
     def _diagonal_values(self) -> np.ndarray:
@@ -343,29 +338,24 @@ class GalerkinOperator:
         pattern, every diagonal block from one product."""
         return self._block_couplings[np.arange(self.n_blocks) * (self.n_blocks + 1)] @ self.data
 
-    def block_solver(self, j: int, inner: InnerSolver, outer_tol: float = 1e-8):
-        """Solver for the diagonal block A_jj = sum_i c_ijj K_i, on rows of
-        right-hand sides.  When A_jj = c_0jj K_0 it is the cached mean solve
-        divided by c_0jj; otherwise A_jj is assembled and handed to
+    def block_solver(self, j: int, inner: InnerSolver):
+        """Solver for the diagonal block A_jj = sum_i c_ijj K_i of a coupled
+        level, on rows of right-hand sides: A_jj is assembled and handed to
         ``inner``, which factorizes it for the exact policy."""
-        c = self.diagonal_couplings[:, j]
-        if not np.any(c[1:]):
-            mean = self.mean_solver(inner, outer_tol)
-            return lambda X: mean(X) / c[0]
         A_jj = sp.csr_matrix((self._diagonal_values[j], self.indices, self.indptr),
                              shape=(self.ndof, self.ndof), copy=True)
         A_jj.eliminate_zeros()      # as assemble_range does
-        return inner.make(A_jj, outer_tol)
+        return inner.make(A_jj)
 
-    def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver,
-                      outer_tol: float = 1e-8) -> np.ndarray:
-        """Solve D_l X = rhs, one row of rhs per degree-l block.
+    def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver) -> np.ndarray:
+        """Solve D_l X = rhs, one row of rhs per degree-l block, l = 0..P.
 
-        A level diagonal with blocks c_0kk K_0 (the linear coefficient case)
-        takes one multi-right-hand-side K_0 solve under ``inner``, rescaled
-        by 1/c_0kk.  A coupled level of dimension up to DIRECT_LEVEL_LIMIT is
-        assembled and factorized once; a larger one runs CG on the level
-        system preconditioned blockwise by diag(c_0kk) (x) K_0.
+        A level diagonal with blocks c_0kk K_0 (level 0, and every level of
+        the linear coefficient case) takes one multi-right-hand-side K_0
+        solve under ``inner``, rescaled by 1/c_0kk.  A coupled level of
+        dimension up to DIRECT_LEVEL_LIMIT is assembled and factorized once;
+        a larger one runs ``inner.cg`` on the level system preconditioned
+        blockwise by diag(c_0kk) (x) K_0.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -374,24 +364,21 @@ class GalerkinOperator:
                              f"rhs has {rhs.shape[0]} rows")
         weights = self.diag_weights[tail][:, None]
         if self.level_is_scalar_diagonal(level):
-            return self.mean_solver(inner, outer_tol)(rhs) / weights
+            return self.mean_solver(inner)(rhs) / weights
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_lus:
                 self._level_lus[level] = spla.splu(self.assemble_range(tail, tail).tocsc())
             return self._level_lus[level].solve(rhs.ravel()).reshape(rhs.shape)
-        mean_solve = self.mean_solver(InnerSolver(kind="exact"), outer_tol)
+        mean_solve = self.mean_solver(InnerSolver(kind="exact"))
 
         def apply_level(x):
-            return self.apply_submatrix(level, "D", x.reshape(rhs.shape)).ravel()
+            return self.product(tail, tail, x.reshape(rhs.shape)).ravel()
 
         def block_mean_prec(r):
             return (mean_solve(r.reshape(rhs.shape)) / weights).ravel()
 
-        x, report = krylov.cg(apply_level, rhs.ravel(), apply_m=block_mean_prec,
-                              tol=inner.resolve_tol(outer_tol), max_iter=inner.maxiter)
-        if not report.converged:
-            raise InnerSolveError(level, report.relative_residuals[-1],
-                                  f"level {level} system")
+        x = inner.cg(apply_level, rhs.ravel(), block_mean_prec, level,
+                     f"level {level} system")
         return x.reshape(rhs.shape)
 
     # -- assembly ----------------------------------------------------------

@@ -10,22 +10,26 @@ Three preconditioners are provided, all operating block-wise:
   level with D_l = diag(c_0kk K_0), else one block), each solved at once.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
-  solves the mean-value problem at the bottom, and walks back up with
-  post-corrections u_l^tail = D_l^{-1} (r_l^tail - C_l u_l^head).  Replacing
-  each Schur complement by the next-lower hierarchy matrix is the only
-  approximation; with exact block solves on a decoupled system it is the
-  exact inverse.
+  solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
+  with post-corrections u_l^tail = D_l^{-1} (r_l^tail - C_l u_l^head).
+  Replacing each Schur complement by the next-lower hierarchy matrix is the
+  only approximation; with exact block solves on a decoupled system it is
+  the exact inverse.
+
+Every level solve, the bottom one included, is ``d_block_solve`` and every
+B_l/C_l product is ``product`` over the ranges of ``level_slices``.  The
+constructors set an inner policy's tol of None to their outer tolerance.
 
 Each preconditioner tallies block-level work: one counter unit is one
-diagonal-block solve or one off-diagonal block product.  For one application
-of the hierarchical preconditioner the tallies are n_ds = 2(n_db - 1) + 1
-solves and one product per nonzero block whose two degrees differ; on a
-block-diagonal-level operator that is n_m = n_b - n_db, matching the
-tabulated work counts.
+diagonal-block solve or one product with an off-diagonal block the operator
+multiplies (``live_blocks``).  For one application of the hierarchical
+preconditioner the tallies are n_ds = 2(n_db - 1) + 1 solves and one product
+per live block whose two degrees differ; on a block-diagonal-level operator
+that is n_m = n_b - n_db, matching the tabulated work counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,10 +91,11 @@ class Counters:
 
 
 class _BlockPreconditioner:
-    """Shared plumbing: flat-vector call interface and counters."""
+    """Shared plumbing: resolved inner policy, call interface and counters."""
 
-    def __init__(self, op: GalerkinOperator):
+    def __init__(self, op: GalerkinOperator, inner: InnerSolver, outer_tol: float):
         self.op = op
+        self.inner = inner if inner.tol is not None else replace(inner, tol=outer_tol)
         self.counters = Counters()
 
     def reset_counters(self) -> None:
@@ -111,8 +116,8 @@ class MeanBased(_BlockPreconditioner):
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
-        super().__init__(op)
-        self._solve = op.mean_solver(inner, outer_tol)
+        super().__init__(op, inner, outer_tol)
+        self._solve = op.mean_solver(self.inner)
         self._weights = op.diag_weights
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
@@ -129,31 +134,31 @@ class BlockSGS(_BlockPreconditioner):
     which makes the induced mapping symmetric for symmetric operators.
 
     The sweeps step over groups of mutually uncoupled blocks, which gives the
-    block-by-block mapping: a level with D_l = diag(c_0kk K_0) is one group,
-    solved by one d_block_solve; every other block is its own group.  The
-    operator's ``sweep_coupling`` gives each group its coupling to the groups
-    solved before it in the sweep (the earlier blocks forward, the later
-    blocks backward).
+    block-by-block mapping: a level l = 0..P with D_l = diag(c_0kk K_0) is
+    one group, solved by one d_block_solve; every block of a coupled level is
+    its own group, solved by its ``block_solver``.  The operator's
+    ``sweep_coupling`` gives each group its coupling to the groups solved
+    before it in the sweep (the earlier blocks forward, the later blocks
+    backward).
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
-        super().__init__(op)
-        spans = [(0, 1, None)]
-        for l in range(1, op.basis.degree + 1):
+        super().__init__(op, inner, outer_tol)
+        inner = self.inner      # the solves must not hold self: no reference cycle
+        # (blocks, solve) per group
+        self._groups = []
+        for l in range(op.basis.degree + 1):
             _, tail = op.level_slices(l)
             if op.level_is_scalar_diagonal(l):
-                spans.append((tail.start, tail.stop, l))
+                self._groups.append((tail, lambda X, l=l: op.d_block_solve(l, X, inner)))
             else:
-                spans += [(j, j + 1, None) for j in range(tail.start, tail.stop)]
-        # (blocks, solve) per group
-        self._groups = [(slice(start, stop),
-                         op.block_solver(start, inner, outer_tol) if l is None
-                         else lambda X, l=l: op.d_block_solve(l, X, inner, outer_tol))
-                        for start, stop, l in spans]
-        # however the blocks are grouped, each application multiplies every
+                self._groups += [(slice(j, j + 1), op.block_solver(j, inner))
+                                 for j in range(tail.start, tail.stop)]
+        # however the blocks are grouped, each application multiplies every live
         # off-diagonal block once: forward below the diagonal, backward above
-        self._n_products = op.tensor.n_blocks - op.n_blocks
+        t, j = op.live_blocks
+        self._n_products = int(np.count_nonzero(t != j))
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         Y = np.zeros_like(R)
@@ -175,24 +180,21 @@ class HierarchicalSchur(_BlockPreconditioner):
     Descending over levels l = P..1: split the running residual into its
     head (degree < l) and tail (degree l) parts, solve the tail with D_l,
     and subtract B_l times that solution from the head (pre-correction).
-    At the bottom solve the mean-value block.  Ascending, each level gets its
-    tail from D_l^{-1} (r_l^tail - C_l u_head) (post-correction) and the
+    At the bottom solve with D_0, the mean block.  Ascending, each level gets
+    its tail from D_l^{-1} (r_l^tail - C_l u_head) (post-correction) and the
     parts are concatenated.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
-        super().__init__(op)
-        self.inner = inner
-        self.outer_tol = outer_tol
+        super().__init__(op, inner, outer_tol)
         self.degree = op.basis.degree
-        self._bottom = op.block_solver(0, inner, outer_tol)
         # each application solves every block of degree >= 1 twice and the
-        # mean block once, and multiplies every nonzero block (t, j) with
+        # mean block once, and multiplies every live block (t, j) with
         # deg(t) != deg(j) once: it lies in exactly one B_l or C_l
         degree = np.array(op.basis.degrees())
-        s = op.tensor.structure.tocoo()
-        self._n_products = int(np.count_nonzero(degree[s.row] != degree[s.col]))
+        t, j = op.live_blocks
+        self._n_products = int(np.count_nonzero(degree[t] != degree[j]))
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         op = self.op
@@ -201,13 +203,13 @@ class HierarchicalSchur(_BlockPreconditioner):
         for l in range(self.degree, 0, -1):
             residuals[l] = cur
             head, tail = op.level_slices(l)
-            t = op.d_block_solve(l, cur[tail], self.inner, self.outer_tol)
-            cur = cur[head] - op.apply_submatrix(l, "B", t)
-        u = self._bottom(cur[0][None, :])
+            t = op.d_block_solve(l, cur[tail], self.inner)
+            cur = cur[head] - op.product(head, tail, t)
+        u = op.d_block_solve(0, cur, self.inner)
         for l in range(1, self.degree + 1):
-            _, tail = op.level_slices(l)
-            ct = op.apply_submatrix(l, "C", u)
-            ut = op.d_block_solve(l, residuals[l][tail] - ct, self.inner, self.outer_tol)
+            head, tail = op.level_slices(l)
+            ct = op.product(tail, head, u)
+            ut = op.d_block_solve(l, residuals[l][tail] - ct, self.inner)
             u = np.vstack([u, ut])
         self.counters.block_solves += 2 * op.n_blocks - 1
         self.counters.block_matvecs += self._n_products
@@ -227,9 +229,9 @@ def generalized_apply(op: GalerkinOperator, r: np.ndarray, m_d1, m_d2, m_d3, m_s
     R = op.as_blocks(r)
     head, tail = op.level_slices(level)
     r_head, r_tail = R[head], R[tail]
-    g = r_head - op.apply_submatrix(level, "B", m_d1(r_tail))
+    g = r_head - op.product(head, tail, m_d1(r_tail))
     u_head = m_s(g)
-    u_tail = m_d2(r_tail) - m_d3(op.apply_submatrix(level, "C", u_head))
+    u_tail = m_d2(r_tail) - m_d3(op.product(tail, head, u_head))
     out = np.vstack([u_head, u_tail])
     return out.ravel() if np.asarray(r).ndim == 1 else out
 
@@ -247,21 +249,21 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
     level = op.basis.degree
     if level == 0:
         raise ValueError("nothing to reduce for a constant-only basis")
-    exact = InnerSolver(kind="exact")
+    exact = InnerSolver(kind="exact", tol=tol)
     head, tail = op.level_slices(level)
     B = op.as_blocks(b)
     n_head = head.stop
 
     def d_solve(X):
-        return op.d_block_solve(level, X, exact, tol)
+        return op.d_block_solve(level, X, exact)
 
-    g = B[head] - op.apply_submatrix(level, "B", d_solve(B[tail]))
+    g = B[head] - op.product(head, tail, d_solve(B[tail]))
 
     def schur_apply(x):
         X = x.reshape(n_head, op.ndof)
-        AX = op.apply_submatrix(level, "A", X)
-        CX = op.apply_submatrix(level, "C", X)
-        AX -= op.apply_submatrix(level, "B", d_solve(CX))
+        AX = op.product(head, head, X)
+        CX = op.product(tail, head, X)
+        AX -= op.product(head, tail, d_solve(CX))
         return AX.ravel()
 
     apply_m = None
@@ -272,7 +274,7 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
     x_head, report = solver(schur_apply, g.ravel(), apply_m=apply_m,
                             tol=tol, max_iter=max_iter)
     X_head = x_head.reshape(n_head, op.ndof)
-    u_tail = d_solve(B[tail] - op.apply_submatrix(level, "C", X_head))
+    u_tail = d_solve(B[tail] - op.product(tail, head, X_head))
     x = np.vstack([X_head, u_tail])
     return x, report
 
@@ -290,13 +292,13 @@ def truncate_operator(op: GalerkinOperator, degree: int) -> GalerkinOperator:
 def make_preconditioner(op: GalerkinOperator, kind: str,
                         inner: InnerSolver = InnerSolver(),
                         outer_tol: float = 1e-8):
-    """Factory over the preconditioner names used by the experiments."""
+    """The preconditioner named ``kind``: none, mean, bsgs or hs."""
     if kind in (None, "none"):
         return None
-    if kind in ("mean", "mean_based", "mm"):
+    if kind == "mean":
         return MeanBased(op, inner, outer_tol)
-    if kind in ("bsgs", "block_sgs", "bgs"):
+    if kind == "bsgs":
         return BlockSGS(op, inner, outer_tol)
-    if kind in ("hs", "hierarchical_schur", "schur"):
+    if kind == "hs":
         return HierarchicalSchur(op, inner, outer_tol)
     raise ValueError(f"unknown preconditioner kind {kind!r}")

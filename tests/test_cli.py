@@ -110,6 +110,21 @@ def test_usage_error_exit_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unknown_preconditioner_in_config_file_exit_one_before_build(tmp_path, monkeypatch,
+                                                                   capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 2\nP = 1\nh = 0.25\npreconditioner = schur\n")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("operator built for an invalid configuration")
+
+    monkeypatch.setattr(experiments, "build_uniform_operator", no_build)
+    rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown preconditioner 'schur'")
+
+
 def test_diag_spectral(capsys):
     rc = cli.main(["diag", "--spectral", "--N", "2", "--P", "2", "--h", "0.25"])
     out = capsys.readouterr().out

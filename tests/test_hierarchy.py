@@ -60,14 +60,16 @@ def dense_kron_oracle(op):
 
 
 def coupling_pattern(op):
-    """The nonzero blocks of the coupling pattern, read off the dense C_i.
+    """The blocks the operator multiplies, read off the dense C_i of the
+    coefficients whose K_i is not structurally zero.
 
     A block can vanish in the dense oracle while its couplings do not, when
-    its spatial matrices vanish on the mesh (odd Karhunen-Loeve modes at the
-    one interior node of the coarsest mesh); the work counters count the
-    pattern.
+    its spatial matrices vanish on the mesh only up to rounding (odd
+    Karhunen-Loeve modes at the one interior node of the coarsest mesh); the
+    work counters count this pattern.
     """
-    return sum(abs(Ci.toarray()) for Ci in op.tensor.coupling) != 0
+    return sum(abs(Ci.toarray()) for Ci, Ki in zip(op.tensor.coupling, op.matrices)
+               if np.any(Ki.toarray())) != 0
 
 
 def block_ranges(op, level, part):
@@ -93,12 +95,12 @@ def check_against_oracle(op):
     A = dense_kron_oracle(op)
     assert np.allclose(op.dense(), A, rtol=0.0, atol=1e-13 * np.abs(A).max())
     rng = np.random.default_rng(0)
-    for level in range(1, op.basis.degree + 1):
+    for level in range(op.basis.degree + 1):
         for part in PARTS:
             rows, cols = block_ranges(op, level, part)
             X = rng.standard_normal((cols.stop - cols.start, op.ndof))
             ref = dense_part(op, A, level, part) @ X.ravel()
-            got = op.apply_submatrix(level, part, X).ravel()
+            got = op.product(rows, cols, X).ravel()
             assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
         D = dense_part(op, A, level, "D")
         assert op.level_is_scalar_diagonal(level) == dense_is_scalar(op, D, level)
@@ -167,10 +169,10 @@ def test_levels_are_built_lazily_and_once(monkeypatch):
     assert calls == [] and op._level_lus == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
-    first = op.apply_submatrix(2, "B", X)
+    first = op.product(head, tail, X)
     assert calls == [op]
-    second = op.apply_submatrix(2, "B", X)
-    op.apply_submatrix(2, "C", np.ones((head.stop, op.ndof)))
+    second = op.product(head, tail, X)
+    op.product(tail, head, np.ones((head.stop, op.ndof)))
     r = np.ones(op.shape[0])
     op.matvec(r)
     for prec in precs:
@@ -195,6 +197,27 @@ def test_level_lu_is_factorized_once(monkeypatch):
     X2 = op.d_block_solve(2, R, EXACT)
     assert len(calls) == 1
     assert np.array_equal(X1, X2)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_level_zero_is_the_mean_block(kind):
+    op = build((kind, 2, 2, 3))
+    assert op.level_slices(0) == (slice(0, 0), slice(0, 1))
+    assert op.level_is_scalar_diagonal(0)
+    A_00 = dense_kron_oracle(op)[:op.ndof, :op.ndof]
+    R = np.random.default_rng(6).standard_normal((1, op.ndof))
+    ref = np.linalg.solve(A_00, R[0])
+    for inner in (EXACT, TIGHT_CG):
+        X = op.d_block_solve(0, R, inner)
+        assert np.array_equal(X, op.mean_solver(inner)(R) / op.diag_weights[0])
+        assert np.linalg.norm(X[0] - ref) <= 1e-9 * np.linalg.norm(ref), inner.kind
+    for level in (-1, op.basis.degree + 1):
+        with pytest.raises(ValueError):
+            op.level_slices(level)
+        with pytest.raises(ValueError):
+            op.level_is_scalar_diagonal(level)
+        with pytest.raises(ValueError):
+            op.d_block_solve(level, R, EXACT)
 
 
 def test_d_block_solve_rejects_wrong_rows():
@@ -255,10 +278,10 @@ def test_bsgs_groups_match_dense_oracle(monkeypatch, config, level_groups):
 
     monkeypatch.setattr(GalerkinOperator, "d_block_solve", spy)
     check_bsgs_against_oracle(op)
-    levels = list(range(1, op.basis.degree + 1))
+    # level 0, the mean block, is always one scalar group
+    levels = list(range(op.basis.degree + 1)) if level_groups else [0]
     # two preconditioners, each one forward and one backward sweep
-    expected = 2 * (levels + levels[::-1]) if level_groups else []
-    assert calls == expected
+    assert calls == 2 * (levels + levels[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +373,7 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
             rows, cols = block_ranges(nonsym, level, part)
             X = rng.standard_normal((cols.stop - cols.start, n))
             ref = dense_part(nonsym, A, level, part) @ X.ravel()
-            got = nonsym.apply_submatrix(level, part, X).ravel()
+            got = nonsym.product(rows, cols, X).ravel()
             assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
         _, tail = nonsym.level_slices(level)
         R = rng.standard_normal((tail.stop - tail.start, n))
@@ -380,10 +403,10 @@ def check_row_products_against_oracle(op, rng):
         assert got.shape == (rows.stop - rows.start, n)
         assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
-    for level in range(1, op.basis.degree + 1):
+    for level in range(op.basis.degree + 1):
         for part in PARTS:
-            check(*block_ranges(op, level, part),
-                  lambda X: op.apply_submatrix(level, part, X))
+            rows, cols = block_ranges(op, level, part)
+            check(rows, cols, lambda X: op.product(rows, cols, X))
     for _ in range(4):
         rows, cols = (slice(*sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))
                       for _ in range(2))
@@ -437,11 +460,14 @@ def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
 
     monkeypatch.setattr(InnerSolver, "make", spy)
     op = lognormal_operator(2, 2, 3)
-    BlockSGS(op, EXACT)
-    # block 0 is c_000 K_0 and takes the mean solve; the others their own LU
-    assert len(made) == op.n_blocks and made[0] is op.matrices[0]
-    for j, A_jj in enumerate(made[1:], start=1):
+    prec = BlockSGS(op, EXACT)
+    # every block of the coupled levels gets its own LU at set-up
+    assert len(made) == op.n_blocks - 1
+    for j, A_jj in enumerate(made, start=1):
         ref = op.assemble_range([j], [j])
         assert np.array_equal(A_jj.indptr, ref.indptr)
         assert np.array_equal(A_jj.indices, ref.indices)
         assert np.array_equal(A_jj.data, ref.data)
+    # level 0 is c_000 K_0 and takes the mean solve, made at its first use
+    prec(np.ones(op.shape[0]))
+    assert len(made) == op.n_blocks and made[-1] is op.matrices[0]

@@ -10,7 +10,7 @@ from sgfem.kle import KLExpansion
 from sgfem.krylov import cg
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import InnerSolveError, InnerSolver
-from sgfem.precond import HierarchicalSchur
+from sgfem.precond import BlockSGS, HierarchicalSchur
 from sgfem.lognormal import (LognormalFieldSpec, build_lognormal_operator,
                              dense_d_block_solve, gaussian_kl,
                              lognormal_gpc_coefficients)
@@ -107,7 +107,7 @@ def test_level_solve_policies_agree(monkeypatch):
     X_iter = dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-12))
     assert np.linalg.norm(X_iter - X_direct) <= 1e-8 * np.linalg.norm(X_direct)
     # residual of the direct solve
-    res = op.apply_submatrix(2, "D", X_direct) - R
+    res = op.product(tail, tail, X_direct) - R
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(R)
 
 
@@ -162,10 +162,10 @@ def test_zero_variance_level_views_match_dense_oracle():
         head, tail = op.level_slices(level)
         # the tensor couples same-degree blocks, but only the K_0 term is kept
         assert set(op.coupling_entries[0]) == {0}
-        for part, rows, cols in (("B", head, tail), ("C", tail, head), ("D", tail, tail)):
+        for rows, cols in ((head, tail), (tail, head), (tail, tail)):
             X = rng.standard_normal((cols.stop - cols.start, n))
             ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
-            got = op.apply_submatrix(level, part, X).ravel()
+            got = op.product(rows, cols, X).ravel()
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         D = A[tail.start * n:tail.stop * n, tail.start * n:tail.stop * n]
         R = rng.standard_normal((tail.stop - tail.start, n))
@@ -175,14 +175,26 @@ def test_zero_variance_level_views_match_dense_oracle():
             assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref), inner.kind
 
 
+def test_vanished_fluctuations_count_no_block_products():
+    op = vanished_fluctuation_operator()
+    r = np.random.default_rng(5).standard_normal(op.shape[0])
+    for prec in (BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT)):
+        prec(r)
+        # only the K_0 terms on the diagonal blocks are multiplied
+        assert prec.counters.block_matvecs == 0, type(prec).__name__
+
+
 def test_direct_policy_guard(monkeypatch):
     mesh = build_mesh(0.25)
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     _, tail = op.level_slices(2)
     R = np.zeros((tail.stop - tail.start, op.ndof))
     monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 10)
-    # a level over the limit takes inner CG, which returns zero at once
-    X = dense_d_block_solve(op, 2, R)
+    # a level over the limit takes inner CG, which needs a tolerance ...
+    with pytest.raises(ValueError):
+        dense_d_block_solve(op, 2, R)
+    # ... and returns zero at once
+    X = dense_d_block_solve(op, 2, R, inner=InnerSolver(tol=1e-8))
     assert np.all(X == 0.0) and op._level_lus == {}
 
 

@@ -73,7 +73,7 @@ def test_d_part_is_scalar_multiple_of_mean_block():
     op, _ = make_operator(2, 2, 4)
     _, tail = op.level_slices(2)
     X = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
-    got = op.apply_submatrix(2, "D", X)
+    got = op.product(tail, tail, X)
     weights = op.diag_weights[tail]
     expect = weights[:, None] * (X @ op.matrices[0].T.toarray())
     assert np.allclose(got, expect, atol=1e-12)
@@ -87,7 +87,8 @@ def test_a_part_matches_rebuilt_lower_order_operator():
     op3 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 3), fam)
     op2 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), fam)
     X = np.random.default_rng(2).standard_normal((op2.n_blocks, op2.ndof))
-    got = op3.apply_submatrix(3, "A", X)
+    head, _ = op3.level_slices(3)
+    got = op3.product(head, head, X)
     assert np.allclose(got, op2.apply(X), atol=1e-12)
 
 
@@ -98,19 +99,18 @@ def test_b_c_adjointness():
         head, tail = op.level_slices(level)
         x = rng.standard_normal((head.stop, op.ndof))
         y = rng.standard_normal((tail.stop - tail.start, op.ndof))
-        lhs = np.sum(x * op.apply_submatrix(level, "B", y))
-        rhs = np.sum(y * op.apply_submatrix(level, "C", x))
+        lhs = np.sum(x * op.product(head, tail, y))
+        rhs = np.sum(y * op.product(tail, head, x))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
-def test_apply_submatrix_validation():
+def test_level_and_product_validation():
     op, _ = make_operator(2, 2, 4)
     with pytest.raises(ValueError):
-        op.apply_submatrix(5, "A", np.zeros((1, op.ndof)))
+        op.level_slices(5)
+    head, tail = op.level_slices(1)
     with pytest.raises(ValueError):
-        op.apply_submatrix(1, "Q", np.zeros((1, op.ndof)))
-    with pytest.raises(ValueError):
-        op.apply_submatrix(1, "B", np.zeros((9, op.ndof)))
+        op.product(head, tail, np.zeros((9, op.ndof)))
 
 
 def test_d_block_solve_identity_and_mean_equivalence():
@@ -120,7 +120,7 @@ def test_d_block_solve_identity_and_mean_equivalence():
     rng = np.random.default_rng(4)
     R = rng.standard_normal((tail.stop - tail.start, op.ndof))
     X = op.d_block_solve(2, R, exact)
-    assert np.allclose(op.apply_submatrix(2, "D", X), R, atol=1e-9)
+    assert np.allclose(op.product(tail, tail, X), R, atol=1e-9)
     # orthonormal basis: every diagonal block solve is a single K_0 solve
     from scipy.sparse.linalg import splu
     lu = splu(op.matrices[0].tocsc())
@@ -205,14 +205,14 @@ def test_nonsymmetric_coefficient_matrices_supported():
     head, tail = nonsym.level_slices(2)
     x = rng.standard_normal((head.stop, nonsym.ndof))
     y = rng.standard_normal((tail.stop - tail.start, nonsym.ndof))
-    lhs = np.sum(x * nonsym.apply_submatrix(2, "B", y))
-    rhs = np.sum(y * nonsym.apply_submatrix(2, "C", x))
+    lhs = np.sum(x * nonsym.product(head, tail, y))
+    rhs = np.sum(y * nonsym.product(tail, head, x))
     assert abs(lhs - rhs) > 1e-8
     # but each matches the dense sub-block of the assembled matrix
     nb = head.stop * nonsym.ndof
     nt = (tail.stop - tail.start) * nonsym.ndof
     B = A[:nb, nb:nb + nt]
-    assert np.allclose(nonsym.apply_submatrix(2, "B", y).ravel(),
+    assert np.allclose(nonsym.product(head, tail, y).ravel(),
                        B @ y.ravel(), atol=1e-12)
 
 
@@ -224,4 +224,4 @@ def test_zero_sigma_operator_is_block_diagonal():
     for level in (1, 2):
         head, tail = op.level_slices(level)
         y = np.ones((tail.stop - tail.start, op.ndof))
-        assert np.all(op.apply_submatrix(level, "B", y) == 0.0)
+        assert np.all(op.product(head, tail, y) == 0.0)

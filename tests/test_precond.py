@@ -143,19 +143,46 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
         return original(matrix, *args, **kwargs)
 
     monkeypatch.setattr(operator.spla, "splu", spy)
-    # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's
+
+    def set_up_and_apply(op):
+        precs = [BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT, outer_tol=1e-6)]
+        n_set_up = len(calls)
+        for prec in precs:
+            prec(np.ones(op.shape[0]))
+        return n_set_up
+
+    # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's,
+    # shared by both preconditioners whatever their outer tolerance
     op, _ = make_operator(2, 3)
-    BlockSGS(op, EXACT)
-    HierarchicalSchur(op, EXACT)
+    assert set_up_and_apply(op) == 0
     assert len(calls) == 1
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
+    # LU from the BSGS set-up, and HS factorizes each coupled level
     calls.clear()
     op = lognormal_operator()
-    BlockSGS(op, EXACT)
-    HierarchicalSchur(op, EXACT)
-    assert len(calls) == op.n_blocks
+    assert set_up_and_apply(op) == op.n_blocks - 1
+    assert len(calls) == op.n_blocks + op.basis.degree
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
-    assert np.array_equal(op.block_solver(0, EXACT)(x), op.mean_solver(EXACT)(x))
+    assert np.array_equal(op.d_block_solve(0, x, EXACT),
+                          op.mean_solver(EXACT)(x) / op.diag_weights[0])
+
+
+@pytest.mark.parametrize("family", ["uniform", "lognormal"])
+def test_preconditioners_release_the_operator_without_the_cycle_collector(family):
+    import gc
+    import weakref
+    op = make_operator()[0] if family == "uniform" else lognormal_operator()
+    precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
+    for prec in precs:
+        prec(np.ones(op.shape[0]))
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        del op, precs, prec
+        # no reference cycle keeps the operator's blocks and LUs alive
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_bsgs_counts():
@@ -355,7 +382,8 @@ def test_truncate_operator_prefix_consistency():
     op3, _ = make_operator(2, 3)
     sub = truncate_operator(op3, 2)
     X = np.random.default_rng(5).standard_normal((sub.n_blocks, sub.ndof))
-    assert np.allclose(sub.apply(X), op3.apply_submatrix(3, "A", X), atol=1e-13)
+    head, _ = op3.level_slices(3)
+    assert np.allclose(sub.apply(X), op3.product(head, head, X), atol=1e-13)
 
 
 def test_factory_names():
@@ -364,5 +392,19 @@ def test_factory_names():
     assert isinstance(make_preconditioner(op, "mean"), MeanBased)
     assert isinstance(make_preconditioner(op, "bsgs"), BlockSGS)
     assert isinstance(make_preconditioner(op, "hs"), HierarchicalSchur)
+    for name in ("kronecker", "mean_based", "mm", "block_sgs", "bgs",
+                 "hierarchical_schur", "schur"):
+        with pytest.raises(ValueError):
+            make_preconditioner(op, name)
+
+
+def test_unresolved_inner_tolerance_is_rejected():
+    op, b = make_operator(2, 1)
+    cg_policy = InnerSolver(kind="cg", precond="none")
     with pytest.raises(ValueError):
-        make_preconditioner(op, "kronecker")
+        op.d_block_solve(1, b.reshape(op.n_blocks, op.ndof)[1:], cg_policy)
+    # a preconditioner sets the policy's tolerance to its outer one
+    prec = HierarchicalSchur(op, cg_policy, outer_tol=1e-9)
+    assert prec.inner.tol == 1e-9
+    assert np.allclose(prec(b), HierarchicalSchur(op, EXACT)(b), rtol=0.0,
+                       atol=1e-7 * np.abs(b).max())

@@ -10,7 +10,12 @@ block dimensions are (n+1)^2.
 
 Weighted stiffness entries are integrals of k grad(phi_l) . grad(phi_m) with
 the coefficient k interpolated bilinearly inside each element and a 2x2 Gauss
-rule (exact for the integrand's polynomial degree).
+rule (exact for the integrand's polynomial degree).  Many fields (the
+coefficient matrices K_i of a stochastic operator) are assembled at once and
+returned as plain arrays (indices, indptr, data): one CSR pattern, the
+interior entries plus the boundary diagonal, and one row of values per
+field, which GalerkinOperator takes as they are.  No per-field matrix is
+formed.
 """
 from __future__ import annotations
 
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .triple_product import STRUCTURAL_ZERO_RTOL
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
@@ -76,13 +83,19 @@ def build_mesh(h: float) -> Mesh:
 
 def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
                                 unit_boundary_diag: bool = False):
-    """Stiffness matrix of the coefficient field given by nodal samples.
+    """Stiffness matrices of coefficient fields given by nodal samples.
 
     Boundary rows and columns are zeroed; with unit_boundary_diag the
     boundary diagonal is set to one (use this for the mean coefficient).
-    A 2-D ``field`` holds one field per row and gives the list of their
-    matrices, all assembled by one sparse product; unit_boundary_diag then
-    applies to the first row, the mean coefficient.
+    A 1-D ``field`` gives its CSR matrix.  A 2-D ``field`` holds one field
+    per row and gives the arrays (indices, indptr, data) of all their
+    matrices on one CSR pattern, the interior entries plus the boundary
+    diagonal, with data[r] the values of row r's matrix, all from one
+    sparse product.  Row 0 is the mean coefficient: unit_boundary_diag
+    applies to it, and a row r >= 1 whose largest value is within
+    STRUCTURAL_ZERO_RTOL of row 0's is stored as exact zeros, as the
+    coupling tensor stores its values (odd Karhunen-Loeve modes cancel up to
+    rounding on the coarsest mesh).
     """
     fields = np.asarray(field, dtype=float)
     if fields.ndim not in (1, 2) or fields.shape[-1] != mesh.n_nodes:
@@ -100,30 +113,33 @@ def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
             grad = np.outer(dxi, dxi) + np.outer(deta, deta)
             ke += (coeff @ shape)[:, None, None] * grad
     S, indices, indptr = _assembly_map(mesh)
-    data = (S @ ke.reshape(-1, S.shape[1]).T).T
-    mats = []
-    for row in data:
-        K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2, copy=True)
-        K.eliminate_zeros()
-        mats.append(K)
+    data = np.ascontiguousarray((S @ ke.reshape(-1, S.shape[1]).T).T)
     if unit_boundary_diag:
-        mats[0] = (mats[0] + sp.diags(mesh.boundary_mask.astype(float))).tocsr()
-    return mats if fields.ndim == 2 else mats[0]
+        # a boundary row stores its diagonal alone
+        data[0, indptr[:-1][mesh.boundary_mask]] = 1.0
+    if fields.ndim == 1:
+        K = sp.csr_matrix((data[0], indices, indptr), shape=(mesh.n_nodes,) * 2)
+        K.eliminate_zeros()
+        return K
+    scale = np.abs(data).max(axis=1)
+    data[1:][scale[1:] <= STRUCTURAL_ZERO_RTOL * scale[0]] = 0.0
+    return indices, indptr, data
 
 
 def _assembly_map(mesh: Mesh) -> tuple:
     """(S, indices, indptr): the element matrices, flattened to one row of
     ``ke``, sum to the stiffness values S @ ke on the CSR pattern (indices,
-    indptr) of the interior nodes.
+    indptr) of the interior entries and the boundary diagonal.
 
     Each row of S adds the duplicates of one entry in the order in which
     scipy's COO-to-CSR conversion adds them (rows bucketed stably, then each
     row's columns sorted by a routine that compares columns only, which
     entry numbers in place of values reproduce), so the values equal an
     element-by-element assembly bit for bit.  Entries touching a boundary
-    node are left out, which zeroes the Dirichlet rows and columns.
+    node are left out, which zeroes the Dirichlet rows and columns; the
+    boundary diagonal keeps its position with an empty row of S.
     """
-    conn, n = mesh.connectivity, mesh.n_nodes
+    conn, n, boundary = mesh.connectivity, mesh.n_nodes, mesh.boundary_mask
     rows = np.repeat(conn, 4, axis=1).ravel()
     cols = np.tile(conn, (1, 4)).ravel().astype(np.int32)
     order = np.argsort(rows, kind="stable")
@@ -133,14 +149,15 @@ def _assembly_map(mesh: Mesh) -> tuple:
     P.sort_indices()
     perm = P.data.astype(np.intp)
     first = np.flatnonzero(np.diff(rows[perm] * n + P.indices, prepend=-1))
-    inside = ~(mesh.boundary_mask[rows[perm[first]]] | mesh.boundary_mask[P.indices[first]])
+    r, c = rows[perm[first]], P.indices[first]
+    inside = ~(boundary[r] | boundary[c])
+    keep = inside | (boundary[r] & (r == c))
     runs = np.diff(np.append(first, len(perm)))
-    S = sp.csr_matrix((np.ones(runs[inside].sum()), perm[np.repeat(inside, runs)],
-                       np.append(0, np.cumsum(runs[inside]))),
-                      shape=(inside.sum(), perm.size))
-    pattern_rows = rows[perm[first[inside]]]
-    indptr = np.searchsorted(pattern_rows, np.arange(n + 1)).astype(np.int32)
-    return S, P.indices[first[inside]], indptr
+    terms = np.where(inside, runs, 0)[keep]
+    S = sp.csr_matrix((np.ones(terms.sum()), perm[np.repeat(inside, runs)],
+                       np.append(0, np.cumsum(terms))), shape=(len(terms), perm.size))
+    indptr = np.searchsorted(r[keep], np.arange(n + 1)).astype(np.int32)
+    return S, c[keep], indptr
 
 
 def assemble_load(mesh: Mesh, f=1.0) -> np.ndarray:

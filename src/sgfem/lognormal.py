@@ -101,8 +101,8 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
     gauss = gaussian_kl(spec, mesh, dims, n_quad)
     fields = lognormal_gpc_coefficients(gauss, coeff_set)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
-    mats = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
-    return GalerkinOperator(mats, tensor)
+    return GalerkinOperator(
+        assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True), tensor)
 
 
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,

@@ -5,8 +5,13 @@ The global system matrix consists of (M+1)^2 spatial blocks
     K^(j,k) = sum_i c_ijk K_i,
 
 where the K_i share one CSR pattern and one (n_coeff, nnz) data array and
-C_i is the i-th sparse coupling matrix of the triple-product tensor.  Every
-product is a sub-block product A[rows, cols] @ U[cols] over block ranges.
+C_i is the i-th sparse coupling matrix of the triple-product tensor.  The
+operator is built from those arrays as the assembly gives them, (indices,
+indptr, data), and from the tensor's one stacked CSR, so its set-up makes no
+per-coefficient object; ``GalerkinOperator.from_matrices`` accepts any list
+of sparse matrices instead, and ``matrices`` gives CSR views of the K_i on
+first access.  Every product is a sub-block product A[rows, cols] @ U[cols]
+over block ranges.
 When each nonzero block holds a single term (the linear Karhunen-Loeve
 coefficient) it runs matrix-free, as sum_i (C_i @ U) @ K_i^T over whole
 block columns; otherwise (the lognormal chaos coefficient) it reads the
@@ -121,25 +126,28 @@ DIRECT_LEVEL_LIMIT = 20_000
 class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
 
-    The spatial matrices share one CSR pattern (``indices``, ``indptr``, the
-    union of the given patterns) and one ``(n_coeff, nnz)`` array ``data``;
-    matrices[i] is a CSR view of data[i].  A coefficient whose data row is
+    ``stiffness`` is the triple (indices, indptr, data) that
+    assemble_weighted_stiffness gives for many fields: the spatial matrices
+    share the CSR pattern (indices, indptr) and one ``(n_coeff, nnz)`` array
+    ``data``, whose row i holds the values of K_i.  ``from_matrices`` builds
+    the triple from any list of matrices.  A coefficient whose data row is
     all zeros is structurally zero and takes part in no product.  tensor
-    holds the coupling matrices C_i over the same coefficient index range.
+    holds the couplings c_ijk over the same coefficient index range.
+    ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views of the
+    rows of data, made on first access: the mean solve reads K_0 alone, and
+    only matrix-free products read the others.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
     dense blocks and level LUs are populated lazily but never change
     semantics), so concurrent applies are safe.
     """
 
-    def __init__(self, matrices, tensor: TripleProductTensor):
-        if len(matrices) != tensor.n_coeff:
+    def __init__(self, stiffness: tuple, tensor: TripleProductTensor):
+        self.indices, self.indptr, self.data = stiffness
+        if len(self.data) != tensor.n_coeff:
             raise ValueError(
-                f"{len(matrices)} spatial matrices vs {tensor.n_coeff} coefficient indices")
-        self.indices, self.indptr, self.data = _shared_pattern(matrices)
+                f"{len(self.data)} spatial matrices vs {tensor.n_coeff} coefficient indices")
         self.ndof = len(self.indptr) - 1
-        self.matrices = tuple(_csr_view(row, self.indices, self.indptr)
-                              for row in self.data)
         self.tensor = tensor
         self.basis = tensor.basis
         self.n_blocks = tensor.n_basis
@@ -147,7 +155,23 @@ class GalerkinOperator:
         self._level_lus: dict = {}
         self._column_couplings: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
-        self.diag_weights = self.tensor.coupling[0].diagonal()
+        self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
+
+    @classmethod
+    def from_matrices(cls, matrices, tensor: TripleProductTensor) -> "GalerkinOperator":
+        """Operator on the union of the patterns of any list of matrices."""
+        return cls(_shared_pattern(matrices), tensor)
+
+    @cached_property
+    def mean_matrix(self) -> sp.csr_matrix:
+        """K_0, a CSR view of data[0]."""
+        return _csr_view(self.data[0], self.indices, self.indptr)
+
+    @cached_property
+    def matrices(self) -> tuple:
+        """Every K_i as a CSR view of data[i]."""
+        return (self.mean_matrix, *(_csr_view(row, self.indices, self.indptr)
+                                    for row in self.data[1:]))
 
     # -- shapes ---------------------------------------------------------
     @property
@@ -173,9 +197,10 @@ class GalerkinOperator:
     def coupling_entries(self) -> tuple:
         """(i, t, j, c_itj) of every stored coupling whose K_i is not
         structurally zero, as parallel arrays in ascending i."""
-        live = np.flatnonzero(self.data.any(axis=1))
-        S = sp.vstack([self.tensor.coupling[i] for i in live], format="csr").tocoo()
-        return live[S.row // self.n_blocks], S.row % self.n_blocks, S.col, S.data
+        S = self.tensor.stacked.tocoo()
+        i = (S.row // self.n_blocks).astype(np.intp)
+        live = self.data.any(axis=1)[i]
+        return i[live], S.row[live] % self.n_blocks, S.col[live], S.data[live]
 
     @cached_property
     def live_blocks(self) -> tuple:
@@ -329,7 +354,7 @@ class GalerkinOperator:
         """Cached solver for the mean matrix K_0; all exact policies share one LU."""
         key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
-            self._solver_cache[key] = inner.make(self.matrices[0])
+            self._solver_cache[key] = inner.make(self.mean_matrix)
         return self._solver_cache[key]
 
     @cached_property
@@ -460,5 +485,5 @@ def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,
     tensor = build_triple_product_tensor(basis, coeff_set, family)
     fields = np.vstack([np.full(mesh.n_nodes, kl.mean),
                         family.variable_coeff * kl.fields])
-    mats = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
-    return GalerkinOperator(mats, tensor)
+    return GalerkinOperator(
+        assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True), tensor)

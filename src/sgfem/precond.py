@@ -283,10 +283,11 @@ def truncate_operator(op: GalerkinOperator, degree: int) -> GalerkinOperator:
     """The leading-hierarchy operator over the order-``degree`` sub-basis."""
     sub_basis = op.basis.truncated(degree)
     m = len(sub_basis)
-    coupling = tuple(Ci[:m, :m].tocsr() for Ci in op.tensor.coupling)
+    # the rows i * n_blocks + j and columns k with j, k < m of every C_i
+    rows = (np.arange(op.tensor.n_coeff)[:, None] * op.n_blocks + np.arange(m)).ravel()
     tensor = TripleProductTensor(op.tensor.coeff_set, sub_basis,
-                                 op.tensor.family_kind, coupling)
-    return GalerkinOperator(op.matrices, tensor)
+                                 op.tensor.family_kind, op.tensor.stacked[rows, :m])
+    return GalerkinOperator((op.indices, op.indptr, op.data), tensor)
 
 
 def make_preconditioner(op: GalerkinOperator, kind: str,

@@ -2,16 +2,22 @@
 
 The tensor couples the coefficient expansion (index i, running over a short
 multi-index set of length L+1) with the solution basis (indices j, k).  It is
-stored as one sparse (M+1) x (M+1) coupling matrix per coefficient index i,
-which is the layout consumed by the matrix-free operator: a block of the
-global matrix is K^(j,k) = sum_i c_ijk K_i.
+stored as one CSR matrix ``stacked`` of shape (n_coeff (M+1), M+1) whose row
+i (M+1) + j holds c_ijk over k; its rows i (M+1) .. (i+1) (M+1) - 1 are the
+coupling matrix C_i of coefficient i, and a block of the global matrix is
+K^(j,k) = sum_i c_ijk K_i.
 
 Multivariate values factor over dimensions, c_ijk = prod_d t(i_d, j_d, k_d)
-with t the univariate triple product, so a whole coupling matrix is built by
-elementwise products of small lookup tables.  Entries below a relative
-threshold are dropped: quadrature noise must not destroy the provable
-sparsity pattern (for the linear/Legendre case every same-degree off-diagonal
-block vanishes identically, which the hierarchical preconditioner relies on).
+with t the univariate triple product, and t(a, b, c) vanishes unless
+|a - b| <= c <= a + b and a + b + c is even (Ernst & Ullmann, "Stochastic
+Galerkin matrices", SIAM J. Matrix Anal. Appl. 31, 2010).  The builder
+therefore never scans all (j, k) pairs: starting from the (i, j) pairs it
+extends k one dimension at a time by the digits those rules allow, keeping
+|k| <= P, so its work and memory follow the number of nonzeros.  Entries
+below a relative threshold are dropped: quadrature noise must not destroy
+the provable sparsity pattern (for the linear/Legendre case every
+same-degree off-diagonal block vanishes identically, which the hierarchical
+preconditioner relies on).
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ class TripleProductTensor:
     coeff_set: MultiIndexSet       # indices i = 0..L
     basis: MultiIndexSet           # indices j, k = 0..M
     family_kind: str
-    coupling: tuple                # tuple of CSR matrices, one per i
+    stacked: sp.csr_matrix         # row i * (M+1) + j holds c_ijk over k
 
     @property
     def n_coeff(self) -> int:
@@ -45,10 +51,18 @@ class TripleProductTensor:
         return len(self.basis)
 
     @cached_property
+    def coupling(self) -> tuple:
+        """C_i, one CSR view of ``stacked`` per coefficient; built on first
+        access, which the operator never makes."""
+        n = self.n_basis
+        return tuple(_rows_view(self.stacked, i * n, (i + 1) * n)
+                     for i in range(self.n_coeff))
+
+    @cached_property
     def structure(self) -> sp.csr_matrix:
         """sum_i |C_i|, whose pattern is the union of the per-i patterns;
         computed on first access and kept."""
-        S, n = abs(sp.vstack(self.coupling, format="csr")).tocoo(), self.n_basis
+        S, n = abs(self.stacked).tocoo(), self.n_basis
         acc = sp.csr_matrix((S.data, (S.row % n, S.col)), shape=(n, n))
         acc.eliminate_zeros()
         return acc
@@ -63,11 +77,10 @@ class TripleProductTensor:
         return self.n_basis
 
     def entries(self):
-        """Yield (i, j, k, value) over all stored nonzeros."""
-        for i, C in enumerate(self.coupling):
-            coo = C.tocoo()
-            for j, k, v in zip(coo.row, coo.col, coo.data):
-                yield i, int(j), int(k), float(v)
+        """(i, j, k, value) over all stored nonzeros, in ascending i, j, k."""
+        S, n = self.stacked.tocoo(), self.n_basis
+        return zip((S.row // n).tolist(), (S.row % n).tolist(), S.col.tolist(),
+                   S.data.tolist())
 
     def has_block_diagonal_levels(self) -> bool:
         """True when every same-degree sub-block d_l is diagonal (linear case)."""
@@ -78,8 +91,7 @@ class TripleProductTensor:
     def write_entries(self, path) -> None:
         """Text export, one line per entry: ``i j k value``."""
         with open(path, "w") as fh:
-            for i, j, k, v in self.entries():
-                fh.write(f"{i} {j} {k} {v:.17g}\n")
+            fh.writelines(f"{i} {j} {k} {v:.17g}\n" for i, j, k, v in self.entries())
 
     def write_block_pattern_csv(self, path) -> None:
         """Dense 0/1 CSV of the block sparsity, for structure plots."""
@@ -94,66 +106,57 @@ def build_triple_product_tensor(basis: MultiIndexSet, coeff_set: MultiIndexSet,
     For the truncated linear expansion, coeff_set is the order-1 set in the
     same variables (i=0 the constant, i>=1 the first-order indices); for a
     general chaos coefficient it is the order-2P set.
+
+    Each (i, j) pair is expanded dimension by dimension over the digits k_d
+    with t(i_d, j_d, k_d) != 0 that keep |k| <= P reachable (every later
+    digit needs at least |i_d - j_d|), multiplying the running value by that
+    factor in dimension order, as a dense per-coefficient product does, so
+    the values equal that product's bit for bit; k is then located in the
+    basis by its mixed-radix code.
     """
     if basis.dims != coeff_set.dims:
         raise ValueError(
             f"dimension mismatch: basis has {basis.dims} variables, "
             f"coefficient set has {coeff_set.dims}")
-    table = family.triple_product_table(coeff_set.degree, basis.degree)
-    # symmetric-measure families have t(1, a, a) = 0, so a linear coefficient
-    # expansion only couples nearest-neighbour indices
-    if coeff_set.degree == 1 and not np.diagonal(table[1]).any():
-        return _build_linear(basis, coeff_set, family, table)
-    return _build_general(basis, coeff_set, family, table)
+    P, M1, dims = basis.degree, len(basis), basis.dims
+    if (P + 1) ** dims > np.iinfo(np.int64).max:
+        raise ValueError(f"{dims} variables at degree {P} overflow the index codes")
+    table = family.triple_product_table(coeff_set.degree, P)
+    coeff = np.array(coeff_set.indices, dtype=np.intp).reshape(-1, dims)
+    jind = np.array(basis.indices, dtype=np.intp).reshape(-1, dims)
+    # t(a, b, c) != 0 needs c >= |a - b|, so |k| >= rest = sum_d |i_d - j_d|
+    rest = sum(np.abs(coeff[:, d, None] - jind[None, :, d]) for d in range(dims))
+    i, j = np.nonzero(rest <= P)                  # the pairs, in row-major order
+    rest = rest[i, j]
+    code = np.zeros(len(i), dtype=np.int64)       # k digits so far, radix P+1
+    ksum = np.zeros(len(i), dtype=np.intp)
+    value = np.ones(len(i))
+    digits = np.arange(P + 1)
+    for d in range(dims):
+        a, b = coeff[i, d], jind[j, d]
+        rest = rest - np.abs(a - b)               # the least the digits after d add
+        # np.nonzero keeps each row's expansions together and in row order
+        r, c = np.nonzero((table[a, b] != 0.0) & ((ksum + rest)[:, None] + digits <= P))
+        value = value[r] * table[a[r], b[r], c]
+        i, j, code, ksum, rest = i[r], j[r], code[r] * (P + 1) + c, ksum[r] + c, rest[r]
+    keep = np.abs(value) >= STRUCTURAL_ZERO_RTOL * np.abs(value).max()
+    basis_code = jind @ (P + 1) ** np.arange(dims - 1, -1, -1, dtype=np.int64)
+    by_code = np.argsort(basis_code)
+    k = by_code[np.searchsorted(basis_code[by_code], code[keep])]
+    row = i[keep] * M1 + j[keep]                  # non-decreasing
+    order = np.argsort(row * M1 + k)              # each row's entries by k
+    n_rows = len(coeff) * M1
+    stacked = sp.csr_matrix((value[keep][order], k[order],
+                             np.searchsorted(row, np.arange(n_rows + 1))),
+                            shape=(n_rows, M1))
+    return TripleProductTensor(coeff_set, basis, family.kind, stacked)
 
 
-def _build_general(basis, coeff_set, family, table) -> TripleProductTensor:
-    M1 = len(basis)
-    jdeg = np.array(basis.indices)               # (M1, dims)
-    dense = np.ones((len(coeff_set), M1, M1))
-    for C, ind in zip(dense, coeff_set.indices):
-        for d in range(basis.dims):
-            C *= table[ind[d]][jdeg[:, d][:, None], jdeg[:, d][None, :]]
-    cutoff = STRUCTURAL_ZERO_RTOL * max(float(np.max(np.abs(C))) for C in dense)
-    for C in dense:
-        C[np.abs(C) < cutoff] = 0.0
-    # one sparse construction for all coefficients, split by row blocks
-    S = sp.csr_matrix(dense.reshape(-1, M1))
-    couplings = tuple(S[i * M1:(i + 1) * M1] for i in range(len(coeff_set)))
-    return TripleProductTensor(coeff_set, basis, family.kind, couplings)
-
-
-def _build_linear(basis, coeff_set, family, table) -> TripleProductTensor:
-    """Linear coefficient expansion: only neighbours j, k = j +- e_d couple.
-
-    Same factor values as the general path, assembled without scanning all
-    (j, k) pairs; the first-order univariate product t(1, a, b) vanishes
-    unless |a - b| = 1, so a basis index only couples to indices differing by
-    one in exactly one dimension.
-    """
-    dims = basis.dims
-    M1 = len(basis)
-    t0 = np.array([table[0, a, a] for a in range(basis.degree + 1)])
-    jdeg = np.array(basis.indices)
-    prod0 = np.prod(t0[jdeg], axis=1)            # prod_d t(0, j_d, j_d)
-    couplings = [sp.diags(prod0, format="csr")]
-    for ind in coeff_set.indices:
-        if sum(ind) == 0:
-            continue
-        d = ind.index(1)
-        rows, cols, vals = [], [], []
-        for j, t in enumerate(basis.indices):
-            base = prod0[j] / t0[t[d]]
-            for step in (-1, 1):
-                kd = t[d] + step
-                if kd < 0 or sum(t) + step > basis.degree:
-                    continue
-                k = basis.position(t[:d] + (kd,) + t[d + 1:])
-                v = table[1, t[d], kd] * base
-                if v != 0.0:
-                    rows.append(j)
-                    cols.append(k)
-                    vals.append(v)
-        C = sp.coo_matrix((vals, (rows, cols)), shape=(M1, M1)).tocsr()
-        couplings.append(C)
-    return TripleProductTensor(coeff_set, basis, family.kind, tuple(couplings))
+def _rows_view(S: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows start..stop-1 of S as a CSR matrix sharing S's arrays."""
+    a, b = S.indptr[start], S.indptr[stop]
+    C = sp.csr_matrix((S.data[a:b], S.indices[a:b], S.indptr[start:stop + 1] - a),
+                      shape=(stop - start, S.shape[1]))
+    # scipy's format check copies a view of a larger array
+    C.data, C.indices = S.data[a:b], S.indices[a:b]
+    return C

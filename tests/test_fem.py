@@ -184,9 +184,16 @@ def test_batched_assembly_matches_per_field_assembly():
     gauss = gaussian_kl(LognormalFieldSpec(cov=1.0), mesh, 2)
     for fields in (np.vstack([np.ones(mesh.n_nodes), kl.fields]),
                    lognormal_gpc_coefficients(gauss, build_multi_index_set(2, 4))):
-        batch = assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True)
-        assert len(batch) == len(fields)
-        for k, (K, field) in enumerate(zip(batch, fields)):
+        indices, indptr, data = assemble_weighted_stiffness(mesh, fields,
+                                                            unit_boundary_diag=True)
+        assert data.shape == (len(fields), len(indices)) and data.flags.c_contiguous
+        # interior entries plus the boundary diagonal, one entry per boundary row
+        assert np.array_equal(np.diff(indptr)[mesh.boundary_mask], np.ones(
+            mesh.boundary_mask.sum()))
+        for k, (row, field) in enumerate(zip(data, fields)):
+            K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2,
+                              copy=True)
+            K.eliminate_zeros()
             one = assemble_weighted_stiffness(mesh, field, unit_boundary_diag=k == 0)
             ref = element_by_element_stiffness(mesh, field, k == 0)
             # the same sums in the same order: equal bit for bit

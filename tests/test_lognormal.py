@@ -137,7 +137,7 @@ def vanished_fluctuation_operator():
     tensor = build_triple_product_tensor(basis, coeff, hermite_family())
     mats = [assemble_weighted_stiffness(mesh, fields[0], unit_boundary_diag=True)]
     mats += [assemble_weighted_stiffness(mesh, f) for f in fields[1:]]
-    return GalerkinOperator(mats, tensor)
+    return GalerkinOperator.from_matrices(mats, tensor)
 
 
 def test_zero_variance_levels_collapse_to_block_diagonal():

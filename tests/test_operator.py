@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
+from sgfem.precond import make_preconditioner
 
 
 def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
@@ -195,7 +197,7 @@ def test_nonsymmetric_coefficient_matrices_supported():
     mats = list(op.matrices)
     pert = sp.random(mesh.n_nodes, mesh.n_nodes, density=0.05, random_state=7)
     mats[1] = mats[1] + 0.01 * (pert - pert.T)
-    nonsym = GalerkinOperator(mats, op.tensor)
+    nonsym = GalerkinOperator.from_matrices(mats, op.tensor)
     A = np.zeros(nonsym.shape)
     for Ci, Ki in zip(nonsym.tensor.coupling, nonsym.matrices):
         A += np.kron(Ci.toarray(), Ki.toarray())
@@ -225,3 +227,16 @@ def test_zero_sigma_operator_is_block_diagonal():
         head, tail = op.level_slices(level)
         y = np.ones((tail.stop - tail.start, op.ndof))
         assert np.all(op.product(head, tail, y) == 0.0)
+
+
+def test_set_up_makes_no_per_coefficient_matrix():
+    # the lognormal benchmark row: 210 coefficient matrices
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=4, P=3, h=0.1))
+    for kind in ("mean", "bsgs", "hs"):
+        make_preconditioner(op, kind)
+    assert "matrices" not in op.__dict__ and "coupling" not in op.tensor.__dict__
+    assert op.data.shape == (210, len(op.indices)) and op.data.flags.c_contiguous
+    # the mean solve reads K_0 alone, the first of the views made on demand
+    assert op.matrices[0] is op.mean_matrix and len(op.matrices) == 210
+    for i, K in enumerate(op.matrices):
+        assert np.shares_memory(K.data, op.data[i])

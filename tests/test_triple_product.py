@@ -1,17 +1,53 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
+from sgfem.experiments import TABLE_SWEEPS
 from sgfem.multi_index import build_multi_index_set
 from sgfem.orthopoly import hermite_family, legendre_family
-from sgfem.triple_product import build_triple_product_tensor
+from sgfem.triple_product import STRUCTURAL_ZERO_RTOL, build_triple_product_tensor
 
 
 def kl_tensor(dims, degree, family=None):
     basis = build_multi_index_set(dims, degree)
     coeff = build_multi_index_set(dims, 1)
     return build_triple_product_tensor(basis, coeff, family or legendre_family())
+
+
+def dense_oracle(basis, coeff, family) -> sp.csr_matrix:
+    """c_ijk from the full (n_coeff, M+1, M+1) array: per coefficient the
+    product of the univariate tables over the dimensions in order, entries
+    below the relative cutoff dropped, as CSR rows i * (M+1) + j."""
+    table = family.triple_product_table(coeff.degree, basis.degree)
+    digits = np.array(basis.indices)
+    dense = np.ones((len(coeff), len(basis), len(basis)))
+    for C, ind in zip(dense, coeff.indices):
+        for d in range(basis.dims):
+            C *= table[ind[d]][digits[:, d][:, None], digits[:, d][None, :]]
+    dense[np.abs(dense) < STRUCTURAL_ZERO_RTOL * np.abs(dense).max()] = 0.0
+    return sp.csr_matrix(dense.reshape(-1, len(basis)))
+
+
+def assert_equals_dense_oracle(t, ref):
+    """Equal CSR patterns and bitwise equal values."""
+    assert t.stacked.shape == ref.shape
+    assert np.array_equal(t.stacked.indptr, ref.indptr)
+    assert np.array_equal(t.stacked.indices, ref.indices)
+    assert t.stacked.data.tobytes() == ref.data.tobytes()
+
+
+def assert_equals_family_oracle(kind, dims, degree):
+    """Legendre with the order-1 coefficient set, Hermite with order 2P."""
+    family = legendre_family() if kind == "legendre" else hermite_family()
+    basis = build_multi_index_set(dims, degree)
+    coeff = build_multi_index_set(dims, 1 if kind == "legendre" else 2 * degree)
+    assert_equals_dense_oracle(build_triple_product_tensor(basis, coeff, family),
+                               dense_oracle(basis, coeff, family))
 
 
 def test_block_counts_match_structure_figures():
@@ -123,17 +159,12 @@ def test_block_pattern_counts_small_case():
     assert t.n_diag_blocks == 5
 
 
-def test_linear_fast_path_matches_general_build():
-    from sgfem.triple_product import _build_general
+def test_linear_build_matches_dense_oracle():
     fam = legendre_family()
     basis = build_multi_index_set(3, 3)
     coeff = build_multi_index_set(3, 1)
-    fast = build_triple_product_tensor(basis, coeff, fam)
-    table = fam.triple_product_table(1, 3)
-    slow = _build_general(basis, coeff, fam, table)
-    for cf, cs in zip(fast.coupling, slow.coupling):
-        assert np.allclose(cf.toarray(), cs.toarray(), atol=1e-14)
-    assert fast.n_blocks == slow.n_blocks
+    assert_equals_dense_oracle(build_triple_product_tensor(basis, coeff, fam),
+                               dense_oracle(basis, coeff, fam))
 
 
 def test_work_count_scale_is_fast():
@@ -145,18 +176,58 @@ def test_work_count_scale_is_fast():
 
 
 def test_general_build_matches_per_coefficient_products():
-    from sgfem.triple_product import STRUCTURAL_ZERO_RTOL
     fam = hermite_family()
     basis = build_multi_index_set(2, 3)
     coeff = build_multi_index_set(2, 6)
     t = build_triple_product_tensor(basis, coeff, fam)
-    table = fam.triple_product_table(6, 3)
-    ref = np.ones((len(coeff), len(basis), len(basis)))
-    for i, a in enumerate(coeff.indices):
-        for j, b in enumerate(basis.indices):
-            for k, c in enumerate(basis.indices):
-                for d in range(2):
-                    ref[i, j, k] *= table[a[d], b[d], c[d]]
-    ref[np.abs(ref) < STRUCTURAL_ZERO_RTOL * np.abs(ref).max()] = 0.0
-    for C, R in zip(t.coupling, ref):
+    ref = dense_oracle(basis, coeff, fam)
+    assert_equals_dense_oracle(t, ref)
+    for C, R in zip(t.coupling, ref.toarray().reshape(len(coeff), len(basis), -1)):
         assert np.array_equal(C.toarray(), R) and C.nnz == np.count_nonzero(R)
+
+
+@given(st.sampled_from(["legendre", "hermite"]), st.integers(1, 4), st.integers(0, 4))
+def test_build_equals_dense_oracle(kind, dims, degree):
+    assert_equals_family_oracle(kind, dims, degree)
+
+
+def test_table_configurations_equal_dense_oracle():
+    configs = set()
+    for base, variable, values in TABLE_SWEEPS.values():
+        for value in values:
+            config = replace(base, **{variable: value}) if variable in "NP" else base
+            configs.add((config.distribution, config.N, config.P))
+    assert len(configs) == 22
+    for distribution, dims, degree in sorted(configs):
+        assert_equals_family_oracle(
+            "legendre" if distribution == "uniform" else "hermite", dims, degree)
+
+
+def test_entries_read_every_coupling_in_order(tmp_path):
+    t = build_triple_product_tensor(build_multi_index_set(2, 2),
+                                    build_multi_index_set(2, 4), hermite_family())
+    per_coefficient = []
+    for i, C in enumerate(t.coupling):
+        coo = C.tocoo()
+        per_coefficient += [(i, int(j), int(k), float(v))
+                            for j, k, v in zip(coo.row, coo.col, coo.data)]
+    assert list(t.entries()) == per_coefficient
+    path = tmp_path / "tensor.txt"
+    t.write_entries(path)
+    assert path.read_text() == "".join(f"{i} {j} {k} {v:.17g}\n"
+                                       for i, j, k, v in per_coefficient)
+
+
+def test_large_hermite_build_stays_sparse():
+    # the dense (n_coeff, M+1, M+1) array of this tensor would take 1.06 GB
+    basis = build_multi_index_set(6, 4)
+    coeff = build_multi_index_set(6, 8)
+    tracemalloc.start()
+    try:
+        t = build_triple_product_tensor(basis, coeff, hermite_family())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.stacked.nnz == 105_770
+    assert t.stacked.shape == (len(coeff) * len(basis), len(basis))
+    assert peak < 150e6

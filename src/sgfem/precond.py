@@ -25,7 +25,12 @@ diagonal-block solve or one product with an off-diagonal block the operator
 multiplies (``live_blocks``).  For one application of the hierarchical
 preconditioner the tallies are n_ds = 2(n_db - 1) + 1 solves and one product
 per live block whose two degrees differ; on a block-diagonal-level operator
-that is n_m = n_b - n_db, matching the tabulated work counts.
+that is n_m = n_b - n_db, matching the tabulated work counts.  On either
+form of the operator a counted product is work done: the pre-summed form
+multiplies only the blocks of the rows asked for, and the matrix-free form
+multiplies each K_i with only the column blocks that reach them (one K_i X_j
+per counted block at N=8, P=4; on smaller bases a K_i that needs more than
+half of a column range multiplies all of it).
 """
 from __future__ import annotations
 

@@ -382,29 +382,67 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
 
 hermite_configs = st.tuples(st.just("lognormal"), st.integers(1, 3), st.integers(1, 3),
                             st.integers(2, 4))
+legendre_configs = st.tuples(st.just("uniform"), st.integers(1, 3), st.integers(1, 3),
+                             st.integers(2, 4))
 
 
-def check_row_products_against_oracle(op, rng):
+class CountingMatrix:
+    """A spatial matrix K_i that tallies the block vectors X_j it multiplies."""
+
+    def __init__(self, K, tally: list):
+        self.K, self.tally = K, tally
+
+    def __matmul__(self, X):
+        self.tally.append(X.shape[1])
+        return self.K @ X
+
+    def __getattr__(self, name):
+        return getattr(self.K, name)
+
+
+def count_spatial_products(op) -> list:
+    """Swap the K_i of a matrix-free operator for counting ones; the list
+    returned gets the number of products K_i X_j of every multiplication.
+    The product plans take the K_i when built, so none may exist yet."""
+    assert not op.presummed and op._plans == {}
+    tally = []
+    op.__dict__["matrices"] = tuple(CountingMatrix(K, tally) for K in op.matrices)
+    return tally
+
+
+def check_row_products_against_oracle(op, rng, tally=None):
     """Every A/B/C/D product and products over random row and column ranges
-    give exactly the rows asked for, equal to the dense oracle's."""
+    give exactly the rows asked for, equal to the dense oracle's.  A
+    matrix-free product equals, bit for bit, the rows of the product of all
+    rows with the same columns; with the ``tally`` of count_spatial_products
+    it multiplies at least each distinct pair (i, j) with a term in the
+    block and at most the whole column range of each coefficient i."""
     A = dense_kron_oracle(op)
     n = op.ndof
+    i, t, j, _ = op.coupling_entries
 
-    def check(rows, cols, product):
+    def check(rows, cols):
         X = rng.standard_normal((cols.stop - cols.start, n))
         ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
-        got = product(X)
+        if tally is not None:
+            tally.clear()
+        got = op.product(rows, cols, X)
         assert got.shape == (rows.stop - rows.start, n)
         assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        if tally is not None:
+            block = (t >= rows.start) & (t < rows.stop) & (j >= cols.start) & (j < cols.stop)
+            pairs = np.unique(i[block] * op.n_blocks + j[block])
+            active = np.unique(i[block])
+            assert len(pairs) <= sum(tally) <= len(active) * (cols.stop - cols.start)
+        if not op.presummed:
+            assert np.array_equal(got, op.product(slice(None), cols, X)[rows])
 
     for level in range(op.basis.degree + 1):
         for part in PARTS:
-            rows, cols = block_ranges(op, level, part)
-            check(rows, cols, lambda X: op.product(rows, cols, X))
+            check(*block_ranges(op, level, part))
     for _ in range(4):
-        rows, cols = (slice(*sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))
-                      for _ in range(2))
-        check(rows, cols, lambda X: op.product(rows, cols, X))
+        check(*(slice(*sorted(rng.choice(op.n_blocks + 1, 2, replace=False)))
+                for _ in range(2)))
 
 
 @given(hermite_configs, st.integers(0, 2**32 - 1))
@@ -414,6 +452,60 @@ def test_dense_block_products_and_row_sweeps_match_dense_oracle(config, seed):
     check_row_products_against_oracle(op, np.random.default_rng(seed))
     check_products_against_oracle(op)
     check_bsgs_against_oracle(op)
+
+
+@given(legendre_configs, st.integers(0, 2**32 - 1))
+def test_matrix_free_products_give_exact_rows_from_the_needed_columns(config, seed):
+    op = build(config)
+    tally = count_spatial_products(op)
+    check_row_products_against_oracle(op, np.random.default_rng(seed), tally)
+
+
+def test_block_products_do_the_work_the_counters_count():
+    # the uniform benchmark row's basis, N=8 P=4, on h = 1/4: at h = 1/2 the
+    # odd modes vanish at the one interior node
+    op = build_operator(ExperimentConfig(distribution="uniform", N=8, P=4, h=0.25))
+    tally = count_spatial_products(op)
+    r = np.random.default_rng(3).standard_normal(op.shape[0])
+    op.matvec(r)
+    # K_0 and every fluctuation K_i multiply all 495 column blocks: 285 of
+    # them reach a row for each K_i, too many to pay for gathering
+    assert sum(tally) == 9 * 495
+    for kind in ("bsgs", "hs"):
+        prec = make_preconditioner(op, kind, EXACT)
+        tally.clear()
+        prec(r)
+        assert sum(tally) == prec.counters.block_matvecs == 2640, kind
+
+
+def test_product_plans_are_built_lazily_and_once():
+    built = []
+
+    class Plans(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    op = build_operator(ExperimentConfig(distribution="uniform", N=3, P=3, h=1 / 4))
+    assert not op.presummed
+    precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
+    # neither the build nor a preconditioner set-up plans a product
+    assert op._plans == {}
+    op._plans = Plans()
+    r = np.ones(op.shape[0])
+    precs[0](r)
+    assert built == []
+    op.matvec(r)
+    for prec in precs[1:]:
+        prec(r)
+    # the full product, then per level l = 1..P the forward sweep range
+    # and B_l and C_l (the backward sweep's ranges are those of B_l), each
+    # planned at its first use
+    assert len(built) == len(set(built)) == 1 + 3 * op.basis.degree
+    for prec in precs:
+        prec(r)
+    op.matvec(r)
+    assert len(built) == 1 + 3 * op.basis.degree
 
 
 def test_dense_blocks_with_empty_spatial_rows():

@@ -6,27 +6,33 @@ Two subcommands:
   run   [--config FILE] [flags] [--out D] run a single configuration
   diag  --spectral --N .. --P .. --h ..   dense condition-bound diagnostic
 
-Config files are flat ``key=value`` text (hash comments allowed); every key
-is also a command-line flag and flags override file values.  Exit codes:
-0 success, 2 reference diff beyond tolerance, 1 solver or usage error.
+Config files are flat ``key=value`` text (hash comments allowed); keys and
+flags are the fields of ExperimentConfig (``--max-iter`` sets max_iter) and
+flags override file values.  Exit codes: 0 success, 2 reference diff beyond
+tolerance, 1 solver or usage error (any bad flag, key or value; one line).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import fields
 
-from .experiments import (ExperimentConfig, run_experiment, run_table,
+from .experiments import (CHOICES, ExperimentConfig, run_experiment, run_table,
                           spectral_diagnostic)
 from .operator import InnerSolveError
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"N", "P", "seed", "n_quad", "max_iter"}
-_FLOAT_KEYS = {"h", "k0", "sigma", "cov", "L", "tol"}
+
+def _types() -> dict:
+    """Field of ExperimentConfig -> value type, the None of an optional
+    field dropped."""
+    return {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value parser; blank lines and # comments are skipped."""
+    types = _types()
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -36,54 +42,39 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _convert(key, val)
+            values[key] = types[key](val)
     return values
 
 
-def _convert(key: str, val: str):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    return val
-
-
 def build_config(args) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = parse_config_file(args.config) if args.config else {}
+    for key in _types():
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return ExperimentConfig(**values)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--distribution", choices=["uniform", "lognormal"])
-    parser.add_argument("--N", type=int, help="stochastic dimensions")
-    parser.add_argument("--P", type=int, help="polynomial degree")
-    parser.add_argument("--h", type=float, help="element size (1/h integer)")
-    parser.add_argument("--k0", type=float, help="coefficient mean")
-    parser.add_argument("--sigma", type=float, help="uniform-case standard deviation")
-    parser.add_argument("--cov", type=float, help="coefficient of variation")
-    parser.add_argument("--L", type=float, help="correlation length")
-    parser.add_argument("--preconditioner", choices=["none", "mean", "bsgs", "hs"])
-    parser.add_argument("--inner",
-                        choices=["exact", "cg-none", "cg-diagonal", "cg-exact"])
-    parser.add_argument("--krylov", choices=["cg", "fcg"])
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--rhs", choices=["load", "random"])
-    parser.add_argument("--n-quad", dest="n_quad", type=int)
+    """One flag per field; the values allowed are checked by validate()."""
+    types = _types()
+    for f in fields(ExperimentConfig):
+        allowed = CHOICES.get(f.name)
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=types[f.name],
+                            metavar="{" + ",".join(allowed) + "}" if allowed else None,
+                            help=f.metadata.get("help"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main reports with exit code 1."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sgfem",
-                                     description="stochastic Galerkin solver experiments")
+    parser = _Parser(prog="sgfem", description="stochastic Galerkin solver experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a table sweep or a single configuration")
@@ -116,11 +107,13 @@ def cmd_run(args) -> int:
                 cells = " ".join(f"{k}:{it}/{kappa:.4f}"
                                  for k, (it, kappa) in row.results.items())
                 print(f"{row.sweep}: ndof={row.ndof} {cells}")
+                for flag in row.flags:
+                    print(f"FLAG {args.table}[{row.sweep}] {flag}", file=sys.stderr)
         for v in violations:
             print(f"DIFF {v}", file=sys.stderr)
         return 2 if violations else 0
     config = build_config(args)
-    _, report = run_experiment(config)
+    report = run_experiment(config)
     print(f"iterations={report.iterations} kappa={report.kappa_estimate:.6g} "
           f"converged={report.converged} spd_suspect={report.spd_suspect} "
           f"non_finite={report.non_finite}")
@@ -151,8 +144,8 @@ def cmd_diag(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "run":
             return cmd_run(args)
         return cmd_diag(args)

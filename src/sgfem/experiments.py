@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from math import comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,10 +23,10 @@ from .kle import (CovarianceSpec, KLExpansion, build_kl_expansion,
                   eig_2d_separable)
 from .lognormal import LognormalFieldSpec, build_lognormal_operator
 from .multi_index import build_multi_index_set
-from .operator import GalerkinOperator, InnerSolver
+from .operator import (DENSE_ASSEMBLY_LIMIT, GalerkinOperator, InnerSolver,
+                       build_uniform_operator)
 from .orthopoly import legendre_family
 from .precond import HierarchicalSchur, WorkCount, make_preconditioner, work_count
-from .operator import build_uniform_operator
 
 INNER_POLICIES = {
     "exact": InnerSolver(kind="exact"),
@@ -34,45 +35,52 @@ INNER_POLICIES = {
     "cg-exact": InnerSolver(kind="cg", precond="exact"),
 }
 
+CHOICES = {
+    "distribution": ("uniform", "lognormal"),
+    "preconditioner": reference.PRECONDITIONER_ORDER,
+    "inner": tuple(INNER_POLICIES),
+    "krylov": ("cg", "fcg"),
+    "rhs": ("load", "random"),
+}
+
+
+def _described(default, text: str):
+    return field(default=default, metadata={"help": text})
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One solver run; field names double as config-file keys and CLI flags."""
+    """One solver run; field names double as config-file keys and CLI flags,
+    the annotations give their types, CHOICES the values of the strings and
+    the metadata the help of the flags."""
 
-    distribution: str = "uniform"        # uniform | lognormal
-    N: int = 4                           # stochastic dimensions
-    P: int = 4                           # polynomial degree
-    h: float = 0.1                       # element size, 1/h integer
-    k0: float = 1.0                      # coefficient mean
-    sigma: float | None = None           # uniform case std; default cov*k0
-    cov: float = 0.5                     # coefficient of variation
-    L: float = 0.5                       # correlation length
-    preconditioner: str = "hs"           # none | mean | bsgs | hs
+    distribution: str = "uniform"
+    N: int = _described(4, "stochastic dimensions")
+    P: int = _described(4, "polynomial degree")
+    h: float = _described(0.1, "element size (1/h integer)")
+    k0: float = _described(1.0, "coefficient mean")
+    # None means cov * k0
+    sigma: float | None = _described(None, "uniform-case standard deviation")
+    cov: float = _described(0.5, "coefficient of variation")
+    L: float = _described(0.5, "correlation length")
+    preconditioner: str = "hs"
     inner: str = "exact"                 # see INNER_POLICIES
-    krylov: str = "cg"                   # cg | fcg
+    krylov: str = "cg"
     tol: float = 1e-8
     max_iter: int | None = None
     seed: int = 0
-    rhs: str = "load"                    # load | random
+    rhs: str = "load"
     n_quad: int = 1000
 
     def validate(self) -> None:
-        if self.distribution not in ("uniform", "lognormal"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}; choose from {list(allowed)}")
         if self.N < 1 or self.P < 0:
             raise ValueError(f"need N >= 1, P >= 0, got N={self.N}, P={self.P}")
-        if self.preconditioner not in reference.PRECONDITIONER_ORDER:
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}; "
-                             f"choose from {list(reference.PRECONDITIONER_ORDER)}")
-        if self.inner not in INNER_POLICIES:
-            raise ValueError(f"unknown inner policy {self.inner!r}; "
-                             f"choose from {sorted(INNER_POLICIES)}")
-        if self.krylov not in ("cg", "fcg"):
-            raise ValueError(f"unknown krylov variant {self.krylov!r}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.rhs not in ("load", "random"):
-            raise ValueError(f"unknown rhs kind {self.rhs!r}")
         build_mesh(self.h)  # validates 1/h
 
     @property
@@ -121,8 +129,8 @@ def _rhs_for(config: ExperimentConfig, op: GalerkinOperator) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig,
-                   op: GalerkinOperator | None = None):
-    """Run one configuration; returns (TableRow, SolveReport)."""
+                   op: GalerkinOperator | None = None) -> krylov.SolveReport:
+    """Run one configuration and report the solve."""
     if op is None:
         op = build_operator(config)
     b = _rhs_for(config, op)
@@ -131,19 +139,11 @@ def run_experiment(config: ExperimentConfig,
     solver = krylov.cg if config.krylov == "cg" else krylov.fcg
     x, report = solver(op.matvec, b, apply_m=prec, tol=config.tol,
                        max_iter=config.max_iter)
-    row = TableRow(sweep=config.N, ndof=op.shape[0])
-    row.results[config.preconditioner] = (report.iterations, report.kappa_estimate)
     if prec is not None:
         report.work = prec.counters.__dict__.copy()
         if config.distribution == "uniform":
             report.work.update(WorkCount.of(op.tensor).as_dict())
-    if report.spd_suspect:
-        row.flags.append("not guaranteed: indefiniteness detected")
-    if report.non_finite:
-        row.flags.append("stopped: non-finite value")
-    elif not report.converged and not report.spd_suspect:
-        row.flags.append("max_iter reached")
-    return row, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,14 @@ def run_row(config: ExperimentConfig, kinds=reference.PRECONDITIONER_ORDER,
     row = TableRow(sweep=sweep_value, ndof=op.shape[0])
     for kind in kinds:
         cfg = replace(config, preconditioner=kind)
-        _, report = run_experiment(cfg, op=op)
+        report = run_experiment(cfg, op=op)
         row.results[kind] = (report.iterations, report.kappa_estimate)
         if report.spd_suspect:
             row.flags.append(f"{kind}: not guaranteed (indefiniteness detected)")
+        if report.non_finite:
+            row.flags.append(f"{kind}: stopped (non-finite value)")
+        elif not report.converged and not report.spd_suspect:
+            row.flags.append(f"{kind}: max_iter reached")
     if config.distribution == "uniform":
         row.work = WorkCount.of(op.tensor).as_dict()
     return row
@@ -357,22 +361,22 @@ class SpectralDiagnostic:
         return self.kappa <= self.bound * (1.0 + 1e-6)
 
 
-def spectral_diagnostic(config: ExperimentConfig, size_limit: int = 2000,
-                        op: GalerkinOperator | None = None) -> SpectralDiagnostic:
+def spectral_diagnostic(config: ExperimentConfig) -> SpectralDiagnostic:
     """Dense check that the measured condition number obeys the product bound.
 
+    Refuses a system above DENSE_ASSEMBLY_LIMIT before building anything.
     Assembles the hierarchy matrices densely, computes the extreme
     generalized eigenvalues of (S_l, A_l) per level, their ratio product, and
     the condition number of the exactly-solved hierarchical preconditioner
     applied to the full matrix.
     """
-    if op is None:
-        op = build_operator(config)
-    n = op.shape[0]
-    if n > size_limit:
+    config.validate()
+    n = comb(config.N + config.P, config.P) * build_mesh(config.h).n_nodes
+    if n > DENSE_ASSEMBLY_LIMIT:
         raise ValueError(f"spectral diagnostic needs dense assembly; dimension "
-                         f"{n} exceeds the limit {size_limit}")
-    A = op.dense(limit=size_limit)
+                         f"{n} exceeds the limit {DENSE_ASSEMBLY_LIMIT}")
+    op = build_operator(config)
+    A = op.dense()
     sizes = [m * op.ndof for m in op.basis.degree_offsets[1:]]
     levels = []
     bound = 1.0

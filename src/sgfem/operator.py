@@ -315,30 +315,24 @@ class GalerkinOperator:
         backward), where solved are the blocks before b (after b when
         backward) and X[b] is written before the next range is coupled.
 
-        Pre-summed blocks read the rows of b against a gathered copy of the
-        solved blocks that grows with the sweep; the matrix-free form
-        scatters each solved range once, A[rest, range] @ X[range], into
-        the rows still to come, computing only those rows.
+        The matrix-free form is the product over (b, solved), whose plan a
+        scalar level's forward range shares with C_l.  Pre-summed blocks
+        read the rows of b against a gathered copy of the solved blocks that
+        grows with the sweep, so no block of X is gathered twice.
         """
         n = self.n_blocks
-        frontier = n if backward else 0     # X beyond it is taken into account
-        if self.presummed:
-            G = np.empty((len(self.indices), n))
-        else:
-            acc = np.zeros_like(X)
+        frontier = n if backward else 0     # X beyond it is gathered
+        G = np.empty((len(self.indices), n)) if self.presummed else None
 
         def couple(b: slice) -> np.ndarray:
             nonlocal frontier
+            solved = slice(b.stop, n) if backward else slice(0, b.start)
+            if not self.presummed:
+                return self.product(b, solved, X[solved])
             new = slice(b.stop, frontier) if backward else slice(frontier, b.start)
             frontier = new.start if backward else new.stop
-            if self.presummed:
-                G[:, new] = X[new].T[self.indices]
-                solved = slice(b.stop, n) if backward else slice(0, b.start)
-                return self._block_rows(b, solved, G[:, solved])
-            if new.start < new.stop:
-                rest = slice(0, b.stop) if backward else slice(b.start, n)
-                acc[rest] += self.product(rest, new, X[new])
-            return acc[b]
+            G[:, new] = X[new].T[self.indices]
+            return self._block_rows(b, solved, G[:, solved])
 
         return couple
 

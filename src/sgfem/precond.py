@@ -142,9 +142,11 @@ class BlockSGS(_BlockPreconditioner):
     block-by-block mapping: a level l = 0..P with D_l = diag(c_0kk K_0) is
     one group, solved by one d_block_solve; every block of a coupled level is
     its own group, solved by its ``block_solver``.  The operator's
-    ``sweep_coupling`` gives each group its coupling to the groups solved
-    before it in the sweep (the earlier blocks forward, the later blocks
-    backward).
+    ``sweep_coupling`` gives each group b its coupling A[b, solved] @
+    X[solved] to the groups solved before it in the sweep (the earlier
+    blocks forward, the later blocks backward); matrix-free, that is one
+    product per group, whose forward ranges on scalar levels are the C_l of
+    the hierarchical preconditioner.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),

@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+
 import pytest
 from scipy.linalg import LinAlgError
 
@@ -108,6 +111,66 @@ def test_usage_error_exit_one(capsys):
     rc = cli.main(["run", "--N", "0"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "--preconditioner", "foo"], ["run", "--N", "abc"],
+                                  ["run", "--bogus", "1"], []])
+def test_bad_invocation_exit_one_with_one_error_line(argv, capsys):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _flags(command: str) -> set:
+    sub = next(action for action in cli.make_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions} - {"help"}
+
+
+def test_every_config_field_is_a_flag_and_a_key_and_nothing_else_is(monkeypatch, tmp_path):
+    # a field added to the config needs no other edit
+    config = dataclasses.make_dataclass("Config", [("omega", float, 2.0)], frozen=True,
+                                        bases=(experiments.ExperimentConfig,))
+    monkeypatch.setattr(cli, "ExperimentConfig", config)
+    names = {f.name for f in dataclasses.fields(config)}
+    assert _flags("run") == names | {"table", "config", "out"}
+    assert _flags("diag") == names | {"spectral", "config"}
+    defaults = config()
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{name} = {getattr(defaults, name) or 1}\n" for name in names))
+    values = cli.parse_config_file(str(cfg))
+    assert set(values) == names
+    args = cli.make_parser().parse_args(["run", "--config", str(cfg), "--omega", "3"])
+    assert cli.build_config(args) == dataclasses.replace(defaults, **{**values, "omega": 3.0})
+
+
+def _run_help(capsys) -> str:
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--help"])
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_run_help_usage_lists_the_choices(monkeypatch, capsys):
+    out = _run_help(capsys)
+    assert "[--preconditioner {none,mean,bsgs,hs}]" in out
+    assert "[--inner {exact,cg-none,cg-diagonal,cg-exact}]" in out
+    # the usage reads the one list of allowed values
+    monkeypatch.setitem(experiments.CHOICES, "krylov", ("cg", "fcg", "minres"))
+    assert "[--krylov {cg,fcg,minres}]" in _run_help(capsys)
+
+
+def test_flagged_table_column_printed_without_changing_exit_code(monkeypatch, capsys):
+    base = dataclasses.replace(experiments.TABLE_SWEEPS["T3"][0], max_iter=2)
+    monkeypatch.setitem(experiments.TABLE_SWEEPS, "T3", (base, "cov", [0.05]))
+    rc = cli.main(["run", "--table", "T3"])
+    assert rc == 0
+    flags = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FLAG ")]
+    # bsgs and hs converge within two iterations at CoV 0.05
+    assert flags == ["FLAG T3[5] none: max_iter reached",
+                     "FLAG T3[5] mean: max_iter reached"]
 
 
 def test_unknown_preconditioner_in_config_file_exit_one_before_build(tmp_path, monkeypatch,

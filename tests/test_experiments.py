@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgfem import experiments
 from sgfem.experiments import (ExperimentConfig, build_operator, run_experiment,
                                run_row, run_table, spectral_diagnostic)
 
@@ -40,7 +41,7 @@ def test_ndof_bookkeeping():
 def test_zero_sigma_all_preconditioners_one_iteration():
     for kind in ("mean", "bsgs", "hs"):
         cfg = ExperimentConfig(N=2, P=2, h=0.25, sigma=0.0, preconditioner=kind)
-        _, report = run_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.iterations == 1
         assert report.converged
 
@@ -48,7 +49,7 @@ def test_zero_sigma_all_preconditioners_one_iteration():
 def test_single_run_reference_row():
     # solver of the finest preconditioner on the smallest sweep row
     cfg = ExperimentConfig(N=1, P=4, h=0.1, cov=0.5, preconditioner="hs")
-    _, report = run_experiment(cfg)
+    report = run_experiment(cfg)
     assert abs(report.iterations - 5) <= 2
     assert report.kappa_estimate == pytest.approx(1.0465, rel=0.15)
     assert report.work is not None and report.work["block_solves"] > 0
@@ -65,8 +66,8 @@ def test_run_row_collects_all_columns():
 def test_random_rhs_deterministic_by_seed():
     cfg = ExperimentConfig(N=2, P=1, h=0.25, rhs="random", seed=5,
                            preconditioner="mean")
-    _, r1 = run_experiment(cfg)
-    _, r2 = run_experiment(cfg)
+    r1 = run_experiment(cfg)
+    r2 = run_experiment(cfg)
     assert r1.iterations == r2.iterations
     assert r1.relative_residuals == r2.relative_residuals
 
@@ -153,3 +154,13 @@ def test_spectral_diagnostic_bound_holds():
 def test_spectral_diagnostic_size_guard():
     with pytest.raises(ValueError):
         spectral_diagnostic(ExperimentConfig(N=4, P=4, h=0.1))
+
+
+def test_spectral_diagnostic_refuses_before_building(monkeypatch):
+    def no_build(config):
+        raise AssertionError("operator built for a dense check it must refuse")
+
+    monkeypatch.setattr(experiments, "build_operator", no_build)
+    # lognormal N=8 P=6 h=1/50: 3003 blocks of 2601 nodes
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        spectral_diagnostic(ExperimentConfig(distribution="lognormal", N=8, P=6, h=0.02))

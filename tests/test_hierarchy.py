@@ -498,14 +498,16 @@ def test_product_plans_are_built_lazily_and_once():
     op.matvec(r)
     for prec in precs[1:]:
         prec(r)
-    # the full product, then per level l = 1..P the forward sweep range
-    # and B_l and C_l (the backward sweep's ranges are those of B_l), each
-    # planned at its first use
-    assert len(built) == len(set(built)) == 1 + 3 * op.basis.degree
+    # each planned at its first use: the full product; per level l = 1..P
+    # B_l and C_l (a forward sweep range is that of C_l); per level
+    # l = 0..P the backward sweep range (tail_l, after_l); and the empty
+    # forward range of level 0
+    n_plans = 3 * op.basis.degree + 3
+    assert len(built) == len(set(built)) == n_plans
     for prec in precs:
         prec(r)
     op.matvec(r)
-    assert len(built) == 1 + 3 * op.basis.degree
+    assert len(built) == n_plans
 
 
 def test_dense_blocks_with_empty_spatial_rows():

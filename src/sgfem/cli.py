@@ -2,7 +2,7 @@
 
 Two subcommands:
 
-  run   --table NAME --out DIR            reproduce one convergence sweep
+  run   --table NAME [--out DIR]          reproduce one table (no config options)
   run   [--config FILE] [flags] [--out D] run a single configuration
   diag  --spectral --N .. --P .. --h ..   dense condition-bound diagnostic
 
@@ -44,7 +44,10 @@ def parse_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = types[key](val)
+            try:
+                values[key] = types[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -93,6 +96,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     if args.table:
+        given = [f"--{key.replace('_', '-')}" for key in ("config", *_types())
+                 if getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"--table runs the table's own configurations; "
+                             f"it takes no {', '.join(given)}")
         rows, violations, paths = run_table(args.table, args.out)
         for p in paths:
             print(f"wrote {p}")

@@ -187,10 +187,3 @@ def assemble_load(mesh: Mesh, f=1.0) -> np.ndarray:
     load[mesh.boundary_mask] = 0.0
     return load
 
-
-def write_matrix_coo(K: sp.spmatrix, path) -> None:
-    """Coordinate text export ``row col value`` (zero-based indices)."""
-    coo = K.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -55,13 +55,6 @@ class KLExpansion:
             for i, lam in enumerate(self.eigenvalues, start=1):
                 fh.write(f"{i},{lam:.17g}\n")
 
-    def write_fields_csv(self, path, node_coords: np.ndarray, mode: int) -> None:
-        """CSV dump ``node_x,node_y,k_i`` of one mode on the given nodes."""
-        with open(path, "w") as fh:
-            fh.write("node_x,node_y,k_i\n")
-            for (x, y), v in zip(node_coords, self.fields[mode]):
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-
 
 # leading eigenpairs keyed by (corr_length, n_quad), reused across operators;
 # only the columns asked for are kept, and a request for more repeats the

@@ -17,7 +17,9 @@ coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
 each K_i multiplying only the column blocks that reach those rows;
 otherwise (the lognormal chaos coefficient) it reads the dense stochastic
 blocks blocks[e] = sum_i C_i * K_i[e] at every stored spatial position e,
-summed once from the data array.  The graded index ordering induces a
+summed once from the data array.  Sub-matrices that are factorized or cut
+into block rows, such as a coupled level matrix D_l, are assembled from the
+same arrays by ``assemble_range``.  The graded index ordering induces a
 nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -234,16 +236,6 @@ class GalerkinOperator:
         rows = np.flatnonzero(np.diff(self.indptr))
         return rows, self.indptr[rows]
 
-    def _block_rows(self, rows: slice, cols: slice, G: np.ndarray) -> np.ndarray:
-        """A[rows, cols] @ X from the dense blocks, G[e] = X[:, indices[e]]
-        holding the gathered column blocks: one batched product per stored
-        position, then a sum over each spatial row's positions."""
-        P = np.matmul(self.blocks[:, rows, cols], G[:, :, None])[:, :, 0]
-        nonempty, starts = self._row_starts
-        out = np.zeros((self.ndof, P.shape[1]))
-        out[nonempty] = np.add.reduceat(P, starts, axis=0)
-        return out.T
-
     def _plan(self, rows: slice, cols: slice) -> tuple:
         """(lo, hi, groups, L) with A[rows, cols] @ X = L @ Y, built once
         per pair of ranges.  X[lo:hi] spans the column blocks j of every pair
@@ -291,7 +283,15 @@ class GalerkinOperator:
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
         if self.presummed:
-            return self._block_rows(rows, cols, np.ascontiguousarray(X.T)[self.indices])
+            # one batched product per stored position e against the gathered
+            # column blocks X[:, indices[e]], then a sum over each spatial
+            # row's positions
+            G = np.ascontiguousarray(X.T)[self.indices]
+            P = np.matmul(self.blocks[:, rows, cols], G[:, :, None])[:, :, 0]
+            nonempty, starts = self._row_starts
+            out = np.zeros((self.ndof, P.shape[1]))
+            out[nonempty] = np.add.reduceat(P, starts, axis=0)
+            return out.T
         lo, hi, groups, L = self._plan(rows, cols)
         XT = np.ascontiguousarray(X[lo:hi].T)     # scipy would copy X.T per product
         Y = np.empty((L.shape[1], self.ndof))
@@ -308,33 +308,6 @@ class GalerkinOperator:
                              f"expected {(self.n_blocks, self.ndof)}")
         V = self.product(slice(None), slice(None), U)
         return V.ravel() if flat else V
-
-    def sweep_coupling(self, X: np.ndarray, backward: bool = False):
-        """couple(b) = A[b, solved] @ X[solved] for a block Gauss-Seidel
-        sweep over contiguous block ranges b, ascending (descending when
-        backward), where solved are the blocks before b (after b when
-        backward) and X[b] is written before the next range is coupled.
-
-        The matrix-free form is the product over (b, solved), whose plan a
-        scalar level's forward range shares with C_l.  Pre-summed blocks
-        read the rows of b against a gathered copy of the solved blocks that
-        grows with the sweep, so no block of X is gathered twice.
-        """
-        n = self.n_blocks
-        frontier = n if backward else 0     # X beyond it is gathered
-        G = np.empty((len(self.indices), n)) if self.presummed else None
-
-        def couple(b: slice) -> np.ndarray:
-            nonlocal frontier
-            solved = slice(b.stop, n) if backward else slice(0, b.start)
-            if not self.presummed:
-                return self.product(b, solved, X[solved])
-            new = slice(b.stop, frontier) if backward else slice(frontier, b.start)
-            frontier = new.start if backward else new.stop
-            G[:, new] = X[new].T[self.indices]
-            return self._block_rows(b, solved, G[:, solved])
-
-        return couple
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.apply(np.asarray(u).ravel())
@@ -373,21 +346,6 @@ class GalerkinOperator:
         if key not in self._solver_cache:
             self._solver_cache[key] = inner.make(self.mean_matrix)
         return self._solver_cache[key]
-
-    @cached_property
-    def _diagonal_values(self) -> np.ndarray:
-        """Row j holds the values of A_jj = sum_i c_ijj K_i on the shared
-        pattern, every diagonal block from one product."""
-        return self._block_couplings[np.arange(self.n_blocks) * (self.n_blocks + 1)] @ self.data
-
-    def block_solver(self, j: int, inner: InnerSolver):
-        """Solver for the diagonal block A_jj = sum_i c_ijj K_i of a coupled
-        level, on rows of right-hand sides: A_jj is assembled and handed to
-        ``inner``, which factorizes it for the exact policy."""
-        A_jj = sp.csr_matrix((self._diagonal_values[j], self.indices, self.indptr),
-                             shape=(self.ndof, self.ndof), copy=True)
-        A_jj.eliminate_zeros()      # as assemble_range does
-        return inner.make(A_jj)
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver) -> np.ndarray:
         """Solve D_l X = rhs, one row of rhs per degree-l block, l = 0..P.

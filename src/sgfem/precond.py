@@ -6,8 +6,11 @@ Three preconditioners are provided, all operating block-wise:
   with the (scaled) mean matrix, one block solve per block.
 * block symmetric Gauss-Seidel: one forward and one backward block sweep over
   the natural block order, starting from a zero guess; symmetric whenever the
-  operator is.  The sweeps step over groups of mutually uncoupled blocks (a
-  level with D_l = diag(c_0kk K_0), else one block), each solved at once.
+  operator is.  The sweeps walk the levels: each level takes its coupling to
+  the levels solved before it in one product, then a level with
+  D_l = diag(c_0kk K_0) is one level solve and a coupled level is solved
+  block by block against its rows of D_l, assembled at the first
+  application.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
@@ -16,9 +19,11 @@ Three preconditioners are provided, all operating block-wise:
   only approximation; with exact block solves on a decoupled system it is
   the exact inverse.
 
-Every level solve, the bottom one included, is ``d_block_solve`` and every
-B_l/C_l product is ``product`` over the ranges of ``level_slices``.  The
-constructors set an inner policy's tol of None to their outer tolerance.
+Every level solve, the bottom one included, is ``d_block_solve``, and every
+product with blocks of other levels is ``product`` over the ranges of
+``level_slices``; the block rows of a coupled level that block Gauss-Seidel
+solves one block at a time come from ``assemble_range``.  The constructors
+set an inner policy's tol of None to their outer tolerance.
 
 Each preconditioner tallies block-level work: one counter unit is one
 diagonal-block solve or one product with an off-diagonal block the operator
@@ -35,6 +40,7 @@ half of a column range multiplies all of it).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -138,45 +144,70 @@ class BlockSGS(_BlockPreconditioner):
     backward sweep forms z = (D + U)^{-1} D y reusing the forward residual,
     which makes the induced mapping symmetric for symmetric operators.
 
-    The sweeps step over groups of mutually uncoupled blocks, which gives the
-    block-by-block mapping: a level l = 0..P with D_l = diag(c_0kk K_0) is
-    one group, solved by one d_block_solve; every block of a coupled level is
-    its own group, solved by its ``block_solver``.  The operator's
-    ``sweep_coupling`` gives each group b its coupling A[b, solved] @
-    X[solved] to the groups solved before it in the sweep (the earlier
-    blocks forward, the later blocks backward); matrix-free, that is one
-    product per group, whose forward ranges on scalar levels are the C_l of
-    the hierarchical preconditioner.
+    Both sweeps walk the levels of ``level_slices``, ascending forward and
+    descending backward.  A level first subtracts its coupling to the levels
+    solved before it, one ``product``: A[tail, head] @ y[head] forward (the
+    C_l of the hierarchical preconditioner), A[tail, after] @ z[after]
+    backward.  A level with D_l = diag(c_0kk K_0) is then one
+    d_block_solve; a coupled level is solved block by block, each block
+    subtracting its rows of D_l left of the diagonal block (forward) or right
+    of it (backward).  Those rows and the diagonal-block solvers are cut from
+    one ``assemble_range`` of each coupled level at the first application.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
         super().__init__(op, inner, outer_tol)
-        inner = self.inner      # the solves must not hold self: no reference cycle
-        # (blocks, solve) per group
-        self._groups = []
-        for l in range(op.basis.degree + 1):
-            _, tail = op.level_slices(l)
-            if op.level_is_scalar_diagonal(l):
-                self._groups.append((tail, lambda X, l=l: op.d_block_solve(l, X, inner)))
-            else:
-                self._groups += [(slice(j, j + 1), op.block_solver(j, inner))
-                                 for j in range(tail.start, tail.stop)]
-        # however the blocks are grouped, each application multiplies every live
-        # off-diagonal block once: forward below the diagonal, backward above
+        # each application multiplies every live off-diagonal block once:
+        # forward below the diagonal, backward above
         t, j = op.live_blocks
         self._n_products = int(np.count_nonzero(t != j))
 
+    @cached_property
+    def _level_rows(self) -> list:
+        """Per level l = 0..P: None when D_l = diag(c_0kk K_0), else
+        (lower_j, solve_j, upper_j) per block j of D_l, its block row cut
+        left of, at and right of the diagonal block."""
+        op, n = self.op, self.op.ndof
+        levels = []
+        for l in range(op.basis.degree + 1):
+            if op.level_is_scalar_diagonal(l):
+                levels.append(None)
+                continue
+            _, tail = op.level_slices(l)
+            D = op.assemble_range(tail, tail)
+            rows = []
+            for j in range(tail.stop - tail.start):
+                r = slice(j * n, (j + 1) * n)
+                rows.append((D[r, :r.start], self.inner.make(D[r, r]), D[r, r.stop:]))
+            levels.append(rows)
+        return levels
+
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+        op = self.op
         Y = np.zeros_like(R)
-        couple = self.op.sweep_coupling(Y)
-        for b, solve in self._groups:
-            Y[b] = solve(R[b] - couple(b))
+        for l, rows in enumerate(self._level_rows):
+            head, tail = op.level_slices(l)
+            rhs = R[tail] - op.product(tail, head, Y[head])
+            if rows is None:
+                Y[tail] = op.d_block_solve(l, rhs, self.inner)
+                continue
+            y = Y[tail]
+            for j, (lower, solve, _) in enumerate(rows):
+                y[j] = solve(rhs[j] - lower @ y[:j].ravel())
         Z = np.zeros_like(R)
-        couple = self.op.sweep_coupling(Z, backward=True)
-        for b, solve in reversed(self._groups):
-            Z[b] = Y[b] - solve(couple(b))
-        self.counters.block_solves += 2 * self.op.n_blocks
+        for l, rows in reversed(list(enumerate(self._level_rows))):
+            _, tail = op.level_slices(l)
+            after = slice(tail.stop, op.n_blocks)
+            c = op.product(tail, after, Z[after])
+            if rows is None:
+                Z[tail] = Y[tail] - op.d_block_solve(l, c, self.inner)
+                continue
+            y, z = Y[tail], Z[tail]
+            for j in reversed(range(len(rows))):
+                _, solve, upper = rows[j]
+                z[j] = y[j] - solve(c[j] + upper @ z[j + 1:].ravel())
+        self.counters.block_solves += 2 * op.n_blocks
         self.counters.block_matvecs += self._n_products
         return Z
 

@@ -88,11 +88,6 @@ class TripleProductTensor:
         s = self.structure.tocoo()
         return not np.any((degree[s.row] == degree[s.col]) & (s.row != s.col))
 
-    def write_entries(self, path) -> None:
-        """Text export, one line per entry: ``i j k value``."""
-        with open(path, "w") as fh:
-            fh.writelines(f"{i} {j} {k} {v:.17g}\n" for i, j, k, v in self.entries())
-
     def write_block_pattern_csv(self, path) -> None:
         """Dense 0/1 CSV of the block sparsity, for structure plots."""
         mask = (self.structure.toarray() != 0).astype(int)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import re
 
 import pytest
 from scipy.linalg import LinAlgError
@@ -34,6 +35,18 @@ def test_config_file_rejects_garbage(tmp_path):
         cli.parse_config_file(str(bad))
 
 
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# N is an integer\nN = abc\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{bad}:2: N: invalid literal")):
+        cli.parse_config_file(str(bad))
+    rc = cli.main(["run", "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"error: {bad}:2: N: invalid literal for int() "
+                                "with base 10: 'abc'"]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 2\nP = 1\nh = 0.25\npreconditioner = mean\n")
@@ -61,6 +74,20 @@ def test_table_run_exit_zero(tmp_path, capsys):
     assert "n_b=350" in out
     assert (tmp_path / "work_counts.csv").exists()
     assert (tmp_path / "work_counts.md").exists()
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--preconditioner", "foo", "--N", "0"], "--N, --preconditioner"),
+    (["--max-iter", "5"], "--max-iter"),
+    (["--config", "run.cfg"], "--config"),
+])
+def test_table_run_rejects_config_options(tmp_path, capsys, options, named):
+    rc = cli.main(["run", "--table", "work_counts", "--out", str(tmp_path), *options])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err.rstrip().endswith(f"takes no {named}")
+    assert not (tmp_path / "work_counts.csv").exists()
 
 
 def test_table_diff_failure_exit_two(monkeypatch, capsys):

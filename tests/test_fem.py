@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgfem.fem import (assemble_load, assemble_weighted_stiffness, build_mesh,
-                       write_matrix_coo)
+from sgfem.fem import assemble_load, assemble_weighted_stiffness, build_mesh
 
 
 def hand_assembled_unit_stiffness(n):
@@ -133,20 +132,6 @@ def test_poisson_center_value():
     oracle = fourier_poisson_center_value()
     assert oracle == pytest.approx(0.0737, abs=2e-4)
     assert u[center] == pytest.approx(oracle, rel=0.02)
-
-
-def test_matrix_coo_export(tmp_path):
-    mesh = build_mesh(0.5)
-    K = assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes),
-                                    unit_boundary_diag=True)
-    path = tmp_path / "K.txt"
-    write_matrix_coo(K, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().strip().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r)); cols.append(int(c)); vals.append(float(v))
-    K2 = sp.coo_matrix((vals, (rows, cols)), shape=K.shape)
-    assert abs(K - K2).max() < 1e-15
 
 
 def element_by_element_stiffness(mesh, field, unit_boundary_diag=False):

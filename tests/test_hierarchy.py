@@ -349,16 +349,22 @@ def test_zero_sigma_terms_are_dropped():
 
 
 def test_nonsymmetric_matrices_on_the_presummed_path():
-    op = lognormal_operator(1, 2, 3)
+    op = lognormal_operator(2, 2, 3)
     mats = list(op.matrices)
     n = op.ndof
     pert = sp.random(n, n, density=0.1, random_state=3)
-    mats[2] = mats[2] + 0.01 * (pert - pert.T)      # outside the Q1 pattern
+    # outside the Q1 pattern; coefficient 4, of xi_1 xi_2, couples distinct
+    # blocks of one level
+    for i in (2, 4):
+        mats[i] = mats[i] + 0.01 * (pert - pert.T)
     nonsym = GalerkinOperator.from_matrices(mats, op.tensor)
     assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
     for K, M in zip(nonsym.matrices, mats):
         assert abs(K - M).max() == 0.0
     check_products_against_oracle(nonsym)
+    # the backward sweep reads the rows right of each diagonal block, never
+    # the transpose of those left of it
+    check_bsgs_against_oracle(nonsym)
     A = dense_kron_oracle(nonsym)
     assert np.abs(A - A.T).max() > 1e-6
     rng = np.random.default_rng(5)
@@ -536,27 +542,61 @@ def test_dense_blocks_hold_the_block_sums():
     assert np.abs(op.blocks - grid).max() <= 1e-14 * np.abs(A).max()
 
 
-def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
-    made = []
-    original = InnerSolver.make
+def spy_bsgs_set_up(monkeypatch) -> tuple:
+    """(assembled, made): the ranges of every assemble_range call and the
+    matrix of every InnerSolver.make call from now on."""
+    assembled, made = [], []
+    assemble, make = GalerkinOperator.assemble_range, InnerSolver.make
 
-    def spy(self, matrix, *args, **kwargs):
+    def assemble_spy(self, rows, cols):
+        assembled.append((rows, cols))
+        return assemble(self, rows, cols)
+
+    def make_spy(self, matrix, *args, **kwargs):
         made.append(matrix)
-        return original(self, matrix, *args, **kwargs)
+        return make(self, matrix, *args, **kwargs)
 
-    monkeypatch.setattr(InnerSolver, "make", spy)
-    op = lognormal_operator(2, 2, 3)
+    monkeypatch.setattr(GalerkinOperator, "assemble_range", assemble_spy)
+    monkeypatch.setattr(InnerSolver, "make", make_spy)
+    return assembled, made
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
+    op = build((kind, 2, 2, 3))
+    assembled, made = spy_bsgs_set_up(monkeypatch)
     prec = BlockSGS(op, EXACT)
-    # every block of the coupled levels gets its own LU at set-up
-    assert len(made) == op.n_blocks - 1
-    for j, A_jj in enumerate(made, start=1):
+    # the constructor assembles and factorizes nothing
+    assert assembled == [] and made == []
+    r = np.ones(op.shape[0])
+    prec(r)
+    tails = [op.level_slices(l)[1] for l in range(op.basis.degree + 1)
+             if not op.level_is_scalar_diagonal(l)]
+    # each coupled level is assembled once, and each of its blocks gets a
+    # solver; the last one made is the mean solver of the scalar level 0
+    assert assembled == [(tail, tail) for tail in tails]
+    n_coupled = sum(tail.stop - tail.start for tail in tails)
+    assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)
+    assert len(made) == n_coupled + 1 and made[-1] is op.matrices[0]
+    # a second application assembles and makes nothing
+    prec(r)
+    assert len(assembled) == len(tails) and len(made) == n_coupled + 1
+
+
+def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
+    op = lognormal_operator(2, 2, 3)
+    _, made = spy_bsgs_set_up(monkeypatch)
+    prec = BlockSGS(op, EXACT)
+    prec(np.ones(op.shape[0]))
+    # every block of the coupled levels gets its own LU at the first
+    # application, cut from its level's assembly bit for bit; level 0 is
+    # c_000 K_0 and takes the mean solve
+    assert len(made) == op.n_blocks and made[-1] is op.matrices[0]
+    for j, A_jj in enumerate(made[:-1], start=1):
         ref = op.assemble_range([j], [j])
         assert np.array_equal(A_jj.indptr, ref.indptr)
         assert np.array_equal(A_jj.indices, ref.indices)
         assert np.array_equal(A_jj.data, ref.data)
-    # level 0 is c_000 K_0 and takes the mean solve, made at its first use
-    prec(np.ones(op.shape[0]))
-    assert len(made) == op.n_blocks and made[-1] is op.matrices[0]
 
 
 def test_block_tallies_count_the_dense_oracle_blocks_on_the_coarsest_mesh():

@@ -152,11 +152,6 @@ def test_csv_exports(tmp_path):
     lines = eig_path.read_text().strip().splitlines()
     assert lines[0] == "index,lambda"
     assert len(lines) == 4
-    field_path = tmp_path / "mode0.csv"
-    kl.write_fields_csv(field_path, mesh.node_coords, mode=0)
-    rows = field_path.read_text().strip().splitlines()
-    assert rows[0] == "node_x,node_y,k_i"
-    assert len(rows) == mesh.n_nodes + 1
 
 
 def test_eigen_cache_keeps_leading_columns_and_values():

@@ -144,23 +144,31 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
 
     monkeypatch.setattr(operator.spla, "splu", spy)
 
-    def set_up_and_apply(op):
-        precs = [BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT, outer_tol=1e-6)]
-        n_set_up = len(calls)
-        for prec in precs:
-            prec(np.ones(op.shape[0]))
-        return n_set_up
+    def lus_of_the_first_bsgs_application(op):
+        bsgs, hs = BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT, outer_tol=1e-6)
+        # neither set-up factorizes anything
+        assert calls == []
+        r = np.ones(op.shape[0])
+        bsgs(r)
+        n_bsgs = len(calls)
+        hs(r)
+        n_both = len(calls)
+        # a second application factorizes nothing
+        bsgs(r)
+        hs(r)
+        assert len(calls) == n_both
+        return n_bsgs
 
     # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's,
     # shared by both preconditioners whatever their outer tolerance
     op, _ = make_operator(2, 3)
-    assert set_up_and_apply(op) == 0
+    assert lus_of_the_first_bsgs_application(op) == 1
     assert len(calls) == 1
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
-    # LU from the BSGS set-up, and HS factorizes each coupled level
+    # LU from the first BSGS application, and HS factorizes each coupled level
     calls.clear()
     op = lognormal_operator()
-    assert set_up_and_apply(op) == op.n_blocks - 1
+    assert lus_of_the_first_bsgs_application(op) == op.n_blocks
     assert len(calls) == op.n_blocks + op.basis.degree
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT),

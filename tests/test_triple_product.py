@@ -136,16 +136,8 @@ def test_dimension_mismatch_rejected():
 
 def test_tensor_exports(tmp_path):
     t = kl_tensor(2, 2)
-    entries_path = tmp_path / "tensor.txt"
     pattern_path = tmp_path / "pattern.csv"
-    t.write_entries(entries_path)
     t.write_block_pattern_csv(pattern_path)
-
-    lines = entries_path.read_text().strip().splitlines()
-    assert len(lines) == sum(1 for _ in t.entries())
-    i, j, k, v = lines[0].split()
-    assert (int(i), int(j), int(k)) == (0, 0, 0) and float(v) == 1.0
-
     mask = np.loadtxt(pattern_path, delimiter=",")
     assert mask.shape == (6, 6)
     assert int(mask.sum()) == t.n_blocks
@@ -203,7 +195,7 @@ def test_table_configurations_equal_dense_oracle():
             "legendre" if distribution == "uniform" else "hermite", dims, degree)
 
 
-def test_entries_read_every_coupling_in_order(tmp_path):
+def test_entries_read_every_coupling_in_order():
     t = build_triple_product_tensor(build_multi_index_set(2, 2),
                                     build_multi_index_set(2, 4), hermite_family())
     per_coefficient = []
@@ -212,10 +204,6 @@ def test_entries_read_every_coupling_in_order(tmp_path):
         per_coefficient += [(i, int(j), int(k), float(v))
                             for j, k, v in zip(coo.row, coo.col, coo.data)]
     assert list(t.entries()) == per_coefficient
-    path = tmp_path / "tensor.txt"
-    t.write_entries(path)
-    assert path.read_text() == "".join(f"{i} {j} {k} {v:.17g}\n"
-                                       for i, j, k, v in per_coefficient)
 
 
 def test_large_hermite_build_stays_sparse():

@@ -21,8 +21,8 @@ from .operator import (GalerkinOperator, InnerSolveError, InnerSolver,
 from .orthopoly import (PolynomialFamily, hermite_family, legendre_family,
                         triple_product_1d)
 from .precond import (BlockSGS, HierarchicalSchur, MeanBased, WorkCount,
-                      generalized_apply, make_preconditioner,
-                      reduced_system_solve, truncate_operator, work_count)
+                      make_preconditioner, reduced_system_solve,
+                      truncate_operator, work_count)
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 from .experiments import (ExperimentConfig, SpectralDiagnostic, run_experiment,
                           run_row, run_table, spectral_diagnostic)
@@ -40,7 +40,7 @@ __all__ = [
     "PolynomialFamily", "hermite_family", "legendre_family",
     "triple_product_1d",
     "BlockSGS", "HierarchicalSchur", "MeanBased", "WorkCount",
-    "generalized_apply", "make_preconditioner", "reduced_system_solve",
+    "make_preconditioner", "reduced_system_solve",
     "truncate_operator", "work_count",
     "TripleProductTensor", "build_triple_product_tensor",
     "ExperimentConfig", "SpectralDiagnostic", "run_experiment", "run_row",

@@ -73,6 +73,10 @@ class InnerSolver:
     inner CG loop under the policy, level CG included.  A tol of None means
     the outer tolerance: each preconditioner fills it in when built, and a
     CG loop reached with tol None raises ValueError.
+    The LU factorizes a CSC copy of the matrix, not its transpose view as
+    the level LU does: one block solver, K_0's above all, solves many
+    right-hand sides at once, and a transposed SuperLU solve of 495 of them
+    (K_0 at h=1/10) takes about twice as long as an untransposed one.
     """
 
     kind: str = "exact"
@@ -82,7 +86,7 @@ class InnerSolver:
 
     def make(self, matrix: sp.spmatrix):
         if self.kind == "exact":
-            lu = spla.splu(matrix.tocsc())
+            lu = _factorize(matrix.tocsc())
             return lambda B: lu.solve(np.atleast_2d(B).T).T
         if self.kind != "cg":
             raise ValueError(f"unknown inner solver kind {self.kind!r}")
@@ -92,7 +96,7 @@ class InnerSolver:
             dinv = 1.0 / matrix.diagonal()
             prec = lambda r: dinv * r
         elif self.precond == "exact":
-            lu = spla.splu(matrix.tocsc())
+            lu = _factorize(matrix.tocsc())
             prec = lambda r: lu.solve(r)
         else:
             raise ValueError(f"unknown inner preconditioner {self.precond!r}")
@@ -355,7 +359,10 @@ class GalerkinOperator:
         solve under ``inner``, rescaled by 1/c_0kk.  A coupled level of
         dimension up to DIRECT_LEVEL_LIMIT is assembled and factorized once;
         a larger one runs ``inner.cg`` on the level system preconditioned
-        blockwise by diag(c_0kk) (x) K_0.
+        blockwise by diag(c_0kk) (x) K_0.  The level LU factorizes D_l^T,
+        which is the CSR of D_l read as CSC, and solves transposed: no
+        CSC copy of D_l is made, and with the one right-hand side of a
+        level solve the transposed solve costs what the plain one does.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -367,8 +374,8 @@ class GalerkinOperator:
             return self.mean_solver(inner)(rhs) / weights
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_lus:
-                self._level_lus[level] = spla.splu(self.assemble_range(tail, tail).tocsc())
-            return self._level_lus[level].solve(rhs.ravel()).reshape(rhs.shape)
+                self._level_lus[level] = _factorize(self.assemble_range(tail, tail).T)
+            return self._level_lus[level].solve(rhs.ravel(), trans="T").reshape(rhs.shape)
         mean_solve = self.mean_solver(InnerSolver(kind="exact"))
 
         def apply_level(x):
@@ -423,6 +430,16 @@ class GalerkinOperator:
         b = np.zeros((self.n_blocks, self.ndof))
         b[0] = load
         return b
+
+
+def _factorize(csc: sp.csc_matrix):
+    """SuperLU factorization with the ordering for structurally symmetric
+    matrices, which every matrix factorized here is (on the shared spatial
+    pattern, and symmetric positive definite in every run): minimum degree
+    on A + A^T, diagonal pivots preferred.  It fills less than SuperLU's
+    default COLAMD, e.g. 547,072 against 679,660 entries of L + U for the
+    top level of lognormal N=4 P=3 h=1/10."""
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def _shared_pattern(matrices) -> tuple:

@@ -254,26 +254,6 @@ class HierarchicalSchur(_BlockPreconditioner):
         return u
 
 
-def generalized_apply(op: GalerkinOperator, r: np.ndarray, m_d1, m_d2, m_d3, m_s):
-    """One application of the three-factor block-inverse form at the top level.
-
-    m_d1, m_d2, m_d3 approximate the inverse of the trailing block D and m_s
-    the inverse of the Schur complement; all take and return block arrays.
-    With exact policies this is the exact inverse of the 2x2 block matrix.
-    The hierarchical preconditioner is the special case m_d* = D^{-1} and
-    m_s = the recursive approximation of the leading block.
-    """
-    level = op.basis.degree
-    R = op.as_blocks(r)
-    head, tail = op.level_slices(level)
-    r_head, r_tail = R[head], R[tail]
-    g = r_head - op.product(head, tail, m_d1(r_tail))
-    u_head = m_s(g)
-    u_tail = m_d2(r_tail) - m_d3(op.product(tail, head, u_head))
-    out = np.vstack([u_head, u_tail])
-    return out.ravel() if np.asarray(r).ndim == 1 else out
-
-
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
                          max_iter: int | None = None, method: str = "cg",
                          precondition: bool = True):

@@ -197,6 +197,39 @@ def test_level_lu_is_factorized_once(monkeypatch):
     assert np.array_equal(X1, X2)
 
 
+def test_every_lu_takes_the_symmetric_ordering_and_level_lus_no_csc_copy(monkeypatch):
+    factorized, assembled = [], []
+    splu, assemble_range = operator.spla.splu, GalerkinOperator.assemble_range
+
+    def spy_splu(matrix, *args, **kwargs):
+        factorized.append((matrix, kwargs))
+        return splu(matrix, *args, **kwargs)
+
+    def spy_assemble_range(self, rows, cols):
+        assembled.append(assemble_range(self, rows, cols))
+        return assembled[-1]
+
+    monkeypatch.setattr(operator.spla, "splu", spy_splu)
+    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy_assemble_range)
+    # the benchmark's lognormal row
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=4, P=3, h=0.1, cov=1.0))
+    r = np.ones(op.shape[0])
+    for kind in ("mean", "bsgs", "hs"):
+        make_preconditioner(op, kind, EXACT)(r)
+    make_preconditioner(op, "mean", InnerSolver(kind="cg", precond="exact"))(r)
+    # K_0 twice (exact, cg-exact), n_b - 1 BSGS diagonal blocks, D_1..D_3
+    assert len(factorized) == 2 + (op.n_blocks - 1) + 3
+    for _, kwargs in factorized:
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+    levels = [m for m, _ in factorized if m.shape[0] > op.ndof]
+    assert len(levels) == 3
+    for m in levels:
+        assert any(np.shares_memory(m.indices, D.indices) for D in assembled)
+    # COLAMD fills 679,660 entries of L + U at D_3, the symmetric ordering 547,072
+    lu = op._level_lus[3]
+    assert lu.L.nnz + lu.U.nnz < 600_000
+
+
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
 def test_level_zero_is_the_mean_block(kind):
     op = build((kind, 2, 2, 3))

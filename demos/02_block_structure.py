@@ -10,7 +10,7 @@ n_m = n_b - n_db block products and n_ds = 2(n_db - 1) + 1 block solves.
 import os
 
 from sgfem import (build_multi_index_set, build_triple_product_tensor,
-                   hierarchy_dims, legendre_family, work_count)
+                   legendre_family, work_count)
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -22,7 +22,7 @@ for dims, degree in [(4, 4), (4, 7)]:
     tensor = build_triple_product_tensor(basis, coeff, fam)
     print(f"N={dims}, P={degree}: {len(basis)} chaos blocks, "
           f"{tensor.n_blocks} nonzero blocks of {len(basis) ** 2}")
-    print(f"  nested partition sizes: {hierarchy_dims(dims, degree)}")
+    print(f"  nested partition sizes: {list(basis.degree_offsets[1:])}")
     print("  same-degree blocks diagonal:", tensor.has_block_diagonal_levels())
     path = os.path.join(OUT, f"pattern_N{dims}_P{degree}.csv")
     tensor.write_block_pattern_csv(path)

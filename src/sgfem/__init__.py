@@ -15,11 +15,10 @@ from .krylov import SolveReport, cg, fcg, lanczos_condition_estimate
 from .lognormal import (LognormalFieldSpec, build_lognormal_operator,
                         dense_d_block_solve, gaussian_kl,
                         lognormal_gpc_coefficients)
-from .multi_index import MultiIndexSet, build_multi_index_set, hierarchy_dims
+from .multi_index import MultiIndexSet, build_multi_index_set
 from .operator import (GalerkinOperator, InnerSolveError, InnerSolver,
                        build_uniform_operator)
-from .orthopoly import (PolynomialFamily, hermite_family, legendre_family,
-                        triple_product_1d)
+from .orthopoly import PolynomialFamily, hermite_family, legendre_family
 from .precond import (BlockSGS, HierarchicalSchur, MeanBased, WorkCount,
                       make_preconditioner, reduced_system_solve,
                       truncate_operator, work_count)
@@ -34,11 +33,10 @@ __all__ = [
     "SolveReport", "cg", "fcg", "lanczos_condition_estimate",
     "LognormalFieldSpec", "build_lognormal_operator", "dense_d_block_solve",
     "gaussian_kl", "lognormal_gpc_coefficients",
-    "MultiIndexSet", "build_multi_index_set", "hierarchy_dims",
+    "MultiIndexSet", "build_multi_index_set",
     "GalerkinOperator", "InnerSolveError", "InnerSolver",
     "build_uniform_operator",
     "PolynomialFamily", "hermite_family", "legendre_family",
-    "triple_product_1d",
     "BlockSGS", "HierarchicalSchur", "MeanBased", "WorkCount",
     "make_preconditioner", "reduced_system_solve",
     "truncate_operator", "work_count",

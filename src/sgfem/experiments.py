@@ -59,9 +59,7 @@ class ExperimentConfig:
     P: int = _described(4, "polynomial degree")
     h: float = _described(0.1, "element size (1/h integer)")
     k0: float = _described(1.0, "coefficient mean")
-    # None means cov * k0
-    sigma: float | None = _described(None, "uniform-case standard deviation")
-    cov: float = _described(0.5, "coefficient of variation")
+    cov: float = _described(0.5, "coefficient of variation (uniform: sigma = cov * k0)")
     L: float = _described(0.5, "correlation length")
     preconditioner: str = "hs"
     inner: str = "exact"                 # see INNER_POLICIES
@@ -79,13 +77,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {key} {value!r}; choose from {list(allowed)}")
         if self.N < 1 or self.P < 0:
             raise ValueError(f"need N >= 1, P >= 0, got N={self.N}, P={self.P}")
+        if self.k0 <= 0:
+            raise ValueError(f"k0 must be positive, got {self.k0}")
+        if self.cov < 0:
+            raise ValueError(f"cov must be non-negative, got {self.cov}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         build_mesh(self.h)  # validates 1/h
-
-    @property
-    def sigma_value(self) -> float:
-        return self.k0 * self.cov if self.sigma is None else self.sigma
 
 
 @dataclass
@@ -103,12 +101,12 @@ def build_operator(config: ExperimentConfig) -> GalerkinOperator:
     config.validate()
     mesh = build_mesh(config.h)
     if config.distribution == "uniform":
-        if config.sigma_value == 0.0:
+        if config.cov == 0.0:
             # deterministic limit: mean only, zero fluctuation fields
             kl = KLExpansion(np.zeros(config.N),
                              np.zeros((config.N, mesh.n_nodes)), config.k0)
         else:
-            spec = CovarianceSpec(sigma=config.sigma_value, corr_length=config.L)
+            spec = CovarianceSpec(sigma=config.k0 * config.cov, corr_length=config.L)
             kl = build_kl_expansion(spec, config.N, config.k0, mesh.node_coords,
                                     config.n_quad)
         basis = build_multi_index_set(config.N, config.P)
@@ -221,8 +219,7 @@ def run_table(name: str, out_dir: str | None = None):
         row = run_row(cfg, sweep_value=sweep_key)
         rows.append(row)
         violations.extend(_check_row(name, sweep_key, row))
-    paths = _write_table(name, variable, rows, out_dir) if out_dir else []
-    return rows, violations, paths
+    return rows, violations, _write_table(name, variable, rows, out_dir)
 
 
 def _check_row(name: str, sweep_key, row: TableRow) -> list[str]:
@@ -260,17 +257,30 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _write_table(name: str, variable: str, rows: list[TableRow], out_dir):
+def _write_artifacts(out_dir, name: str, header: list, rows: list) -> list:
+    """Write ``<name>.csv`` and ``<name>.md`` of the string cells ``rows``
+    under ``header``; returns the two paths, none without an out_dir."""
+    if not out_dir:
+        return []
     os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    md_path = os.path.join(out_dir, f"{name}.md")
+    with open(csv_path, "w") as fh:
+        fh.writelines(",".join(cells) + "\n" for cells in [header, *rows])
+    with open(md_path, "w") as fh:
+        fh.write("| " + " | ".join(header) + " |\n" + "|" + "---|" * len(header) + "\n")
+        fh.writelines("| " + " | ".join(cells) + " |\n" for cells in rows)
+    return [csv_path, md_path]
+
+
+def _write_table(name: str, variable: str, rows: list[TableRow], out_dir):
     has_ref = name in reference.TABLES
     header = [variable, "ndof"]
     for kind in reference.PRECONDITIONER_ORDER:
         header += [f"iter_{kind}", f"kappa_{kind}"]
         if has_ref:
             header += [f"ref_iter_{kind}", f"diff_iter_{kind}"]
-    lines_csv = [",".join(header)]
-    lines_md = ["| " + " | ".join(header) + " |",
-                "|" + "---|" * len(header)]
+    lines = []
     for row in rows:
         cells = [str(row.sweep), str(row.ndof)]
         ref = reference.reference_row(name, row.sweep) if has_ref else None
@@ -282,15 +292,8 @@ def _write_table(name: str, variable: str, rows: list[TableRow], out_dir):
                     cells += [str(ref[kind][0]), str(it - ref[kind][0])]
                 else:
                     cells += ["", ""]
-        lines_csv.append(",".join(cells))
-        lines_md.append("| " + " | ".join(cells) + " |")
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    md_path = os.path.join(out_dir, f"{name}.md")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines_csv) + "\n")
-    with open(md_path, "w") as fh:
-        fh.write("\n".join(lines_md) + "\n")
-    return [csv_path, md_path]
+        lines.append(cells)
+    return _write_artifacts(out_dir, name, header, lines)
 
 
 def _work_count_table(out_dir):
@@ -306,22 +309,8 @@ def _work_count_table(out_dir):
         if got != ref:
             violations.append(f"work_counts[{r}]: {got} != reference {ref}")
         rows.append(got)
-    paths = []
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "work_counts.csv")
-        md_path = os.path.join(out_dir, "work_counts.md")
-        header = "N_or_P,n_b,n_db,n_m,n_ds"
-        with open(csv_path, "w") as fh:
-            fh.write(header + "\n")
-            for r, row in enumerate(rows, start=1):
-                fh.write(f"{r},{row[0]},{row[1]},{row[2]},{row[3]}\n")
-        with open(md_path, "w") as fh:
-            fh.write("| " + header.replace(",", " | ") + " |\n")
-            fh.write("|" + "---|" * 5 + "\n")
-            for r, row in enumerate(rows, start=1):
-                fh.write(f"| {r} | {row[0]} | {row[1]} | {row[2]} | {row[3]} |\n")
-        paths = [csv_path, md_path]
+    paths = _write_artifacts(out_dir, "work_counts", ["N_or_P", "n_b", "n_db", "n_m", "n_ds"],
+                             [[str(v) for v in (r, *row)] for r, row in enumerate(rows, start=1)])
     return rows, violations, paths
 
 
@@ -332,15 +321,8 @@ def _eigs_table(out_dir, n_modes: int = 15):
     violations = []
     if any(lams[i] < lams[i + 1] for i in range(len(lams) - 1)):
         violations.append("eigs: eigenvalues not monotone decreasing")
-    paths = []
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "eigs.csv")
-        with open(path, "w") as fh:
-            fh.write("index,lambda\n")
-            for i, lam in enumerate(lams, start=1):
-                fh.write(f"{i},{lam:.17g}\n")
-        paths = [path]
+    paths = _write_artifacts(out_dir, "eigs", ["index", "lambda"],
+                             [[str(i), f"{lam:.17g}"] for i, lam in enumerate(lams, start=1)])
     return lams, violations, paths
 
 

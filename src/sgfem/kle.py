@@ -49,12 +49,6 @@ class KLExpansion:
     def n_terms(self) -> int:
         return len(self.eigenvalues)
 
-    def write_eigenvalues_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,lambda\n")
-            for i, lam in enumerate(self.eigenvalues, start=1):
-                fh.write(f"{i},{lam:.17g}\n")
-
 
 # leading eigenpairs keyed by (corr_length, n_quad), reused across operators;
 # only the columns asked for are kept, and a request for more repeats the

@@ -8,11 +8,10 @@ preconditioned operator; the reported condition estimate is their ratio.  By
 interlacing the estimate never exceeds the true condition number and is
 non-decreasing in the iteration count.
 
-The flexible variant re-orthogonalizes each new search direction against a
-window of previous directions (full history by default), which keeps it
-convergent when the preconditioner changes between iterations, e.g. with
-inner iterative block solves.  With a fixed preconditioner it reproduces the
-standard CG iterates.
+The flexible variant re-orthogonalizes each new search direction against
+all previous directions (full history), which keeps it convergent when the
+preconditioner changes between iterations, e.g. with inner iterative block
+solves.  With a fixed preconditioner it reproduces the standard CG iterates.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ class SolveReport:
     non_finite: bool = False
     work: dict | None = None
     wall_time: float = 0.0
-    method: str = "cg"
     alphas: list = field(default_factory=list, repr=False)
     betas: list = field(default_factory=list, repr=False)
 
@@ -104,7 +102,7 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     n = b.size
     if max_iter is None:
         max_iter = default_max_iter(n)
-    report = SolveReport(method="cg")
+    report = SolveReport()
     x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -147,21 +145,20 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     return x, report
 
 
-def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None,
-        truncation: int | None = None):
-    """Flexible CG with truncated direction re-orthogonalization.
+def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None):
+    """Flexible CG with full direction re-orthogonalization.
 
     The preconditioner may change between iterations.  Each new direction is
-    made A-orthogonal to the last ``truncation`` directions (all of them when
-    None).  Reporting matches cg(); the condition estimate uses the same
-    scalar recurrences and is exact in the fixed-preconditioner limit.
+    made A-orthogonal to all previous directions.  Reporting matches cg();
+    the condition estimate uses the same scalar recurrences and is exact in
+    the fixed-preconditioner limit.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
     if max_iter is None:
         max_iter = default_max_iter(n)
-    report = SolveReport(method="fcg")
+    report = SolveReport()
     x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -184,8 +181,7 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
             betas.append(rz / rz_prev)
         rz_prev = rz
         p = z.copy()
-        lo = 0 if truncation is None else max(0, len(dirs) - truncation)
-        for i in range(lo, len(dirs)):
+        for i in range(len(dirs)):
             p -= (float(z @ adirs[i]) / pap[i]) * dirs[i]
         Ap = apply_a(p)
         pAp = float(p @ Ap)

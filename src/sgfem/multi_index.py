@@ -10,8 +10,7 @@ the global matrix relies on.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 # Largest index set we are willing to enumerate (fits comfortably in memory
@@ -36,26 +35,12 @@ class MultiIndexSet:
     degree: int
     indices: tuple[tuple[int, ...], ...]
     degree_offsets: tuple[int, ...]
-    _positions: dict = field(repr=False, hash=False, compare=False, default=None)
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def position(self, index: tuple[int, ...]) -> int:
-        """Position of a multi-index in the graded order."""
-        return self._positions[tuple(index)]
-
     def degrees(self) -> list[int]:
         return [sum(t) for t in self.indices]
-
-    def degree_slice(self, l: int) -> slice:
-        """Positions of the indices with total degree exactly l."""
-        return slice(self.degree_offsets[l], self.degree_offsets[l + 1])
-
-    def first_order_position(self, dim: int) -> int:
-        """Position of the first-order index e_dim (1-based dimension)."""
-        unit = tuple(1 if d == dim - 1 else 0 for d in range(self.dims))
-        return self.position(unit)
 
     def truncated(self, degree: int) -> "MultiIndexSet":
         """The order-``degree`` subset (a prefix of this set)."""
@@ -86,8 +71,7 @@ def build_multi_index_set(dims: int, degree: int) -> MultiIndexSet:
         indices.extend(level)
         offsets.append(len(indices))
     assert len(indices) == total
-    positions = {t: i for i, t in enumerate(indices)}
-    return MultiIndexSet(dims, degree, tuple(indices), tuple(offsets), positions)
+    return MultiIndexSet(dims, degree, tuple(indices), tuple(offsets))
 
 
 def _compositions(total: int, parts: int):
@@ -99,17 +83,3 @@ def _compositions(total: int, parts: int):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
 
-
-def hierarchy_dims(dims: int, degree: int) -> list[int]:
-    """Sizes of the nested leading blocks of the graded set.
-
-    Entry l is (dims+l)!/(dims!l!), the number of indices of total degree at
-    most l.  Consecutive differences give the number of indices of each exact
-    degree, i.e. the sizes of the trailing block rows in the hierarchical
-    2x2 partition.
-    """
-    if dims < 1:
-        raise ValueError(f"need at least one variable, got dims={dims}")
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    return [comb(dims + l, l) for l in range(degree + 1)]

@@ -107,7 +107,3 @@ def hermite_family() -> PolynomialFamily:
     """Orthonormal probabilists' Hermite family; standard normal variables."""
     return PolynomialFamily("hermite", 1.0)
 
-
-def triple_product_1d(family: PolynomialFamily, a: int, b: int, c: int) -> float:
-    """One-dimensional triple product E[psi_a psi_b psi_c]."""
-    return family.triple_product(a, b, c)

@@ -95,11 +95,6 @@ class Counters:
     block_solves: int = 0
     applications: int = 0
 
-    def reset(self) -> None:
-        self.block_matvecs = 0
-        self.block_solves = 0
-        self.applications = 0
-
 
 class _BlockPreconditioner:
     """Shared plumbing: resolved inner policy, call interface and counters."""
@@ -108,9 +103,6 @@ class _BlockPreconditioner:
         self.op = op
         self.inner = inner if inner.tol is not None else replace(inner, tol=outer_tol)
         self.counters = Counters()
-
-    def reset_counters(self) -> None:
-        self.counters.reset()
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -255,14 +247,14 @@ class HierarchicalSchur(_BlockPreconditioner):
 
 
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
-                         max_iter: int | None = None, method: str = "cg",
-                         precondition: bool = True):
+                         max_iter: int | None = None):
     """Eliminate the top-level trailing blocks and iterate on the Schur system.
 
     Requires exact solves with D_P (the reduction is only justified then).
     Returns the full-system solution together with the report of the reduced
-    iteration; the reduced operator is applied matrix-free as
-    S x = A_{P-1} x - B_P D_P^{-1} C_P x.
+    iteration: CG on S x = A_{P-1} x - B_P D_P^{-1} C_P x, applied
+    matrix-free and preconditioned by the hierarchical preconditioner of the
+    order-(P-1) operator.
     """
     level = op.basis.degree
     if level == 0:
@@ -284,13 +276,9 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
         AX -= op.product(head, tail, d_solve(CX))
         return AX.ravel()
 
-    apply_m = None
-    if precondition:
-        sub = truncate_operator(op, level - 1)
-        apply_m = HierarchicalSchur(sub, exact, tol)
-    solver = krylov.cg if method == "cg" else krylov.fcg
-    x_head, report = solver(schur_apply, g.ravel(), apply_m=apply_m,
-                            tol=tol, max_iter=max_iter)
+    apply_m = HierarchicalSchur(truncate_operator(op, level - 1), exact, tol)
+    x_head, report = krylov.cg(schur_apply, g.ravel(), apply_m=apply_m,
+                               tol=tol, max_iter=max_iter)
     X_head = x_head.reshape(n_head, op.ndof)
     u_tail = d_solve(B[tail] - op.product(tail, head, X_head))
     x = np.vstack([X_head, u_tail])

@@ -149,6 +149,15 @@ def test_bad_invocation_exit_one_with_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option,value", [("k0", "0"), ("k0", "-1"), ("cov", "-0.5")])
+def test_bad_coefficient_exit_one_naming_the_option(option, value, capsys):
+    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5", f"--{option}", value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} must be ")
+    assert "Traceback" not in err
+
+
 def _flags(command: str) -> set:
     sub = next(action for action in cli.make_parser()._actions
                if isinstance(action, argparse._SubParsersAction))

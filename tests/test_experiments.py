@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from sgfem import experiments
-from sgfem.experiments import (ExperimentConfig, build_operator, run_experiment,
-                               run_row, run_table, spectral_diagnostic)
+from sgfem.experiments import (ExperimentConfig, TableRow, _write_table, build_operator,
+                               run_experiment, run_row, run_table, spectral_diagnostic)
+from sgfem.fem import build_mesh
+from sgfem.kle import CovarianceSpec, build_kl_expansion
+from sgfem.multi_index import build_multi_index_set
+from sgfem.operator import build_uniform_operator
+from sgfem.orthopoly import legendre_family
 
 
 def test_config_validation():
@@ -25,10 +30,13 @@ def test_config_validation():
 
 
 def test_cov_sets_sigma():
-    cfg = ExperimentConfig(k0=2.0, cov=0.25)
-    assert cfg.sigma_value == 0.5
-    cfg2 = ExperimentConfig(k0=2.0, cov=0.25, sigma=0.1)
-    assert cfg2.sigma_value == 0.1
+    # the uniform operator of k0=2, cov=0.25 is the one of sigma=0.5, bit for bit
+    op = build_operator(ExperimentConfig(N=2, P=2, h=0.25, k0=2.0, cov=0.25))
+    mesh = build_mesh(0.25)
+    kl = build_kl_expansion(CovarianceSpec(sigma=0.5, corr_length=0.5), 2, 2.0,
+                            mesh.node_coords)
+    ref = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), legendre_family())
+    assert np.array_equal(op.data, ref.data)
 
 
 def test_ndof_bookkeeping():
@@ -40,7 +48,7 @@ def test_ndof_bookkeeping():
 
 def test_zero_sigma_all_preconditioners_one_iteration():
     for kind in ("mean", "bsgs", "hs"):
-        cfg = ExperimentConfig(N=2, P=2, h=0.25, sigma=0.0, preconditioner=kind)
+        cfg = ExperimentConfig(N=2, P=2, h=0.25, cov=0.0, preconditioner=kind)
         report = run_experiment(cfg)
         assert report.iterations == 1
         assert report.converged
@@ -91,6 +99,10 @@ def test_eigs_table(tmp_path):
     lines = (tmp_path / "eigs.csv").read_text().strip().splitlines()
     assert lines[0] == "index,lambda"
     assert len(lines) == 16
+    assert paths == [str(tmp_path / "eigs.csv"), str(tmp_path / "eigs.md")]
+    md = (tmp_path / "eigs.md").read_text().splitlines()
+    assert md[:3] == ["| index | lambda |", "|---|---|", f"| 1 | {lams[0]:.17g} |"]
+    assert len(md) == 17
 
 
 def test_unknown_table_rejected():
@@ -136,7 +148,7 @@ def test_check_row_flags_violations():
 
 
 def test_spectral_diagnostic_zero_coupling():
-    diag = spectral_diagnostic(ExperimentConfig(N=2, P=2, h=0.25, sigma=0.0))
+    diag = spectral_diagnostic(ExperimentConfig(N=2, P=2, h=0.25, cov=0.0))
     assert diag.bound == pytest.approx(1.0, abs=1e-10)
     assert diag.kappa == pytest.approx(1.0, abs=1e-8)
     assert diag.satisfied
@@ -164,3 +176,74 @@ def test_spectral_diagnostic_refuses_before_building(monkeypatch):
     # lognormal N=8 P=6 h=1/50: 3003 blocks of 2601 nodes
     with pytest.raises(ValueError, match="exceeds the limit"):
         spectral_diagnostic(ExperimentConfig(distribution="lognormal", N=8, P=6, h=0.02))
+
+
+# ---------------------------------------------------------------------------
+# the bytes every table writer must keep
+# ---------------------------------------------------------------------------
+
+WORK_COUNTS_CSV = """N_or_P,n_b,n_db,n_m,n_ds
+1,13,5,8,9
+2,55,15,40,29
+3,155,35,120,69
+4,350,70,280,139
+5,686,126,560,251
+6,1218,210,1008,419
+7,2010,330,1680,659
+8,3135,495,2640,989
+"""
+
+WORK_COUNTS_MD = """| N_or_P | n_b | n_db | n_m | n_ds |
+|---|---|---|---|---|
+| 1 | 13 | 5 | 8 | 9 |
+| 2 | 55 | 15 | 40 | 29 |
+| 3 | 155 | 35 | 120 | 69 |
+| 4 | 350 | 70 | 280 | 139 |
+| 5 | 686 | 126 | 560 | 251 |
+| 6 | 1218 | 210 | 1008 | 419 |
+| 7 | 2010 | 330 | 1680 | 659 |
+| 8 | 3135 | 495 | 2640 | 989 |
+"""
+
+# the last digits of the eigenvalues move with the BLAS thread count, so the
+# values are compared to 1e-13 and their lines to the writer's format
+EIGS_HEAD = [0.33022876318737709, 0.11232832637583301, 0.11232832637583301,
+             0.045124724473349975]
+
+TABLE_HEADER = ("N,ndof,iter_none,kappa_none,ref_iter_none,diff_iter_none,"
+                "iter_mean,kappa_mean,ref_iter_mean,diff_iter_mean,"
+                "iter_bsgs,kappa_bsgs,ref_iter_bsgs,diff_iter_bsgs,"
+                "iter_hs,kappa_hs,ref_iter_hs,diff_iter_hs")
+
+TABLE_CSV = TABLE_HEADER + """
+1,605,173,1965.0000,173,0,10,2.5000,12,-2,6,1.2500,5,1,5,1.0465,5,0
+9,2000,300,3000.1235,,,11,2.0000,,,7,1.5000,,,6,1.0000,,
+"""
+
+TABLE_MD = ("| " + TABLE_HEADER.replace(",", " | ") + " |\n" + "|---" * 18 + "|\n" + """\
+| 1 | 605 | 173 | 1965.0000 | 173 | 0 | 10 | 2.5000 | 12 | -2 | 6 | 1.2500 | 5 | 1 | 5 | 1.0465 | 5 | 0 |
+| 9 | 2000 | 300 | 3000.1235 |  |  | 11 | 2.0000 |  |  | 7 | 1.5000 |  |  | 6 | 1.0000 |  |  |
+""")
+
+
+def test_work_counts_and_eigs_bytes(tmp_path):
+    run_table("work_counts", str(tmp_path))
+    lams, _, _ = run_table("eigs", str(tmp_path))
+    assert (tmp_path / "work_counts.csv").read_bytes() == WORK_COUNTS_CSV.encode()
+    assert (tmp_path / "work_counts.md").read_bytes() == WORK_COUNTS_MD.encode()
+    assert lams[:4] == pytest.approx(EIGS_HEAD, rel=1e-13)
+    lines = (tmp_path / "eigs.csv").read_bytes().split(b"\n")
+    assert lines[:5] == [b"index,lambda"] + [f"{i},{lam:.17g}".encode()
+                                             for i, lam in enumerate(lams[:4], start=1)]
+
+
+def test_table_writer_bytes_with_and_without_reference_rows(tmp_path):
+    # T1 has reference data for N=1 and none for N=9: its ref/diff cells are empty
+    with_ref = TableRow(sweep=1, ndof=605, results={
+        "none": (173, 1965.0), "mean": (10, 2.5), "bsgs": (6, 1.25), "hs": (5, 1.046512)})
+    without_ref = TableRow(sweep=9, ndof=2000, results={
+        "none": (300, 3000.123456), "mean": (11, 2.0), "bsgs": (7, 1.5), "hs": (6, 1.0)})
+    paths = _write_table("T1", "N", [with_ref, without_ref], str(tmp_path))
+    assert paths == [str(tmp_path / "T1.csv"), str(tmp_path / "T1.md")]
+    assert (tmp_path / "T1.csv").read_bytes() == TABLE_CSV.encode()
+    assert (tmp_path / "T1.md").read_bytes() == TABLE_MD.encode()

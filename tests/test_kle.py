@@ -143,17 +143,6 @@ def test_covariance_reconstruction_improves_with_terms():
     assert recon_error(25) < recon_error(5)
 
 
-def test_csv_exports(tmp_path):
-    mesh = build_mesh(0.25)
-    spec = CovarianceSpec(sigma=1.0, corr_length=0.5)
-    kl = build_kl_expansion(spec, 3, 1.0, mesh.node_coords)
-    eig_path = tmp_path / "eigs.csv"
-    kl.write_eigenvalues_csv(eig_path)
-    lines = eig_path.read_text().strip().splitlines()
-    assert lines[0] == "index,lambda"
-    assert len(lines) == 4
-
-
 def test_eigen_cache_keeps_leading_columns_and_values():
     from sgfem import kle
     mesh = build_mesh(0.1)

@@ -122,17 +122,6 @@ def test_fcg_reduces_to_cg_with_fixed_preconditioner():
     assert r2.kappa_estimate == pytest.approx(r1.kappa_estimate, rel=1e-6)
 
 
-def test_fcg_truncation_window():
-    rng = np.random.default_rng(4)
-    n = 80
-    M = rng.standard_normal((n, n))
-    A = M @ M.T + n * np.eye(n)
-    b = rng.standard_normal(n)
-    _, full = fcg(lambda v: A @ v, b, tol=1e-10)
-    _, short = fcg(lambda v: A @ v, b, tol=1e-10, truncation=1)
-    assert abs(full.iterations - short.iterations) <= 1
-
-
 def test_fcg_with_variable_preconditioner_converges():
     rng = np.random.default_rng(5)
     n = 50

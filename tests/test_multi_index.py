@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from sgfem.multi_index import build_multi_index_set, hierarchy_dims
+from sgfem.multi_index import build_multi_index_set
 
 
 def brute_force_set(dims, degree):
@@ -39,8 +39,7 @@ def test_graded_ordering():
     degs = s.degrees()
     assert degs == sorted(degs)
     for l in range(6):
-        sl = s.degree_slice(l)
-        level = s.indices[sl]
+        level = s.indices[s.degree_offsets[l]:s.degree_offsets[l + 1]]
         assert all(sum(t) == l for t in level)
         assert list(level) == sorted(level, reverse=True)
 
@@ -55,17 +54,15 @@ def test_prefix_property(dims, degree):
 
 def test_first_order_positions():
     s = build_multi_index_set(4, 3)
-    for d in range(1, 5):
-        pos = s.first_order_position(d)
-        assert s.indices[pos] == tuple(1 if i == d - 1 else 0 for i in range(4))
+    units = [tuple(1 if i == d - 1 else 0 for i in range(4)) for d in range(1, 5)]
     # first-order indices are consecutive, in dimension order
-    assert [s.first_order_position(d) for d in range(1, 5)] == [1, 2, 3, 4]
+    assert [s.indices.index(unit) for unit in units] == [1, 2, 3, 4]
 
 
 def test_position_roundtrip():
     s = build_multi_index_set(3, 3)
     for i, t in enumerate(s.indices):
-        assert s.position(t) == i
+        assert s.indices.index(t) == i
 
 
 def test_rejects_bad_arguments():
@@ -78,14 +75,15 @@ def test_rejects_bad_arguments():
 
 
 def test_hierarchy_dims():
-    assert hierarchy_dims(4, 4) == [1, 5, 15, 35, 70]
-    assert hierarchy_dims(1, 3) == [1, 2, 3, 4]
-    assert hierarchy_dims(4, 1) == [1, 5]
+    # the sizes of the nested leading blocks are degree_offsets[1:]
+    for (dims, degree), sizes in {(4, 4): [1, 5, 15, 35, 70], (1, 3): [1, 2, 3, 4],
+                                  (4, 1): [1, 5]}.items():
+        assert list(build_multi_index_set(dims, degree).degree_offsets[1:]) == sizes
     with pytest.raises(ValueError):
-        hierarchy_dims(0, 1)
+        build_multi_index_set(0, 1)
 
 
 def test_hierarchy_matches_offsets():
+    # the nested leading blocks hold the indices of total degree <= l
     s = build_multi_index_set(3, 4)
-    dims = hierarchy_dims(3, 4)
-    assert list(s.degree_offsets[1:]) == dims
+    assert list(s.degree_offsets[1:]) == [comb(3 + l, l) for l in range(5)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgfem.orthopoly import hermite_family, legendre_family, triple_product_1d
+from sgfem.orthopoly import hermite_family, legendre_family
 
 FAMILIES = [legendre_family(), hermite_family()]
 

@@ -20,8 +20,7 @@ from .operator import (GalerkinOperator, InnerSolveError, InnerSolver,
                        build_uniform_operator)
 from .orthopoly import PolynomialFamily, hermite_family, legendre_family
 from .precond import (BlockSGS, HierarchicalSchur, MeanBased, WorkCount,
-                      make_preconditioner, reduced_system_solve,
-                      truncate_operator, work_count)
+                      make_preconditioner, reduced_system_solve, work_count)
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 from .experiments import (ExperimentConfig, SpectralDiagnostic, run_experiment,
                           run_row, run_table, spectral_diagnostic)
@@ -38,8 +37,7 @@ __all__ = [
     "build_uniform_operator",
     "PolynomialFamily", "hermite_family", "legendre_family",
     "BlockSGS", "HierarchicalSchur", "MeanBased", "WorkCount",
-    "make_preconditioner", "reduced_system_solve",
-    "truncate_operator", "work_count",
+    "make_preconditioner", "reduced_system_solve", "work_count",
     "TripleProductTensor", "build_triple_product_tensor",
     "ExperimentConfig", "SpectralDiagnostic", "run_experiment", "run_row",
     "run_table", "spectral_diagnostic",

@@ -14,6 +14,7 @@ tolerance, 1 solver or usage error (any bad flag, key or value; one line).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing
 from dataclasses import fields
@@ -95,6 +96,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    if args.out:    # an unusable directory fails before any solve or sweep
+        os.makedirs(args.out, exist_ok=True)
     if args.table:
         given = [f"--{key.replace('_', '-')}" for key in ("config", *_types())
                  if getattr(args, key) is not None]
@@ -128,8 +131,6 @@ def cmd_run(args) -> int:
     if report.work:
         print(f"work: {report.work}")
     if args.out:
-        import os
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "residuals.csv")
         report.write_residual_history(path)
         print(f"wrote {path}")
@@ -157,8 +158,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_diag(args)
-    # scipy's LinAlgError is a ValueError
-    except (ValueError, FileNotFoundError, InnerSolveError) as exc:
+    # scipy's LinAlgError is a ValueError; OSError covers unusable paths
+    except (ValueError, OSError, InnerSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"cov must be non-negative, got {self.cov}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.n_quad < 2:
+            raise ValueError(f"n_quad must be at least 2, got {self.n_quad}")
         build_mesh(self.h)  # validates 1/h
 
 
@@ -93,7 +95,6 @@ class TableRow:
     sweep: float
     ndof: int
     results: dict = field(default_factory=dict)   # kind -> (iter, kappa)
-    work: dict | None = None
     flags: list = field(default_factory=list)
 
 
@@ -196,8 +197,6 @@ def run_row(config: ExperimentConfig, kinds=reference.PRECONDITIONER_ORDER,
             row.flags.append(f"{kind}: stopped (non-finite value)")
         elif not report.converged and not report.spd_suspect:
             row.flags.append(f"{kind}: max_iter reached")
-    if config.distribution == "uniform":
-        row.work = WorkCount.of(op.tensor).as_dict()
     return row
 
 

@@ -42,12 +42,6 @@ class MultiIndexSet:
     def degrees(self) -> list[int]:
         return [sum(t) for t in self.indices]
 
-    def truncated(self, degree: int) -> "MultiIndexSet":
-        """The order-``degree`` subset (a prefix of this set)."""
-        if degree > self.degree:
-            raise ValueError("truncation degree exceeds set degree")
-        return build_multi_index_set(self.dims, degree)
-
 
 def build_multi_index_set(dims: int, degree: int) -> MultiIndexSet:
     """Enumerate all multi-indices of total degree <= degree in graded order.

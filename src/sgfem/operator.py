@@ -186,10 +186,9 @@ class GalerkinOperator:
         return (n, n)
 
     def as_blocks(self, u: np.ndarray) -> np.ndarray:
+        """u with one row per block; a flat u is cut into ndof-long blocks."""
         u = np.asarray(u)
-        if u.ndim == 1:
-            return u.reshape(self.n_blocks, self.ndof)
-        return u
+        return u.reshape(-1, self.ndof) if u.ndim == 1 else u
 
     def level_slices(self, level: int) -> tuple[slice, slice]:
         """(head, tail) block ranges of degree < l and of degree l."""

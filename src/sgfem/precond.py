@@ -17,7 +17,8 @@ Three preconditioners are provided, all operating block-wise:
   with post-corrections u_l^tail = D_l^{-1} (r_l^tail - C_l u_l^head).
   Replacing each Schur complement by the next-lower hierarchy matrix is the
   only approximation; with exact block solves on a decoupled system it is
-  the exact inverse.
+  the exact inverse.  It applies to any leading hierarchy A_L, the one its
+  residual spans, so the Schur reduction uses it on the same operator.
 
 Every level solve, the bottom one included, is ``d_block_solve``, and every
 product with blocks of other levels is ``product`` over the ranges of
@@ -28,14 +29,15 @@ set an inner policy's tol of None to their outer tolerance.
 Each preconditioner tallies block-level work: one counter unit is one
 diagonal-block solve or one product with an off-diagonal block the operator
 multiplies (``live_blocks``).  For one application of the hierarchical
-preconditioner the tallies are n_ds = 2(n_db - 1) + 1 solves and one product
-per live block whose two degrees differ; on a block-diagonal-level operator
-that is n_m = n_b - n_db, matching the tabulated work counts.  On either
-form of the operator a counted product is work done: the pre-summed form
-multiplies only the blocks of the rows asked for, and the matrix-free form
-multiplies each K_i with only the column blocks that reach them (one K_i X_j
-per counted block at N=8, P=4; on smaller bases a K_i that needs more than
-half of a column range multiplies all of it).
+preconditioner on A_L the tallies are 2 m - 1 solves for its m blocks and one
+product per live block of A_L whose two degrees differ; for A_P of a
+block-diagonal-level operator that is n_ds = 2 n_db - 1 and n_m = n_b - n_db,
+the tabulated work counts.  On either form of the operator a counted
+product is work done: the pre-summed form multiplies only the blocks of the
+rows asked for, and the matrix-free form multiplies each K_i with only the
+column blocks that reach them (one K_i X_j per counted block at N=8, P=4; on
+smaller bases a K_i that needs more than half of a column range multiplies
+all of it).
 """
 from __future__ import annotations
 
@@ -124,6 +126,7 @@ class MeanBased(_BlockPreconditioner):
         self._weights = op.diag_weights
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+        R = R.reshape(self.op.n_blocks, self.op.ndof)   # ValueError naming any other size
         Z = self._solve(R) / self._weights[:, None]
         self.counters.block_solves += self.op.n_blocks
         return Z
@@ -176,6 +179,7 @@ class BlockSGS(_BlockPreconditioner):
         return levels
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+        R = R.reshape(self.op.n_blocks, self.op.ndof)   # ValueError naming any other size
         op = self.op
         Y = np.zeros_like(R)
         for l, rows in enumerate(self._level_rows):
@@ -207,42 +211,48 @@ class BlockSGS(_BlockPreconditioner):
 class HierarchicalSchur(_BlockPreconditioner):
     """Recursive Schur-complement preconditioner over the degree hierarchy.
 
-    Descending over levels l = P..1: split the running residual into its
-    head (degree < l) and tail (degree l) parts, solve the tail with D_l,
-    and subtract B_l times that solution from the head (pre-correction).
-    At the bottom solve with D_0, the mean block.  Ascending, each level gets
-    its tail from D_l^{-1} (r_l^tail - C_l u_head) (post-correction) and the
-    parts are concatenated.
+    It takes any leading hierarchy A_L (degrees <= L) of its operator: a
+    residual of ``basis.degree_offsets[L + 1]`` block rows.  Descending over
+    levels l = L..1: split the running residual into its head (degree < l)
+    and tail (degree l) parts, solve the tail with D_l, and subtract B_l
+    times that solution from the head (pre-correction).  At the bottom solve
+    with D_0, the mean block.  Ascending, each level gets its tail from
+    D_l^{-1} (r_l^tail - C_l u_head) (post-correction), concatenated.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
         super().__init__(op, inner, outer_tol)
-        self.degree = op.basis.degree
-        # each application solves every block of degree >= 1 twice and the
-        # mean block once, and multiplies every live block (t, j) with
-        # deg(t) != deg(j) once: it lies in exactly one B_l or C_l
+        self._levels = {m: L for L, m in enumerate(op.basis.degree_offsets[1:])}
+        # each application solves every block of degree 1..L twice and the
+        # mean block once, and multiplies every live block (t, j) of A_L
+        # with deg(t) != deg(j) once: it lies in exactly one B_l or C_l
         degree = np.array(op.basis.degrees())
         t, j = op.live_blocks
-        self._n_products = int(np.count_nonzero(degree[t] != degree[j]))
+        higher = np.maximum(degree[t], degree[j])[degree[t] != degree[j]]
+        self._n_products = np.bincount(higher, minlength=len(self._levels)).cumsum().tolist()
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         op = self.op
-        residuals: list[np.ndarray] = [None] * (self.degree + 1)
+        top = self._levels.get(len(R))
+        if top is None:
+            raise ValueError(f"{len(R)} block rows span no leading hierarchy; "
+                             f"expected one of {list(self._levels)}")
+        residuals: list[np.ndarray] = [None] * (top + 1)
         cur = np.asarray(R, dtype=float)
-        for l in range(self.degree, 0, -1):
+        for l in range(top, 0, -1):
             residuals[l] = cur
             head, tail = op.level_slices(l)
             t = op.d_block_solve(l, cur[tail], self.inner)
             cur = cur[head] - op.product(head, tail, t)
         u = op.d_block_solve(0, cur, self.inner)
-        for l in range(1, self.degree + 1):
+        for l in range(1, top + 1):
             head, tail = op.level_slices(l)
             ct = op.product(tail, head, u)
             ut = op.d_block_solve(l, residuals[l][tail] - ct, self.inner)
             u = np.vstack([u, ut])
-        self.counters.block_solves += 2 * op.n_blocks - 1
-        self.counters.block_matvecs += self._n_products
+        self.counters.block_solves += 2 * len(R) - 1
+        self.counters.block_matvecs += self._n_products[top]
         return u
 
 
@@ -253,8 +263,8 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
     Requires exact solves with D_P (the reduction is only justified then).
     Returns the full-system solution together with the report of the reduced
     iteration: CG on S x = A_{P-1} x - B_P D_P^{-1} C_P x, applied
-    matrix-free and preconditioned by the hierarchical preconditioner of the
-    order-(P-1) operator.
+    matrix-free and preconditioned by the hierarchical preconditioner of
+    ``op`` on its leading hierarchy A_{P-1}.
     """
     level = op.basis.degree
     if level == 0:
@@ -276,24 +286,13 @@ def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,
         AX -= op.product(head, tail, d_solve(CX))
         return AX.ravel()
 
-    apply_m = HierarchicalSchur(truncate_operator(op, level - 1), exact, tol)
+    apply_m = HierarchicalSchur(op, exact, tol)
     x_head, report = krylov.cg(schur_apply, g.ravel(), apply_m=apply_m,
                                tol=tol, max_iter=max_iter)
     X_head = x_head.reshape(n_head, op.ndof)
     u_tail = d_solve(B[tail] - op.product(tail, head, X_head))
     x = np.vstack([X_head, u_tail])
     return x, report
-
-
-def truncate_operator(op: GalerkinOperator, degree: int) -> GalerkinOperator:
-    """The leading-hierarchy operator over the order-``degree`` sub-basis."""
-    sub_basis = op.basis.truncated(degree)
-    m = len(sub_basis)
-    # the rows i * n_blocks + j and columns k with j, k < m of every C_i
-    rows = (np.arange(op.tensor.n_coeff)[:, None] * op.n_blocks + np.arange(m)).ravel()
-    tensor = TripleProductTensor(op.tensor.coeff_set, sub_basis,
-                                 op.tensor.family_kind, op.tensor.stacked[rows, :m])
-    return GalerkinOperator((op.indices, op.indptr, op.data), tensor)
 
 
 def make_preconditioner(op: GalerkinOperator, kind: str,

@@ -39,7 +39,6 @@ class TripleProductTensor:
 
     coeff_set: MultiIndexSet       # indices i = 0..L
     basis: MultiIndexSet           # indices j, k = 0..M
-    family_kind: str
     stacked: sp.csr_matrix         # row i * (M+1) + j holds c_ijk over k
 
     @property
@@ -144,7 +143,7 @@ def build_triple_product_tensor(basis: MultiIndexSet, coeff_set: MultiIndexSet,
     stacked = sp.csr_matrix((value[keep][order], k[order],
                              np.searchsorted(row, np.arange(n_rows + 1))),
                             shape=(n_rows, M1))
-    return TripleProductTensor(coeff_set, basis, family.kind, stacked)
+    return TripleProductTensor(coeff_set, basis, stacked)
 
 
 def _rows_view(S: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:

@@ -90,6 +90,22 @@ def test_table_run_rejects_config_options(tmp_path, capsys, options, named):
     assert not (tmp_path / "work_counts.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--N", "1", "--P", "1", "--h", "0.5", "--out", "{file}"],
+    ["run", "--table", "work_counts", "--out", "{file}"],
+    ["run", "--N", "1", "--P", "1", "--h", "0.5", "--out", "{file}/sub"],
+    ["run", "--config", "{dir}"],
+])
+def test_unusable_path_exit_one_before_any_run(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc = cli.main([a.format(file=tmp_path / "file", dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "iterations=" not in out and "wrote" not in out
+
+
 def test_table_diff_failure_exit_two(monkeypatch, capsys):
     from sgfem import experiments
     monkeypatch.setitem(experiments.TABLE_SWEEPS, "T1",
@@ -149,9 +165,11 @@ def test_bad_invocation_exit_one_with_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("option,value", [("k0", "0"), ("k0", "-1"), ("cov", "-0.5")])
+@pytest.mark.parametrize("option,value", [("k0", "0"), ("k0", "-1"), ("cov", "-0.5"),
+                                          ("n_quad", "0"), ("n_quad", "1")])
 def test_bad_coefficient_exit_one_naming_the_option(option, value, capsys):
-    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5", f"--{option}", value])
+    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5",
+                   f"--{option.replace('_', '-')}", value])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} must be ")

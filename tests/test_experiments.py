@@ -9,6 +9,7 @@ from sgfem.kle import CovarianceSpec, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import build_uniform_operator
 from sgfem.orthopoly import legendre_family
+from sgfem.precond import WorkCount
 
 
 def test_config_validation():
@@ -64,9 +65,11 @@ def test_single_run_reference_row():
 
 
 def test_run_row_collects_all_columns():
-    row = run_row(ExperimentConfig(N=2, P=2, h=0.25), sweep_value=2)
+    cfg = ExperimentConfig(N=2, P=2, h=0.25)
+    row = run_row(cfg, sweep_value=2)
     assert set(row.results) == {"none", "mean", "bsgs", "hs"}
-    assert row.work == {"n_b": 18, "n_db": 6, "n_m": 12, "n_ds": 11}
+    assert WorkCount.of(build_operator(cfg).tensor).as_dict() == \
+        {"n_b": 18, "n_db": 6, "n_m": 12, "n_ds": 11}
     # preconditioned columns never lose to the unpreconditioned run
     assert row.results["hs"][0] <= row.results["none"][0]
 

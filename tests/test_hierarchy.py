@@ -124,6 +124,38 @@ def check_against_oracle(op):
         coupling_pattern(op) & (degree[:, None] != degree[None, :]))
 
 
+def dense_hs(op, A, r, top):
+    """Exactly solved HS of the leading hierarchy A_top from the dense
+    matrix: a D_top solve on either side of the recursion into A_{top-1}."""
+    head, tail = (slice(s.start * op.ndof, s.stop * op.ndof)
+                  for s in op.level_slices(top))
+    D = A[tail, tail]
+    if top == 0:
+        return np.linalg.solve(D, r)
+    u = dense_hs(op, A, r[head] - A[head, tail] @ np.linalg.solve(D, r[tail]), top - 1)
+    return np.concatenate([u, np.linalg.solve(D, r[tail] - A[tail, head] @ u)])
+
+
+@pytest.mark.parametrize("config", [("lognormal", 2, 3, 3), ("lognormal", 3, 2, 2),
+                                    ("lognormal", 1, 3, 4)])
+def test_hs_on_every_leading_hierarchy_matches_the_dense_oracle(config):
+    # the order-L lognormal operator is not A_L (its coefficient order is 2L,
+    # not 2P), so the oracle is the leading block of the full dense matrix
+    op = build(config)
+    A = dense_kron_oracle(op)
+    degree = np.array(op.basis.degrees())
+    rng = np.random.default_rng(2)
+    for top in range(op.basis.degree + 1):
+        m = op.basis.degree_offsets[top + 1]
+        r = rng.standard_normal(m * op.ndof)
+        hs = HierarchicalSchur(op, EXACT)
+        ref = dense_hs(op, A, r, top)
+        assert np.linalg.norm(hs(r) - ref) <= 1e-9 * np.linalg.norm(ref), top
+        assert hs.counters.block_solves == 2 * m - 1
+        assert hs.counters.block_matvecs == np.count_nonzero(
+            (coupling_pattern(op) & (degree[:, None] != degree[None, :]))[:m, :m])
+
+
 @given(configs)
 def test_level_views_match_dense_oracle(config):
     op = build(config)

@@ -49,7 +49,6 @@ def test_prefix_property(dims, degree):
     full = build_multi_index_set(dims, degree)
     sub = build_multi_index_set(dims, degree - 1)
     assert full.indices[:len(sub)] == sub.indices
-    assert full.truncated(degree - 1).indices == sub.indices
 
 
 def test_first_order_positions():

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.krylov import cg
 from sgfem.multi_index import build_multi_index_set
-from sgfem.operator import InnerSolver, build_uniform_operator
+from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
-                           make_preconditioner, reduced_system_solve,
-                           truncate_operator, work_count)
+                           make_preconditioner, reduced_system_solve, work_count)
 
 EXACT = InnerSolver(kind="exact")
 
@@ -399,12 +401,43 @@ def test_reduction_rejects_constant_basis():
         reduced_system_solve(op, b)
 
 
-def test_truncate_operator_prefix_consistency():
-    op3, _ = make_operator(2, 3)
-    sub = truncate_operator(op3, 2)
-    X = np.random.default_rng(5).standard_normal((sub.n_blocks, sub.ndof))
-    head, _ = op3.level_slices(3)
-    assert np.allclose(sub.apply(X), op3.product(head, head, X), atol=1e-13)
+@pytest.mark.parametrize("dims, degree", [(2, 4), (3, 3), (8, 2)])
+def test_hs_on_a_leading_hierarchy_is_hs_of_the_lower_order_operator(dims, degree):
+    cfg = ExperimentConfig(N=dims, P=degree, h=0.25)
+    op = build_operator(cfg)
+    rng = np.random.default_rng(dims)
+    for level in range(degree):
+        hs = HierarchicalSchur(op, EXACT)
+        sub = HierarchicalSchur(build_operator(replace(cfg, P=level)), EXACT)
+        r = rng.standard_normal(sub.op.shape[0])
+        assert np.array_equal(hs(r), sub(r)), level
+        assert hs.counters == sub.counters, level
+
+
+@pytest.mark.parametrize("kind", [MeanBased, BlockSGS, HierarchicalSchur])
+def test_residual_of_no_hierarchy_length_is_refused(kind):
+    op, _ = make_operator(2, 2)
+    prec = kind(op, EXACT)
+    rows = [op.n_blocks + 1, op.n_blocks - 1]
+    if kind is not HierarchicalSchur:
+        rows += list(op.basis.degree_offsets[1:-1])
+    for m in rows:
+        # the full hierarchy, or for HS a leading one: 1, 3 or 6 blocks
+        match = (f"{m} block rows span no leading hierarchy; expected one of \\[1, 3, 6\\]"
+                 if kind is HierarchicalSchur else f"size {m * op.ndof} ")
+        with pytest.raises(ValueError, match=match):
+            prec(np.ones(m * op.ndof))
+    assert prec.counters.applications == 0
+
+
+def test_reduced_solve_builds_no_second_operator(monkeypatch):
+    op, b = make_operator(2, 3)
+    built = []
+    init = GalerkinOperator.__init__
+    monkeypatch.setattr(GalerkinOperator, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    _, report = reduced_system_solve(op, b)
+    assert report.converged and built == []
 
 
 def test_factory_names():

@@ -43,7 +43,6 @@ PUBLIC_API = [
     "run_row",
     "run_table",
     "spectral_diagnostic",
-    "truncate_operator",
     "work_count",
 ]
 

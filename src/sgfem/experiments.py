@@ -11,8 +11,8 @@ enforced (see reference module for which ones).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from math import comb
+from dataclasses import dataclass, field, fields, replace
+from math import comb, isfinite
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,13 +26,12 @@ from .multi_index import build_multi_index_set
 from .operator import (DENSE_ASSEMBLY_LIMIT, GalerkinOperator, InnerSolver,
                        build_uniform_operator)
 from .orthopoly import legendre_family
-from .precond import HierarchicalSchur, WorkCount, make_preconditioner, work_count
+from .precond import HierarchicalSchur, make_preconditioner, work_count
 
 INNER_POLICIES = {
     "exact": InnerSolver(kind="exact"),
     "cg-none": InnerSolver(kind="cg", precond="none"),
     "cg-diagonal": InnerSolver(kind="cg", precond="diagonal"),
-    "cg-exact": InnerSolver(kind="cg", precond="exact"),
 }
 
 CHOICES = {
@@ -75,6 +74,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"unknown {key} {value!r}; choose from {list(allowed)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.N < 1 or self.P < 0:
             raise ValueError(f"need N >= 1, P >= 0, got N={self.N}, P={self.P}")
         if self.k0 <= 0:
@@ -82,7 +85,9 @@ class ExperimentConfig:
         if self.cov < 0:
             raise ValueError(f"cov must be non-negative, got {self.cov}")
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.n_quad < 2:
             raise ValueError(f"n_quad must be at least 2, got {self.n_quad}")
         build_mesh(self.h)  # validates 1/h
@@ -140,8 +145,6 @@ def run_experiment(config: ExperimentConfig,
                        max_iter=config.max_iter)
     if prec is not None:
         report.work = prec.counters.__dict__.copy()
-        if config.distribution == "uniform":
-            report.work.update(WorkCount.of(op.tensor).as_dict())
     return report
 
 

@@ -1,21 +1,23 @@
 """Conjugate gradients, its flexible variant, and condition estimates.
 
-Both solvers stop on the unpreconditioned relative residual
-||b - A x|| / ||b|| <= tol, so iteration counts are comparable across
-preconditioners.  The scalar recurrences of CG define a symmetric tridiagonal
-(Lanczos) matrix whose extreme eigenvalues estimate the spectrum of the
-preconditioned operator; the reported condition estimate is their ratio.  By
-interlacing the estimate never exceeds the true condition number and is
-non-decreasing in the iteration count.
+Both solvers run one preconditioned CG loop and differ only in the search
+direction.  Standard CG takes p = z + beta p, with z = M r and beta the ratio
+of successive <r, z>.  The flexible variant takes z made A-orthogonal to all
+previous directions (full history) and steps by <p, r> / <p, Ap>, which keeps
+it convergent when the preconditioner changes between iterations, e.g. with
+inner iterative block solves.  With a fixed preconditioner it reproduces the
+standard CG iterates.
 
-The flexible variant re-orthogonalizes each new search direction against
-all previous directions (full history), which keeps it convergent when the
-preconditioner changes between iterations, e.g. with inner iterative block
-solves.  With a fixed preconditioner it reproduces the standard CG iterates.
+Both stop on the unpreconditioned relative residual ||b - A x|| / ||b|| <= tol,
+so iteration counts are comparable across preconditioners.  The scalar
+recurrences of CG define a symmetric tridiagonal (Lanczos) matrix whose
+extreme eigenvalues estimate the spectrum of the preconditioned operator; the
+reported condition estimate is their ratio.  By interlacing the estimate
+never exceeds the true condition number and is non-decreasing in the
+iteration count.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +36,6 @@ class SolveReport:
     spd_suspect: bool = False
     non_finite: bool = False
     work: dict | None = None
-    wall_time: float = 0.0
     alphas: list = field(default_factory=list, repr=False)
     betas: list = field(default_factory=list, repr=False)
 
@@ -97,52 +98,7 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     negative <r, z>) sets spd_suspect and a non-finite <p, Ap>, <r, z> or
     residual sets non_finite, and either stops the iteration.
     """
-    start = time.perf_counter()
-    b = np.asarray(b, dtype=float).ravel()
-    n = b.size
-    if max_iter is None:
-        max_iter = default_max_iter(n)
-    report = SolveReport()
-    x = np.zeros(n)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        report.converged = True
-        report.wall_time = time.perf_counter() - start
-        return x, report
-    r = b.copy()
-    z = apply_m(r) if apply_m else r.copy()
-    p = z.copy()
-    rz = float(r @ z)
-    alphas, betas = report.alphas, report.betas
-    report.relative_residuals.append(1.0)
-    _halt(report, rz, rz < 0.0)
-    while report.iterations < max_iter and not (report.spd_suspect or report.non_finite):
-        Ap = apply_a(p)
-        pAp = float(p @ Ap)
-        if _halt(report, pAp, pAp <= 0.0):
-            break
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        report.iterations += 1
-        alphas.append(alpha)
-        relres = np.linalg.norm(r) / bnorm
-        report.relative_residuals.append(float(relres))
-        if relres <= tol:
-            report.converged = True
-            break
-        if _halt(report, relres, False):
-            break
-        z = apply_m(r) if apply_m else r.copy()
-        rz_new = float(r @ z)
-        if _halt(report, rz_new, rz_new < 0.0):
-            break
-        beta = rz_new / rz
-        betas.append(beta)
-        rz = rz_new
-        p = z + beta * p
-    report.wall_time = time.perf_counter() - start
-    return x, report
+    return _pcg(apply_a, b, apply_m, tol, max_iter, flexible=False)
 
 
 def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None):
@@ -153,48 +109,50 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
     the condition estimate uses the same scalar recurrences and is exact in
     the fixed-preconditioner limit.
     """
-    start = time.perf_counter()
+    return _pcg(apply_a, b, apply_m, tol, max_iter, flexible=True)
+
+
+def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
+    """The CG loop of cg() and fcg(): each step applies apply_m and apply_a
+    once, so a run of k steps applies each k times."""
     b = np.asarray(b, dtype=float).ravel()
-    n = b.size
     if max_iter is None:
-        max_iter = default_max_iter(n)
+        max_iter = default_max_iter(b.size)
     report = SolveReport()
-    x = np.zeros(n)
+    x = np.zeros(b.size)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         report.converged = True
-        report.wall_time = time.perf_counter() - start
         return x, report
     r = b.copy()
-    dirs: list[np.ndarray] = []
-    adirs: list[np.ndarray] = []
-    pap: list[float] = []
     alphas, betas = report.alphas, report.betas
-    rz_prev = None
+    history: list[tuple] = []     # (p, Ap, <p, Ap>) of every step; flexible only
     report.relative_residuals.append(1.0)
     while report.iterations < max_iter:
         z = apply_m(r) if apply_m else r.copy()
         rz = float(r @ z)
         if _halt(report, rz, rz < 0.0):
             break
-        if rz_prev is not None:
+        if report.iterations:
             betas.append(rz / rz_prev)
         rz_prev = rz
-        p = z.copy()
-        for i in range(len(dirs)):
-            p -= (float(z @ adirs[i]) / pap[i]) * dirs[i]
+        if flexible or not report.iterations:
+            p = z.copy()
+            for q, aq, qaq in history:
+                p -= (float(z @ aq) / qaq) * q
+        else:
+            p = z + betas[-1] * p
         Ap = apply_a(p)
         pAp = float(p @ Ap)
         if _halt(report, pAp, pAp <= 0.0):
             break
-        alpha = float(p @ r) / pAp
+        alpha = float(p @ r) / pAp if flexible else rz / pAp
         x += alpha * p
         r -= alpha * Ap
         report.iterations += 1
         alphas.append(alpha)
-        dirs.append(p)
-        adirs.append(Ap)
-        pap.append(pAp)
+        if flexible:
+            history.append((p, Ap, pAp))
         relres = np.linalg.norm(r) / bnorm
         report.relative_residuals.append(float(relres))
         if relres <= tol:
@@ -202,5 +160,4 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
             break
         if _halt(report, relres, False):
             break
-    report.wall_time = time.perf_counter() - start
     return x, report

@@ -69,7 +69,7 @@ class InnerSolver:
 
     kind "exact" factorizes once (sparse LU); kind "cg" runs an inner
     conjugate gradient loop preconditioned by ``precond`` in
-    {"none", "diagonal", "exact"}.  ``tol`` and ``maxiter`` bound every
+    {"none", "diagonal"}.  ``tol`` and ``maxiter`` bound every
     inner CG loop under the policy, level CG included.  A tol of None means
     the outer tolerance: each preconditioner fills it in when built, and a
     CG loop reached with tol None raises ValueError.
@@ -80,7 +80,7 @@ class InnerSolver:
     """
 
     kind: str = "exact"
-    precond: str = "exact"
+    precond: str = "diagonal"
     tol: float | None = None
     maxiter: int = 2000
 
@@ -95,9 +95,6 @@ class InnerSolver:
         elif self.precond == "diagonal":
             dinv = 1.0 / matrix.diagonal()
             prec = lambda r: dinv * r
-        elif self.precond == "exact":
-            lu = _factorize(matrix.tocsc())
-            prec = lambda r: lu.solve(r)
         else:
             raise ValueError(f"unknown inner preconditioner {self.precond!r}")
         A = matrix.tocsr()

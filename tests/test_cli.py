@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import re
 
@@ -65,6 +66,17 @@ def test_single_run_exit_zero(tmp_path, capsys):
     assert "iterations=" in out and "converged=True" in out
     res = (tmp_path / "residuals.csv").read_text().splitlines()
     assert res[0] == "iter,relres"
+
+
+def test_single_run_work_line_holds_only_the_preconditioner_counters(capsys):
+    # one HS application on the deterministic limit: no block products, three
+    # block solves; the closed forms of the tensor are work_count's, not a run's
+    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5", "--cov", "0"])
+    work = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("work: "))
+    assert rc == 0
+    assert ast.literal_eval(work[len("work: "):]) == {
+        "block_matvecs": 0, "block_solves": 3, "applications": 1}
 
 
 def test_table_run_exit_zero(tmp_path, capsys):
@@ -165,10 +177,19 @@ def test_bad_invocation_exit_one_with_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("option,value", [("k0", "0"), ("k0", "-1"), ("cov", "-0.5"),
-                                          ("n_quad", "0"), ("n_quad", "1")])
-def test_bad_coefficient_exit_one_naming_the_option(option, value, capsys):
-    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5",
+BAD_VALUES = [("k0", "0", "uniform"), ("k0", "-1", "uniform"), ("cov", "-0.5", "uniform"),
+              ("n_quad", "0", "uniform"), ("n_quad", "1", "uniform"),
+              ("k0", "nan", "uniform"), ("cov", "nan", "uniform"), ("L", "nan", "uniform"),
+              ("h", "nan", "uniform"), ("tol", "nan", "uniform"), ("max_iter", "-1", "uniform"),
+              ("cov", "nan", "lognormal")]
+
+
+@pytest.mark.parametrize("option,value,distribution", BAD_VALUES,
+                         ids=[f"{o}-{v}" + (f"-{d}" if d != "uniform" else "")
+                              for o, v, d in BAD_VALUES])
+def test_bad_coefficient_exit_one_naming_the_option(option, value, distribution, capsys):
+    # NaN passes every comparison, so each non-finite value is named on its own
+    rc = cli.main(["run", "--N", "1", "--P", "1", "--h", "0.5", "--distribution", distribution,
                    f"--{option.replace('_', '-')}", value])
     err = capsys.readouterr().err
     assert rc == 1
@@ -209,7 +230,7 @@ def _run_help(capsys) -> str:
 def test_run_help_usage_lists_the_choices(monkeypatch, capsys):
     out = _run_help(capsys)
     assert "[--preconditioner {none,mean,bsgs,hs}]" in out
-    assert "[--inner {exact,cg-none,cg-diagonal,cg-exact}]" in out
+    assert "[--inner {exact,cg-none,cg-diagonal}]" in out
     # the usage reads the one list of allowed values
     monkeypatch.setitem(experiments.CHOICES, "krylov", ("cg", "fcg", "minres"))
     assert "[--krylov {cg,fcg,minres}]" in _run_help(capsys)

@@ -248,9 +248,8 @@ def test_every_lu_takes_the_symmetric_ordering_and_level_lus_no_csc_copy(monkeyp
     r = np.ones(op.shape[0])
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
-    make_preconditioner(op, "mean", InnerSolver(kind="cg", precond="exact"))(r)
-    # K_0 twice (exact, cg-exact), n_b - 1 BSGS diagonal blocks, D_1..D_3
-    assert len(factorized) == 2 + (op.n_blocks - 1) + 3
+    # K_0 once, n_b - 1 BSGS diagonal blocks, D_1..D_3
+    assert len(factorized) == 1 + (op.n_blocks - 1) + 3
     for _, kwargs in factorized:
         assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     levels = [m for m, _ in factorized if m.shape[0] > op.ndof]

@@ -189,6 +189,27 @@ def test_healthy_solve_not_flagged_non_finite(solver):
     assert report.converged and not report.non_finite
 
 
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_each_step_applies_the_preconditioner_once(solver):
+    calls = {"a": 0, "m": 0}
+
+    def apply_a(v):
+        calls["a"] += 1
+        return np.linspace(1.0, 1e4, 200) * v
+
+    def apply_m(r):
+        calls["m"] += 1
+        return r.copy()
+
+    # converged, stopped by max_iter, and no step at all
+    for tol, max_iter in ((1e-6, None), (1e-14, 5), (1e-14, 0)):
+        calls.update(a=0, m=0)
+        _, report = solver(apply_a, np.ones(200), apply_m=apply_m, tol=tol, max_iter=max_iter)
+        assert report.converged == (max_iter is None)
+        assert calls == {"a": report.iterations, "m": report.iterations}
+    assert report.iterations == 0
+
+
 def test_condition_estimate_is_computed_on_first_read(monkeypatch):
     from sgfem import krylov
     calls = []

@@ -84,6 +84,10 @@ class ExperimentConfig:
             raise ValueError(f"k0 must be positive, got {self.k0}")
         if self.cov < 0:
             raise ValueError(f"cov must be non-negative, got {self.cov}")
+        if self.cov == 0 and self.distribution == "lognormal":
+            raise ValueError(f"cov must be positive for a lognormal coefficient, got {self.cov}")
+        if self.L <= 0:
+            raise ValueError(f"L must be positive, got {self.L}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:

@@ -8,9 +8,8 @@ where the K_i share one CSR pattern and one (n_coeff, nnz) data array and
 C_i is the i-th sparse coupling matrix of the triple-product tensor.  The
 operator is built from those arrays as the assembly gives them, (indices,
 indptr, data), and from the tensor's one stacked CSR, so its set-up makes no
-per-coefficient object; ``GalerkinOperator.from_matrices`` accepts any list
-of sparse matrices instead, and ``matrices`` gives CSR views of the K_i on
-first access.  Every product is a sub-block product A[rows, cols] @ U[cols]
+per-coefficient object; ``matrices`` gives CSR views of the K_i on first
+access.  Every product is a sub-block product A[rows, cols] @ U[cols]
 over block ranges, and in either of its two forms computes only those rows.
 When each nonzero block holds a single term (the linear Karhunen-Loeve
 coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
@@ -29,7 +28,8 @@ exactly l; level 0 has an empty head and D_0 = A_00 = c_000 K_0, the mean
 block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
 (Karhunen-Loeve) coefficient case every D_l is block diagonal with each
 diagonal block a scalar multiple of the mean matrix K_0, so solving with D_l
-costs one multi-right-hand-side K_0 solve.
+costs one multi-right-hand-side K_0 solve; on meshes of up to
+MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-T}.
 C_l coincides with the transpose action of B_l whenever all K_i are
 symmetric; the column product computes the true sub-block action either
 way, so non-symmetric K_i are supported by the same code path.
@@ -74,9 +74,10 @@ class InnerSolver:
     the outer tolerance: each preconditioner fills it in when built, and a
     CG loop reached with tol None raises ValueError.
     The LU factorizes a CSC copy of the matrix, not its transpose view as
-    the level LU does: one block solver, K_0's above all, solves many
-    right-hand sides at once, and a transposed SuperLU solve of 495 of them
-    (K_0 at h=1/10) takes about twice as long as an untransposed one.
+    the level LU does: K_0's solver, on meshes too large for its dense
+    inverse (``GalerkinOperator.mean_solver``), solves many right-hand sides
+    at once, and a transposed SuperLU solve of 495 of them (K_0 at h=1/20)
+    takes 1.3-1.5 times as long as an untransposed one.
     """
 
     kind: str = "exact"
@@ -124,6 +125,11 @@ class InnerSolver:
 DENSE_ASSEMBLY_LIMIT = 2000
 # largest coupled level system that d_block_solve factorizes
 DIRECT_LEVEL_LIMIT = 20_000
+# largest K_0 whose exact mean solver is its dense inverse.  T4 rows (mean,
+# bsgs and hs, build included, one BLAS thread), LU -> inverse: 1/h = 15
+# (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
+# the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
+MEAN_INVERSE_LIMIT = 256
 
 
 class GalerkinOperator:
@@ -132,10 +138,9 @@ class GalerkinOperator:
     ``stiffness`` is the triple (indices, indptr, data) that
     assemble_weighted_stiffness gives for many fields: the spatial matrices
     share the CSR pattern (indices, indptr) and one ``(n_coeff, nnz)`` array
-    ``data``, whose row i holds the values of K_i.  ``from_matrices`` builds
-    the triple from any list of matrices.  A coefficient whose data row is
-    all zeros is structurally zero and takes part in no product.  tensor
-    holds the couplings c_ijk over the same coefficient index range.
+    ``data``, whose row i holds the values of K_i.  A coefficient whose data
+    row is all zeros is structurally zero and takes part in no product.
+    tensor holds the couplings c_ijk over the same coefficient index range.
     ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views of the
     rows of data, made on first access: the mean solve reads K_0 alone, and
     only matrix-free products read the others.
@@ -159,11 +164,6 @@ class GalerkinOperator:
         self._plans: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
-
-    @classmethod
-    def from_matrices(cls, matrices, tensor: TripleProductTensor) -> "GalerkinOperator":
-        """Operator on the union of the patterns of any list of matrices."""
-        return cls(_shared_pattern(matrices), tensor)
 
     @cached_property
     def mean_matrix(self) -> sp.csr_matrix:
@@ -278,10 +278,15 @@ class GalerkinOperator:
         block; the result has one row per row block.  Both forms compute
         only these rows: the pre-summed one from the dense blocks, the
         matrix-free one by multiplying each K_i with only the column blocks
-        X_j that reach a row asked for (``_plan``)."""
+        X_j that reach a row asked for (``_plan``).  An empty row or column
+        range, as at either end of a block Gauss-Seidel sweep, gives zeros
+        without a product."""
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
+        n_rows = len(range(*rows.indices(self.n_blocks)))
+        if n_rows == 0 or stop <= start:
+            return np.zeros((n_rows, self.ndof))
         if self.presummed:
             # one batched product per stored position e against the gathered
             # column blocks X[:, indices[e]], then a sum over each spatial
@@ -341,10 +346,23 @@ class GalerkinOperator:
         return bool(self._scalar_levels[level])
 
     def mean_solver(self, inner: InnerSolver):
-        """Cached solver for the mean matrix K_0; all exact policies share one LU."""
+        """Cached solver for the mean matrix K_0; all exact policies share one.
+
+        Up to MEAN_INVERSE_LIMIT dof the exact solver multiplies by the dense
+        K_0^{-T}, which the LU gives in one solve of the identity: a mean or
+        level solve is then one matrix product, X = B @ K_0^{-T}, which on
+        these meshes beats the sparse triangular solves of its many
+        right-hand sides though it does more flops (495 at h=1/10: 0.36
+        against 1.0-1.6 ms, one BLAS thread).  The cg policies solve K_0
+        themselves: an inexact solve of the identity would change them.
+        """
         key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
-            self._solver_cache[key] = inner.make(self.mean_matrix)
+            solve = inner.make(self.mean_matrix)
+            if key == "exact" and self.ndof <= MEAN_INVERSE_LIMIT:
+                inv_t = solve(np.eye(self.ndof))
+                solve = lambda B: np.atleast_2d(B) @ inv_t
+            self._solver_cache[key] = solve
         return self._solver_cache[key]
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver) -> np.ndarray:
@@ -352,9 +370,11 @@ class GalerkinOperator:
 
         A level diagonal with blocks c_0kk K_0 (level 0, and every level of
         the linear coefficient case) takes one multi-right-hand-side K_0
-        solve under ``inner``, rescaled by 1/c_0kk.  A coupled level of
-        dimension up to DIRECT_LEVEL_LIMIT is assembled and factorized once;
-        a larger one runs ``inner.cg`` on the level system preconditioned
+        solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
+        a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
+        K_0^{-T} of ``mean_solver``.  A coupled level of dimension up to
+        DIRECT_LEVEL_LIMIT is assembled and factorized once; a larger one
+        runs ``inner.cg`` on the level system preconditioned
         blockwise by diag(c_0kk) (x) K_0.  The level LU factorizes D_l^T,
         which is the CSR of D_l read as CSC, and solves transposed: no
         CSC copy of D_l is made, and with the one right-hand side of a
@@ -436,18 +456,6 @@ def _factorize(csc: sp.csc_matrix):
     default COLAMD, e.g. 547,072 against 679,660 entries of L + U for the
     top level of lognormal N=4 P=3 h=1/10."""
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-
-
-def _shared_pattern(matrices) -> tuple:
-    """(indices, indptr, data): the union CSR pattern of the matrices and
-    their values on it, one row of data per matrix."""
-    n = matrices[0].shape[0]
-    S = sp.vstack(matrices, format="csr").tocoo()
-    keys, pos = np.unique((S.row % n).astype(np.int64) * n + S.col, return_inverse=True)
-    data = np.zeros((len(matrices), len(keys)))
-    np.add.at(data, (S.row // n, pos), S.data)
-    indptr = np.searchsorted(keys // n, np.arange(n + 1))
-    return (keys % n).astype(np.int32), indptr.astype(np.int32), data
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

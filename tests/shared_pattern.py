@@ -1,0 +1,27 @@
+"""A GalerkinOperator from any list of sparse spatial matrices.
+
+The builders hand the operator the (indices, indptr, data) triple of the
+assembly; tests that perturb, zero or hole the K_i of a built operator put
+the matrices back on one union CSR pattern here.
+"""
+import numpy as np
+import scipy.sparse as sp
+
+from sgfem.operator import GalerkinOperator
+
+
+def shared_pattern(matrices) -> tuple:
+    """(indices, indptr, data): the union CSR pattern of the matrices and
+    their values on it, one row of data per matrix."""
+    n = matrices[0].shape[0]
+    S = sp.vstack(matrices, format="csr").tocoo()
+    keys, pos = np.unique((S.row % n).astype(np.int64) * n + S.col, return_inverse=True)
+    data = np.zeros((len(matrices), len(keys)))
+    np.add.at(data, (S.row // n, pos), S.data)
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    return (keys % n).astype(np.int32), indptr.astype(np.int32), data
+
+
+def operator_from_matrices(matrices, tensor) -> GalerkinOperator:
+    """Operator on the union of the patterns of the matrices."""
+    return GalerkinOperator(shared_pattern(matrices), tensor)

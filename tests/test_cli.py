@@ -181,7 +181,8 @@ BAD_VALUES = [("k0", "0", "uniform"), ("k0", "-1", "uniform"), ("cov", "-0.5", "
               ("n_quad", "0", "uniform"), ("n_quad", "1", "uniform"),
               ("k0", "nan", "uniform"), ("cov", "nan", "uniform"), ("L", "nan", "uniform"),
               ("h", "nan", "uniform"), ("tol", "nan", "uniform"), ("max_iter", "-1", "uniform"),
-              ("cov", "nan", "lognormal")]
+              ("cov", "nan", "lognormal"), ("L", "0", "uniform"), ("L", "-0.5", "uniform"),
+              ("L", "0", "lognormal"), ("cov", "0", "lognormal")]
 
 
 @pytest.mark.parametrize("option,value,distribution", BAD_VALUES,
@@ -195,6 +196,18 @@ def test_bad_coefficient_exit_one_naming_the_option(option, value, distribution,
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} must be ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, option", [
+    ("L = 0\n", "L"), ("distribution = lognormal\ncov = 0\n", "cov")])
+def test_bad_coefficient_in_config_file_exit_one_naming_the_key(text, option, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 1\nP = 1\nh = 0.5\n" + text)
+    rc = cli.main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} must be positive")
 
 
 def _flags(command: str) -> set:

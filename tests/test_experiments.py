@@ -1,3 +1,8 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,6 +77,35 @@ def test_run_row_collects_all_columns():
         {"n_b": 18, "n_db": 6, "n_m": 12, "n_ds": 11}
     # preconditioned columns never lose to the unpreconditioned run
     assert row.results["hs"][0] <= row.results["none"][0]
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(scope="module")
+def benchmark_workloads() -> dict:
+    """``WORKLOADS`` of benchmarks/rows.py, imported from that file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARKS))       # rows imports its siblings
+        spec = importlib.util.spec_from_file_location("benchmark_rows",
+                                                      BENCHMARKS / "rows.py")
+        rows = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, rows)   # its dataclasses look it up
+        spec.loader.exec_module(rows)
+    return rows.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["uniform", "lognormal"])
+def test_benchmark_rows_give_their_recorded_iterations_and_kappa(benchmark_workloads, name):
+    # the benchmark's correctness gate on seed 0 (the load f = 1): a rounding
+    # change that moves a recorded value fails here first
+    workload = benchmark_workloads[name]
+    row = run_row(workload.config, kinds=tuple(workload.expected))
+    for kind, (iterations, kappa) in workload.expected.items():
+        got_iterations, got_kappa = row.results[kind]
+        assert got_iterations == iterations, kind
+        assert math.isclose(got_kappa, kappa, rel_tol=1e-6), kind
+    assert row.flags == []
 
 
 def test_random_rhs_deterministic_by_seed():

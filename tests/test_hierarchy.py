@@ -23,6 +23,7 @@ from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
+from shared_pattern import operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -407,7 +408,7 @@ def test_zero_sigma_terms_are_dropped():
     # the lognormal coefficient with vanished fluctuations is not pre-summed either
     logn = lognormal_operator(1, 2, 3)
     mats = [logn.matrices[0]] + [0.0 * K for K in logn.matrices[1:]]
-    flat = GalerkinOperator.from_matrices(mats, logn.tensor)
+    flat = operator_from_matrices(mats, logn.tensor)
     assert logn.presummed and not flat.presummed
     check_products_against_oracle(flat)
 
@@ -421,7 +422,7 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
     # blocks of one level
     for i in (2, 4):
         mats[i] = mats[i] + 0.01 * (pert - pert.T)
-    nonsym = GalerkinOperator.from_matrices(mats, op.tensor)
+    nonsym = operator_from_matrices(mats, op.tensor)
     assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
     for K, M in zip(nonsym.matrices, mats):
         assert abs(K - M).max() == 0.0
@@ -569,15 +570,33 @@ def test_product_plans_are_built_lazily_and_once():
     for prec in precs[1:]:
         prec(r)
     # each planned at its first use: the full product; per level l = 1..P
-    # B_l and C_l (a forward sweep range is that of C_l); per level
-    # l = 0..P the backward sweep range (tail_l, after_l); and the empty
-    # forward range of level 0
-    n_plans = 3 * op.basis.degree + 3
+    # B_l and C_l (a forward sweep range is that of C_l); and per level
+    # l = 0..P-1 the backward sweep range (tail_l, after_l).  The empty
+    # ranges, forward at level 0 and backward at level P, plan nothing
+    n_plans = 3 * op.basis.degree + 1
     assert len(built) == len(set(built)) == n_plans
     for prec in precs:
         prec(r)
     op.matvec(r)
     assert len(built) == n_plans
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_empty_range_products_are_zeros_without_a_product(kind):
+    op = build((kind, 2, 2, 3))
+    assert op.presummed == (kind == "lognormal")
+    empty, last = slice(0, 0), slice(op.n_blocks, op.n_blocks)
+    _, tail = op.level_slices(1)
+    n_tail = tail.stop - tail.start
+    X = np.ones((n_tail, op.ndof))
+    # BSGS: forward at level 0 (no head), backward at level P (nothing after)
+    for rows, cols, Y, n_rows in ((op.level_slices(0)[1], empty, X[:0], 1),
+                                  (tail, last, X[:0], n_tail),
+                                  (empty, tail, X, 0), (last, tail, X, 0)):
+        out = op.product(rows, cols, Y)
+        assert out.shape == (n_rows, op.ndof) and not out.any()
+    # no plan, and on the pre-summed form no dense blocks
+    assert op._plans == {} and "blocks" not in op.__dict__
 
 
 def test_dense_blocks_with_empty_spatial_rows():
@@ -588,7 +607,7 @@ def test_dense_blocks_with_empty_spatial_rows():
     mats = [(keep @ K).tocsr() for K in op.matrices]
     for K in mats:
         K.eliminate_zeros()
-    holey = GalerkinOperator.from_matrices(mats, op.tensor)
+    holey = operator_from_matrices(mats, op.tensor)
     assert holey.presummed
     assert np.array_equal(np.flatnonzero(np.diff(holey.indptr) == 0), empty)
     check_products_against_oracle(holey)

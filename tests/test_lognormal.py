@@ -14,6 +14,7 @@ from sgfem.precond import BlockSGS, HierarchicalSchur
 from sgfem.lognormal import (LognormalFieldSpec, build_lognormal_operator,
                              dense_d_block_solve, gaussian_kl,
                              lognormal_gpc_coefficients)
+from shared_pattern import operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 
@@ -130,14 +131,13 @@ def vanished_fluctuation_operator():
     coeff = build_multi_index_set(2, 4)
     fields = lognormal_gpc_coefficients(gauss, coeff)
     from sgfem.fem import assemble_weighted_stiffness
-    from sgfem.operator import GalerkinOperator
     from sgfem.orthopoly import hermite_family
     from sgfem.triple_product import build_triple_product_tensor
     basis = build_multi_index_set(2, 2)
     tensor = build_triple_product_tensor(basis, coeff, hermite_family())
     mats = [assemble_weighted_stiffness(mesh, fields[0], unit_boundary_diag=True)]
     mats += [assemble_weighted_stiffness(mesh, f) for f in fields[1:]]
-    return GalerkinOperator.from_matrices(mats, tensor)
+    return operator_from_matrices(mats, tensor)
 
 
 def test_zero_variance_levels_collapse_to_block_diagonal():

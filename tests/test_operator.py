@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
-from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
+from sgfem.operator import InnerSolver, build_uniform_operator
 from sgfem.orthopoly import legendre_family
 from sgfem.precond import make_preconditioner
+from shared_pattern import operator_from_matrices
 
 
 def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
@@ -197,7 +199,7 @@ def test_nonsymmetric_coefficient_matrices_supported():
     mats = list(op.matrices)
     pert = sp.random(mesh.n_nodes, mesh.n_nodes, density=0.05, random_state=7)
     mats[1] = mats[1] + 0.01 * (pert - pert.T)
-    nonsym = GalerkinOperator.from_matrices(mats, op.tensor)
+    nonsym = operator_from_matrices(mats, op.tensor)
     A = np.zeros(nonsym.shape)
     for Ci, Ki in zip(nonsym.tensor.coupling, nonsym.matrices):
         A += np.kron(Ci.toarray(), Ki.toarray())
@@ -240,3 +242,59 @@ def test_set_up_makes_no_per_coefficient_matrix():
     assert op.matrices[0] is op.mean_matrix and len(op.matrices) == 210
     for i, K in enumerate(op.matrices):
         assert np.shares_memory(K.data, op.data[i])
+
+
+def nonsymmetric_mean_operator():
+    """The uniform h=1/10 operator with a non-symmetric K_0."""
+    op = build_operator(ExperimentConfig(N=2, P=2, h=0.1))
+    mats = list(op.matrices)
+    pert = sp.random(op.ndof, op.ndof, density=0.05, random_state=4)
+    mats[0] = mats[0] + 0.05 * (pert - pert.T)
+    return operator_from_matrices(mats, op.tensor)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_operator(ExperimentConfig(N=2, P=2, h=0.1)),
+    lambda: build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.1)),
+    nonsymmetric_mean_operator], ids=["uniform", "lognormal", "nonsymmetric"])
+def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
+    op = build()
+    assert op.ndof <= operator.MEAN_INVERSE_LIMIT
+    K0 = op.mean_matrix.toarray()
+    # only a non-symmetric K_0 tells K_0^{-1} from K_0^{-T}
+    assert (np.abs(K0 - K0.T).max() > 1e-3) == (build is nonsymmetric_mean_operator)
+    solve, lu = op.mean_solver(InnerSolver()), InnerSolver().make(op.mean_matrix)
+    rng = np.random.default_rng(5)
+    for B in (rng.standard_normal(op.ndof), rng.standard_normal((7, op.ndof))):
+        X, ref = solve(B), lu(B)
+        assert X.shape == ref.shape == np.atleast_2d(B).shape
+        assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the cg policies keep their own solver
+    cg = InnerSolver(kind="cg", tol=1e-10)
+    assert op.mean_solver(cg) is not solve and op.mean_solver(InnerSolver(tol=1.0)) is solve
+
+
+@pytest.mark.parametrize("n_cells, inverse", [(15, True), (20, False)])
+def test_mean_solver_is_the_dense_inverse_up_to_the_limit(monkeypatch, n_cells, inverse):
+    solves = []
+    factorize = operator._factorize
+
+    class SpyLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, B, *args, **kwargs):
+            solves.append(B.shape)
+            return self.lu.solve(B, *args, **kwargs)
+
+    monkeypatch.setattr(operator, "_factorize", lambda A: SpyLU(factorize(A)))
+    op = build_operator(ExperimentConfig(N=1, P=1, h=1 / n_cells))
+    assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == inverse
+    solve = op.mean_solver(InnerSolver())
+    solve(np.ones((3, op.ndof)))
+    solve(np.ones(op.ndof))
+    # the inverse is one solve of the identity; the LU solves every call
+    if inverse:
+        assert solves == [(op.ndof, op.ndof)]
+    else:
+        assert solves == [(op.ndof, 3), (op.ndof, 1)]

@@ -12,7 +12,7 @@ from sgfem import CovarianceSpec, eig_1d_exponential, eig_2d_separable
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-grid, lam1, vecs = eig_1d_exponential(corr_length=0.5, n_quad=1000, n_modes=8)
+grid, lam1, vecs = eig_1d_exponential(corr_length=0.5, n_modes=8)
 print("leading 1D eigenvalues (L = 0.5):")
 for i, lam in enumerate(lam1, start=1):
     print(f"  {i}: {lam:.6f}")

@@ -14,8 +14,7 @@ import numpy as np
 
 from sgfem import (ExperimentConfig, HierarchicalSchur, InnerSolver,
                    KLExpansion, build_mesh, build_multi_index_set,
-                   build_uniform_operator, legendre_family, spectral_diagnostic,
-                   work_count)
+                   build_uniform_operator, spectral_diagnostic, work_count)
 from sgfem.experiments import build_operator
 from sgfem.fem import assemble_load
 
@@ -34,8 +33,7 @@ print(f"  block solves:   {prec.counters.block_solves} (predicted n_ds = {wc.n_d
 # 2. exact-inverse limit
 mesh = build_mesh(0.25)
 kl0 = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 1.0)
-op0 = build_uniform_operator(mesh, kl0, build_multi_index_set(2, 2),
-                             legendre_family())
+op0 = build_uniform_operator(mesh, kl0, build_multi_index_set(2, 2))
 prec0 = HierarchicalSchur(op0, exact)
 x = np.random.default_rng(0).standard_normal(op0.shape[0])
 err = np.linalg.norm(prec0(op0.matvec(x)) - x) / np.linalg.norm(x)

@@ -4,12 +4,13 @@ Two subcommands:
 
   run   --table NAME [--out DIR]          reproduce one table (no config options)
   run   [--config FILE] [flags] [--out D] run a single configuration
-  diag  --spectral --N .. --P .. --h ..   dense condition-bound diagnostic
+  diag  [--config FILE] [flags]           dense condition-bound diagnostic
 
 Config files are flat ``key=value`` text (hash comments allowed); keys and
 flags are the fields of ExperimentConfig (``--max-iter`` sets max_iter) and
 flags override file values.  Exit codes: 0 success, 2 reference diff beyond
-tolerance, 1 solver or usage error (any bad flag, key or value; one line).
+tolerance or condition bound violated, 1 solver or usage error (any bad
+flag, key or value; one line).
 """
 from __future__ import annotations
 
@@ -87,9 +88,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory for CSV/Markdown artifacts")
     _add_config_flags(run)
 
-    diag = sub.add_parser("diag", help="diagnostics")
-    diag.add_argument("--spectral", action="store_true",
-                      help="dense spectral-equivalence bound check")
+    diag = sub.add_parser("diag", help="dense spectral-equivalence bound check")
     diag.add_argument("--config", help="key=value config file")
     _add_config_flags(diag)
     return parser
@@ -141,9 +140,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    if not args.spectral:
-        print("nothing to do: pass --spectral", file=sys.stderr)
-        return 1
     config = build_config(args)
     diag = spectral_diagnostic(config)
     for level, c1, c2 in diag.levels:

@@ -25,13 +25,11 @@ from .lognormal import LognormalFieldSpec, build_lognormal_operator
 from .multi_index import build_multi_index_set
 from .operator import (DENSE_ASSEMBLY_LIMIT, GalerkinOperator, InnerSolver,
                        build_uniform_operator)
-from .orthopoly import legendre_family
 from .precond import HierarchicalSchur, make_preconditioner, work_count
 
 INNER_POLICIES = {
     "exact": InnerSolver(kind="exact"),
-    "cg-none": InnerSolver(kind="cg", precond="none"),
-    "cg-diagonal": InnerSolver(kind="cg", precond="diagonal"),
+    "cg-diagonal": InnerSolver(kind="cg"),
 }
 
 CHOICES = {
@@ -39,7 +37,6 @@ CHOICES = {
     "preconditioner": reference.PRECONDITIONER_ORDER,
     "inner": tuple(INNER_POLICIES),
     "krylov": ("cg", "fcg"),
-    "rhs": ("load", "random"),
 }
 
 
@@ -65,9 +62,6 @@ class ExperimentConfig:
     krylov: str = "cg"
     tol: float = 1e-8
     max_iter: int | None = None
-    seed: int = 0
-    rhs: str = "load"
-    n_quad: int = 1000
 
     def validate(self) -> None:
         for key, allowed in CHOICES.items():
@@ -92,8 +86,6 @@ class ExperimentConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.n_quad < 2:
-            raise ValueError(f"n_quad must be at least 2, got {self.n_quad}")
         build_mesh(self.h)  # validates 1/h
 
 
@@ -117,23 +109,12 @@ def build_operator(config: ExperimentConfig) -> GalerkinOperator:
                              np.zeros((config.N, mesh.n_nodes)), config.k0)
         else:
             spec = CovarianceSpec(sigma=config.k0 * config.cov, corr_length=config.L)
-            kl = build_kl_expansion(spec, config.N, config.k0, mesh.node_coords,
-                                    config.n_quad)
+            kl = build_kl_expansion(spec, config.N, config.k0, mesh.node_coords)
         basis = build_multi_index_set(config.N, config.P)
-        return build_uniform_operator(mesh, kl, basis, legendre_family())
+        return build_uniform_operator(mesh, kl, basis)
     spec = LognormalFieldSpec(mean=config.k0, cov=config.cov,
                               corr_length=config.L)
-    return build_lognormal_operator(spec, mesh, config.N, config.P, config.n_quad)
-
-
-def _rhs_for(config: ExperimentConfig, op: GalerkinOperator) -> np.ndarray:
-    mesh = build_mesh(config.h)
-    if config.rhs == "load":
-        return op.rhs(assemble_load(mesh, 1.0)).ravel()
-    rng = np.random.default_rng(config.seed)
-    b = rng.standard_normal(op.shape[0])
-    b.reshape(op.n_blocks, op.ndof)[:, mesh.boundary_mask] = 0.0
-    return b
+    return build_lognormal_operator(spec, mesh, config.N, config.P)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -141,7 +122,8 @@ def run_experiment(config: ExperimentConfig,
     """Run one configuration and report the solve."""
     if op is None:
         op = build_operator(config)
-    b = _rhs_for(config, op)
+    # the paper's load f = 1
+    b = op.rhs(assemble_load(build_mesh(config.h), 1.0)).ravel()
     prec = make_preconditioner(op, config.preconditioner,
                                INNER_POLICIES[config.inner], config.tol)
     solver = krylov.cg if config.krylov == "cg" else krylov.fcg

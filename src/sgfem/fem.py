@@ -81,27 +81,22 @@ def build_mesh(h: float) -> Mesh:
     return Mesh(int(round(n)))
 
 
-def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
-                                unit_boundary_diag: bool = False):
+def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
     """Stiffness matrices of coefficient fields given by nodal samples.
 
-    Boundary rows and columns are zeroed; with unit_boundary_diag the
-    boundary diagonal is set to one (use this for the mean coefficient).
-    A 1-D ``field`` gives its CSR matrix.  A 2-D ``field`` holds one field
-    per row and gives the arrays (indices, indptr, data) of all their
-    matrices on one CSR pattern, the interior entries plus the boundary
-    diagonal, with data[r] the values of row r's matrix, all from one
-    sparse product.  Row 0 is the mean coefficient: unit_boundary_diag
-    applies to it, and a row r >= 1 whose largest value is within
-    STRUCTURAL_ZERO_RTOL of row 0's is stored as exact zeros, as the
-    coupling tensor stores its values (odd Karhunen-Loeve modes cancel up to
-    rounding on the coarsest mesh).
+    ``fields`` holds one field per row.  Gives the arrays (indices, indptr,
+    data) of all their matrices on one CSR pattern, the interior entries
+    plus the boundary diagonal, with data[r] the values of row r's matrix,
+    all from one sparse product.  Boundary rows and columns are zeroed.
+    Row 0 is the mean coefficient, whose boundary diagonal is set to one;
+    a row r >= 1 whose largest value is within STRUCTURAL_ZERO_RTOL of row
+    0's is stored as exact zeros, as the coupling tensor stores its values
+    (odd Karhunen-Loeve modes cancel up to rounding on the coarsest mesh).
     """
-    fields = np.asarray(field, dtype=float)
-    if fields.ndim not in (1, 2) or fields.shape[-1] != mesh.n_nodes:
-        raise ValueError(f"field has {fields.shape}, expected ({mesh.n_nodes},) "
-                         f"or (n_fields, {mesh.n_nodes})")
-    coeff = np.atleast_2d(fields)[:, mesh.connectivity].reshape(-1, 4)
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim != 2 or fields.shape[1] != mesh.n_nodes:
+        raise ValueError(f"fields have {fields.shape}, expected (n_fields, {mesh.n_nodes})")
+    coeff = fields[:, mesh.connectivity].reshape(-1, 4)
     ke = np.zeros((len(coeff), 4, 4))                     # n_fields * n_elements
     for gx in (-_GAUSS, _GAUSS):
         for gy in (-_GAUSS, _GAUSS):
@@ -114,13 +109,8 @@ def assemble_weighted_stiffness(mesh: Mesh, field: np.ndarray,
             ke += (coeff @ shape)[:, None, None] * grad
     S, indices, indptr = _assembly_map(mesh)
     data = np.ascontiguousarray((S @ ke.reshape(-1, S.shape[1]).T).T)
-    if unit_boundary_diag:
-        # a boundary row stores its diagonal alone
-        data[0, indptr[:-1][mesh.boundary_mask]] = 1.0
-    if fields.ndim == 1:
-        K = sp.csr_matrix((data[0], indices, indptr), shape=(mesh.n_nodes,) * 2)
-        K.eliminate_zeros()
-        return K
+    # a boundary row stores its diagonal alone
+    data[0, indptr[:-1][mesh.boundary_mask]] = 1.0
     scale = np.abs(data).max(axis=1)
     data[1:][scale[1:] <= STRUCTURAL_ZERO_RTOL * scale[0]] = 0.0
     return indices, indptr, data

@@ -3,8 +3,9 @@
 The covariance C(x1, x2) = sigma^2 exp(-|x1-x2|_1 / L) on the unit square
 separates into identical 1D factors in x and y.  The 1D integral eigenvalue
 problem on [0, 1] is discretized by the Nystrom method with the trapezoid
-rule, symmetrized with the square-root weight matrix so a symmetric dense
-eigensolver applies.  Every 2D eigenpair is a product of 1D pairs,
+rule on N_QUAD points, symmetrized with the square-root weight matrix so a
+symmetric dense eigensolver applies.  Every 2D eigenpair is a product of 1D
+pairs,
 
     lambda = sigma^2 * lambda_a * lambda_b,   v(x, y) = v_a(x) v_b(y),
 
@@ -17,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Nystrom grid size of every expansion the program builds
+N_QUAD = 1000
 
 
 @dataclass(frozen=True)
@@ -56,14 +60,15 @@ class KLExpansion:
 _EIG_CACHE: dict = {}
 
 
-def eig_1d_exponential(corr_length: float, n_quad: int = 1000,
+def eig_1d_exponential(corr_length: float, n_quad: int = N_QUAD,
                        n_modes: int = 30) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leading eigenpairs of exp(-|x1-x2|/corr_length) on [0, 1].
 
     Returns (grid, eigenvalues, eigenvectors) with eigenvalues non-increasing
     and eigenvectors L2-normalized on [0, 1], sampled on the quadrature grid
-    (one column per mode).  Nystrom discretization with trapezoid weights,
-    symmetrized by similarity with diag(sqrt(w)).
+    (one column per mode).  Nystrom discretization with trapezoid weights on
+    n_quad points, symmetrized by similarity with diag(sqrt(w)); the
+    expansions use N_QUAD, and other grid sizes show its convergence.
     """
     if n_modes > n_quad:
         raise ValueError(f"cannot extract {n_modes} modes from a {n_quad}-point grid")
@@ -97,8 +102,7 @@ def eig_1d_exponential(corr_length: float, n_quad: int = 1000,
     return x, lam[:n_modes].copy(), vecs[:, :n_modes].copy()
 
 
-def eig_2d_separable(spec: CovarianceSpec, n_modes: int,
-                     n_quad: int = 1000) -> list[tuple[float, int, int]]:
+def eig_2d_separable(spec: CovarianceSpec, n_modes: int) -> list[tuple[float, int, int]]:
     """The n_modes largest 2D eigenvalues as (lambda, a, b) factor triples.
 
     a and b are 0-based indices into the 1D spectrum; ties between equal
@@ -107,8 +111,8 @@ def eig_2d_separable(spec: CovarianceSpec, n_modes: int,
     # A pool of n_modes+2 1D modes always covers the n_modes largest products:
     # the m-th largest product is at least lam_1*lam_m, while anything missing
     # from the pool is at most lam_1*lam_{pool+1} < lam_1*lam_m.
-    n1 = min(n_modes + 2, n_quad)
-    _, lam1, _ = eig_1d_exponential(spec.corr_length, n_quad, n1)
+    n1 = min(n_modes + 2, N_QUAD)
+    _, lam1, _ = eig_1d_exponential(spec.corr_length, N_QUAD, n1)
     prods = [(spec.sigma**2 * lam1[a] * lam1[b], a, b)
              for a in range(n1) for b in range(n1)]
     prods.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -116,7 +120,7 @@ def eig_2d_separable(spec: CovarianceSpec, n_modes: int,
 
 
 def build_kl_expansion(spec: CovarianceSpec, n_terms: int, mean: float,
-                       node_coords: np.ndarray, n_quad: int = 1000) -> KLExpansion:
+                       node_coords: np.ndarray) -> KLExpansion:
     """Sample the n_terms leading KL fields at the given (x, y) nodes.
 
     1D eigenvectors are evaluated at node coordinates by piecewise-linear
@@ -124,9 +128,9 @@ def build_kl_expansion(spec: CovarianceSpec, n_terms: int, mean: float,
     """
     if n_terms < 1:
         raise ValueError("need at least one expansion term")
-    modes = eig_2d_separable(spec, n_terms, n_quad)
+    modes = eig_2d_separable(spec, n_terms)
     need = sorted({a for _, a, b in modes} | {b for _, a, b in modes})
-    grid, lam1, vecs = eig_1d_exponential(spec.corr_length, n_quad, max(need) + 1)
+    grid, lam1, vecs = eig_1d_exponential(spec.corr_length, N_QUAD, max(need) + 1)
     xs = np.asarray(node_coords)[:, 0]
     ys = np.asarray(node_coords)[:, 1]
     interp = {a: np.interp(xs, grid, vecs[:, a]) for a in need}

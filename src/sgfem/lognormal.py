@@ -59,11 +59,10 @@ class LognormalFieldSpec:
         return math.log(self.mean) - 0.5 * self.sigma_g2
 
 
-def gaussian_kl(spec: LognormalFieldSpec, mesh: Mesh, n_terms: int,
-                n_quad: int = 1000) -> KLExpansion:
+def gaussian_kl(spec: LognormalFieldSpec, mesh: Mesh, n_terms: int) -> KLExpansion:
     """Truncated expansion of the underlying Gaussian field on the mesh nodes."""
     cov = CovarianceSpec(sigma=math.sqrt(spec.sigma_g2), corr_length=spec.corr_length)
-    return build_kl_expansion(cov, n_terms, spec.mu_g, mesh.node_coords, n_quad)
+    return build_kl_expansion(cov, n_terms, spec.mu_g, mesh.node_coords)
 
 
 def lognormal_gpc_coefficients(gauss: KLExpansion,
@@ -88,7 +87,7 @@ def lognormal_gpc_coefficients(gauss: KLExpansion,
 
 
 def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
-                             degree: int, n_quad: int = 1000) -> GalerkinOperator:
+                             degree: int) -> GalerkinOperator:
     """Coupled operator for the lognormal coefficient.
 
     The solution basis is the order-``degree`` Hermite set in ``dims``
@@ -98,11 +97,10 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
     family = hermite_family()
     basis = build_multi_index_set(dims, degree)
     coeff_set = build_multi_index_set(dims, 2 * degree)
-    gauss = gaussian_kl(spec, mesh, dims, n_quad)
+    gauss = gaussian_kl(spec, mesh, dims)
     fields = lognormal_gpc_coefficients(gauss, coeff_set)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
-    return GalerkinOperator(
-        assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True), tensor)
+    return GalerkinOperator(assemble_weighted_stiffness(mesh, fields), tensor)
 
 
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,

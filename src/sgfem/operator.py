@@ -47,7 +47,7 @@ from . import krylov
 from .fem import Mesh, assemble_weighted_stiffness
 from .kle import KLExpansion
 from .multi_index import MultiIndexSet, build_multi_index_set
-from .orthopoly import PolynomialFamily
+from .orthopoly import legendre_family
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 
 
@@ -68,11 +68,11 @@ class InnerSolver:
     """Policy for solves with a single spatial block.
 
     kind "exact" factorizes once (sparse LU); kind "cg" runs an inner
-    conjugate gradient loop preconditioned by ``precond`` in
-    {"none", "diagonal"}.  ``tol`` and ``maxiter`` bound every
-    inner CG loop under the policy, level CG included.  A tol of None means
-    the outer tolerance: each preconditioner fills it in when built, and a
-    CG loop reached with tol None raises ValueError.
+    conjugate gradient loop preconditioned by the matrix diagonal (Jacobi).
+    ``tol`` and ``maxiter`` bound every inner CG loop under the policy,
+    level CG included.  A tol of None means the outer tolerance: each
+    preconditioner fills it in when built, and a CG loop reached with tol
+    None raises ValueError.
     The LU factorizes a CSC copy of the matrix, not its transpose view as
     the level LU does: K_0's solver, on meshes too large for its dense
     inverse (``GalerkinOperator.mean_solver``), solves many right-hand sides
@@ -81,7 +81,6 @@ class InnerSolver:
     """
 
     kind: str = "exact"
-    precond: str = "diagonal"
     tol: float | None = None
     maxiter: int = 2000
 
@@ -91,13 +90,8 @@ class InnerSolver:
             return lambda B: lu.solve(np.atleast_2d(B).T).T
         if self.kind != "cg":
             raise ValueError(f"unknown inner solver kind {self.kind!r}")
-        if self.precond == "none":
-            prec = None
-        elif self.precond == "diagonal":
-            dinv = 1.0 / matrix.diagonal()
-            prec = lambda r: dinv * r
-        else:
-            raise ValueError(f"unknown inner preconditioner {self.precond!r}")
+        dinv = 1.0 / matrix.diagonal()
+        prec = lambda r: dinv * r
         A = matrix.tocsr()
 
         def solve(B):
@@ -465,9 +459,10 @@ def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.cs
     return K
 
 
-def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,
-                           family: PolynomialFamily) -> GalerkinOperator:
-    """Operator for the linear coefficient expansion over the given basis.
+def build_uniform_operator(mesh: Mesh, kl: KLExpansion,
+                           basis: MultiIndexSet) -> GalerkinOperator:
+    """Operator for the linear coefficient expansion over the given
+    Legendre basis.
 
     The i-th expansion variable appears in the coefficient as k_i(x) * xi_i;
     expressed in the orthonormal basis this contributes the field
@@ -477,9 +472,9 @@ def build_uniform_operator(mesh: Mesh, kl: KLExpansion, basis: MultiIndexSet,
     """
     if kl.n_terms != basis.dims:
         raise ValueError(f"expansion has {kl.n_terms} terms, basis {basis.dims} variables")
+    family = legendre_family()
     coeff_set = build_multi_index_set(basis.dims, 1)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
     fields = np.vstack([np.full(mesh.n_nodes, kl.mean),
                         family.variable_coeff * kl.fields])
-    return GalerkinOperator(
-        assemble_weighted_stiffness(mesh, fields, unit_boundary_diag=True), tensor)
+    return GalerkinOperator(assemble_weighted_stiffness(mesh, fields), tensor)

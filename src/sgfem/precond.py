@@ -49,7 +49,7 @@ import numpy as np
 from . import krylov
 from .multi_index import build_multi_index_set
 from .operator import GalerkinOperator, InnerSolver
-from .orthopoly import PolynomialFamily, legendre_family
+from .orthopoly import legendre_family
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 
 
@@ -79,14 +79,12 @@ class WorkCount:
         return cls(n_b, n_db, n_b - n_db, 2 * (n_db - 1) + 1)
 
 
-def work_count(dims: int, degree: int,
-               family: PolynomialFamily | None = None) -> WorkCount:
+def work_count(dims: int, degree: int) -> WorkCount:
     """Work counts for the linear-coefficient block structure in ``dims``
-    variables to order ``degree`` (Legendre unless ``family`` is given)."""
-    family = family or legendre_family()
+    variables to order ``degree`` in the Legendre basis."""
     basis = build_multi_index_set(dims, degree)
     coeff = build_multi_index_set(dims, 1)
-    return WorkCount.of(build_triple_product_tensor(basis, coeff, family))
+    return WorkCount.of(build_triple_product_tensor(basis, coeff, legendre_family()))
 
 
 @dataclass

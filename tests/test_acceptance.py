@@ -180,8 +180,7 @@ def test_criterion_08_exact_inverse_limit():
     """With zero coupling and exact solves, one application inverts exactly."""
     mesh = build_mesh(0.25)
     kl = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 1.0)
-    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2),
-                                legendre_family())
+    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2))
     prec = HierarchicalSchur(op, EXACT)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(op.shape[0])
@@ -239,7 +238,7 @@ def test_criterion_11_schur_reduction_equivalence():
 
 def test_criterion_12_flexible_vs_standard(t1_operators, t1_rhs):
     """Standard and flexible CG agree within one iteration with inner loops."""
-    inner = InnerSolver(kind="cg", precond="none")
+    inner = InnerSolver(kind="cg")
     lines = []
     for n in (1, 2, 3, 4):
         op = t1_operators[n]

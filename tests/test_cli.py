@@ -153,10 +153,10 @@ def test_solver_error_exit_one_without_traceback(monkeypatch, capsys, error):
 
 def test_stalled_inner_solve_exit_one(monkeypatch, capsys):
     # one inner CG step cannot reach the tolerance: the block solve stalls
-    monkeypatch.setitem(experiments.INNER_POLICIES, "cg-none",
-                        InnerSolver(kind="cg", precond="none", maxiter=1))
+    monkeypatch.setitem(experiments.INNER_POLICIES, "cg-diagonal",
+                        InnerSolver(kind="cg", maxiter=1))
     rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25",
-                   "--preconditioner", "bsgs", "--inner", "cg-none"])
+                   "--preconditioner", "bsgs", "--inner", "cg-diagonal"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: inner solve for block") and "(inner cg)" in err
@@ -177,8 +177,36 @@ def test_bad_invocation_exit_one_with_one_error_line(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+SMALL_RUN = ["--N", "1", "--P", "1", "--h", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *SMALL_RUN, "--n-quad", "1000"],
+    ["run", *SMALL_RUN, "--rhs", "load"],
+    ["run", *SMALL_RUN, "--seed", "0"],
+    ["run", *SMALL_RUN, "--inner", "cg-none"],
+    ["diag", "--spectral", *SMALL_RUN],
+], ids=["n-quad", "rhs", "seed", "inner-cg-none", "diag-spectral"])
+def test_removed_flag_or_value_exit_one_with_one_error_line(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", ["n_quad = 1000", "rhs = load", "seed = 0"])
+def test_removed_config_key_exit_one_naming_it(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 1\nP = 1\nh = 0.5\n" + line + "\n")
+    rc = cli.main(["run", "--config", str(cfg)])
+    key = line.split()[0]
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:4: unknown key {key!r}"]
+
+
 BAD_VALUES = [("k0", "0", "uniform"), ("k0", "-1", "uniform"), ("cov", "-0.5", "uniform"),
-              ("n_quad", "0", "uniform"), ("n_quad", "1", "uniform"),
               ("k0", "nan", "uniform"), ("cov", "nan", "uniform"), ("L", "nan", "uniform"),
               ("h", "nan", "uniform"), ("tol", "nan", "uniform"), ("max_iter", "-1", "uniform"),
               ("cov", "nan", "lognormal"), ("L", "0", "uniform"), ("L", "-0.5", "uniform"),
@@ -223,7 +251,7 @@ def test_every_config_field_is_a_flag_and_a_key_and_nothing_else_is(monkeypatch,
     monkeypatch.setattr(cli, "ExperimentConfig", config)
     names = {f.name for f in dataclasses.fields(config)}
     assert _flags("run") == names | {"table", "config", "out"}
-    assert _flags("diag") == names | {"spectral", "config"}
+    assert _flags("diag") == names | {"config"}
     defaults = config()
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{name} = {getattr(defaults, name) or 1}\n" for name in names))
@@ -243,7 +271,7 @@ def _run_help(capsys) -> str:
 def test_run_help_usage_lists_the_choices(monkeypatch, capsys):
     out = _run_help(capsys)
     assert "[--preconditioner {none,mean,bsgs,hs}]" in out
-    assert "[--inner {exact,cg-none,cg-diagonal}]" in out
+    assert "[--inner {exact,cg-diagonal}]" in out
     # the usage reads the one list of allowed values
     monkeypatch.setitem(experiments.CHOICES, "krylov", ("cg", "fcg", "minres"))
     assert "[--krylov {cg,fcg,minres}]" in _run_help(capsys)
@@ -277,13 +305,17 @@ def test_unknown_preconditioner_in_config_file_exit_one_before_build(tmp_path, m
 
 
 def test_diag_spectral(capsys):
-    rc = cli.main(["diag", "--spectral", "--N", "2", "--P", "2", "--h", "0.25"])
+    rc = cli.main(["diag", "--N", "2", "--P", "2", "--h", "0.25"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "bound=" in out and "ok=True" in out
     assert out.count("level") == 2
 
 
-def test_diag_requires_mode(capsys):
+def test_diag_default_config_exit_one_too_large_for_dense_assembly(capsys):
     rc = cli.main(["diag"])
+    out, err = capsys.readouterr()
     assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: spectral diagnostic needs dense assembly; "
+                                "dimension 8470 exceeds the limit 2000"]

@@ -13,7 +13,6 @@ from sgfem.fem import build_mesh
 from sgfem.kle import CovarianceSpec, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import build_uniform_operator
-from sgfem.orthopoly import legendre_family
 from sgfem.precond import WorkCount
 
 
@@ -32,7 +31,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(tol=-1.0).validate()
     with pytest.raises(ValueError):
-        ExperimentConfig(rhs="sinus").validate()
+        ExperimentConfig(inner="cg-none").validate()
 
 
 def test_cov_sets_sigma():
@@ -41,7 +40,7 @@ def test_cov_sets_sigma():
     mesh = build_mesh(0.25)
     kl = build_kl_expansion(CovarianceSpec(sigma=0.5, corr_length=0.5), 2, 2.0,
                             mesh.node_coords)
-    ref = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), legendre_family())
+    ref = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2))
     assert np.array_equal(op.data, ref.data)
 
 
@@ -106,15 +105,6 @@ def test_benchmark_rows_give_their_recorded_iterations_and_kappa(benchmark_workl
         assert got_iterations == iterations, kind
         assert math.isclose(got_kappa, kappa, rel_tol=1e-6), kind
     assert row.flags == []
-
-
-def test_random_rhs_deterministic_by_seed():
-    cfg = ExperimentConfig(N=2, P=1, h=0.25, rhs="random", seed=5,
-                           preconditioner="mean")
-    r1 = run_experiment(cfg)
-    r2 = run_experiment(cfg)
-    assert r1.iterations == r2.iterations
-    assert r1.relative_residuals == r2.relative_residuals
 
 
 def test_work_counts_table(tmp_path):

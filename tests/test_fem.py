@@ -30,6 +30,14 @@ def hand_assembled_unit_stiffness(n):
     return K
 
 
+def stiffness_matrices(mesh, fields):
+    """The CSR matrices of the rows of ``fields`` from the one batched call;
+    row 0 is the mean coefficient, with the unit boundary diagonal."""
+    indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
+    return [sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2)
+            for row in data]
+
+
 def test_mesh_invariants():
     mesh = build_mesh(0.1)
     assert mesh.n_nodes == 121
@@ -57,16 +65,14 @@ def test_rejects_non_integer_resolution():
 
 def test_unit_coefficient_matches_hand_assembly():
     mesh = build_mesh(0.5)
-    K = assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes),
-                                    unit_boundary_diag=True)
+    [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
     oracle = hand_assembled_unit_stiffness(2)
     assert np.max(np.abs(K.toarray() - oracle)) < 1e-14
 
 
 def test_stiffness_annihilates_constants_deep_interior():
     mesh = build_mesh(0.1)
-    K = assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes),
-                                    unit_boundary_diag=True)
+    [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
     v = K @ np.ones(mesh.n_nodes)
     ids = np.arange(mesh.n_nodes)
     ix, iy = ids % 11, ids // 11
@@ -78,8 +84,7 @@ def test_linearity_in_coefficient():
     mesh = build_mesh(0.25)
     rng = np.random.default_rng(0)
     field = rng.uniform(0.5, 2.0, mesh.n_nodes)
-    K1 = assemble_weighted_stiffness(mesh, field)
-    K2 = assemble_weighted_stiffness(mesh, 2.0 * field)
+    _, K1, K2 = stiffness_matrices(mesh, [np.ones(mesh.n_nodes), field, 2.0 * field])
     assert np.max(np.abs((2 * K1 - K2).toarray())) < 1e-13
 
 
@@ -87,17 +92,18 @@ def test_symmetry_and_mean_matrix_spd():
     mesh = build_mesh(0.1)
     rng = np.random.default_rng(1)
     field = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    K = assemble_weighted_stiffness(mesh, field)
+    K0, K = stiffness_matrices(mesh, [np.ones(mesh.n_nodes), field])
     assert abs(K - K.T).max() < 1e-14
-    K0 = assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes),
-                                     unit_boundary_diag=True)
     np.linalg.cholesky(K0.toarray())   # raises if not SPD
 
 
 def test_field_length_mismatch():
     mesh = build_mesh(0.25)
     with pytest.raises(ValueError):
-        assemble_weighted_stiffness(mesh, np.ones(7))
+        assemble_weighted_stiffness(mesh, np.ones((2, 7)))
+    # one field is a (1, n_nodes) array
+    with pytest.raises(ValueError):
+        assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes))
 
 
 def test_load_vector_values():
@@ -124,8 +130,7 @@ def fourier_poisson_center_value(terms=60):
 
 def test_poisson_center_value():
     mesh = build_mesh(0.1)
-    K = assemble_weighted_stiffness(mesh, np.ones(mesh.n_nodes),
-                                    unit_boundary_diag=True)
+    [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
     f = assemble_load(mesh, 1.0)
     u = sp.linalg.spsolve(K.tocsc(), f)
     center = 5 * 11 + 5
@@ -169,8 +174,7 @@ def test_batched_assembly_matches_per_field_assembly():
     gauss = gaussian_kl(LognormalFieldSpec(cov=1.0), mesh, 2)
     for fields in (np.vstack([np.ones(mesh.n_nodes), kl.fields]),
                    lognormal_gpc_coefficients(gauss, build_multi_index_set(2, 4))):
-        indices, indptr, data = assemble_weighted_stiffness(mesh, fields,
-                                                            unit_boundary_diag=True)
+        indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
         assert data.shape == (len(fields), len(indices)) and data.flags.c_contiguous
         # interior entries plus the boundary diagonal, one entry per boundary row
         assert np.array_equal(np.diff(indptr)[mesh.boundary_mask], np.ones(
@@ -179,12 +183,10 @@ def test_batched_assembly_matches_per_field_assembly():
             K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2,
                               copy=True)
             K.eliminate_zeros()
-            one = assemble_weighted_stiffness(mesh, field, unit_boundary_diag=k == 0)
             ref = element_by_element_stiffness(mesh, field, k == 0)
             # the same sums in the same order: equal bit for bit
-            for M in (K, one):
-                assert np.array_equal(M.indptr, ref.indptr)
-                assert np.array_equal(M.indices, ref.indices)
-                assert np.array_equal(M.data, ref.data)
+            assert np.array_equal(K.indptr, ref.indptr)
+            assert np.array_equal(K.indices, ref.indices)
+            assert np.array_equal(K.data, ref.data)
     with pytest.raises(ValueError):
         assemble_weighted_stiffness(mesh, np.ones((2, 3, mesh.n_nodes)))

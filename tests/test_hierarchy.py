@@ -21,7 +21,6 @@ from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
-from sgfem.orthopoly import legendre_family
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
 from shared_pattern import operator_from_matrices
 
@@ -34,8 +33,7 @@ def uniform_operator(dims, degree, n_cells, sigma=0.5):
     mesh = build_mesh(1.0 / n_cells)
     kl = build_kl_expansion(CovarianceSpec(sigma=sigma, corr_length=0.5), dims, 1.0,
                             mesh.node_coords)
-    return build_uniform_operator(mesh, kl, build_multi_index_set(dims, degree),
-                                  legendre_family())
+    return build_uniform_operator(mesh, kl, build_multi_index_set(dims, degree))
 
 
 def lognormal_operator(dims, degree, n_cells, cov=1.0):
@@ -401,7 +399,7 @@ def test_matrices_are_views_of_one_shared_array():
 def test_zero_sigma_terms_are_dropped():
     mesh = build_mesh(0.25)
     kl = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 1.0)
-    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), legendre_family())
+    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2))
     i, t, j, _ = op.coupling_entries
     assert set(i) == {0} and np.array_equal(t, j)
     assert not op.presummed and not oracle_presummed(op)

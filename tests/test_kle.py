@@ -84,8 +84,10 @@ def test_2d_scaling_in_sigma():
 
 def test_mesh_refinement_stability():
     spec = CovarianceSpec(sigma=1.0, corr_length=0.5)
-    coarse = [m[0] for m in eig_2d_separable(spec, 15, n_quad=1000)]
-    fine = [m[0] for m in eig_2d_separable(spec, 15, n_quad=2000)]
+    modes = eig_2d_separable(spec, 15)
+    _, lam1, _ = eig_1d_exponential(spec.corr_length, n_quad=2000, n_modes=17)
+    coarse = [lam for lam, _, _ in modes]
+    fine = [spec.sigma**2 * lam1[a] * lam1[b] for _, a, b in modes]
     assert np.allclose(coarse, fine, rtol=1e-4)
 
 

@@ -14,7 +14,6 @@ from sgfem.precond import BlockSGS, HierarchicalSchur
 from sgfem.lognormal import (LognormalFieldSpec, build_lognormal_operator,
                              dense_d_block_solve, gaussian_kl,
                              lognormal_gpc_coefficients)
-from shared_pattern import operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 
@@ -117,7 +116,7 @@ def test_level_solve_outer_counts_agree(monkeypatch):
     op = build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
     b = op.rhs(assemble_load(mesh, 1.0)).ravel()
     hs_direct = HierarchicalSchur(op, EXACT)
-    hs_iter = HierarchicalSchur(op, InnerSolver(kind="cg", precond="diagonal"))
+    hs_iter = HierarchicalSchur(op, InnerSolver(kind="cg"))
     _, rep_d = cg(op.matvec, b, apply_m=hs_direct, tol=1e-8)
     monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 0)
     _, rep_i = cg(op.matvec, b, apply_m=hs_iter, tol=1e-8)
@@ -135,9 +134,7 @@ def vanished_fluctuation_operator():
     from sgfem.triple_product import build_triple_product_tensor
     basis = build_multi_index_set(2, 2)
     tensor = build_triple_product_tensor(basis, coeff, hermite_family())
-    mats = [assemble_weighted_stiffness(mesh, fields[0], unit_boundary_diag=True)]
-    mats += [assemble_weighted_stiffness(mesh, f) for f in fields[1:]]
-    return operator_from_matrices(mats, tensor)
+    return operator.GalerkinOperator(assemble_weighted_stiffness(mesh, fields), tensor)
 
 
 def test_zero_variance_levels_collapse_to_block_diagonal():

@@ -8,7 +8,6 @@ from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import InnerSolver, build_uniform_operator
-from sgfem.orthopoly import legendre_family
 from sgfem.precond import make_preconditioner
 from shared_pattern import operator_from_matrices
 
@@ -18,7 +17,7 @@ def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
     spec = CovarianceSpec(sigma=sigma, corr_length=0.5)
     kl = build_kl_expansion(spec, dims, k0, mesh.node_coords)
     basis = build_multi_index_set(dims, degree)
-    return build_uniform_operator(mesh, kl, basis, legendre_family()), mesh
+    return build_uniform_operator(mesh, kl, basis), mesh
 
 
 def dense_kron_oracle(op):
@@ -87,9 +86,8 @@ def test_a_part_matches_rebuilt_lower_order_operator():
     mesh = build_mesh(0.25)
     spec = CovarianceSpec(sigma=0.5, corr_length=0.5)
     kl = build_kl_expansion(spec, 2, 1.0, mesh.node_coords)
-    fam = legendre_family()
-    op3 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 3), fam)
-    op2 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2), fam)
+    op3 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 3))
+    op2 = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2))
     X = np.random.default_rng(2).standard_normal((op2.n_blocks, op2.ndof))
     head, _ = op3.level_slices(3)
     got = op3.product(head, head, X)
@@ -136,7 +134,7 @@ def test_d_block_solve_inner_cg_agreement():
     _, tail = op.level_slices(1)
     R = np.random.default_rng(6).standard_normal((tail.stop - tail.start, op.ndof))
     X_exact = op.d_block_solve(1, R, InnerSolver(kind="exact"))
-    X_cg = op.d_block_solve(1, R, InnerSolver(kind="cg", precond="none", tol=1e-10))
+    X_cg = op.d_block_solve(1, R, InnerSolver(kind="cg", tol=1e-10))
     assert np.linalg.norm(X_cg - X_exact) <= 1e-8 * np.linalg.norm(X_exact)
 
 
@@ -223,8 +221,7 @@ def test_nonsymmetric_coefficient_matrices_supported():
 def test_zero_sigma_operator_is_block_diagonal():
     mesh = build_mesh(0.25)
     kl = KLExpansion(np.zeros(2), np.zeros((2, mesh.n_nodes)), 1.0)
-    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2),
-                                legendre_family())
+    op = build_uniform_operator(mesh, kl, build_multi_index_set(2, 2))
     for level in (1, 2):
         head, tail = op.level_slices(level)
         y = np.ones((tail.stop - tail.start, op.ndof))

@@ -9,7 +9,6 @@ from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.krylov import cg
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
-from sgfem.orthopoly import legendre_family
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
                            make_preconditioner, reduced_system_solve, work_count)
 
@@ -24,7 +23,7 @@ def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5):
         spec = CovarianceSpec(sigma=sigma, corr_length=0.5)
         kl = build_kl_expansion(spec, dims, 1.0, mesh.node_coords)
     basis = build_multi_index_set(dims, degree)
-    op = build_uniform_operator(mesh, kl, basis, legendre_family())
+    op = build_uniform_operator(mesh, kl, basis)
     b = op.rhs(assemble_load(mesh, 1.0)).ravel()
     return op, b
 
@@ -131,7 +130,7 @@ def test_inner_cg_policy_matches_exact_apply(family, kind):
     op = make_operator()[0] if family == "uniform" else lognormal_operator()
     r = np.random.default_rng(7).standard_normal(op.shape[0])
     z_exact = kind(op, EXACT)(r)
-    z_cg = kind(op, InnerSolver(kind="cg", precond="none", tol=1e-13))(r)
+    z_cg = kind(op, InnerSolver(kind="cg", tol=1e-13))(r)
     assert np.linalg.norm(z_cg - z_exact) <= 1e-10 * np.linalg.norm(z_exact)
 
 
@@ -263,7 +262,7 @@ def test_hs_preconditioned_spectrum_positive():
 def test_hs_with_inner_cg_close_to_exact():
     op, b = make_operator(2, 2)
     hs_exact = HierarchicalSchur(op, EXACT)
-    hs_cg = HierarchicalSchur(op, InnerSolver(kind="cg", precond="none", tol=1e-10))
+    hs_cg = HierarchicalSchur(op, InnerSolver(kind="cg", tol=1e-10))
     z1 = hs_exact(b)
     z2 = hs_cg(b)
     assert np.linalg.norm(z1 - z2) <= 1e-8 * np.linalg.norm(z1)
@@ -454,7 +453,7 @@ def test_factory_names():
 
 def test_unresolved_inner_tolerance_is_rejected():
     op, b = make_operator(2, 1)
-    cg_policy = InnerSolver(kind="cg", precond="none")
+    cg_policy = InnerSolver(kind="cg")
     with pytest.raises(ValueError):
         op.d_block_solve(1, b.reshape(op.n_blocks, op.ndof)[1:], cg_policy)
     # a preconditioner sets the policy's tolerance to its outer one

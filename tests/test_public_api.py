@@ -1,5 +1,9 @@
-"""The names ``sgfem`` exports, pinned: adding or removing one edits this list."""
+"""The names ``sgfem`` exports and the run options it takes, pinned: adding
+or removing one edits these lists."""
+from dataclasses import fields
+
 import sgfem
+from sgfem import experiments
 
 PUBLIC_API = [
     "BlockSGS",
@@ -56,3 +60,16 @@ def test_exports_are_the_pinned_list():
 def test_every_export_resolves():
     for name in sgfem.__all__:
         assert hasattr(sgfem, name), name
+
+
+def test_option_surface_is_the_pinned_list():
+    assert [f.name for f in fields(experiments.ExperimentConfig)] == [
+        "distribution", "N", "P", "h", "k0", "cov", "L", "preconditioner",
+        "inner", "krylov", "tol", "max_iter"]
+    assert experiments.CHOICES == {
+        "distribution": ("uniform", "lognormal"),
+        "preconditioner": ("none", "mean", "bsgs", "hs"),
+        "inner": ("exact", "cg-diagonal"),
+        "krylov": ("cg", "fcg"),
+    }
+    assert list(experiments.INNER_POLICIES) == ["exact", "cg-diagonal"]

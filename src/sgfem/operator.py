@@ -30,6 +30,10 @@ block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
 diagonal block a scalar multiple of the mean matrix K_0, so solving with D_l
 costs one multi-right-hand-side K_0 solve; on meshes of up to
 MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-T}.
+In the lognormal case D_l is coupled; with symmetric K_i it is symmetric,
+and numbered node-major (spatial node outer, block inner) it is a band,
+which LAPACK's band Cholesky factors once.  A level that is not symmetric
+positive definite takes a SuperLU factorization instead.
 C_l coincides with the transpose action of B_l whenever all K_i are
 symmetric; the column product computes the true sub-block action either
 way, so non-symmetric K_i are supported by the same code path.
@@ -42,6 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import krylov
 from .fem import Mesh, assemble_weighted_stiffness
@@ -74,10 +79,10 @@ class InnerSolver:
     preconditioner fills it in when built, and a CG loop reached with tol
     None raises ValueError.
     The LU factorizes a CSC copy of the matrix, not its transpose view as
-    the level LU does: K_0's solver, on meshes too large for its dense
-    inverse (``GalerkinOperator.mean_solver``), solves many right-hand sides
-    at once, and a transposed SuperLU solve of 495 of them (K_0 at h=1/20)
-    takes 1.3-1.5 times as long as an untransposed one.
+    a level's SuperLU fallback does: K_0's solver, on meshes too large for
+    its dense inverse (``GalerkinOperator.mean_solver``), solves many
+    right-hand sides at once, and a transposed SuperLU solve of 495 of them
+    (K_0 at h=1/20) takes 1.3-1.5 times as long as an untransposed one.
     """
 
     kind: str = "exact"
@@ -140,7 +145,7 @@ class GalerkinOperator:
     only matrix-free products read the others.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
-    dense blocks and level LUs are populated lazily but never change
+    dense blocks and level factors are populated lazily but never change
     semantics), so concurrent applies are safe.
     """
 
@@ -154,7 +159,7 @@ class GalerkinOperator:
         self.basis = tensor.basis
         self.n_blocks = tensor.n_basis
         self._solver_cache: dict = {}
-        self._level_lus: dict = {}
+        self._level_solvers: dict = {}
         self._plans: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
@@ -367,12 +372,11 @@ class GalerkinOperator:
         solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
         a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
         K_0^{-T} of ``mean_solver``.  A coupled level of dimension up to
-        DIRECT_LEVEL_LIMIT is assembled and factorized once; a larger one
-        runs ``inner.cg`` on the level system preconditioned
-        blockwise by diag(c_0kk) (x) K_0.  The level LU factorizes D_l^T,
-        which is the CSR of D_l read as CSC, and solves transposed: no
-        CSC copy of D_l is made, and with the one right-hand side of a
-        level solve the transposed solve costs what the plain one does.
+        DIRECT_LEVEL_LIMIT is assembled and factorized once
+        (``_factorize_level``): by band Cholesky in node-major order when
+        it is symmetric positive definite, by SuperLU otherwise.  A larger
+        one runs ``inner.cg`` on the level system preconditioned blockwise
+        by diag(c_0kk) (x) K_0.  ``rhs`` is never written to.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -383,9 +387,9 @@ class GalerkinOperator:
         if self.level_is_scalar_diagonal(level):
             return self.mean_solver(inner)(rhs) / weights
         if rhs.size <= DIRECT_LEVEL_LIMIT:
-            if level not in self._level_lus:
-                self._level_lus[level] = _factorize(self.assemble_range(tail, tail).T)
-            return self._level_lus[level].solve(rhs.ravel(), trans="T").reshape(rhs.shape)
+            if level not in self._level_solvers:
+                self._level_solvers[level] = self._factorize_level(tail)
+            return self._level_solvers[level](rhs)
         mean_solve = self.mean_solver(InnerSolver(kind="exact"))
 
         def apply_level(x):
@@ -398,7 +402,56 @@ class GalerkinOperator:
                      f"level {level} system")
         return x.reshape(rhs.shape)
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether every K_i is symmetric: each stored (r, c) of the shared
+        pattern has (c, r) stored too, and every row of data holds the same
+        value at both.  Read off data through the transposed positions; no
+        transpose is made."""
+        r, c = self._pattern_rows.astype(np.int64), self.indices.astype(np.int64)
+        keys, transposed = r * self.ndof + c, c * self.ndof + r
+        order = np.argsort(keys)
+        mirror = order[np.searchsorted(keys, transposed, sorter=order).clip(max=len(keys) - 1)]
+        if not np.array_equal(keys[mirror], transposed):
+            return False
+        return all(np.array_equal(row, row[mirror]) for row in self.data)
+
+    def _factorize_level(self, tail: slice):
+        """Solver X = D_l^{-1} R of a coupled level, factorized once.
+
+        With every K_i symmetric (each C_i is: c_itj = E[psi_i psi_t psi_j])
+        D_l is symmetric, and in node-major order, unknown (block s, node r)
+        at row r*m + s for the level's m blocks, it is a band of half-width
+        m*b + m - 1 about the diagonal, b the spatial pattern's bandwidth.
+        LAPACK's band Cholesky factors that band in place; at lognormal N=4
+        P=3 h=1/10, D_3 (2420 unknowns) is filled and factored in 21 ms
+        against SuperLU's 45 (one BLAS thread) and stores 5.0 MB against
+        6.6, and solves as fast.  A level that is not symmetric, or not
+        positive definite (dpbtrf info > 0), takes the SuperLU factors of
+        D_l^T, the assembled CSR of D_l read as CSC, and solves transposed:
+        no CSC copy of D_l is made.
+        """
+        D = self.assemble_range(tail, tail)
+        m = tail.stop - tail.start
+        if self.symmetric:
+            b = np.abs(self._pattern_rows - self.indices).max()
+            factor, info = lapack.dpbtrf(_node_major_band(D, m, m * b + m - 1),
+                                         lower=0, overwrite_ab=1)
+            if info == 0:
+                def solve(R):
+                    # node-major: R.T flattened; a view of R when m = 1
+                    x, _ = lapack.dpbtrs(factor, np.ascontiguousarray(R.T).ravel())
+                    return np.ascontiguousarray(x.reshape(-1, m).T)
+                return solve
+        lu = _factorize(D.T)
+        return lambda R: lu.solve(R.ravel(), trans="T").reshape(R.shape)
+
     # -- assembly ----------------------------------------------------------
+    @cached_property
+    def _pattern_rows(self) -> np.ndarray:
+        """The spatial row of every stored position, int32."""
+        return np.repeat(np.arange(self.ndof, dtype=np.int32), np.diff(self.indptr))
+
     @cached_property
     def _block_couplings(self) -> sp.csr_matrix:
         """Row t * n_blocks + j holds c_itj over the coefficients i that are
@@ -418,8 +471,7 @@ class GalerkinOperator:
         # int32 positions halve the memory of this step
         blocks = np.flatnonzero(np.diff(W.indptr)).astype(np.int32)
         n = self.ndof
-        pattern_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
-        R = (blocks // len(cols))[:, None] * n + pattern_rows
+        R = (blocks // len(cols))[:, None] * n + self._pattern_rows
         C = (blocks % len(cols))[:, None] * n + self.indices
         sub = sp.csr_matrix(((W[blocks] @ self.data).ravel(), (R.ravel(), C.ravel())),
                             shape=(len(rows) * n, len(cols) * n))
@@ -444,12 +496,34 @@ class GalerkinOperator:
 
 def _factorize(csc: sp.csc_matrix):
     """SuperLU factorization with the ordering for structurally symmetric
-    matrices, which every matrix factorized here is (on the shared spatial
-    pattern, and symmetric positive definite in every run): minimum degree
-    on A + A^T, diagonal pivots preferred.  It fills less than SuperLU's
-    default COLAMD, e.g. 547,072 against 679,660 entries of L + U for the
-    top level of lognormal N=4 P=3 h=1/10."""
+    matrices, which every matrix factorized here is (K_0, the block
+    Gauss-Seidel diagonal blocks and the coupled levels that are not
+    symmetric positive definite, all on the shared spatial pattern):
+    minimum degree on A + A^T, diagonal pivots preferred.  It fills less
+    than SuperLU's default COLAMD, e.g. 547,072 against 679,660 entries of
+    L + U for D_3 of lognormal N=4 P=3 h=1/10 (a level that now takes the
+    band Cholesky)."""
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def _node_major_band(D: sp.csr_matrix, m: int, kd: int) -> np.ndarray:
+    """The upper band of half-width kd of D, its m blocks of n unknowns
+    renumbered node-major (row s*n + r of D is row r*m + s), in LAPACK's
+    upper band layout: A[i, j] at band[kd + i - j, j] for i <= j.
+    Fortran-ordered, so that dpbtrf factors it without a copy; filled from
+    D's CSR arrays with int32 positions while the band has fewer than 2^31
+    entries, as every band of up to DIRECT_LEVEL_LIMIT unknowns has."""
+    N = D.shape[0]
+    n = N // m
+    k = np.arange(N, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
+    node_major = k % n * m + k // n
+    i = np.repeat(node_major, np.diff(D.indptr))
+    j = node_major[D.indices]
+    upper = i <= j
+    band = np.zeros((kd + 1, N), order="F")
+    # position kd + i - j + (kd + 1) j of the column-major band
+    band.T.reshape(-1)[(kd + i + kd * j)[upper]] = D.data[upper]
+    return band
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
@@ -195,7 +195,7 @@ def test_levels_are_built_lazily_and_once(monkeypatch):
     precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
     # neither the build nor a preconditioner set-up forms the dense blocks
     # or factorizes a level
-    assert calls == [] and op._level_lus == {}
+    assert calls == [] and op._level_solvers == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
     first = op.product(head, tail, X)
@@ -210,54 +210,57 @@ def test_levels_are_built_lazily_and_once(monkeypatch):
     assert np.array_equal(first, second)
 
 
+def spy_factorizations(monkeypatch) -> tuple:
+    """(lus, bands): the (matrix, kwargs) of every SuperLU factorization
+    and the (band, kwargs, factor, info) of every band Cholesky."""
+    splu, dpbtrf = operator.spla.splu, operator.lapack.dpbtrf
+    lus, bands = [], []
+
+    def spy_splu(matrix, *args, **kwargs):
+        lus.append((matrix, kwargs))
+        return splu(matrix, *args, **kwargs)
+
+    def spy_dpbtrf(band, *args, **kwargs):
+        factor, info = dpbtrf(band, *args, **kwargs)
+        bands.append((band, kwargs, factor, info))
+        return factor, info
+
+    monkeypatch.setattr(operator.spla, "splu", spy_splu)
+    monkeypatch.setattr(operator.lapack, "dpbtrf", spy_dpbtrf)
+    return lus, bands
+
+
 def test_level_lu_is_factorized_once(monkeypatch):
-    calls = []
-    original = operator.spla.splu
-
-    def spy(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return original(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(operator.spla, "splu", spy)
+    lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator(2, 2, 3)
     _, tail = op.level_slices(2)
     R = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
     X1 = op.d_block_solve(2, R, EXACT)
     X2 = op.d_block_solve(2, R, EXACT)
-    assert len(calls) == 1
+    # one band Cholesky, reused by the second solve; no SuperLU
+    assert len(bands) == 1 and lus == []
     assert np.array_equal(X1, X2)
 
 
 def test_every_lu_takes_the_symmetric_ordering_and_level_lus_no_csc_copy(monkeypatch):
-    factorized, assembled = [], []
-    splu, assemble_range = operator.spla.splu, GalerkinOperator.assemble_range
-
-    def spy_splu(matrix, *args, **kwargs):
-        factorized.append((matrix, kwargs))
-        return splu(matrix, *args, **kwargs)
-
-    def spy_assemble_range(self, rows, cols):
-        assembled.append(assemble_range(self, rows, cols))
-        return assembled[-1]
-
-    monkeypatch.setattr(operator.spla, "splu", spy_splu)
-    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy_assemble_range)
+    lus, bands = spy_factorizations(monkeypatch)
     # the benchmark's lognormal row
     op = build_operator(ExperimentConfig(distribution="lognormal", N=4, P=3, h=0.1, cov=1.0))
     r = np.ones(op.shape[0])
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
-    # K_0 once, n_b - 1 BSGS diagonal blocks, D_1..D_3
-    assert len(factorized) == 1 + (op.n_blocks - 1) + 3
-    for _, kwargs in factorized:
+    # SuperLU: K_0 once and the n_b - 1 BSGS diagonal blocks, spatial
+    # matrices all; D_1..D_3 take the band Cholesky
+    assert len(lus) == 1 + (op.n_blocks - 1)
+    for matrix, kwargs in lus:
+        assert matrix.shape == (op.ndof, op.ndof)
         assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-    levels = [m for m, _ in factorized if m.shape[0] > op.ndof]
-    assert len(levels) == 3
-    for m in levels:
-        assert any(np.shares_memory(m.indices, D.indices) for D in assembled)
-    # COLAMD fills 679,660 entries of L + U at D_3, the symmetric ordering 547,072
-    lu = op._level_lus[3]
-    assert lu.L.nnz + lu.U.nnz < 600_000
+    assert len(bands) == 3 and all(info == 0 for *_, info in bands)
+    # HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks of 121 nodes; with
+    # the spatial bandwidth 12, D_3 has kd = 20 * 12 + 19 = 259 rows above
+    # the diagonal
+    assert op.ndof == 121
+    assert [band.shape for band, *_ in bands] == [(260, 2420), (130, 1210), (52, 484)]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
@@ -422,6 +425,8 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
         mats[i] = mats[i] + 0.01 * (pert - pert.T)
     nonsym = operator_from_matrices(mats, op.tensor)
     assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
+    # its level solves take the SuperLU fallback
+    assert op.symmetric and not nonsym.symmetric
     for K, M in zip(nonsym.matrices, mats):
         assert abs(K - M).max() == 0.0
     check_products_against_oracle(nonsym)
@@ -699,3 +704,81 @@ def test_block_tallies_count_the_dense_oracle_blocks_on_the_coarsest_mesh():
     assert hs.counters.block_matvecs == np.count_nonzero(
         nonzero & (degree[:, None] != degree[None, :]))
     assert bsgs.counters.block_matvecs == np.count_nonzero(nonzero) - op.n_blocks
+
+
+# ---------------------------------------------------------------------------
+# coupled level solves: band Cholesky in node-major order, SuperLU fallback
+# ---------------------------------------------------------------------------
+
+@given(hermite_configs, st.integers(0, 2**32 - 1))
+@example(("lognormal", 1, 2, 2), 0)     # one block per level: m = 1
+def test_band_cholesky_level_solves_match_dense_solves(config, seed):
+    op = build(config)
+    A = dense_kron_oracle(op)
+    rng = np.random.default_rng(seed)
+    coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
+    assert op.symmetric and coupled
+    with pytest.MonkeyPatch.context() as mp:
+        lus, bands = spy_factorizations(mp)
+        for level in coupled:
+            _, tail = op.level_slices(level)
+            R = rng.standard_normal((tail.stop - tail.start, op.ndof))
+            kept = R.copy()
+            X = op.d_block_solve(level, R, EXACT)
+            # the solve reads R node-major, a view of R when m = 1, and
+            # never writes to it
+            assert np.array_equal(R, kept)
+            ref = np.linalg.solve(dense_part(op, A, level, "D"), R.ravel())
+            assert np.linalg.norm(X.ravel() - ref) <= 1e-12 * np.linalg.norm(ref), level
+    assert lus == [] and len(bands) == len(coupled)
+
+
+def test_level_band_is_factorized_in_place(monkeypatch):
+    # a C-ordered band would be copied by dpbtrf's wrapper, one more band's
+    # worth of peak memory per level
+    lus, bands = spy_factorizations(monkeypatch)
+    op = lognormal_operator(2, 2, 3)
+    HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
+    # SuperLU factors K_0 alone
+    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)] and len(bands) == op.basis.degree
+    for band, kwargs, factor, info in bands:
+        assert kwargs == {"lower": 0, "overwrite_ab": 1} and info == 0
+        assert band.flags.f_contiguous and np.shares_memory(factor, band)
+
+
+def test_symmetry_selects_the_band_path_and_indefinite_levels_fall_back(monkeypatch):
+    logn = lognormal_operator(2, 2, 3)
+    assert uniform_operator(2, 2, 3).symmetric and logn.symmetric
+    # one entry without its transposed position
+    mats = list(logn.matrices)
+    n = logn.ndof
+    mats[1] = mats[1] + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=(n, n))
+    assert not operator_from_matrices(mats, logn.tensor).symmetric
+    # symmetric, but the unit Dirichlet rows of K_0 shifted to -1 make every
+    # coupled level indefinite
+    mats = [logn.matrices[0] - 2.0 * sp.identity(n)] + list(logn.matrices[1:])
+    indefinite = operator_from_matrices(mats, logn.tensor)
+    assert indefinite.symmetric
+    A = dense_kron_oracle(indefinite)
+    lus, bands = spy_factorizations(monkeypatch)
+    assembled, assemble_range = [], GalerkinOperator.assemble_range
+
+    def spy_assemble_range(self, rows, cols):
+        assembled.append(assemble_range(self, rows, cols))
+        return assembled[-1]
+
+    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy_assemble_range)
+    rng = np.random.default_rng(4)
+    for level in (1, 2):
+        D = dense_part(indefinite, A, level, "D")
+        eigenvalues = np.linalg.eigvalsh(D)
+        assert eigenvalues.min() < 0.0 < eigenvalues.max()
+        R = rng.standard_normal((len(D) // n, n))
+        X = indefinite.d_block_solve(level, R, EXACT)
+        assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
+    # dpbtrf finds each level not positive definite; SuperLU then factors
+    # D_l^T, the assembled CSR read as CSC, without a copy
+    assert [info > 0 for *_, info in bands] == [True, True]
+    assert len(lus) == 2 and len(assembled) == 2
+    for (matrix, _), D in zip(lus, assembled):
+        assert matrix.format == "csc" and np.shares_memory(matrix.indices, D.indices)

@@ -192,7 +192,7 @@ def test_direct_policy_guard(monkeypatch):
         dense_d_block_solve(op, 2, R)
     # ... and returns zero at once
     X = dense_d_block_solve(op, 2, R, inner=InnerSolver(tol=1e-8))
-    assert np.all(X == 0.0) and op._level_lus == {}
+    assert np.all(X == 0.0) and op._level_solvers == {}
 
 
 def test_iterative_policy_reports_nonconvergence(monkeypatch):

@@ -198,6 +198,7 @@ def test_nonsymmetric_coefficient_matrices_supported():
     pert = sp.random(mesh.n_nodes, mesh.n_nodes, density=0.05, random_state=7)
     mats[1] = mats[1] + 0.01 * (pert - pert.T)
     nonsym = operator_from_matrices(mats, op.tensor)
+    assert op.symmetric and not nonsym.symmetric
     A = np.zeros(nonsym.shape)
     for Ci, Ki in zip(nonsym.tensor.coupling, nonsym.matrices):
         A += np.kron(Ci.toarray(), Ki.toarray())
@@ -260,6 +261,7 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     K0 = op.mean_matrix.toarray()
     # only a non-symmetric K_0 tells K_0^{-1} from K_0^{-T}
     assert (np.abs(K0 - K0.T).max() > 1e-3) == (build is nonsymmetric_mean_operator)
+    assert op.symmetric == (build is not nonsymmetric_mean_operator)
     solve, lu = op.mean_solver(InnerSolver()), InnerSolver().make(op.mean_matrix)
     rng = np.random.default_rng(5)
     for B in (rng.standard_normal(op.ndof), rng.standard_normal((7, op.ndof))):

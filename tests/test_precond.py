@@ -136,41 +136,48 @@ def test_inner_cg_policy_matches_exact_apply(family, kind):
 
 def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
     import sgfem.operator as operator
-    calls = []
-    original = operator.spla.splu
+    calls, bands = [], []
+    splu, dpbtrf = operator.spla.splu, operator.lapack.dpbtrf
 
     def spy(matrix, *args, **kwargs):
         calls.append(matrix.shape)
-        return original(matrix, *args, **kwargs)
+        return splu(matrix, *args, **kwargs)
+
+    def spy_band(band, *args, **kwargs):
+        bands.append(band.shape)
+        return dpbtrf(band, *args, **kwargs)
 
     monkeypatch.setattr(operator.spla, "splu", spy)
+    monkeypatch.setattr(operator.lapack, "dpbtrf", spy_band)
 
     def lus_of_the_first_bsgs_application(op):
         bsgs, hs = BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT, outer_tol=1e-6)
         # neither set-up factorizes anything
-        assert calls == []
+        assert calls == [] and bands == []
         r = np.ones(op.shape[0])
         bsgs(r)
         n_bsgs = len(calls)
+        assert bands == []
         hs(r)
-        n_both = len(calls)
+        n_both = len(calls) + len(bands)
         # a second application factorizes nothing
         bsgs(r)
         hs(r)
-        assert len(calls) == n_both
+        assert len(calls) + len(bands) == n_both
         return n_bsgs
 
     # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's,
     # shared by both preconditioners whatever their outer tolerance
     op, _ = make_operator(2, 3)
     assert lus_of_the_first_bsgs_application(op) == 1
-    assert len(calls) == 1
+    assert len(calls) == 1 and bands == []
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
-    # LU from the first BSGS application, and HS factorizes each coupled level
+    # LU from the first BSGS application, and HS factorizes each coupled
+    # level by band Cholesky
     calls.clear()
     op = lognormal_operator()
     assert lus_of_the_first_bsgs_application(op) == op.n_blocks
-    assert len(calls) == op.n_blocks + op.basis.degree
+    assert len(calls) == op.n_blocks and len(bands) == op.basis.degree
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT),
                           op.mean_solver(EXACT)(x) / op.diag_weights[0])

@@ -18,9 +18,10 @@ coefficient expansion is carried to twice the solution order, which keeps the
 discrete problem well posed; the resulting coupling tensor makes every block
 of the global matrix nonzero, so the same-degree matrices D_l are coupled
 systems rather than block diagonals; GalerkinOperator.d_block_solve solves
-them by a factorization of the assembled level system while it is small (a
-band Cholesky in node-major order, the K_i being symmetric) and by an inner
-Krylov loop preconditioned blockwise with the mean matrix beyond.
+them by a factorization of the level system while it is small (a band
+Cholesky in node-major order, filled straight from the coupling values, the
+K_i being symmetric) and by an inner Krylov loop preconditioned blockwise
+with the mean matrix beyond.
 """
 from __future__ import annotations
 

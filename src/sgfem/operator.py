@@ -16,9 +16,10 @@ coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
 each K_i multiplying only the column blocks that reach those rows;
 otherwise (the lognormal chaos coefficient) it reads the dense stochastic
 blocks blocks[e] = sum_i C_i * K_i[e] at every stored spatial position e,
-summed once from the data array.  Sub-matrices that are factorized or cut
-into block rows, such as a coupled level matrix D_l, are assembled from the
-same arrays by ``assemble_range``.  The graded index ordering induces a
+summed once from the data array.  Sub-matrices that are cut into block rows
+or take a SuperLU factorization, such as a coupled level matrix D_l that is
+not symmetric positive definite, are assembled from the same arrays by
+``assemble_range``.  The graded index ordering induces a
 nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -32,8 +33,11 @@ costs one multi-right-hand-side K_0 solve; on meshes of up to
 MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-T}.
 In the lognormal case D_l is coupled; with symmetric K_i it is symmetric,
 and numbered node-major (spatial node outer, block inner) it is a band,
-which LAPACK's band Cholesky factors once.  A level that is not symmetric
-positive definite takes a SuperLU factorization instead.
+which LAPACK's band Cholesky factors once (``band_solvers``, the band filled
+straight from the coupling values, D_l not assembled).  The same routine
+factors the diagonal blocks A_jj of block Gauss-Seidel, the case of one
+block.  A level or block that is not symmetric positive definite takes a
+SuperLU factorization instead.
 C_l coincides with the transpose action of B_l whenever all K_i are
 symmetric; the column product computes the true sub-block action either
 way, so non-symmetric K_i are supported by the same code path.
@@ -41,7 +45,7 @@ way, so non-symmetric K_i are supported by the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,8 +76,13 @@ class InnerSolveError(RuntimeError):
 class InnerSolver:
     """Policy for solves with a single spatial block.
 
-    kind "exact" factorizes once (sparse LU); kind "cg" runs an inner
-    conjugate gradient loop preconditioned by the matrix diagonal (Jacobi).
+    kind "exact" factorizes once; kind "cg" runs an inner conjugate
+    gradient loop preconditioned by the matrix diagonal (Jacobi).  ``make``
+    gives the exact policy's sparse LU, which K_0 takes
+    (``GalerkinOperator.mean_solver``) and so does a block Gauss-Seidel
+    diagonal block when the operator is not symmetric or the block not
+    positive definite; the other blocks take a band Cholesky
+    (``GalerkinOperator.band_solvers``).
     ``tol`` and ``maxiter`` bound every inner CG loop under the policy,
     level CG included.  A tol of None means the outer tolerance: each
     preconditioner fills it in when built, and a CG loop reached with tol
@@ -101,7 +110,7 @@ class InnerSolver:
 
         def solve(B):
             B = np.atleast_2d(B)
-            X = np.empty_like(B)
+            X = np.empty(B.shape)
             for row in range(B.shape[0]):
                 X[row] = self.cg(A.dot, B[row], prec, row, "inner cg")
             return X
@@ -372,9 +381,9 @@ class GalerkinOperator:
         solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
         a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
         K_0^{-T} of ``mean_solver``.  A coupled level of dimension up to
-        DIRECT_LEVEL_LIMIT is assembled and factorized once
-        (``_factorize_level``): by band Cholesky in node-major order when
-        it is symmetric positive definite, by SuperLU otherwise.  A larger
+        DIRECT_LEVEL_LIMIT is factorized once (``_factorize_level``): by
+        band Cholesky in node-major order when it is symmetric positive
+        definite, by SuperLU of its assembly otherwise.  A larger
         one runs ``inner.cg`` on the level system preconditioned blockwise
         by diag(c_0kk) (x) K_0.  ``rhs`` is never written to.
         """
@@ -423,28 +432,82 @@ class GalerkinOperator:
         D_l is symmetric, and in node-major order, unknown (block s, node r)
         at row r*m + s for the level's m blocks, it is a band of half-width
         m*b + m - 1 about the diagonal, b the spatial pattern's bandwidth.
-        LAPACK's band Cholesky factors that band in place; at lognormal N=4
-        P=3 h=1/10, D_3 (2420 unknowns) is filled and factored in 21 ms
-        against SuperLU's 45 (one BLAS thread) and stores 5.0 MB against
-        6.6, and solves as fast.  A level that is not symmetric, or not
-        positive definite (dpbtrf info > 0), takes the SuperLU factors of
-        D_l^T, the assembled CSR of D_l read as CSC, and solves transposed:
-        no CSC copy of D_l is made.
+        ``band_solvers`` fills that band straight from the coupling values
+        and factors it in place by LAPACK's band Cholesky; D_l is not
+        assembled.  At lognormal N=4 P=3 h=1/10, D_3 (2420 unknowns) is
+        filled in 4 ms (assembling D_l and reading the band off its CSR took
+        11) and factored in 14 against SuperLU's 45 (one BLAS thread),
+        stores 5.0 MB against 6.6, and solves as fast.  A level
+        that is not symmetric, or not positive definite (dpbtrf info > 0),
+        takes the SuperLU factors of D_l^T, the assembled CSR of D_l read as
+        CSC, and solves transposed: no CSC copy of D_l is made.
         """
-        D = self.assemble_range(tail, tail)
         m = tail.stop - tail.start
         if self.symmetric:
-            b = np.abs(self._pattern_rows - self.indices).max()
-            factor, info = lapack.dpbtrf(_node_major_band(D, m, m * b + m - 1),
-                                         lower=0, overwrite_ab=1)
-            if info == 0:
+            band_solve, = self.band_solvers(np.arange(tail.start, tail.stop)[None])
+            if band_solve is not None:
                 def solve(R):
                     # node-major: R.T flattened; a view of R when m = 1
-                    x, _ = lapack.dpbtrs(factor, np.ascontiguousarray(R.T).ravel())
+                    x = band_solve(np.ascontiguousarray(R.T).ravel())
                     return np.ascontiguousarray(x.reshape(-1, m).T)
                 return solve
-        lu = _factorize(D.T)
+        lu = _factorize(self.assemble_range(tail, tail).T)
         return lambda R: lu.solve(R.ravel(), trans="T").reshape(R.shape)
+
+    @cached_property
+    def _bandwidth(self) -> int:
+        """b = max |r - c| over the stored positions (r, c) of the spatial
+        pattern: 12 for the Q1 stencil at h=1/10."""
+        return int(np.abs(self._pattern_rows - self.indices).max())
+
+    def band_solvers(self, groups: np.ndarray) -> list:
+        """Per row g of the (k, m) block indices ``groups``: a solver
+        b -> A_g^{-1} b of the diagonal block A_g = A[g, g], or None when
+        LAPACK's band Cholesky finds A_g not positive definite.
+
+        A_g is numbered node-major, unknown (block g[s], node r) at r*m + s,
+        so b is its flat node-major right-hand side: for m = 1, one spatial
+        block as it is.  The solver is one dpbtrs on the factor and never
+        writes b.  The caller ensures A_g is symmetric (``symmetric``).
+        """
+        solvers = []
+        for band in self._bands(groups):
+            factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+            solvers.append(partial(_band_solve, factor) if info == 0 else None)
+        return solvers
+
+    def _bands(self, groups: np.ndarray) -> np.ndarray:
+        """bands[g]: the upper band of half-width kd = m*b + m - 1 of A_g
+        (see ``band_solvers``) in LAPACK's upper band layout, A_g[I, J] at
+        bands[g, kd + I - J, J] for I <= J, each Fortran-ordered so that
+        dpbtrf factors it without a copy.
+
+        All k bands are filled in one pass straight from the coupling
+        values W @ data on the shared pattern: block (s, s') of A_g holds
+        row g[s] * n_blocks + g[s'] of W, entry e of the pattern, (r, c),
+        sits at (r*m + s, c*m + s').  Positions are int32 while a band has
+        fewer than 2^31 entries, as every band of up to DIRECT_LEVEL_LIMIT
+        unknowns has.
+        """
+        k, m = groups.shape
+        kd, N = m * self._bandwidth + m - 1, m * self.ndof
+        W = self._block_couplings[(groups[:, :, None] * self.n_blocks
+                                   + groups[:, None, :]).ravel()]
+        values = (W @ self.data).reshape(k, m, m, -1)
+        s = np.arange(m, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
+        r = self._pattern_rows.astype(s.dtype, copy=False)
+        c = self.indices.astype(s.dtype, copy=False)
+        out = np.zeros((k, N, kd + 1))
+        # (r*m + s, c*m + s') lies in the upper band for every (s, s') when
+        # r < c and for s <= s' when r = c; positions with r > c never do
+        every = np.ones((m, m), dtype=bool)
+        for e, pairs in ((r < c, every), (r == c, np.triu(every))):
+            e = np.flatnonzero(e)
+            I = (r[e] * m)[None, None] + s[:, None, None]
+            J = (c[e] * m)[None, None] + s[None, :, None]
+            # position J (kd + 1) + kd + I - J of a band, out[g] read transposed
+            out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., e][:, pairs]
+        return out.transpose(0, 2, 1)
 
     # -- assembly ----------------------------------------------------------
     @cached_property
@@ -496,9 +559,9 @@ class GalerkinOperator:
 
 def _factorize(csc: sp.csc_matrix):
     """SuperLU factorization with the ordering for structurally symmetric
-    matrices, which every matrix factorized here is (K_0, the block
-    Gauss-Seidel diagonal blocks and the coupled levels that are not
-    symmetric positive definite, all on the shared spatial pattern):
+    matrices, which every matrix factorized here is (K_0, and the block
+    Gauss-Seidel diagonal blocks and coupled levels that are not symmetric
+    positive definite, all on the shared spatial pattern):
     minimum degree on A + A^T, diagonal pivots preferred.  It fills less
     than SuperLU's default COLAMD, e.g. 547,072 against 679,660 entries of
     L + U for D_3 of lognormal N=4 P=3 h=1/10 (a level that now takes the
@@ -506,24 +569,9 @@ def _factorize(csc: sp.csc_matrix):
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
-def _node_major_band(D: sp.csr_matrix, m: int, kd: int) -> np.ndarray:
-    """The upper band of half-width kd of D, its m blocks of n unknowns
-    renumbered node-major (row s*n + r of D is row r*m + s), in LAPACK's
-    upper band layout: A[i, j] at band[kd + i - j, j] for i <= j.
-    Fortran-ordered, so that dpbtrf factors it without a copy; filled from
-    D's CSR arrays with int32 positions while the band has fewer than 2^31
-    entries, as every band of up to DIRECT_LEVEL_LIMIT unknowns has."""
-    N = D.shape[0]
-    n = N // m
-    k = np.arange(N, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
-    node_major = k % n * m + k // n
-    i = np.repeat(node_major, np.diff(D.indptr))
-    j = node_major[D.indices]
-    upper = i <= j
-    band = np.zeros((kd + 1, N), order="F")
-    # position kd + i - j + (kd + 1) j of the column-major band
-    band.T.reshape(-1)[(kd + i + kd * j)[upper]] = D.data[upper]
-    return band
+def _band_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b from the upper band Cholesky factor of A; b is not written."""
+    return lapack.dpbtrs(factor, b)[0]
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

@@ -2,7 +2,9 @@
 
 The builders hand the operator the (indices, indptr, data) triple of the
 assembly; tests that perturb, zero or hole the K_i of a built operator put
-the matrices back on one union CSR pattern here.
+the matrices back on one union CSR pattern here.  Two such perturbations
+send every factorization of a coupled level or block to its SuperLU
+fallback: ``nonsymmetric`` and ``indefinite``.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -25,3 +27,19 @@ def shared_pattern(matrices) -> tuple:
 def operator_from_matrices(matrices, tensor) -> GalerkinOperator:
     """Operator on the union of the patterns of the matrices."""
     return GalerkinOperator(shared_pattern(matrices), tensor)
+
+
+def nonsymmetric(op: GalerkinOperator) -> GalerkinOperator:
+    """op with one entry of K_1 that has no transposed position."""
+    mats = list(op.matrices)
+    n = op.ndof
+    mats[1] = mats[1] + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=(n, n))
+    return operator_from_matrices(mats, op.tensor)
+
+
+def indefinite(op: GalerkinOperator) -> GalerkinOperator:
+    """op, still symmetric, with K_0 shifted by -2 I: its unit Dirichlet
+    rows become -1, so on the lognormal operators every coupled level and
+    every diagonal block is indefinite."""
+    mats = [op.matrices[0] - 2.0 * sp.identity(op.ndof)] + list(op.matrices[1:])
+    return operator_from_matrices(mats, op.tensor)

@@ -22,7 +22,7 @@ from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
-from shared_pattern import operator_from_matrices
+from shared_pattern import indefinite, nonsymmetric, operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -249,18 +249,18 @@ def test_every_lu_takes_the_symmetric_ordering_and_level_lus_no_csc_copy(monkeyp
     r = np.ones(op.shape[0])
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
-    # SuperLU: K_0 once and the n_b - 1 BSGS diagonal blocks, spatial
-    # matrices all; D_1..D_3 take the band Cholesky
-    assert len(lus) == 1 + (op.n_blocks - 1)
-    for matrix, kwargs in lus:
-        assert matrix.shape == (op.ndof, op.ndof)
-        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-    assert len(bands) == 3 and all(info == 0 for *_, info in bands)
-    # HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks of 121 nodes; with
-    # the spatial bandwidth 12, D_3 has kd = 20 * 12 + 19 = 259 rows above
-    # the diagonal
+    # SuperLU: K_0 alone; the n_b - 1 BSGS diagonal blocks and D_1..D_3 take
+    # the band Cholesky
+    assert [matrix.shape for matrix, _ in lus] == [(op.ndof, op.ndof)]
+    assert lus[0][1] == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+    assert len(bands) == (op.n_blocks - 1) + 3 and all(info == 0 for *_, info in bands)
+    # BSGS factors its blocks of 121 nodes, kd = 12 the spatial bandwidth;
+    # HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks, D_3 with
+    # kd = 20 * 12 + 19 = 259 rows above the diagonal
     assert op.ndof == 121
-    assert [band.shape for band, *_ in bands] == [(260, 2420), (130, 1210), (52, 484)]
+    assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(13, 121)] * (op.n_blocks - 1)
+    assert [band.shape for band, *_ in bands[op.n_blocks - 1:]] == [
+        (260, 2420), (130, 1210), (52, 484)]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
@@ -629,10 +629,12 @@ def test_dense_blocks_hold_the_block_sums():
 
 
 def spy_bsgs_set_up(monkeypatch) -> tuple:
-    """(assembled, made): the ranges of every assemble_range call and the
-    matrix of every InnerSolver.make call from now on."""
-    assembled, made = [], []
+    """(assembled, made, filled): the ranges of every assemble_range call,
+    the matrix of every InnerSolver.make call and a copy of every band
+    dpbtrf receives, as filled, from now on."""
+    assembled, made, filled = [], [], []
     assemble, make = GalerkinOperator.assemble_range, InnerSolver.make
+    dpbtrf = operator.lapack.dpbtrf
 
     def assemble_spy(self, rows, cols):
         assembled.append((rows, cols))
@@ -642,47 +644,95 @@ def spy_bsgs_set_up(monkeypatch) -> tuple:
         made.append(matrix)
         return make(self, matrix, *args, **kwargs)
 
+    def dpbtrf_spy(band, *args, **kwargs):
+        filled.append(band.copy())
+        return dpbtrf(band, *args, **kwargs)
+
     monkeypatch.setattr(GalerkinOperator, "assemble_range", assemble_spy)
     monkeypatch.setattr(InnerSolver, "make", make_spy)
-    return assembled, made
+    monkeypatch.setattr(operator.lapack, "dpbtrf", dpbtrf_spy)
+    return assembled, made, filled
+
+
+def upper_band(A: np.ndarray, kd: int) -> np.ndarray:
+    """LAPACK's upper band layout of the dense A: A[i, j] at
+    band[kd + i - j, j] for 0 <= j - i <= kd, zeros elsewhere."""
+    band = np.zeros((kd + 1, len(A)))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(A, d)
+    return band
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
 def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
     op = build((kind, 2, 2, 3))
-    assembled, made = spy_bsgs_set_up(monkeypatch)
+    assembled, made, filled = spy_bsgs_set_up(monkeypatch)
     prec = BlockSGS(op, EXACT)
     # the constructor assembles and factorizes nothing
-    assert assembled == [] and made == []
+    assert assembled == [] and made == [] and filled == []
     r = np.ones(op.shape[0])
     prec(r)
     tails = [op.level_slices(l)[1] for l in range(op.basis.degree + 1)
              if not op.level_is_scalar_diagonal(l)]
-    # each coupled level is assembled once, and each of its blocks gets a
-    # solver; the last one made is the mean solver of the scalar level 0
+    # each coupled level is assembled once for its block rows, and each of
+    # its blocks gets a band Cholesky; the one solver made is the mean
+    # solver of the scalar level 0
     assert assembled == [(tail, tail) for tail in tails]
     n_coupled = sum(tail.stop - tail.start for tail in tails)
     assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)
-    assert len(made) == n_coupled + 1 and made[-1] is op.matrices[0]
-    # a second application assembles and makes nothing
+    assert len(filled) == n_coupled
+    assert len(made) == 1 and made[0] is op.matrices[0]
+    # a second application assembles, fills and makes nothing
     prec(r)
-    assert len(assembled) == len(tails) and len(made) == n_coupled + 1
+    assert (len(assembled), len(filled), len(made)) == (len(tails), n_coupled, 1)
 
 
 def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
     op = lognormal_operator(2, 2, 3)
-    _, made = spy_bsgs_set_up(monkeypatch)
+    _, made, filled = spy_bsgs_set_up(monkeypatch)
     prec = BlockSGS(op, EXACT)
     prec(np.ones(op.shape[0]))
-    # every block of the coupled levels gets its own LU at the first
-    # application, cut from its level's assembly bit for bit; level 0 is
-    # c_000 K_0 and takes the mean solve
+    # every block of the coupled levels gets its own band at the first
+    # application, filled from the coupling values bit for bit as the band
+    # of the assembled block; level 0 is c_000 K_0 and takes the mean solve
+    assert len(made) == 1 and made[0] is op.matrices[0]
+    assert len(filled) == op.n_blocks - 1
+    # 4 x 4 nodes: the Q1 stencil reaches 5 nodes away
+    assert [band.shape for band in filled] == [(6, op.ndof)] * (op.n_blocks - 1)
+    for j, band in enumerate(filled, start=1):
+        assert np.array_equal(band, upper_band(op.assemble_range([j], [j]).toarray(), 5))
+
+
+def test_bsgs_block_solves_leave_their_rhs_unchanged():
+    op = lognormal_operator(2, 2, 3)
+    prec = BlockSGS(op, EXACT)
+    prec(np.ones(op.shape[0]))
+    A, n = dense_kron_oracle(op), op.ndof
+    rng = np.random.default_rng(9)
+    solved = 0
+    for l, rows in enumerate(prec._level_rows):
+        if rows is None:
+            continue
+        _, tail = op.level_slices(l)
+        for j, (_, solve, _) in enumerate(rows, start=tail.start):
+            b = rng.standard_normal(n)
+            kept = b.copy()
+            x = solve(b)
+            assert np.array_equal(b, kept)
+            A_jj = A[j * n:(j + 1) * n, j * n:(j + 1) * n]
+            assert np.linalg.norm(A_jj @ x - b) <= 1e-12 * np.linalg.norm(b)
+            solved += 1
+    assert solved == op.n_blocks - 1
+
+
+def test_bsgs_under_the_cg_policy_factors_nothing(monkeypatch):
+    op = lognormal_operator(2, 2, 3)
+    _, made, filled = spy_bsgs_set_up(monkeypatch)
+    lus, bands = spy_factorizations(monkeypatch)
+    BlockSGS(op, TIGHT_CG)(np.ones(op.shape[0]))
+    # every diagonal block, K_0 included, gets an inner CG solver
+    assert lus == [] and bands == [] and filled == []
     assert len(made) == op.n_blocks and made[-1] is op.matrices[0]
-    for j, A_jj in enumerate(made[:-1], start=1):
-        ref = op.assemble_range([j], [j])
-        assert np.array_equal(A_jj.indptr, ref.indptr)
-        assert np.array_equal(A_jj.indices, ref.indices)
-        assert np.array_equal(A_jj.data, ref.data)
 
 
 def test_block_tallies_count_the_dense_oracle_blocks_on_the_coarsest_mesh():
@@ -735,31 +785,49 @@ def test_band_cholesky_level_solves_match_dense_solves(config, seed):
 
 def test_level_band_is_factorized_in_place(monkeypatch):
     # a C-ordered band would be copied by dpbtrf's wrapper, one more band's
-    # worth of peak memory per level
+    # worth of peak memory per level or block
     lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator(2, 2, 3)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
-    # SuperLU factors K_0 alone
-    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)] and len(bands) == op.basis.degree
+    BlockSGS(op, EXACT)(np.ones(op.shape[0]))
+    # SuperLU factors K_0 alone; HS factors the P levels, BSGS the n_b - 1
+    # blocks of the coupled levels
+    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
+    assert len(bands) == op.basis.degree + op.n_blocks - 1
     for band, kwargs, factor, info in bands:
         assert kwargs == {"lower": 0, "overwrite_ab": 1} and info == 0
         assert band.flags.f_contiguous and np.shares_memory(factor, band)
+
+
+def test_level_bands_equal_the_bands_of_the_assembled_levels(monkeypatch):
+    op = lognormal_operator(2, 2, 3)
+    assembled, _, filled = spy_bsgs_set_up(monkeypatch)
+    HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
+    # HS fills the bands of D_2, then D_1, with no assembly; node-major,
+    # unknown (block s, node r) of D_l at r * m + s, and the Q1 stencil on
+    # 4 x 4 nodes reaches 5 nodes away
+    assert assembled == [] and len(filled) == 2
+    n = op.ndof
+    for level, band in zip((2, 1), filled):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        k = np.arange(m * n)
+        node_major = np.empty_like(k)
+        node_major[k % n * m + k // n] = k
+        D = op.assemble_range(tail, tail).toarray()[np.ix_(node_major, node_major)]
+        assert np.array_equal(band, upper_band(D, 5 * m + m - 1)), level
 
 
 def test_symmetry_selects_the_band_path_and_indefinite_levels_fall_back(monkeypatch):
     logn = lognormal_operator(2, 2, 3)
     assert uniform_operator(2, 2, 3).symmetric and logn.symmetric
     # one entry without its transposed position
-    mats = list(logn.matrices)
-    n = logn.ndof
-    mats[1] = mats[1] + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=(n, n))
-    assert not operator_from_matrices(mats, logn.tensor).symmetric
+    assert not nonsymmetric(logn).symmetric
     # symmetric, but the unit Dirichlet rows of K_0 shifted to -1 make every
     # coupled level indefinite
-    mats = [logn.matrices[0] - 2.0 * sp.identity(n)] + list(logn.matrices[1:])
-    indefinite = operator_from_matrices(mats, logn.tensor)
-    assert indefinite.symmetric
-    A = dense_kron_oracle(indefinite)
+    shifted = indefinite(logn)
+    assert shifted.symmetric
+    A, n = dense_kron_oracle(shifted), shifted.ndof
     lus, bands = spy_factorizations(monkeypatch)
     assembled, assemble_range = [], GalerkinOperator.assemble_range
 
@@ -770,11 +838,11 @@ def test_symmetry_selects_the_band_path_and_indefinite_levels_fall_back(monkeypa
     monkeypatch.setattr(GalerkinOperator, "assemble_range", spy_assemble_range)
     rng = np.random.default_rng(4)
     for level in (1, 2):
-        D = dense_part(indefinite, A, level, "D")
+        D = dense_part(shifted, A, level, "D")
         eigenvalues = np.linalg.eigvalsh(D)
         assert eigenvalues.min() < 0.0 < eigenvalues.max()
         R = rng.standard_normal((len(D) // n, n))
-        X = indefinite.d_block_solve(level, R, EXACT)
+        X = shifted.d_block_solve(level, R, EXACT)
         assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
     # dpbtrf finds each level not positive definite; SuperLU then factors
     # D_l^T, the assembled CSR read as CSC, without a copy

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import sgfem.operator as operator
 from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
@@ -11,6 +13,7 @@ from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
                            make_preconditioner, reduced_system_solve, work_count)
+from shared_pattern import indefinite, nonsymmetric
 
 EXACT = InnerSolver(kind="exact")
 
@@ -93,13 +96,24 @@ def test_bsgs_symmetric_mapping():
     assert np.dot(prec(r), s) == pytest.approx(np.dot(prec(s), r), rel=1e-10)
 
 
-def test_bsgs_matches_dense_sweep_oracle():
-    op, _ = make_operator(2, 2)
+hermite_configs = st.tuples(st.just("lognormal"), st.integers(1, 3), st.integers(1, 3),
+                            st.integers(2, 4))
+VARIANTS = {"symmetric": lambda op: op, "non-symmetric": nonsymmetric,
+            "indefinite": indefinite}
+
+
+@given(hermite_configs, st.sampled_from(list(VARIANTS)))
+@example(("uniform", 2, 2, 4), "symmetric")   # no coupled level
+def test_bsgs_matches_dense_sweep_oracle(config, variant):
+    family, dims, degree, n_cells = config
+    if family == "uniform":
+        op = make_operator(dims, degree, n_cells)[0]
+    else:
+        op = VARIANTS[variant](lognormal_operator(dims, degree, n_cells))
     A = op.dense()
     n_blocks, nd = op.n_blocks, op.ndof
     r = np.random.default_rng(1).standard_normal(op.shape[0])
     # oracle: explicit block triangular solves on the dense matrix
-    L = np.tril(A, -nd * 0 - 1) * 0  # placeholder, built blockwise below
     D = np.zeros_like(A)
     Lo = np.zeros_like(A)
     Up = np.zeros_like(A)
@@ -114,8 +128,41 @@ def test_bsgs_matches_dense_sweep_oracle():
                 Up[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = blk
     y = np.linalg.solve(D + Lo, r)
     z = np.linalg.solve(D + Up, D @ y)
-    prec = BlockSGS(op, EXACT)
-    assert np.allclose(prec(r), z, atol=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        lus, infos = spy_factorizations(mp)
+        got = BlockSGS(op, EXACT)(r)
+    assert np.linalg.norm(got - z) <= 1e-9 * np.linalg.norm(z)
+    # the blocks of the coupled levels, all but A_00 on the lognormal
+    # operators, take the band Cholesky on a symmetric operator; an
+    # indefinite block, which dpbtrf refuses, or a non-symmetric operator
+    # takes SuperLU; level 0 is the K_0 LU
+    n_coupled = n_blocks - 1 if family == "lognormal" else 0
+    if variant == "non-symmetric":
+        assert infos == [] and len(lus) == 1 + n_coupled
+    else:
+        assert len(infos) == n_coupled
+        assert all((info > 0) == (variant == "indefinite") for info in infos)
+        assert len(lus) == 1 + (n_coupled if variant == "indefinite" else 0)
+
+
+def spy_factorizations(monkeypatch) -> tuple:
+    """(lus, infos): the shape of every SuperLU factorization and the info
+    of every band Cholesky from now on."""
+    lus, infos = [], []
+    splu, dpbtrf = operator.spla.splu, operator.lapack.dpbtrf
+
+    def spy_splu(matrix, *args, **kwargs):
+        lus.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    def spy_dpbtrf(band, *args, **kwargs):
+        factor, info = dpbtrf(band, *args, **kwargs)
+        infos.append(info)
+        return factor, info
+
+    monkeypatch.setattr(operator.spla, "splu", spy_splu)
+    monkeypatch.setattr(operator.lapack, "dpbtrf", spy_dpbtrf)
+    return lus, infos
 
 
 def lognormal_operator(dims=2, degree=2, n_cells=4):
@@ -135,52 +182,51 @@ def test_inner_cg_policy_matches_exact_apply(family, kind):
 
 
 def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
-    import sgfem.operator as operator
-    calls, bands = [], []
-    splu, dpbtrf = operator.spla.splu, operator.lapack.dpbtrf
+    lus, bands = spy_factorizations(monkeypatch)
 
-    def spy(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
-
-    def spy_band(band, *args, **kwargs):
-        bands.append(band.shape)
-        return dpbtrf(band, *args, **kwargs)
-
-    monkeypatch.setattr(operator.spla, "splu", spy)
-    monkeypatch.setattr(operator.lapack, "dpbtrf", spy_band)
-
-    def lus_of_the_first_bsgs_application(op):
+    def factorizations_of_the_first_bsgs_application(op):
         bsgs, hs = BlockSGS(op, EXACT), HierarchicalSchur(op, EXACT, outer_tol=1e-6)
         # neither set-up factorizes anything
-        assert calls == [] and bands == []
+        assert lus == [] and bands == []
         r = np.ones(op.shape[0])
         bsgs(r)
-        n_bsgs = len(calls)
-        assert bands == []
+        n_bsgs = len(lus), len(bands)
         hs(r)
-        n_both = len(calls) + len(bands)
+        n_both = len(lus) + len(bands)
         # a second application factorizes nothing
         bsgs(r)
         hs(r)
-        assert len(calls) + len(bands) == n_both
+        assert len(lus) + len(bands) == n_both
         return n_bsgs
 
     # linear: every diagonal block is c_0jj K_0, so the only LU is K_0's,
     # shared by both preconditioners whatever their outer tolerance
     op, _ = make_operator(2, 3)
-    assert lus_of_the_first_bsgs_application(op) == 1
-    assert len(calls) == 1 and bands == []
+    assert factorizations_of_the_first_bsgs_application(op) == (1, 0)
+    assert len(lus) == 1 and bands == []
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
-    # LU from the first BSGS application, and HS factorizes each coupled
-    # level by band Cholesky
-    calls.clear()
+    # band Cholesky from the first BSGS application, and HS factorizes each
+    # coupled level by band Cholesky
+    lus.clear()
     op = lognormal_operator()
-    assert lus_of_the_first_bsgs_application(op) == op.n_blocks
-    assert len(calls) == op.n_blocks and len(bands) == op.basis.degree
+    assert factorizations_of_the_first_bsgs_application(op) == (1, op.n_blocks - 1)
+    assert len(lus) == 1 and len(bands) == (op.n_blocks - 1) + op.basis.degree
+    assert all(info == 0 for info in bands)
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT),
                           op.mean_solver(EXACT)(x) / op.diag_weights[0])
+
+
+@pytest.mark.parametrize("family", ["uniform", "lognormal"])
+def test_integer_residuals_give_the_float_result(family):
+    op = make_operator()[0] if family == "uniform" else lognormal_operator()
+    r = np.arange(op.shape[0]) % 7 - 3
+    for kind in ("mean", "bsgs", "hs"):
+        for inner in (EXACT, InnerSolver(kind="cg", tol=1e-10)):
+            prec = make_preconditioner(op, kind, inner)
+            z = prec(r)
+            assert z.dtype == float
+            assert np.array_equal(z, prec(r.astype(float))), (kind, inner.kind)
 
 
 @pytest.mark.parametrize("family", ["uniform", "lognormal"])

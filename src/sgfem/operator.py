@@ -16,10 +16,9 @@ coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
 each K_i multiplying only the column blocks that reach those rows;
 otherwise (the lognormal chaos coefficient) it reads the dense stochastic
 blocks blocks[e] = sum_i C_i * K_i[e] at every stored spatial position e,
-summed once from the data array.  Sub-matrices that are cut into block rows
-or take a SuperLU factorization, such as a coupled level matrix D_l that is
-not symmetric positive definite, are assembled from the same arrays by
-``assemble_range``.  The graded index ordering induces a
+summed once from the data array.  Sub-matrices that are cut into block rows,
+the coupled levels of block Gauss-Seidel, are assembled from the same arrays
+by ``assemble_range``.  The graded index ordering induces a
 nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -36,11 +35,13 @@ and numbered node-major (spatial node outer, block inner) it is a band,
 which LAPACK's band Cholesky factors once (``band_solvers``, the band filled
 straight from the coupling values, D_l not assembled).  The same routine
 factors the diagonal blocks A_jj of block Gauss-Seidel, the case of one
-block.  A level or block that is not symmetric positive definite takes a
-SuperLU factorization instead.
+block.  Both builders give symmetric K_i, and the lognormal Galerkin matrix,
+the projection of a positive field, is positive definite; an operator with
+non-symmetric K_i, or a level or block that is not positive definite, is
+refused with an error, never solved another way.
 C_l coincides with the transpose action of B_l whenever all K_i are
 symmetric; the column product computes the true sub-block action either
-way, so non-symmetric K_i are supported by the same code path.
+way, so products take non-symmetric K_i by the same code path.
 """
 from __future__ import annotations
 
@@ -78,20 +79,19 @@ class InnerSolver:
 
     kind "exact" factorizes once; kind "cg" runs an inner conjugate
     gradient loop preconditioned by the matrix diagonal (Jacobi).  ``make``
-    gives the exact policy's sparse LU, which K_0 takes
-    (``GalerkinOperator.mean_solver``) and so does a block Gauss-Seidel
-    diagonal block when the operator is not symmetric or the block not
-    positive definite; the other blocks take a band Cholesky
+    gives the exact policy's sparse LU, which K_0 alone takes
+    (``GalerkinOperator.mean_solver``); the coupled levels and block
+    Gauss-Seidel diagonal blocks take a band Cholesky
     (``GalerkinOperator.band_solvers``).
     ``tol`` and ``maxiter`` bound every inner CG loop under the policy,
     level CG included.  A tol of None means the outer tolerance: each
     preconditioner fills it in when built, and a CG loop reached with tol
     None raises ValueError.
-    The LU factorizes a CSC copy of the matrix, not its transpose view as
-    a level's SuperLU fallback does: K_0's solver, on meshes too large for
-    its dense inverse (``GalerkinOperator.mean_solver``), solves many
-    right-hand sides at once, and a transposed SuperLU solve of 495 of them
-    (K_0 at h=1/20) takes 1.3-1.5 times as long as an untransposed one.
+    The LU factorizes a CSC copy of the matrix, not its transpose view:
+    K_0's solver, on meshes too large for its dense inverse
+    (``GalerkinOperator.mean_solver``), solves many right-hand sides at
+    once, and a transposed SuperLU solve of 495 of them (K_0 at h=1/20)
+    takes 1.3-1.5 times as long as an untransposed one.
     """
 
     kind: str = "exact"
@@ -381,11 +381,11 @@ class GalerkinOperator:
         solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
         a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
         K_0^{-T} of ``mean_solver``.  A coupled level of dimension up to
-        DIRECT_LEVEL_LIMIT is factorized once (``_factorize_level``): by
-        band Cholesky in node-major order when it is symmetric positive
-        definite, by SuperLU of its assembly otherwise.  A larger
-        one runs ``inner.cg`` on the level system preconditioned blockwise
-        by diag(c_0kk) (x) K_0.  ``rhs`` is never written to.
+        DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
+        (``band_solvers``), which refuses a level that is not symmetric
+        positive definite.  A larger one runs ``inner.cg`` on the level
+        system preconditioned blockwise by diag(c_0kk) (x) K_0.  ``rhs`` is
+        never written to.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -397,7 +397,8 @@ class GalerkinOperator:
             return self.mean_solver(inner)(rhs) / weights
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_solvers:
-                self._level_solvers[level] = self._factorize_level(tail)
+                self._level_solvers[level], = self.band_solvers(
+                    np.arange(tail.start, tail.stop)[None], [f"level {level}"])
             return self._level_solvers[level](rhs)
         mean_solve = self.mean_solver(InnerSolver(kind="exact"))
 
@@ -425,55 +426,41 @@ class GalerkinOperator:
             return False
         return all(np.array_equal(row, row[mirror]) for row in self.data)
 
-    def _factorize_level(self, tail: slice):
-        """Solver X = D_l^{-1} R of a coupled level, factorized once.
-
-        With every K_i symmetric (each C_i is: c_itj = E[psi_i psi_t psi_j])
-        D_l is symmetric, and in node-major order, unknown (block s, node r)
-        at row r*m + s for the level's m blocks, it is a band of half-width
-        m*b + m - 1 about the diagonal, b the spatial pattern's bandwidth.
-        ``band_solvers`` fills that band straight from the coupling values
-        and factors it in place by LAPACK's band Cholesky; D_l is not
-        assembled.  At lognormal N=4 P=3 h=1/10, D_3 (2420 unknowns) is
-        filled in 4 ms (assembling D_l and reading the band off its CSR took
-        11) and factored in 14 against SuperLU's 45 (one BLAS thread),
-        stores 5.0 MB against 6.6, and solves as fast.  A level
-        that is not symmetric, or not positive definite (dpbtrf info > 0),
-        takes the SuperLU factors of D_l^T, the assembled CSR of D_l read as
-        CSC, and solves transposed: no CSC copy of D_l is made.
-        """
-        m = tail.stop - tail.start
-        if self.symmetric:
-            band_solve, = self.band_solvers(np.arange(tail.start, tail.stop)[None])
-            if band_solve is not None:
-                def solve(R):
-                    # node-major: R.T flattened; a view of R when m = 1
-                    x = band_solve(np.ascontiguousarray(R.T).ravel())
-                    return np.ascontiguousarray(x.reshape(-1, m).T)
-                return solve
-        lu = _factorize(self.assemble_range(tail, tail).T)
-        return lambda R: lu.solve(R.ravel(), trans="T").reshape(R.shape)
-
     @cached_property
     def _bandwidth(self) -> int:
         """b = max |r - c| over the stored positions (r, c) of the spatial
         pattern: 12 for the Q1 stencil at h=1/10."""
         return int(np.abs(self._pattern_rows - self.indices).max())
 
-    def band_solvers(self, groups: np.ndarray) -> list:
+    def band_solvers(self, groups: np.ndarray, names: list) -> list:
         """Per row g of the (k, m) block indices ``groups``: a solver
-        b -> A_g^{-1} b of the diagonal block A_g = A[g, g], or None when
-        LAPACK's band Cholesky finds A_g not positive definite.
+        R -> A_g^{-1} R of the diagonal block A_g = A[g, g], factored once
+        by LAPACK's band Cholesky.
 
-        A_g is numbered node-major, unknown (block g[s], node r) at r*m + s,
-        so b is its flat node-major right-hand side: for m = 1, one spatial
-        block as it is.  The solver is one dpbtrs on the factor and never
-        writes b.  The caller ensures A_g is symmetric (``symmetric``).
+        With every K_i symmetric (each C_i is: c_itj = E[psi_i psi_t psi_j])
+        A_g is symmetric, and numbered node-major, unknown (block g[s], node
+        r) at r*m + s, it is a band of half-width m*b + m - 1, b the spatial
+        pattern's bandwidth.  ``_bands`` fills it straight from the coupling
+        values; A_g is not assembled.  At lognormal N=4 P=3 h=1/10, D_3
+        (2420 unknowns) is filled in 4 ms and factored in 14 against
+        SuperLU's 45 (one BLAS thread), and stores 5.0 MB against 6.6.
+        R is block-major, shape (m, ndof), or for m = 1 one block as a
+        vector, which takes one dpbtrs as it is; R is never written.
+        An operator whose K_i are not symmetric is refused with ValueError
+        before any band is filled: dpbtrf reads only the upper band and
+        would factor another matrix.  A block that is not positive definite
+        raises LinAlgError naming it as ``names[g]``.
         """
+        if not self.symmetric:
+            raise ValueError("band Cholesky needs symmetric spatial matrices K_i; "
+                             "this operator's are not")
         solvers = []
-        for band in self._bands(groups):
+        for name, band in zip(names, self._bands(groups)):
             factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
-            solvers.append(partial(_band_solve, factor) if info == 0 else None)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"{name} is not positive definite "
+                                            "(band Cholesky)")
+            solvers.append(partial(_band_solve, factor))
         return solvers
 
     def _bands(self, groups: np.ndarray) -> np.ndarray:
@@ -558,20 +545,21 @@ class GalerkinOperator:
 
 
 def _factorize(csc: sp.csc_matrix):
-    """SuperLU factorization with the ordering for structurally symmetric
-    matrices, which every matrix factorized here is (K_0, and the block
-    Gauss-Seidel diagonal blocks and coupled levels that are not symmetric
-    positive definite, all on the shared spatial pattern):
-    minimum degree on A + A^T, diagonal pivots preferred.  It fills less
-    than SuperLU's default COLAMD, e.g. 547,072 against 679,660 entries of
-    L + U for D_3 of lognormal N=4 P=3 h=1/10 (a level that now takes the
-    band Cholesky)."""
+    """SuperLU factorization of K_0 with the ordering for structurally
+    symmetric matrices: minimum degree on A + A^T, diagonal pivots
+    preferred.  It fills less than SuperLU's default COLAMD, e.g. 31,236
+    against 43,426 entries of L + U at h=1/30."""
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
-def _band_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b from the upper band Cholesky factor of A; b is not written."""
-    return lapack.dpbtrs(factor, b)[0]
+def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A_g^{-1} R from the upper band Cholesky factor of A_g, R block-major
+    (see ``GalerkinOperator.band_solvers``); R is not written."""
+    if R.ndim == 1:
+        return lapack.dpbtrs(factor, R)[0]
+    # node-major: R.T flattened, a view of R when m = 1
+    x = lapack.dpbtrs(factor, np.ascontiguousarray(R.T).ravel())[0]
+    return np.ascontiguousarray(x.reshape(-1, len(R)).T)
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

@@ -10,8 +10,7 @@ Three preconditioners are provided, all operating block-wise:
   the levels solved before it in one product, then a level with
   D_l = diag(c_0kk K_0) is one level solve and a coupled level is solved
   block by block against its rows of D_l, assembled at the first
-  application; the diagonal blocks of a symmetric operator are factored by
-  band Cholesky.
+  application; its diagonal blocks are factored by band Cholesky.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
@@ -24,9 +23,9 @@ Three preconditioners are provided, all operating block-wise:
 Every level solve, the bottom one included, is ``d_block_solve``, and every
 product with blocks of other levels is ``product`` over the ranges of
 ``level_slices``; the block rows of a coupled level that block Gauss-Seidel
-solves one block at a time come from ``assemble_range``, and its diagonal
-blocks are factored by ``band_solvers`` (SuperLU through the inner policy
-when not symmetric positive definite).  The constructors
+solves one block at a time come from ``assemble_range``, and under the
+exact policy its diagonal blocks are factored by ``band_solvers``, which
+refuses a block that is not symmetric positive definite.  The constructors
 set an inner policy's tol of None to their outer tolerance.
 
 Each preconditioner tallies block-level work: one counter unit is one
@@ -149,9 +148,9 @@ class BlockSGS(_BlockPreconditioner):
     subtracting its rows of D_l left of the diagonal block (forward) or right
     of it (backward).  Those rows are cut from one ``assemble_range`` of
     each coupled level at the first application, when its diagonal blocks
-    A_jj are factored too (``_level_rows``): under the exact policy on a
-    symmetric operator by LAPACK band Cholesky, so that a block solve is
-    one dpbtrs.  Residuals are read as float.
+    A_jj are factored too (``_level_rows``): under the exact policy by
+    LAPACK band Cholesky, so that a block solve is one dpbtrs.  Residuals
+    are read as float.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -167,11 +166,10 @@ class BlockSGS(_BlockPreconditioner):
         """Per level l = 0..P: None when D_l = diag(c_0kk K_0), else
         (lower_j, solve_j, upper_j) per block j of D_l, its block row cut
         left of, at and right of the diagonal block.  Under the exact
-        policy on a symmetric operator solve_j is the band Cholesky of
+        policy solve_j is the band Cholesky of
         ``GalerkinOperator.band_solvers``, all of a level's bands filled in
-        one pass from the coupling values; a block that is not positive
-        definite, every block of a non-symmetric operator and the cg policy
-        take ``inner.make`` of the assembled block (SuperLU or inner CG)."""
+        one pass from the coupling values; under the cg policy it is
+        ``inner.make`` of the assembled block."""
         op, n = self.op, self.op.ndof
         levels = []
         for l in range(op.basis.degree + 1):
@@ -181,17 +179,14 @@ class BlockSGS(_BlockPreconditioner):
             _, tail = op.level_slices(l)
             D = op.assemble_range(tail, tail)
             blocks = np.arange(tail.start, tail.stop)
-            if self.inner.kind == "exact" and op.symmetric:
-                solvers = op.band_solvers(blocks[:, None])
+            cut = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
+            if self.inner.kind == "exact":
+                solvers = op.band_solvers(blocks[:, None],
+                                          [f"diagonal block {j}" for j in blocks])
             else:
-                solvers = [None] * len(blocks)
-            rows = []
-            for j, solve in enumerate(solvers):
-                r = slice(j * n, (j + 1) * n)
-                if solve is None:
-                    solve = self.inner.make(D[r, r])
-                rows.append((D[r, :r.start], solve, D[r, r.stop:]))
-            levels.append(rows)
+                solvers = [self.inner.make(D[r, r]) for r in cut]
+            levels.append([(D[r, :r.start], solve, D[r, r.stop:])
+                           for r, solve in zip(cut, solvers)])
         return levels
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The builders hand the operator the (indices, indptr, data) triple of the
 assembly; tests that perturb, zero or hole the K_i of a built operator put
 the matrices back on one union CSR pattern here.  Two such perturbations
-send every factorization of a coupled level or block to its SuperLU
-fallback: ``nonsymmetric`` and ``indefinite``.
+make the band Cholesky of every coupled level and block refuse the
+operator: ``nonsymmetric`` (ValueError before any band is filled) and
+``indefinite`` (LinAlgError naming the level or block).
 """
 import numpy as np
 import scipy.sparse as sp

@@ -6,7 +6,7 @@ import re
 import pytest
 from scipy.linalg import LinAlgError
 
-from sgfem import cli, experiments
+from sgfem import cli, experiments, operator
 from sgfem.operator import InnerSolveError, InnerSolver
 
 
@@ -160,6 +160,20 @@ def test_stalled_inner_solve_exit_one(monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: inner solve for block") and "(inner cg)" in err
+
+
+@pytest.mark.parametrize("preconditioner, named", [("hs", "level 2"),
+                                                     ("bsgs", "diagonal block 1")])
+def test_failed_band_cholesky_exit_one_naming_the_level_or_block(
+        monkeypatch, capsys, preconditioner, named):
+    # dpbtrf reports the leading minor of order 1 not positive definite: HS
+    # meets it at its top level, BSGS at the first block of level 1
+    monkeypatch.setattr(operator.lapack, "dpbtrf", lambda band, **kwargs: (band, 1))
+    rc = cli.main(["run", "--distribution", "lognormal", "--N", "1", "--P", "2",
+                   "--h", "0.25", "--preconditioner", preconditioner])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {named} is not positive definite (band Cholesky)"]
 
 
 def test_usage_error_exit_one(capsys):

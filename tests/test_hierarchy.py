@@ -242,7 +242,7 @@ def test_level_lu_is_factorized_once(monkeypatch):
     assert np.array_equal(X1, X2)
 
 
-def test_every_lu_takes_the_symmetric_ordering_and_level_lus_no_csc_copy(monkeypatch):
+def test_superlu_factors_k0_alone_with_the_symmetric_ordering(monkeypatch):
     lus, bands = spy_factorizations(monkeypatch)
     # the benchmark's lognormal row
     op = build_operator(ExperimentConfig(distribution="lognormal", N=4, P=3, h=0.1, cov=1.0))
@@ -425,14 +425,10 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
         mats[i] = mats[i] + 0.01 * (pert - pert.T)
     nonsym = operator_from_matrices(mats, op.tensor)
     assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
-    # its level solves take the SuperLU fallback
     assert op.symmetric and not nonsym.symmetric
     for K, M in zip(nonsym.matrices, mats):
         assert abs(K - M).max() == 0.0
     check_products_against_oracle(nonsym)
-    # the backward sweep reads the rows right of each diagonal block, never
-    # the transpose of those left of it
-    check_bsgs_against_oracle(nonsym)
     A = dense_kron_oracle(nonsym)
     assert np.abs(A - A.T).max() > 1e-6
     rng = np.random.default_rng(5)
@@ -443,11 +439,20 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
             ref = dense_part(nonsym, A, level, part) @ X.ravel()
             got = nonsym.product(rows, cols, X).ravel()
             assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
-        _, tail = nonsym.level_slices(level)
-        R = rng.standard_normal((tail.stop - tail.start, n))
-        X = nonsym.d_block_solve(level, R, EXACT)
-        D = dense_part(nonsym, A, level, "D")
-        assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
+    # the backward sweep reads the rows right of each diagonal block, never
+    # the transpose of those left of it.  K_2 and K_4 are odd in a variable,
+    # so every A_jj stays symmetric and the cg policy solves it
+    r = rng.standard_normal(nonsym.shape[0])
+    ref = dense_bsgs(nonsym, A, r)
+    assert np.linalg.norm(BlockSGS(nonsym, TIGHT_CG)(r) - ref) <= 1e-9 * np.linalg.norm(ref)
+    # the band Cholesky of the exact policy refuses the operator before it
+    # factors anything: dpbtrf would read the upper band alone
+    with pytest.MonkeyPatch.context() as mp:
+        lus, bands = spy_factorizations(mp)
+        for prec in (BlockSGS(nonsym, EXACT), HierarchicalSchur(nonsym, EXACT)):
+            with pytest.raises(ValueError, match="symmetric spatial matrices"):
+                prec(r)
+    assert bands == [] and nonsym._level_solvers == {}
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +762,18 @@ def test_block_tallies_count_the_dense_oracle_blocks_on_the_coarsest_mesh():
 
 
 # ---------------------------------------------------------------------------
-# coupled level solves: band Cholesky in node-major order, SuperLU fallback
+# coupled level solves: band Cholesky in node-major order, nothing else
 # ---------------------------------------------------------------------------
 
-@given(hermite_configs, st.integers(0, 2**32 - 1))
-@example(("lognormal", 1, 2, 2), 0)     # one block per level: m = 1
-def test_band_cholesky_level_solves_match_dense_solves(config, seed):
-    op = build(config)
+@given(hermite_configs, st.sampled_from([0.25, 1.0, 1.5, 3.0]), st.integers(0, 2**32 - 1))
+@example(("lognormal", 1, 2, 2), 1.0, 0)     # one block per level: m = 1
+def test_band_cholesky_level_solves_match_dense_solves(config, cov, seed):
+    # the builder's lognormal operator is symmetric positive definite across
+    # and beyond T7's CoV range: every coupled level and every block
+    # Gauss-Seidel diagonal block takes the band Cholesky, which no other
+    # factor backs
+    _, dims, degree, n_cells = config
+    op = lognormal_operator(dims, degree, n_cells, cov=cov)
     A = dense_kron_oracle(op)
     rng = np.random.default_rng(seed)
     coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
@@ -775,12 +785,16 @@ def test_band_cholesky_level_solves_match_dense_solves(config, seed):
             R = rng.standard_normal((tail.stop - tail.start, op.ndof))
             kept = R.copy()
             X = op.d_block_solve(level, R, EXACT)
-            # the solve reads R node-major, a view of R when m = 1, and
-            # never writes to it
-            assert np.array_equal(R, kept)
+            # the solve reads R node-major, a view of R when m = 1, never
+            # writes to it and returns its rows block-major, C-contiguous
+            assert np.array_equal(R, kept) and X.flags.c_contiguous
             ref = np.linalg.solve(dense_part(op, A, level, "D"), R.ravel())
             assert np.linalg.norm(X.ravel() - ref) <= 1e-12 * np.linalg.norm(ref), level
-    assert lus == [] and len(bands) == len(coupled)
+        BlockSGS(op, EXACT)(np.ones(op.shape[0]))
+    # SuperLU factors K_0 alone, for the mean block of BSGS
+    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
+    assert len(bands) == len(coupled) + op.n_blocks - 1
+    assert all(info == 0 for *_, info in bands)
 
 
 def test_level_band_is_factorized_in_place(monkeypatch):
@@ -818,7 +832,7 @@ def test_level_bands_equal_the_bands_of_the_assembled_levels(monkeypatch):
         assert np.array_equal(band, upper_band(D, 5 * m + m - 1)), level
 
 
-def test_symmetry_selects_the_band_path_and_indefinite_levels_fall_back(monkeypatch):
+def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkeypatch):
     logn = lognormal_operator(2, 2, 3)
     assert uniform_operator(2, 2, 3).symmetric and logn.symmetric
     # one entry without its transposed position
@@ -829,24 +843,18 @@ def test_symmetry_selects_the_band_path_and_indefinite_levels_fall_back(monkeypa
     assert shifted.symmetric
     A, n = dense_kron_oracle(shifted), shifted.ndof
     lus, bands = spy_factorizations(monkeypatch)
-    assembled, assemble_range = [], GalerkinOperator.assemble_range
-
-    def spy_assemble_range(self, rows, cols):
-        assembled.append(assemble_range(self, rows, cols))
-        return assembled[-1]
-
-    monkeypatch.setattr(GalerkinOperator, "assemble_range", spy_assemble_range)
-    rng = np.random.default_rng(4)
     for level in (1, 2):
-        D = dense_part(shifted, A, level, "D")
-        eigenvalues = np.linalg.eigvalsh(D)
+        eigenvalues = np.linalg.eigvalsh(dense_part(shifted, A, level, "D"))
         assert eigenvalues.min() < 0.0 < eigenvalues.max()
-        R = rng.standard_normal((len(D) // n, n))
-        X = shifted.d_block_solve(level, R, EXACT)
-        assert np.linalg.norm(D @ X.ravel() - R.ravel()) <= 1e-10 * np.linalg.norm(R)
-    # dpbtrf finds each level not positive definite; SuperLU then factors
-    # D_l^T, the assembled CSR read as CSC, without a copy
-    assert [info > 0 for *_, info in bands] == [True, True]
-    assert len(lus) == 2 and len(assembled) == 2
-    for (matrix, _), D in zip(lus, assembled):
-        assert matrix.format == "csc" and np.shares_memory(matrix.indices, D.indices)
+        _, tail = shifted.level_slices(level)
+        R = np.ones((tail.stop - tail.start, n))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"^level {level} is not positive definite"):
+            shifted.d_block_solve(level, R, EXACT)
+    # HS meets D_2 first
+    with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):
+        HierarchicalSchur(shifted, EXACT)(np.ones(shifted.shape[0]))
+    # dpbtrf finds each level not positive definite, and nothing else is
+    # factored or kept
+    assert [info > 0 for *_, info in bands] == [True, True, True]
+    assert lus == [] and shifted._level_solvers == {}

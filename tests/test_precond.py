@@ -110,9 +110,26 @@ def test_bsgs_matches_dense_sweep_oracle(config, variant):
         op = make_operator(dims, degree, n_cells)[0]
     else:
         op = VARIANTS[variant](lognormal_operator(dims, degree, n_cells))
+    r = np.random.default_rng(1).standard_normal(op.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        lus, infos = spy_factorizations(mp)
+        if variant == "non-symmetric":
+            # refused before any band is filled: dpbtrf reads the upper band alone
+            with pytest.raises(ValueError, match="symmetric spatial matrices"):
+                BlockSGS(op, EXACT)(r)
+            assert infos == []
+            return
+        if variant == "indefinite":
+            # the first block of level 1 is not positive definite; the
+            # refusal comes before level 0's K_0 LU
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^diagonal block 1 is not positive definite"):
+                BlockSGS(op, EXACT)(r)
+            assert lus == [] and len(infos) == 1 and infos[0] > 0
+            return
+        got = BlockSGS(op, EXACT)(r)
     A = op.dense()
     n_blocks, nd = op.n_blocks, op.ndof
-    r = np.random.default_rng(1).standard_normal(op.shape[0])
     # oracle: explicit block triangular solves on the dense matrix
     D = np.zeros_like(A)
     Lo = np.zeros_like(A)
@@ -128,21 +145,12 @@ def test_bsgs_matches_dense_sweep_oracle(config, variant):
                 Up[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = blk
     y = np.linalg.solve(D + Lo, r)
     z = np.linalg.solve(D + Up, D @ y)
-    with pytest.MonkeyPatch.context() as mp:
-        lus, infos = spy_factorizations(mp)
-        got = BlockSGS(op, EXACT)(r)
     assert np.linalg.norm(got - z) <= 1e-9 * np.linalg.norm(z)
     # the blocks of the coupled levels, all but A_00 on the lognormal
-    # operators, take the band Cholesky on a symmetric operator; an
-    # indefinite block, which dpbtrf refuses, or a non-symmetric operator
-    # takes SuperLU; level 0 is the K_0 LU
+    # operators, take the band Cholesky; level 0 is the K_0 LU
     n_coupled = n_blocks - 1 if family == "lognormal" else 0
-    if variant == "non-symmetric":
-        assert infos == [] and len(lus) == 1 + n_coupled
-    else:
-        assert len(infos) == n_coupled
-        assert all((info > 0) == (variant == "indefinite") for info in infos)
-        assert len(lus) == 1 + (n_coupled if variant == "indefinite" else 0)
+    assert len(infos) == n_coupled and all(info == 0 for info in infos)
+    assert len(lus) == 1
 
 
 def spy_factorizations(monkeypatch) -> tuple:

@@ -150,22 +150,17 @@ def _assembly_map(mesh: Mesh) -> tuple:
     return S, c[keep], indptr
 
 
-def assemble_load(mesh: Mesh, f=1.0) -> np.ndarray:
-    """Load vector for a deterministic source, zero at boundary nodes.
+def assemble_load(mesh: Mesh, f: float = 1.0) -> np.ndarray:
+    """Load vector for the constant source f, zero at boundary nodes.
 
-    f may be a constant or a callable f(x, y); the source is interpolated
-    bilinearly like the coefficient (2x2 Gauss, exact for bilinear data).
-    The stochastic right-hand side blocks for k >= 1 vanish because the mean
-    of every non-constant orthonormal basis polynomial is zero; callers build
-    the global vector by placing this into block 0.
+    The source is interpolated bilinearly like the coefficient (2x2 Gauss,
+    exact for bilinear data).  The stochastic right-hand side blocks for
+    k >= 1 vanish because the mean of every non-constant orthonormal basis
+    polynomial is zero; callers build the global vector by placing this
+    into block 0.
     """
     conn = mesh.connectivity
-    if callable(f):
-        coords = mesh.node_coords
-        fvals = np.asarray(f(coords[:, 0], coords[:, 1]), dtype=float)
-    else:
-        fvals = np.full(mesh.n_nodes, float(f))
-    fe = fvals[conn]                                      # (ne, 4)
+    fe = np.full(mesh.n_nodes, float(f))[conn]            # (ne, 4)
     load = np.zeros(mesh.n_nodes)
     detj = mesh.h * mesh.h / 4.0
     for gx in (-_GAUSS, _GAUSS):

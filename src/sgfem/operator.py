@@ -73,37 +73,31 @@ class InnerSolveError(RuntimeError):
         super().__init__(msg)
 
 
+INNER_MAX_ITER = 2000      # step cap of every inner CG loop
+
+
 @dataclass(frozen=True)
 class InnerSolver:
-    """Policy for solves with a single spatial block.
+    """Policy for the solves inside a preconditioner.
 
-    kind "exact" factorizes once; kind "cg" runs an inner conjugate
-    gradient loop preconditioned by the matrix diagonal (Jacobi).  ``make``
-    gives the exact policy's sparse LU, which K_0 alone takes
-    (``GalerkinOperator.mean_solver``); the coupled levels and block
-    Gauss-Seidel diagonal blocks take a band Cholesky
-    (``GalerkinOperator.band_solvers``).
-    ``tol`` and ``maxiter`` bound every inner CG loop under the policy,
-    level CG included.  A tol of None means the outer tolerance: each
-    preconditioner fills it in when built, and a CG loop reached with tol
-    None raises ValueError.
-    The LU factorizes a CSC copy of the matrix, not its transpose view:
-    K_0's solver, on meshes too large for its dense inverse
-    (``GalerkinOperator.mean_solver``), solves many right-hand sides at
-    once, and a transposed SuperLU solve of 495 of them (K_0 at h=1/20)
-    takes 1.3-1.5 times as long as an untransposed one.
+    Under kind "exact" the operator factors: K_0 by sparse LU
+    (``GalerkinOperator.mean_solver``), coupled levels and block
+    Gauss-Seidel diagonal blocks by band Cholesky (``band_solvers``).  Kind
+    "cg" runs, per spatial block, the Jacobi-preconditioned CG that ``make``
+    builds.  ``tol`` bounds every inner CG loop, level CG included; None
+    means the outer tolerance, which each preconditioner fills in when
+    built, and a CG loop reached with tol None raises ValueError.
     """
 
     kind: str = "exact"
     tol: float | None = None
-    maxiter: int = 2000
 
     def make(self, matrix: sp.spmatrix):
-        if self.kind == "exact":
-            lu = _factorize(matrix.tocsc())
-            return lambda B: lu.solve(np.atleast_2d(B).T).T
+        """The cg policy's solver B -> X of ``matrix``, one Jacobi-CG per
+        row of B."""
         if self.kind != "cg":
-            raise ValueError(f"unknown inner solver kind {self.kind!r}")
+            raise ValueError(f"InnerSolver.make builds the cg policy's solver, not one "
+                             f"of kind {self.kind!r}; exact solves are the operator's")
         dinv = 1.0 / matrix.diagonal()
         prec = lambda r: dinv * r
         A = matrix.tocsr()
@@ -118,13 +112,14 @@ class InnerSolver:
         return solve
 
     def cg(self, apply_a, b: np.ndarray, apply_m, block: int, where: str) -> np.ndarray:
-        """krylov.cg to this policy's tol and maxiter; InnerSolveError for
-        ``block`` unless it converged, finite and positive definite."""
+        """krylov.cg to this policy's tol, at most INNER_MAX_ITER steps;
+        InnerSolveError for ``block`` unless it converged, finite and
+        positive definite."""
         if self.tol is None:
             raise ValueError("inner tolerance is None, not set to the outer one")
         # krylov.cg returns zero at once for a zero right-hand side
         x, report = krylov.cg(apply_a, b, apply_m=apply_m, tol=self.tol,
-                              max_iter=self.maxiter)
+                              max_iter=INNER_MAX_ITER)
         if not report.converged or report.spd_suspect or report.non_finite:
             raise InnerSolveError(block, report.relative_residuals[-1], where)
         return x
@@ -354,22 +349,33 @@ class GalerkinOperator:
         return bool(self._scalar_levels[level])
 
     def mean_solver(self, inner: InnerSolver):
-        """Cached solver for the mean matrix K_0; all exact policies share one.
+        """Cached solver B -> B K_0^{-T} of the mean matrix, one row of B
+        per right-hand side; all exact policies share one.
 
-        Up to MEAN_INVERSE_LIMIT dof the exact solver multiplies by the dense
-        K_0^{-T}, which the LU gives in one solve of the identity: a mean or
-        level solve is then one matrix product, X = B @ K_0^{-T}, which on
-        these meshes beats the sparse triangular solves of its many
-        right-hand sides though it does more flops (495 at h=1/10: 0.36
-        against 1.0-1.6 ms, one BLAS thread).  The cg policies solve K_0
-        themselves: an inexact solve of the identity would change them.
+        The exact solver is the program's one sparse LU, SuperLU ordered
+        by minimum degree on A + A^T with diagonal pivots preferred: less
+        fill than the default COLAMD (31,236 against 43,426 entries of
+        L + U at h=1/30).  It factors a CSC copy of K_0, not its transpose
+        view, whose solve of many right-hand sides (495 at h=1/20) takes
+        1.3-1.5 times as long.  Up to MEAN_INVERSE_LIMIT dof it multiplies
+        by the dense K_0^{-T}, one LU solve of the identity: a mean or
+        level solve is then one matrix product, which on these meshes beats
+        the triangular solves though it does more flops (495 right-hand
+        sides at h=1/10: 0.36 against 1.0-1.6 ms, one BLAS thread).  A cg
+        policy takes its own ``inner.make``: an inexact solve of the
+        identity would change it.
         """
         key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
-            solve = inner.make(self.mean_matrix)
-            if key == "exact" and self.ndof <= MEAN_INVERSE_LIMIT:
-                inv_t = solve(np.eye(self.ndof))
-                solve = lambda B: np.atleast_2d(B) @ inv_t
+            if key == "exact":
+                lu = spla.splu(self.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True})
+                solve = lambda B: lu.solve(np.atleast_2d(B).T).T
+                if self.ndof <= MEAN_INVERSE_LIMIT:
+                    inv_t = solve(np.eye(self.ndof))
+                    solve = lambda B: np.atleast_2d(B) @ inv_t
+            else:
+                solve = inner.make(self.mean_matrix)
             self._solver_cache[key] = solve
         return self._solver_cache[key]
 
@@ -542,14 +548,6 @@ class GalerkinOperator:
         b = np.zeros((self.n_blocks, self.ndof))
         b[0] = load
         return b
-
-
-def _factorize(csc: sp.csc_matrix):
-    """SuperLU factorization of K_0 with the ordering for structurally
-    symmetric matrices: minimum degree on A + A^T, diagonal pivots
-    preferred.  It fills less than SuperLU's default COLAMD, e.g. 31,236
-    against 43,426 entries of L + U at h=1/30."""
-    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from sgfem import cli, experiments, operator
-from sgfem.operator import InnerSolveError, InnerSolver
+from sgfem.operator import InnerSolveError
 
 
 def test_config_file_parsing(tmp_path):
@@ -153,8 +153,7 @@ def test_solver_error_exit_one_without_traceback(monkeypatch, capsys, error):
 
 def test_stalled_inner_solve_exit_one(monkeypatch, capsys):
     # one inner CG step cannot reach the tolerance: the block solve stalls
-    monkeypatch.setitem(experiments.INNER_POLICIES, "cg-diagonal",
-                        InnerSolver(kind="cg", maxiter=1))
+    monkeypatch.setattr(operator, "INNER_MAX_ITER", 1)
     rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25",
                    "--preconditioner", "bsgs", "--inner", "cg-diagonal"])
     assert rc == 1

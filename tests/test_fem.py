@@ -113,9 +113,6 @@ def test_load_vector_values():
     assert np.allclose(f[interior], mesh.h ** 2, atol=1e-15)
     assert np.all(f[mesh.boundary_mask] == 0.0)
     assert np.all(assemble_load(mesh, 0.0) == 0.0)
-    # callable source
-    f2 = assemble_load(mesh, lambda x, y: np.ones_like(x))
-    assert np.allclose(f2, f, atol=1e-15)
 
 
 def fourier_poisson_center_value(terms=60):

@@ -659,6 +659,11 @@ def spy_bsgs_set_up(monkeypatch) -> tuple:
     return assembled, made, filled
 
 
+def is_mean_matrix(op, matrix) -> bool:
+    """Whether the sparse ``matrix`` equals K_0 entry for entry."""
+    return (matrix != op.mean_matrix).nnz == 0
+
+
 def upper_band(A: np.ndarray, kd: int) -> np.ndarray:
     """LAPACK's upper band layout of the dense A: A[i, j] at
     band[kd + i - j, j] for 0 <= j - i <= kd, zeros elsewhere."""
@@ -672,35 +677,37 @@ def upper_band(A: np.ndarray, kd: int) -> np.ndarray:
 def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
     op = build((kind, 2, 2, 3))
     assembled, made, filled = spy_bsgs_set_up(monkeypatch)
+    lus, _ = spy_factorizations(monkeypatch)
     prec = BlockSGS(op, EXACT)
     # the constructor assembles and factorizes nothing
-    assert assembled == [] and made == [] and filled == []
+    assert assembled == [] and lus == [] and filled == []
     r = np.ones(op.shape[0])
     prec(r)
     tails = [op.level_slices(l)[1] for l in range(op.basis.degree + 1)
              if not op.level_is_scalar_diagonal(l)]
     # each coupled level is assembled once for its block rows, and each of
-    # its blocks gets a band Cholesky; the one solver made is the mean
-    # solver of the scalar level 0
+    # its blocks gets a band Cholesky; the one SuperLU is the K_0 of the
+    # scalar level 0, and the exact policy makes no inner solver
     assert assembled == [(tail, tail) for tail in tails]
     n_coupled = sum(tail.stop - tail.start for tail in tails)
     assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)
     assert len(filled) == n_coupled
-    assert len(made) == 1 and made[0] is op.matrices[0]
-    # a second application assembles, fills and makes nothing
+    assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
+    # a second application assembles, fills and factors nothing
     prec(r)
-    assert (len(assembled), len(filled), len(made)) == (len(tails), n_coupled, 1)
+    assert (len(assembled), len(filled), len(lus)) == (len(tails), n_coupled, 1)
 
 
 def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
     op = lognormal_operator(2, 2, 3)
     _, made, filled = spy_bsgs_set_up(monkeypatch)
+    lus, _ = spy_factorizations(monkeypatch)
     prec = BlockSGS(op, EXACT)
     prec(np.ones(op.shape[0]))
     # every block of the coupled levels gets its own band at the first
     # application, filled from the coupling values bit for bit as the band
-    # of the assembled block; level 0 is c_000 K_0 and takes the mean solve
-    assert len(made) == 1 and made[0] is op.matrices[0]
+    # of the assembled block; level 0 is c_000 K_0 and takes the K_0 LU
+    assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
     assert len(filled) == op.n_blocks - 1
     # 4 x 4 nodes: the Q1 stencil reaches 5 nodes away
     assert [band.shape for band in filled] == [(6, op.ndof)] * (op.n_blocks - 1)

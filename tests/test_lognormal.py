@@ -201,8 +201,9 @@ def test_iterative_policy_reports_nonconvergence(monkeypatch):
     _, tail = op.level_slices(2)
     R = np.random.default_rng(3).standard_normal((tail.stop - tail.start, op.ndof))
     monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", 0)
+    monkeypatch.setattr(operator, "INNER_MAX_ITER", 2)
     with pytest.raises(InnerSolveError):
-        dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-14, maxiter=2))
+        dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-14))
 
 
 def test_dimension_mismatch():

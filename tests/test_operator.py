@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
@@ -262,21 +263,27 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     # only a non-symmetric K_0 tells K_0^{-1} from K_0^{-T}
     assert (np.abs(K0 - K0.T).max() > 1e-3) == (build is nonsymmetric_mean_operator)
     assert op.symmetric == (build is not nonsymmetric_mean_operator)
-    solve, lu = op.mean_solver(InnerSolver()), InnerSolver().make(op.mean_matrix)
+    solve = op.mean_solver(InnerSolver())
+    lu = spla.splu(op.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   options={"SymmetricMode": True})
     rng = np.random.default_rng(5)
     for B in (rng.standard_normal(op.ndof), rng.standard_normal((7, op.ndof))):
-        X, ref = solve(B), lu(B)
+        # B K_0^{-T}, one row per right-hand side
+        X, ref = solve(B), lu.solve(np.atleast_2d(B).T).T
         assert X.shape == ref.shape == np.atleast_2d(B).shape
         assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
-    # the cg policies keep their own solver
+    # the cg policies keep their own solver; make builds no other
     cg = InnerSolver(kind="cg", tol=1e-10)
     assert op.mean_solver(cg) is not solve and op.mean_solver(InnerSolver(tol=1.0)) is solve
+    for kind in ("exact", "lu"):
+        with pytest.raises(ValueError, match="cg policy"):
+            InnerSolver(kind=kind).make(op.mean_matrix)
 
 
 @pytest.mark.parametrize("n_cells, inverse", [(15, True), (20, False)])
 def test_mean_solver_is_the_dense_inverse_up_to_the_limit(monkeypatch, n_cells, inverse):
     solves = []
-    factorize = operator._factorize
+    splu = operator.spla.splu
 
     class SpyLU:
         def __init__(self, lu):
@@ -286,7 +293,8 @@ def test_mean_solver_is_the_dense_inverse_up_to_the_limit(monkeypatch, n_cells, 
             solves.append(B.shape)
             return self.lu.solve(B, *args, **kwargs)
 
-    monkeypatch.setattr(operator, "_factorize", lambda A: SpyLU(factorize(A)))
+    monkeypatch.setattr(operator.spla, "splu",
+                        lambda A, *args, **kwargs: SpyLU(splu(A, *args, **kwargs)))
     op = build_operator(ExperimentConfig(N=1, P=1, h=1 / n_cells))
     assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == inverse
     solve = op.mean_solver(InnerSolver())

@@ -16,10 +16,10 @@ coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
 each K_i multiplying only the column blocks that reach those rows;
 otherwise (the lognormal chaos coefficient) it reads the dense stochastic
 blocks blocks[e] = sum_i C_i * K_i[e] at every stored spatial position e,
-summed once from the data array.  Sub-matrices that are cut into block rows,
-the coupled levels of block Gauss-Seidel, are assembled from the same arrays
-by ``assemble_range``.  The graded index ordering induces a
-nested 2x2 partition
+summed once from the data array; block Gauss-Seidel reads them too.  No
+solve assembles a sub-matrix: ``assemble_range`` serves ``dense`` and
+``masked_apply`` alone.  The graded index ordering induces a nested 2x2
+partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
@@ -94,7 +94,7 @@ class InnerSolver:
 
     def make(self, matrix: sp.spmatrix):
         """The cg policy's solver B -> X of ``matrix``, one Jacobi-CG per
-        row of B."""
+        row of B; X has the shape of B, a vector for a vector."""
         if self.kind != "cg":
             raise ValueError(f"InnerSolver.make builds the cg policy's solver, not one "
                              f"of kind {self.kind!r}; exact solves are the operator's")
@@ -103,11 +103,11 @@ class InnerSolver:
         A = matrix.tocsr()
 
         def solve(B):
-            B = np.atleast_2d(B)
-            X = np.empty(B.shape)
-            for row in range(B.shape[0]):
-                X[row] = self.cg(A.dot, B[row], prec, row, "inner cg")
-            return X
+            rows = np.atleast_2d(B)
+            X = np.empty(rows.shape)
+            for row in range(len(rows)):
+                X[row] = self.cg(A.dot, rows[row], prec, row, "inner cg")
+            return X.reshape(np.shape(B))
 
         return solve
 
@@ -239,6 +239,14 @@ class GalerkinOperator:
         rows = np.flatnonzero(np.diff(self.indptr))
         return rows, self.indptr[rows]
 
+    def row_sums(self, P: np.ndarray) -> np.ndarray:
+        """out[r] = the sum of P[e] over the stored positions e of spatial
+        row r, in pattern order; zero for a row that stores none."""
+        nonempty, starts = self._row_starts
+        out = np.zeros((self.ndof, *P.shape[1:]))
+        out[nonempty] = np.add.reduceat(P, starts, axis=0)
+        return out
+
     def _plan(self, rows: slice, cols: slice) -> tuple:
         """(lo, hi, groups, L) with A[rows, cols] @ X = L @ Y, built once
         per pair of ranges.  X[lo:hi] spans the column blocks j of every pair
@@ -296,10 +304,7 @@ class GalerkinOperator:
             # row's positions
             G = np.ascontiguousarray(X.T)[self.indices]
             P = np.matmul(self.blocks[:, rows, cols], G[:, :, None])[:, :, 0]
-            nonempty, starts = self._row_starts
-            out = np.zeros((self.ndof, P.shape[1]))
-            out[nonempty] = np.add.reduceat(P, starts, axis=0)
-            return out.T
+            return self.row_sums(P).T
         lo, hi, groups, L = self._plan(rows, cols)
         XT = np.ascontiguousarray(X[lo:hi].T)     # scipy would copy X.T per product
         Y = np.empty((L.shape[1], self.ndof))
@@ -535,12 +540,12 @@ class GalerkinOperator:
         sub.eliminate_zeros()
         return sub
 
-    def dense(self, limit: int = DENSE_ASSEMBLY_LIMIT) -> np.ndarray:
-        """Dense global matrix, guarded by a size limit (oracle tests only)."""
+    def dense(self) -> np.ndarray:
+        """Dense global matrix, up to DENSE_ASSEMBLY_LIMIT rows (oracle tests)."""
         n = self.shape[0]
-        if n > limit:
+        if n > DENSE_ASSEMBLY_LIMIT:
             raise ValueError(f"dense assembly of a {n}-dim operator exceeds the "
-                             f"limit {limit}")
+                             f"limit {DENSE_ASSEMBLY_LIMIT}")
         return self.assemble_range(slice(None), slice(None)).toarray()
 
     def rhs(self, load: np.ndarray) -> np.ndarray:

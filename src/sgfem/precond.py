@@ -4,13 +4,12 @@ Three preconditioners are provided, all operating block-wise:
 
 * mean-based: every spatial block of the residual is solved independently
   with the (scaled) mean matrix, one block solve per block.
-* block symmetric Gauss-Seidel: one forward and one backward block sweep over
-  the natural block order, starting from a zero guess; symmetric whenever the
-  operator is.  The sweeps walk the levels: each level takes its coupling to
-  the levels solved before it in one product, then a level with
-  D_l = diag(c_0kk K_0) is one level solve and a coupled level is solved
-  block by block against its rows of D_l, assembled at the first
-  application; its diagonal blocks are factored by band Cholesky.
+* block symmetric Gauss-Seidel: a forward and a backward block sweep, one
+  routine, over the natural block order from a zero guess; symmetric
+  whenever the operator is.  A sweep walks the levels: each takes its
+  coupling to the levels swept before it in one product; then a level with
+  D_l = diag(c_0kk K_0) is one level solve, and a coupled level is swept
+  block by block against its couplings in the operator's pre-summed blocks.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
@@ -22,11 +21,11 @@ Three preconditioners are provided, all operating block-wise:
 
 Every level solve, the bottom one included, is ``d_block_solve``, and every
 product with blocks of other levels is ``product`` over the ranges of
-``level_slices``; the block rows of a coupled level that block Gauss-Seidel
-solves one block at a time come from ``assemble_range``, and under the
-exact policy its diagonal blocks are factored by ``band_solvers``, which
-refuses a block that is not symmetric positive definite.  The constructors
-set an inner policy's tol of None to their outer tolerance.
+``level_slices``; under the exact policy block Gauss-Seidel factors the
+diagonal blocks of a coupled level by ``band_solvers``, which refuses a
+block that is not symmetric positive definite.  No preconditioner assembles
+a matrix.  The constructors set an inner policy's tol of None to their
+outer tolerance.
 
 Each preconditioner tallies block-level work: one counter unit is one
 diagonal-block solve or one product with an off-diagonal block the operator
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import krylov
 from .multi_index import build_multi_index_set
-from .operator import GalerkinOperator, InnerSolver
+from .operator import GalerkinOperator, InnerSolver, _csr_view
 from .orthopoly import legendre_family
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 
@@ -135,22 +134,15 @@ class MeanBased(_BlockPreconditioner):
 class BlockSGS(_BlockPreconditioner):
     """Symmetric block Gauss-Seidel sweep pair with zero initial guess.
 
-    The forward sweep solves (L + D) y = r block-row by block-row; the
-    backward sweep forms z = (D + U)^{-1} D y reusing the forward residual,
-    which makes the induced mapping symmetric for symmetric operators.
-
-    Both sweeps walk the levels of ``level_slices``, ascending forward and
-    descending backward.  A level first subtracts its coupling to the levels
-    solved before it, one ``product``: A[tail, head] @ y[head] forward (the
-    C_l of the hierarchical preconditioner), A[tail, after] @ z[after]
-    backward.  A level with D_l = diag(c_0kk K_0) is then one
-    d_block_solve; a coupled level is solved block by block, each block
-    subtracting its rows of D_l left of the diagonal block (forward) or right
-    of it (backward).  Those rows are cut from one ``assemble_range`` of
-    each coupled level at the first application, when its diagonal blocks
-    A_jj are factored too (``_level_rows``): under the exact policy by
-    LAPACK band Cholesky, so that a block solve is one dpbtrs.  Residuals
-    are read as float.
+    The forward sweep solves (L + D) y = r, the backward sweep
+    (D + U) z = D y, which makes the mapping symmetric for symmetric
+    operators.  Both are ``_sweep``: forward from x = 0 with b = r, backward
+    from x = y with b = 0.  A sweep walks the levels of ``level_slices``,
+    ascending forward and descending backward.  A level first subtracts its
+    coupling to the levels swept before it, one ``product`` (forward, the
+    C_l of the hierarchical preconditioner).  A level with
+    D_l = diag(c_0kk K_0) is then one d_block_solve; a coupled level is
+    swept block by block (``_level_blocks``).  Residuals are read as float.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -162,62 +154,63 @@ class BlockSGS(_BlockPreconditioner):
         self._n_products = int(np.count_nonzero(t != j))
 
     @cached_property
-    def _level_rows(self) -> list:
+    def _level_blocks(self) -> list:
         """Per level l = 0..P: None when D_l = diag(c_0kk K_0), else
-        (lower_j, solve_j, upper_j) per block j of D_l, its block row cut
-        left of, at and right of the diagonal block.  Under the exact
-        policy solve_j is the band Cholesky of
-        ``GalerkinOperator.band_solvers``, all of a level's bands filled in
-        one pass from the coupling values; under the cg policy it is
-        ``inner.make`` of the assembled block."""
-        op, n = self.op, self.op.ndof
+        (values, solvers), built at the first application.  values[j, s, e]
+        is block (j, s) of D_l at stored spatial position e, a copy of
+        ``blocks``: the strided view sweeps at half the speed.  solvers[j]
+        solves with A_jj: by band Cholesky under the exact policy
+        (``band_solvers``), by ``inner.make`` of values[j, j] on the shared
+        pattern under the cg policy."""
+        op = self.op
         levels = []
         for l in range(op.basis.degree + 1):
             if op.level_is_scalar_diagonal(l):
                 levels.append(None)
                 continue
             _, tail = op.level_slices(l)
-            D = op.assemble_range(tail, tail)
+            values = np.ascontiguousarray(op.blocks[:, tail, tail].transpose(1, 2, 0))
             blocks = np.arange(tail.start, tail.stop)
-            cut = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
             if self.inner.kind == "exact":
                 solvers = op.band_solvers(blocks[:, None],
                                           [f"diagonal block {j}" for j in blocks])
             else:
-                solvers = [self.inner.make(D[r, r]) for r in cut]
-            levels.append([(D[r, :r.start], solve, D[r, r.stop:])
-                           for r, solve in zip(cut, solvers)])
+                solvers = [self.inner.make(_csr_view(values[j, j], op.indices, op.indptr))
+                           for j in range(len(blocks))]
+            levels.append((values, solvers))
         return levels
+
+    def _sweep(self, B: np.ndarray, X: np.ndarray, forward: bool) -> None:
+        """Over the blocks j in sweep order, x_j += A_jj^{-1} (b_j - sum
+        over the blocks s swept before j of A_js x_s), in place."""
+        op = self.op
+        levels = list(enumerate(self._level_blocks))
+        for l, level in levels if forward else reversed(levels):
+            head, tail = op.level_slices(l)
+            swept = head if forward else slice(tail.stop, op.n_blocks)
+            rhs = B[tail] - op.product(tail, swept, X[swept])
+            if level is None:
+                X[tail] += op.d_block_solve(l, rhs, self.inner)
+                continue
+            values, solvers = level
+            x, m = X[tail], len(solvers)
+            # G[s]: x_s at the column of every stored position, once swept
+            G = np.empty((m, len(op.indices)))
+            for j in range(m) if forward else reversed(range(m)):
+                done = slice(0, j) if forward else slice(j + 1, m)
+                coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
+                x[j] += solvers[j](rhs[j] - coupling)
+                x[j].take(op.indices, out=G[j])
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         # ValueError naming any other size
         R = np.asarray(R, dtype=float).reshape(self.op.n_blocks, self.op.ndof)
-        op = self.op
         Y = np.zeros_like(R)
-        for l, rows in enumerate(self._level_rows):
-            head, tail = op.level_slices(l)
-            rhs = R[tail] - op.product(tail, head, Y[head])
-            if rows is None:
-                Y[tail] = op.d_block_solve(l, rhs, self.inner)
-                continue
-            y = Y[tail]
-            for j, (lower, solve, _) in enumerate(rows):
-                y[j] = solve(rhs[j] - lower @ y[:j].ravel())
-        Z = np.zeros_like(R)
-        for l, rows in reversed(list(enumerate(self._level_rows))):
-            _, tail = op.level_slices(l)
-            after = slice(tail.stop, op.n_blocks)
-            c = op.product(tail, after, Z[after])
-            if rows is None:
-                Z[tail] = Y[tail] - op.d_block_solve(l, c, self.inner)
-                continue
-            y, z = Y[tail], Z[tail]
-            for j in reversed(range(len(rows))):
-                _, solve, upper = rows[j]
-                z[j] = y[j] - solve(c[j] + upper @ z[j + 1:].ravel())
-        self.counters.block_solves += 2 * op.n_blocks
+        self._sweep(R, Y, forward=True)
+        self._sweep(np.zeros_like(R), Y, forward=False)
+        self.counters.block_solves += 2 * self.op.n_blocks
         self.counters.block_matvecs += self._n_products
-        return Z
+        return Y
 
 
 class HierarchicalSchur(_BlockPreconditioner):
@@ -229,7 +222,8 @@ class HierarchicalSchur(_BlockPreconditioner):
     and tail (degree l) parts, solve the tail with D_l, and subtract B_l
     times that solution from the head (pre-correction).  At the bottom solve
     with D_0, the mean block.  Ascending, each level gets its tail from
-    D_l^{-1} (r_l^tail - C_l u_head) (post-correction), concatenated.
+    D_l^{-1} (r_l^tail - C_l u_head) (post-correction), in the output rows
+    that kept r_l^tail on the way down.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -250,22 +244,21 @@ class HierarchicalSchur(_BlockPreconditioner):
         if top is None:
             raise ValueError(f"{len(R)} block rows span no leading hierarchy; "
                              f"expected one of {list(self._levels)}")
-        residuals: list[np.ndarray] = [None] * (top + 1)
         cur = np.asarray(R, dtype=float)
+        U = np.empty_like(cur)
         for l in range(top, 0, -1):
-            residuals[l] = cur
             head, tail = op.level_slices(l)
+            U[tail] = cur[tail]
             t = op.d_block_solve(l, cur[tail], self.inner)
             cur = cur[head] - op.product(head, tail, t)
-        u = op.d_block_solve(0, cur, self.inner)
+        U[:1] = op.d_block_solve(0, cur, self.inner)
         for l in range(1, top + 1):
             head, tail = op.level_slices(l)
-            ct = op.product(tail, head, u)
-            ut = op.d_block_solve(l, residuals[l][tail] - ct, self.inner)
-            u = np.vstack([u, ut])
+            U[tail] = op.d_block_solve(l, U[tail] - op.product(tail, head, U[head]),
+                                       self.inner)
         self.counters.block_solves += 2 * len(R) - 1
         self.counters.block_matvecs += self._n_products[top]
-        return u
+        return U
 
 
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,

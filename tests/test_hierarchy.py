@@ -679,23 +679,48 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
     assembled, made, filled = spy_bsgs_set_up(monkeypatch)
     lus, _ = spy_factorizations(monkeypatch)
     prec = BlockSGS(op, EXACT)
-    # the constructor assembles and factorizes nothing
+    # the constructor reads and factorizes nothing
     assert assembled == [] and lus == [] and filled == []
+    assert "_level_blocks" not in prec.__dict__
     r = np.ones(op.shape[0])
     prec(r)
-    tails = [op.level_slices(l)[1] for l in range(op.basis.degree + 1)
-             if not op.level_is_scalar_diagonal(l)]
-    # each coupled level is assembled once for its block rows, and each of
-    # its blocks gets a band Cholesky; the one SuperLU is the K_0 of the
-    # scalar level 0, and the exact policy makes no inner solver
-    assert assembled == [(tail, tail) for tail in tails]
-    n_coupled = sum(tail.stop - tail.start for tail in tails)
+    coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
+    # each coupled level keeps a contiguous copy of its couplings in the
+    # pre-summed blocks, values[j, s, e] = block (j, s) of D_l at position e,
+    # and each of its blocks gets a band Cholesky; nothing is assembled, the
+    # one SuperLU is the K_0 of the scalar level 0, and the exact policy
+    # makes no inner solver
+    assert assembled == []
+    n_coupled = 0
+    for l, level in enumerate(prec._level_blocks):
+        assert (level is None) == (l not in coupled)
+        if level is None:
+            continue
+        _, tail = op.level_slices(l)
+        values, solvers = level
+        assert values.flags.c_contiguous
+        assert np.array_equal(values, op.blocks[:, tail, tail].transpose(1, 2, 0))
+        assert len(solvers) == tail.stop - tail.start
+        n_coupled += len(solvers)
     assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)
     assert len(filled) == n_coupled
     assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
-    # a second application assembles, fills and factors nothing
+    # a second application reads, fills and factors nothing new
     prec(r)
-    assert (len(assembled), len(filled), len(lus)) == (len(tails), n_coupled, 1)
+    assert (len(assembled), len(filled), len(lus)) == (0, n_coupled, 1)
+
+
+@pytest.mark.parametrize("inner", [EXACT, TIGHT_CG], ids=["exact", "cg"])
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_no_preconditioner_assembles_a_sub_matrix(monkeypatch, kind, inner):
+    op = build((kind, 2, 2, 3))
+    assembled, _, _ = spy_bsgs_set_up(monkeypatch)
+    r = np.random.default_rng(3).standard_normal(op.shape[0])
+    for name in ("mean", "bsgs", "hs"):
+        prec = make_preconditioner(op, name, inner)
+        prec(r)
+        prec(r)
+    assert assembled == []
 
 
 def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
@@ -722,15 +747,15 @@ def test_bsgs_block_solves_leave_their_rhs_unchanged():
     A, n = dense_kron_oracle(op), op.ndof
     rng = np.random.default_rng(9)
     solved = 0
-    for l, rows in enumerate(prec._level_rows):
-        if rows is None:
+    for l, level in enumerate(prec._level_blocks):
+        if level is None:
             continue
         _, tail = op.level_slices(l)
-        for j, (_, solve, _) in enumerate(rows, start=tail.start):
+        for j, solve in enumerate(level[1], start=tail.start):
             b = rng.standard_normal(n)
             kept = b.copy()
             x = solve(b)
-            assert np.array_equal(b, kept)
+            assert np.array_equal(b, kept) and x.shape == b.shape
             A_jj = A[j * n:(j + 1) * n, j * n:(j + 1) * n]
             assert np.linalg.norm(A_jj @ x - b) <= 1e-12 * np.linalg.norm(b)
             solved += 1

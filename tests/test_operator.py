@@ -47,12 +47,13 @@ def test_matrix_free_matches_dense_oracle():
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_dense_method_matches_oracle():
+def test_dense_method_matches_oracle(monkeypatch):
     op, _ = make_operator(2, 2, 4)
     assert np.allclose(op.dense(), dense_kron_oracle(op), atol=1e-12)
     big, _ = make_operator(2, 3, 10)
-    with pytest.raises(ValueError):
-        big.dense(limit=100)
+    monkeypatch.setattr(operator, "DENSE_ASSEMBLY_LIMIT", 100)
+    with pytest.raises(ValueError, match="exceeds the limit 100"):
+        big.dense()
 
 
 def test_apply_symmetry():
@@ -278,6 +279,27 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     for kind in ("exact", "lu"):
         with pytest.raises(ValueError, match="cg policy"):
             InnerSolver(kind=kind).make(op.mean_matrix)
+
+
+@pytest.mark.parametrize("solver", ["cg", "band"])
+def test_block_solvers_give_the_shape_of_the_rhs(solver):
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.25))
+    # a vector takes a vector: block Gauss-Seidel adds it into one block row
+    if solver == "cg":
+        A = op.mean_matrix.toarray()
+        solve = InnerSolver(kind="cg", tol=1e-12).make(op.mean_matrix)
+        shapes = [(op.ndof,), (1, op.ndof), (3, op.ndof)]
+    else:
+        A = op.assemble_range([1], [1]).toarray()
+        solve, = op.band_solvers(np.array([[1]]), ["diagonal block 1"])
+        shapes = [(op.ndof,), (1, op.ndof)]
+    rng = np.random.default_rng(6)
+    for shape in shapes:
+        B = rng.standard_normal(shape)
+        X = solve(B)
+        assert X.shape == B.shape
+        assert np.linalg.norm(np.atleast_2d(X) @ A.T - np.atleast_2d(B)) \
+            <= 1e-10 * np.linalg.norm(B)
 
 
 @pytest.mark.parametrize("n_cells, inverse", [(15, True), (20, False)])

@@ -16,6 +16,7 @@ from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
 from shared_pattern import indefinite, nonsymmetric
 
 EXACT = InnerSolver(kind="exact")
+TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
 
 
 def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5):
@@ -98,12 +99,14 @@ def test_bsgs_symmetric_mapping():
 
 hermite_configs = st.tuples(st.just("lognormal"), st.integers(1, 3), st.integers(1, 3),
                             st.integers(2, 4))
+# "cg policy": the symmetric operator under the tight inner cg policy
 VARIANTS = {"symmetric": lambda op: op, "non-symmetric": nonsymmetric,
-            "indefinite": indefinite}
+            "indefinite": indefinite, "cg policy": lambda op: op}
 
 
 @given(hermite_configs, st.sampled_from(list(VARIANTS)))
 @example(("uniform", 2, 2, 4), "symmetric")   # no coupled level
+@example(("lognormal", 2, 2, 3), "cg policy")
 def test_bsgs_matches_dense_sweep_oracle(config, variant):
     family, dims, degree, n_cells = config
     if family == "uniform":
@@ -127,7 +130,8 @@ def test_bsgs_matches_dense_sweep_oracle(config, variant):
                 BlockSGS(op, EXACT)(r)
             assert lus == [] and len(infos) == 1 and infos[0] > 0
             return
-        got = BlockSGS(op, EXACT)(r)
+        inner = TIGHT_CG if variant == "cg policy" else EXACT
+        got = BlockSGS(op, inner)(r)
     A = op.dense()
     n_blocks, nd = op.n_blocks, op.ndof
     # oracle: explicit block triangular solves on the dense matrix
@@ -146,6 +150,10 @@ def test_bsgs_matches_dense_sweep_oracle(config, variant):
     y = np.linalg.solve(D + Lo, r)
     z = np.linalg.solve(D + Up, D @ y)
     assert np.linalg.norm(got - z) <= 1e-9 * np.linalg.norm(z)
+    if inner is TIGHT_CG:
+        # every block solve is an inner CG
+        assert lus == [] and infos == []
+        return
     # the blocks of the coupled levels, all but A_00 on the lognormal
     # operators, take the band Cholesky; level 0 is the K_0 LU
     n_coupled = n_blocks - 1 if family == "lognormal" else 0

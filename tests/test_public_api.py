@@ -1,6 +1,9 @@
 """The names ``sgfem`` exports and the run options it takes, pinned: adding
-or removing one edits these lists."""
+or removing one edits these lists.  The traced benchmark's entry points
+must exist too."""
+import importlib
 from dataclasses import fields
+from pathlib import Path
 
 import sgfem
 from sgfem import experiments
@@ -73,3 +76,11 @@ def test_option_surface_is_the_pinned_list():
         "krylov": ("cg", "fcg"),
     }
     assert list(experiments.INNER_POLICIES) == ["exact", "cg-diagonal"]
+
+
+def test_traced_entry_points_exist(monkeypatch):
+    # benchmarks/spans.py patches these names; a rename fails here, not
+    # only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    spans = importlib.import_module("spans")
+    assert spans.missing_entry_points() == []

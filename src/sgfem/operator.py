@@ -14,11 +14,13 @@ over block ranges, and in either of its two forms computes only those rows.
 When each nonzero block holds a single term (the linear Karhunen-Loeve
 coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
 each K_i multiplying only the column blocks that reach those rows;
-otherwise (the lognormal chaos coefficient) it reads the dense stochastic
-blocks blocks[e] = sum_i C_i * K_i[e] at every stored spatial position e,
-summed once from the data array; block Gauss-Seidel reads them too.  No
-solve assembles a sub-matrix: ``assemble_range`` serves ``dense`` and
-``masked_apply`` alone.  The graded index ordering induces a nested 2x2
+otherwise (the lognormal chaos coefficient, with symmetric K_i) it reads
+the dense stochastic blocks blocks[u] = sum_i C_i * K_i[e], summed once
+from the data array at each stored spatial position e = (r, c) with
+r <= c: position (c, r) holds the same block, so each stored block
+multiplies both of its column vectors.  An operator with a non-symmetric
+K_i runs matrix-free, exact for any K_i.  No solve assembles a sub-matrix:
+``assemble_range`` serves ``dense`` and ``masked_apply`` alone.  The graded index ordering induces a nested 2x2
 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -40,8 +42,7 @@ the projection of a positive field, is positive definite; an operator with
 non-symmetric K_i, or a level or block that is not positive definite, is
 refused with an error, never solved another way.
 C_l coincides with the transpose action of B_l whenever all K_i are
-symmetric; the column product computes the true sub-block action either
-way, so products take non-symmetric K_i by the same code path.
+symmetric; either product form computes the true sub-block action.
 """
 from __future__ import annotations
 
@@ -133,6 +134,13 @@ DIRECT_LEVEL_LIMIT = 20_000
 # (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
 # the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
 MEAN_INVERSE_LIMIT = 256
+# stored positions per step of the ``blocks`` build, whose (n_b^2, chunk)
+# product then stays in cache.  Lognormal N=4 P=4 at 1/h = 30 (163 MB of
+# blocks, one BLAS thread), median of 5 builds: 0.14 s at 32 positions,
+# 0.24 at 64, 0.34 at 256, 0.36-0.57 s for the one-shot product and its
+# transposed copy, whose transient took ru_maxrss to 465 MB against 310;
+# N=4 P=3 at 1/h = 10: 2.4 ms at 16-64 positions, 4.4 at 256
+BLOCKS_CHUNK = 32
 
 
 class GalerkinOperator:
@@ -219,18 +227,49 @@ class GalerkinOperator:
         """Whether products read the dense blocks sum_i c_itj K_i.
 
         They pay when some block sums more than one term, that is when the
-        coupling entries outnumber the live blocks; otherwise products run
-        matrix-free over the K_i and the blocks are never formed.
+        coupling entries outnumber the live blocks, and are kept only for
+        symmetric K_i, each pair of mirrored spatial positions stored once;
+        otherwise products run matrix-free over the K_i, which is exact for
+        any K_i, and the blocks are never formed.
         """
-        return len(self.coupling_entries[1]) > len(self.live_blocks[0])
+        return len(self.coupling_entries[1]) > len(self.live_blocks[0]) and self.symmetric
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """blocks[e, t, j] = sum_i c_itj data[i, e]: the dense (n_blocks,
-        n_blocks) stochastic block at every stored spatial position e, in
-        pattern order.  Built by the first pre-summed product."""
-        n, nnz = self.n_blocks, len(self.indices)
-        return np.ascontiguousarray((self._block_couplings @ self.data).T).reshape(nnz, n, n)
+        """blocks[u, t, j] = sum_i c_itj data[i, e]: the dense (n_blocks,
+        n_blocks) stochastic block at every stored spatial position e =
+        (r, c) with r <= c, in pattern order (``_upper``); position (c, r)
+        holds the same block, as products read it only for symmetric K_i
+        (``presummed``).  Built by the first pre-summed product,
+        BLOCKS_CHUNK positions at a time, straight into the result."""
+        n, W = self.n_blocks, self._block_couplings
+        upper, _, _ = self._upper
+        out = np.empty((len(upper), n, n))
+        flat = out.reshape(len(upper), n * n)
+        for start in range(0, len(upper), BLOCKS_CHUNK):
+            chunk = upper[start:start + BLOCKS_CHUNK]
+            flat[start:start + len(chunk)] = (W @ self.data[:, chunk]).T
+        return out
+
+    @cached_property
+    def _upper(self) -> tuple:
+        """(upper, pairs, S) of the symmetric pattern.  upper lists the
+        stored positions e = (r, c) with r <= c in pattern order, and
+        pairs[u] = (c, r) of upper[u].  S is the 0/1 CSR (ndof, 2 n_upper)
+        matrix that sums the product terms of each spatial row r over its
+        stored positions in pattern order: term 2u of (r, c) with r <= c,
+        term 2u + 1 of the mirrored (c, r) with c < r.  It shares the
+        pattern's indptr, so a diagonal position counts once and a row that
+        stores nothing sums to zero."""
+        r, c = self._pattern_rows, self.indices
+        own = r <= c
+        upper = np.flatnonzero(own)
+        slot = np.empty(len(c), dtype=np.intp)
+        slot[upper] = 2 * np.arange(len(upper))
+        terms = np.where(own, slot, slot[self._mirror] + 1)
+        S = sp.csr_matrix((np.ones(len(c)), terms, self.indptr),
+                          shape=(self.ndof, 2 * len(upper)))
+        return upper, np.stack([c[upper], r[upper]], axis=1), S
 
     @cached_property
     def _row_starts(self) -> tuple:
@@ -299,12 +338,14 @@ class GalerkinOperator:
         if n_rows == 0 or stop <= start:
             return np.zeros((n_rows, self.ndof))
         if self.presummed:
-            # one batched product per stored position e against the gathered
-            # column blocks X[:, indices[e]], then a sum over each spatial
-            # row's positions
-            G = np.ascontiguousarray(X.T)[self.indices]
-            P = np.matmul(self.blocks[:, rows, cols], G[:, :, None])[:, :, 0]
-            return self.row_sums(P).T
+            # each stored block u at (r, c), r <= c, multiplies both its
+            # column vectors, X[:, c] for row r and X[:, r] for row c, in one
+            # batched product; blocks[u, j, t] = blocks[u, t, j] (c_itj =
+            # c_ijt).  S then sums each spatial row's terms
+            _, pairs, S = self._upper
+            G = np.ascontiguousarray(X.T)[pairs]
+            P = np.matmul(G, self.blocks[:, cols, rows])
+            return (S @ P.reshape(-1, P.shape[-1])).T
         lo, hi, groups, L = self._plan(rows, cols)
         XT = np.ascontiguousarray(X[lo:hi].T)     # scipy would copy X.T per product
         Y = np.empty((L.shape[1], self.ndof))
@@ -355,7 +396,8 @@ class GalerkinOperator:
 
     def mean_solver(self, inner: InnerSolver):
         """Cached solver B -> B K_0^{-T} of the mean matrix, one row of B
-        per right-hand side; all exact policies share one.
+        per right-hand side; the result has the shape of B, a vector for a
+        vector, under either policy.  All exact policies share one.
 
         The exact solver is the program's one sparse LU, SuperLU ordered
         by minimum degree on A + A^T with diagonal pivots preferred: less
@@ -375,10 +417,10 @@ class GalerkinOperator:
             if key == "exact":
                 lu = spla.splu(self.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                options={"SymmetricMode": True})
-                solve = lambda B: lu.solve(np.atleast_2d(B).T).T
+                solve = lambda B: lu.solve(B.T).T
                 if self.ndof <= MEAN_INVERSE_LIMIT:
                     inv_t = solve(np.eye(self.ndof))
-                    solve = lambda B: np.atleast_2d(B) @ inv_t
+                    solve = lambda B: B @ inv_t
             else:
                 solve = inner.make(self.mean_matrix)
             self._solver_cache[key] = solve
@@ -426,16 +468,22 @@ class GalerkinOperator:
     @cached_property
     def symmetric(self) -> bool:
         """Whether every K_i is symmetric: each stored (r, c) of the shared
-        pattern has (c, r) stored too, and every row of data holds the same
-        value at both.  Read off data through the transposed positions; no
-        transpose is made."""
+        pattern has (c, r) stored too, and data holds the same values at
+        both, compared in one pass; no transpose is made.  np.take gathers
+        C-ordered: data[:, mirror] is F-ordered, and the comparison with it
+        took 45 ms against 14 at lognormal N=4 P=4, 1/h = 30."""
+        return self._mirror is not None and np.array_equal(
+            self.data, np.take(self.data, self._mirror, axis=1))
+
+    @cached_property
+    def _mirror(self) -> np.ndarray | None:
+        """mirror[e]: the stored position of (c, r) for the stored position
+        e = (r, c); None when some (c, r) is not stored."""
         r, c = self._pattern_rows.astype(np.int64), self.indices.astype(np.int64)
         keys, transposed = r * self.ndof + c, c * self.ndof + r
         order = np.argsort(keys)
         mirror = order[np.searchsorted(keys, transposed, sorter=order).clip(max=len(keys) - 1)]
-        if not np.array_equal(keys[mirror], transposed):
-            return False
-        return all(np.array_equal(row, row[mirror]) for row in self.data)
+        return mirror if np.array_equal(keys[mirror], transposed) else None
 
     @cached_property
     def _bandwidth(self) -> int:
@@ -481,17 +529,14 @@ class GalerkinOperator:
         dpbtrf factors it without a copy.
 
         All k bands are filled in one pass straight from the coupling
-        values W @ data on the shared pattern: block (s, s') of A_g holds
-        row g[s] * n_blocks + g[s'] of W, entry e of the pattern, (r, c),
-        sits at (r*m + s, c*m + s').  Positions are int32 while a band has
+        values of ``block_values``: block (s, s') of A_g at entry e of the
+        pattern, (r, c), sits at (r*m + s, c*m + s').  Positions are int32 while a band has
         fewer than 2^31 entries, as every band of up to DIRECT_LEVEL_LIMIT
         unknowns has.
         """
         k, m = groups.shape
         kd, N = m * self._bandwidth + m - 1, m * self.ndof
-        W = self._block_couplings[(groups[:, :, None] * self.n_blocks
-                                   + groups[:, None, :]).ravel()]
-        values = (W @ self.data).reshape(k, m, m, -1)
+        values = self.block_values(groups)
         s = np.arange(m, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
         r = self._pattern_rows.astype(s.dtype, copy=False)
         c = self.indices.astype(s.dtype, copy=False)
@@ -506,6 +551,16 @@ class GalerkinOperator:
             # position J (kd + 1) + kd + I - J of a band, out[g] read transposed
             out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., e][:, pairs]
         return out.transpose(0, 2, 1)
+
+    def block_values(self, groups: np.ndarray) -> np.ndarray:
+        """values[g, s, s', e] = sum_i c_itj data[i, e], t = groups[g, s] and
+        j = groups[g, s']: block (s, s') of A_g = A[g, g] at every stored
+        spatial position e, from the coupling values, shape (k, m, m, nnz)
+        for the (k, m) block indices ``groups``."""
+        k, m = groups.shape
+        W = self._block_couplings[(groups[:, :, None] * self.n_blocks
+                                   + groups[:, None, :]).ravel()]
+        return (W @ self.data).reshape(k, m, m, -1)
 
     # -- assembly ----------------------------------------------------------
     @cached_property

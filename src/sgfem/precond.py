@@ -9,7 +9,7 @@ Three preconditioners are provided, all operating block-wise:
   whenever the operator is.  A sweep walks the levels: each takes its
   coupling to the levels swept before it in one product; then a level with
   D_l = diag(c_0kk K_0) is one level solve, and a coupled level is swept
-  block by block against its couplings in the operator's pre-summed blocks.
+  block by block against its couplings, summed once from the coupling values.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
@@ -157,8 +157,8 @@ class BlockSGS(_BlockPreconditioner):
     def _level_blocks(self) -> list:
         """Per level l = 0..P: None when D_l = diag(c_0kk K_0), else
         (values, solvers), built at the first application.  values[j, s, e]
-        is block (j, s) of D_l at stored spatial position e, a copy of
-        ``blocks``: the strided view sweeps at half the speed.  solvers[j]
+        is block (j, s) of D_l at stored spatial position e, summed from the
+        coupling values (``block_values``), C-contiguous.  solvers[j]
         solves with A_jj: by band Cholesky under the exact policy
         (``band_solvers``), by ``inner.make`` of values[j, j] on the shared
         pattern under the cg policy."""
@@ -169,8 +169,8 @@ class BlockSGS(_BlockPreconditioner):
                 levels.append(None)
                 continue
             _, tail = op.level_slices(l)
-            values = np.ascontiguousarray(op.blocks[:, tail, tail].transpose(1, 2, 0))
             blocks = np.arange(tail.start, tail.stop)
+            values = op.block_values(blocks[None])[0]
             if self.inner.kind == "exact":
                 solvers = op.band_solvers(blocks[:, None],
                                           [f"diagonal block {j}" for j in blocks])

@@ -414,7 +414,7 @@ def test_zero_sigma_terms_are_dropped():
     check_products_against_oracle(flat)
 
 
-def test_nonsymmetric_matrices_on_the_presummed_path():
+def test_nonsymmetric_matrices_run_matrix_free():
     op = lognormal_operator(2, 2, 3)
     mats = list(op.matrices)
     n = op.ndof
@@ -424,10 +424,16 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
     for i in (2, 4):
         mats[i] = mats[i] + 0.01 * (pert - pert.T)
     nonsym = operator_from_matrices(mats, op.tensor)
-    assert nonsym.presummed and len(nonsym.indices) > len(op.indices)
     assert op.symmetric and not nonsym.symmetric
+    assert len(nonsym.indices) > len(op.indices)
+    # its blocks sum several terms, but the pre-summed blocks store one of
+    # each mirrored pair of spatial positions, which only symmetric K_i
+    # allow: the products run matrix-free, exact for any K_i
+    assert len(nonsym.coupling_entries[1]) > len(nonsym.live_blocks[0])
+    assert op.presummed and not nonsym.presummed
     for K, M in zip(nonsym.matrices, mats):
         assert abs(K - M).max() == 0.0
+    check_row_products_against_oracle(nonsym, np.random.default_rng(6))
     check_products_against_oracle(nonsym)
     A = dense_kron_oracle(nonsym)
     assert np.abs(A - A.T).max() > 1e-6
@@ -453,6 +459,8 @@ def test_nonsymmetric_matrices_on_the_presummed_path():
             with pytest.raises(ValueError, match="symmetric spatial matrices"):
                 prec(r)
     assert bands == [] and nonsym._level_solvers == {}
+    # nor did any product or sweep form the pre-summed blocks
+    assert "blocks" not in nonsym.__dict__ and "_upper" not in nonsym.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -607,30 +615,87 @@ def test_empty_range_products_are_zeros_without_a_product(kind):
     assert op._plans == {} and "blocks" not in op.__dict__
 
 
+def with_empty_rows(op, empty) -> GalerkinOperator:
+    """op with the spatial rows and columns ``empty`` of every K_i removed
+    from the pattern; the K_i stay symmetric."""
+    keep = sp.diags(np.where(np.isin(np.arange(op.ndof), empty), 0.0, 1.0))
+    mats = [(keep @ K @ keep).tocsr() for K in op.matrices]
+    for K in mats:
+        K.eliminate_zeros()
+    return operator_from_matrices(mats, op.tensor)
+
+
 def test_dense_blocks_with_empty_spatial_rows():
     op = lognormal_operator(2, 2, 3)
     n = op.ndof
     empty = [0, n // 2, n - 1]          # first, interior and last row
-    keep = sp.diags(np.where(np.isin(np.arange(n), empty), 0.0, 1.0))
-    mats = [(keep @ K).tocsr() for K in op.matrices]
-    for K in mats:
-        K.eliminate_zeros()
-    holey = operator_from_matrices(mats, op.tensor)
+    holey = with_empty_rows(op, empty)
     assert holey.presummed
     assert np.array_equal(np.flatnonzero(np.diff(holey.indptr) == 0), empty)
     check_products_against_oracle(holey)
     check_row_products_against_oracle(holey, np.random.default_rng(4))
 
 
-def test_dense_blocks_hold_the_block_sums():
+def full_storage_product(op, rows, cols, X):
+    """A[rows, cols] @ X as the pre-summed product ran with a block at every
+    stored spatial position: one matrix-vector product per position against
+    X at its column, summed over each spatial row in pattern order."""
+    every = op.block_values(np.arange(op.n_blocks)[None])[0].transpose(2, 0, 1)
+    G = np.ascontiguousarray(X.T)[op.indices]
+    return op.row_sums(np.matmul(every[:, rows, cols], G[:, :, None])[:, :, 0]).T
+
+
+@given(hermite_configs, st.booleans(), st.integers(0, 2**32 - 1))
+@example(("lognormal", 2, 2, 3), True, 0)
+def test_upper_storage_products_match_the_dense_oracle(config, holes, seed):
+    op = build(config)
+    n, n_b = op.ndof, op.n_blocks
+    if holes and config[3] > 2:
+        # the first row, the first interior row (one node in from the
+        # corner) and the last; on 3 x 3 nodes no fluctuation would remain
+        side = config[3] + 1
+        op = with_empty_rows(op, [0, side + 1, n - 1])
+        assert np.count_nonzero(np.diff(op.indptr) == 0) == 3
+    assert op.presummed
+    A = dense_kron_oracle(op)
+    rng = np.random.default_rng(seed)
+    everything, none, last = slice(0, n_b), slice(0, 0), slice(n_b, n_b)
+    ranges = [(everything, everything), (none, everything), (everything, none),
+              (last, everything), (everything, last)]
+    for level in range(op.basis.degree + 1):
+        head, tail = op.level_slices(level)
+        ranges += [(head, tail), (tail, head), (tail, tail), (head, head)]
+    for rows, cols in ranges:
+        X = rng.standard_normal((cols.stop - cols.start, n))
+        ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
+        got = op.product(rows, cols, X)
+        assert got.shape == (rows.stop - rows.start, n)
+        assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        # each mirrored pair read once changes the product by rounding only
+        full = full_storage_product(op, rows, cols, X)
+        assert np.linalg.norm(got - full) <= 1e-15 * np.linalg.norm(full)
+
+
+def test_dense_blocks_hold_the_block_sums(monkeypatch):
+    # several chunks of the build, the last one short
+    monkeypatch.setattr(operator, "BLOCKS_CHUNK", 7)
     op = lognormal_operator(2, 2, 3)
     A = dense_kron_oracle(op)
-    n = op.ndof
+    n, n_b = op.ndof, op.n_blocks
     rows = np.repeat(np.arange(n), np.diff(op.indptr))
-    # blocks[e, t, j] is entry (rows[e], indices[e]) of block (t, j)
-    grid = A.reshape(op.n_blocks, n, op.n_blocks, n)[:, rows, :, op.indices]
-    assert grid.shape == op.blocks.shape
-    assert np.abs(op.blocks - grid).max() <= 1e-14 * np.abs(A).max()
+    # the stored positions e with rows[e] <= indices[e], in pattern order
+    upper = np.flatnonzero(rows <= op.indices)
+    assert 0 < len(upper) < len(rows) and len(upper) % 7 != 0
+    assert op.blocks.shape == (len(upper), n_b, n_b)
+    assert op.blocks.nbytes == len(upper) * n_b ** 2 * 8
+    # blocks[u, t, j] is entry (rows[e], indices[e]) of block (t, j) for
+    # e = upper[u], and entry (indices[e], rows[e]) too
+    blocks = A.reshape(n_b, n, n_b, n)
+    for r, c in ((rows[upper], op.indices[upper]), (op.indices[upper], rows[upper])):
+        assert np.abs(op.blocks - blocks[:, r, :, c]).max() <= 1e-14 * np.abs(A).max()
+    # chunk by chunk, bit for bit the sums of the coupling values
+    every = op.block_values(np.arange(n_b)[None])[0]
+    assert np.array_equal(op.blocks, every[..., upper].transpose(2, 0, 1))
 
 
 def spy_bsgs_set_up(monkeypatch) -> tuple:
@@ -685,9 +750,9 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
     r = np.ones(op.shape[0])
     prec(r)
     coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
-    # each coupled level keeps a contiguous copy of its couplings in the
-    # pre-summed blocks, values[j, s, e] = block (j, s) of D_l at position e,
-    # and each of its blocks gets a band Cholesky; nothing is assembled, the
+    # each coupled level keeps its couplings summed from the coupling
+    # values, values[j, s, e] = block (j, s) of D_l at position e, and each
+    # of its blocks gets a band Cholesky; nothing is assembled, the
     # one SuperLU is the K_0 of the scalar level 0, and the exact policy
     # makes no inner solver
     assert assembled == []
@@ -698,8 +763,13 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
             continue
         _, tail = op.level_slices(l)
         values, solvers = level
-        assert values.flags.c_contiguous
-        assert np.array_equal(values, op.blocks[:, tail, tail].transpose(1, 2, 0))
+        m = tail.stop - tail.start
+        assert values.flags.c_contiguous and values.shape == (m, m, len(op.indices))
+        # every stored position: the pre-summed blocks at those with
+        # row <= col, the same values at their mirrors
+        upper, _, _ = op._upper
+        assert np.array_equal(values[..., upper], op.blocks[:, tail, tail].transpose(1, 2, 0))
+        assert np.array_equal(values, values[..., op._mirror])
         assert len(solvers) == tail.stop - tail.start
         n_coupled += len(solvers)
     assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)

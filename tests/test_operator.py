@@ -269,9 +269,10 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
                    options={"SymmetricMode": True})
     rng = np.random.default_rng(5)
     for B in (rng.standard_normal(op.ndof), rng.standard_normal((7, op.ndof))):
-        # B K_0^{-T}, one row per right-hand side
-        X, ref = solve(B), lu.solve(np.atleast_2d(B).T).T
-        assert X.shape == ref.shape == np.atleast_2d(B).shape
+        # B K_0^{-T}, one row per right-hand side, in the shape of B as the
+        # cg policy's solver gives it: a vector for a vector
+        X, ref = solve(B), lu.solve(B.T).T
+        assert X.shape == ref.shape == B.shape
         assert np.linalg.norm(X - ref) <= 1e-13 * np.linalg.norm(ref)
     # the cg policies keep their own solver; make builds no other
     cg = InnerSolver(kind="cg", tol=1e-10)
@@ -320,10 +321,11 @@ def test_mean_solver_is_the_dense_inverse_up_to_the_limit(monkeypatch, n_cells, 
     op = build_operator(ExperimentConfig(N=1, P=1, h=1 / n_cells))
     assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == inverse
     solve = op.mean_solver(InnerSolver())
-    solve(np.ones((3, op.ndof)))
-    solve(np.ones(op.ndof))
-    # the inverse is one solve of the identity; the LU solves every call
+    assert solve(np.ones((3, op.ndof))).shape == (3, op.ndof)
+    assert solve(np.ones(op.ndof)).shape == (op.ndof,)
+    # the inverse is one solve of the identity; the LU solves every call,
+    # a vector as a vector
     if inverse:
         assert solves == [(op.ndof, op.ndof)]
     else:
-        assert solves == [(op.ndof, 3), (op.ndof, 1)]
+        assert solves == [(op.ndof, 3), (op.ndof,)]

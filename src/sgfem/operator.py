@@ -11,17 +11,20 @@ indptr, data), and from the tensor's one stacked CSR, so its set-up makes no
 per-coefficient object; ``matrices`` gives CSR views of the K_i on first
 access.  Every product is a sub-block product A[rows, cols] @ U[cols]
 over block ranges, and in either of its two forms computes only those rows.
-When each nonzero block holds a single term (the linear Karhunen-Loeve
-coefficient) it runs matrix-free, as sum_i C_i[rows, cols] @ (U @ K_i^T),
-each K_i multiplying only the column blocks that reach those rows;
-otherwise (the lognormal chaos coefficient, with symmetric K_i) it reads
-the dense stochastic blocks blocks[u] = sum_i C_i * K_i[e], summed once
-from the data array at each stored spatial position e = (r, c) with
+Every operator keeps one contract, checked once when it is built: each
+stored spatial position (r, c) has its mirror (c, r) stored, data holds the
+same values at both, so every K_i is symmetric, and every spatial row
+stores its diagonal.  Both builders meet it; any other input is refused
+with one ValueError.  When each nonzero block holds a single term (the
+linear Karhunen-Loeve coefficient) a product runs matrix-free, as
+sum_i C_i[rows, cols] @ (U @ K_i^T), each K_i multiplying only the column
+blocks that reach those rows; otherwise (the lognormal chaos coefficient)
+it reads the dense stochastic blocks blocks[u] = sum_i C_i * K_i[e], summed
+once from the data array at each stored spatial position e = (r, c) with
 r <= c: position (c, r) holds the same block, so each stored block
-multiplies both of its column vectors.  An operator with a non-symmetric
-K_i runs matrix-free, exact for any K_i.  No solve assembles a sub-matrix:
-``assemble_range`` serves ``dense`` and ``masked_apply`` alone.  The graded index ordering induces a nested 2x2
-partition
+multiplies both of its column vectors.  No solve assembles a sub-matrix:
+``assemble_range`` serves ``dense`` and ``masked_apply`` alone.  The graded
+index ordering induces a nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
@@ -31,18 +34,16 @@ block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
 (Karhunen-Loeve) coefficient case every D_l is block diagonal with each
 diagonal block a scalar multiple of the mean matrix K_0, so solving with D_l
 costs one multi-right-hand-side K_0 solve; on meshes of up to
-MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-T}.
-In the lognormal case D_l is coupled; with symmetric K_i it is symmetric,
-and numbered node-major (spatial node outer, block inner) it is a band,
-which LAPACK's band Cholesky factors once (``band_solvers``, the band filled
-straight from the coupling values, D_l not assembled).  The same routine
-factors the diagonal blocks A_jj of block Gauss-Seidel, the case of one
-block.  Both builders give symmetric K_i, and the lognormal Galerkin matrix,
-the projection of a positive field, is positive definite; an operator with
-non-symmetric K_i, or a level or block that is not positive definite, is
-refused with an error, never solved another way.
-C_l coincides with the transpose action of B_l whenever all K_i are
-symmetric; either product form computes the true sub-block action.
+MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-1}.
+In the lognormal case D_l is coupled and symmetric, and numbered
+node-major (spatial node outer, block inner) it is a band, which LAPACK's
+band Cholesky factors once (``band_solvers``, the band filled straight
+from the coupling values, D_l not assembled).  The same routine factors the
+diagonal blocks A_jj of block Gauss-Seidel, the case of one block.  The
+lognormal Galerkin matrix, the projection of a positive field, is positive
+definite; a level or block that is not is refused with an error, never
+solved another way.  C_l is the transpose of B_l, every K_i and C_i being
+symmetric; each is a product over its own ranges.
 """
 from __future__ import annotations
 
@@ -84,10 +85,14 @@ class InnerSolver:
     Under kind "exact" the operator factors: K_0 by sparse LU
     (``GalerkinOperator.mean_solver``), coupled levels and block
     Gauss-Seidel diagonal blocks by band Cholesky (``band_solvers``).  Kind
-    "cg" runs, per spatial block, the Jacobi-preconditioned CG that ``make``
-    builds.  ``tol`` bounds every inner CG loop, level CG included; None
-    means the outer tolerance, which each preconditioner fills in when
-    built, and a CG loop reached with tol None raises ValueError.
+    "cg" solves K_0, and each block Gauss-Seidel diagonal block of a
+    coupled level, by the Jacobi-preconditioned CG per right-hand side that
+    ``make`` builds; a coupled level of up to DIRECT_LEVEL_LIMIT unknowns
+    is band-factored under either kind (``d_block_solve``), and a larger
+    one runs ``cg`` under either kind.  ``tol`` bounds every inner CG loop,
+    level CG included; None means the outer tolerance, which each
+    preconditioner fills in when built, and a CG loop reached with tol None
+    raises ValueError.
     """
 
     kind: str = "exact"
@@ -149,8 +154,11 @@ class GalerkinOperator:
     ``stiffness`` is the triple (indices, indptr, data) that
     assemble_weighted_stiffness gives for many fields: the spatial matrices
     share the CSR pattern (indices, indptr) and one ``(n_coeff, nnz)`` array
-    ``data``, whose row i holds the values of K_i.  A coefficient whose data
-    row is all zeros is structurally zero and takes part in no product.
+    ``data``, whose row i holds the values of K_i.  The operator's contract
+    (see the module docstring) is checked here, before anything else is
+    computed: ValueError unless every K_i is symmetric on the pattern and
+    every spatial row stores its diagonal.  A coefficient whose data row is
+    all zeros is structurally zero and takes part in no product.
     tensor holds the couplings c_ijk over the same coefficient index range.
     ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views of the
     rows of data, made on first access: the mean solve reads K_0 alone, and
@@ -175,6 +183,17 @@ class GalerkinOperator:
         self._plans: dict = {}
         # c_0kk values scale the diagonal blocks in the scalar-multiple case
         self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
+        # the contract: each (r, c) has its mirror with the same values, and
+        # the diagonal positions are (0, 0), ..., (ndof - 1, ndof - 1).
+        # np.take gathers C-ordered: data[:, mirror] is F-ordered, and the
+        # comparison with it took 45 ms against 14 at lognormal N=4 P=4,
+        # 1/h = 30
+        r, c, mirror = self._pattern_rows, self.indices, self._mirror
+        if not (np.array_equal(r[mirror], c) and np.array_equal(c[mirror], r)
+                and np.array_equal(self.data, np.take(self.data, mirror, axis=1))
+                and np.array_equal(r[r == c], np.arange(self.ndof))):
+            raise ValueError("GalerkinOperator needs symmetric spatial matrices K_i "
+                             "on a pattern that stores every diagonal")
 
     @cached_property
     def mean_matrix(self) -> sp.csr_matrix:
@@ -227,21 +246,19 @@ class GalerkinOperator:
         """Whether products read the dense blocks sum_i c_itj K_i.
 
         They pay when some block sums more than one term, that is when the
-        coupling entries outnumber the live blocks, and are kept only for
-        symmetric K_i, each pair of mirrored spatial positions stored once;
-        otherwise products run matrix-free over the K_i, which is exact for
-        any K_i, and the blocks are never formed.
+        coupling entries outnumber the live blocks; otherwise products run
+        matrix-free over the K_i and the blocks are never formed.
         """
-        return len(self.coupling_entries[1]) > len(self.live_blocks[0]) and self.symmetric
+        return len(self.coupling_entries[1]) > len(self.live_blocks[0])
 
     @cached_property
     def blocks(self) -> np.ndarray:
         """blocks[u, t, j] = sum_i c_itj data[i, e]: the dense (n_blocks,
         n_blocks) stochastic block at every stored spatial position e =
         (r, c) with r <= c, in pattern order (``_upper``); position (c, r)
-        holds the same block, as products read it only for symmetric K_i
-        (``presummed``).  Built by the first pre-summed product,
-        BLOCKS_CHUNK positions at a time, straight into the result."""
+        holds the same block, the K_i being symmetric.  Built by the first
+        pre-summed product, BLOCKS_CHUNK positions at a time, straight into
+        the result."""
         n, W = self.n_blocks, self._block_couplings
         upper, _, _ = self._upper
         out = np.empty((len(upper), n, n))
@@ -253,14 +270,13 @@ class GalerkinOperator:
 
     @cached_property
     def _upper(self) -> tuple:
-        """(upper, pairs, S) of the symmetric pattern.  upper lists the
-        stored positions e = (r, c) with r <= c in pattern order, and
-        pairs[u] = (c, r) of upper[u].  S is the 0/1 CSR (ndof, 2 n_upper)
-        matrix that sums the product terms of each spatial row r over its
-        stored positions in pattern order: term 2u of (r, c) with r <= c,
-        term 2u + 1 of the mirrored (c, r) with c < r.  It shares the
-        pattern's indptr, so a diagonal position counts once and a row that
-        stores nothing sums to zero."""
+        """(upper, pairs, S) of the pattern.  upper lists the stored
+        positions e = (r, c) with r <= c in pattern order, and pairs[u] =
+        (c, r) of upper[u].  S is the 0/1 CSR (ndof, 2 n_upper) matrix that
+        sums the product terms of each spatial row r over its stored
+        positions in pattern order: term 2u of (r, c) with r <= c, term
+        2u + 1 of the mirrored (c, r) with c < r.  It shares the pattern's
+        indptr, so a diagonal position counts once."""
         r, c = self._pattern_rows, self.indices
         own = r <= c
         upper = np.flatnonzero(own)
@@ -271,20 +287,10 @@ class GalerkinOperator:
                           shape=(self.ndof, 2 * len(upper)))
         return upper, np.stack([c[upper], r[upper]], axis=1), S
 
-    @cached_property
-    def _row_starts(self) -> tuple:
-        """(rows, starts): the spatial rows that store entries and the
-        position of the first one; reduceat needs non-empty segments."""
-        rows = np.flatnonzero(np.diff(self.indptr))
-        return rows, self.indptr[rows]
-
     def row_sums(self, P: np.ndarray) -> np.ndarray:
         """out[r] = the sum of P[e] over the stored positions e of spatial
-        row r, in pattern order; zero for a row that stores none."""
-        nonempty, starts = self._row_starts
-        out = np.zeros((self.ndof, *P.shape[1:]))
-        out[nonempty] = np.add.reduceat(P, starts, axis=0)
-        return out
+        row r, in pattern order; every row stores at least its diagonal."""
+        return np.add.reduceat(P, self.indptr[:-1], axis=0)
 
     def _plan(self, rows: slice, cols: slice) -> tuple:
         """(lo, hi, groups, L) with A[rows, cols] @ X = L @ Y, built once
@@ -395,9 +401,10 @@ class GalerkinOperator:
         return bool(self._scalar_levels[level])
 
     def mean_solver(self, inner: InnerSolver):
-        """Cached solver B -> B K_0^{-T} of the mean matrix, one row of B
-        per right-hand side; the result has the shape of B, a vector for a
-        vector, under either policy.  All exact policies share one.
+        """Cached solver B -> B K_0^{-T} = B K_0^{-1} (K_0 is symmetric) of
+        the mean matrix, one row of B per right-hand side; the result has
+        the shape of B, a vector for a vector, under either policy.  All
+        exact policies share one.
 
         The exact solver is the program's one sparse LU, SuperLU ordered
         by minimum degree on A + A^T with diagonal pivots preferred: less
@@ -405,7 +412,7 @@ class GalerkinOperator:
         L + U at h=1/30).  It factors a CSC copy of K_0, not its transpose
         view, whose solve of many right-hand sides (495 at h=1/20) takes
         1.3-1.5 times as long.  Up to MEAN_INVERSE_LIMIT dof it multiplies
-        by the dense K_0^{-T}, one LU solve of the identity: a mean or
+        by the dense K_0^{-1}, one LU solve of the identity: a mean or
         level solve is then one matrix product, which on these meshes beats
         the triangular solves though it does more flops (495 right-hand
         sides at h=1/10: 0.36 against 1.0-1.6 ms, one BLAS thread).  A cg
@@ -433,12 +440,12 @@ class GalerkinOperator:
         the linear coefficient case) takes one multi-right-hand-side K_0
         solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
         a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
-        K_0^{-T} of ``mean_solver``.  A coupled level of dimension up to
+        K_0^{-1} of ``mean_solver``.  A coupled level of dimension up to
         DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
-        (``band_solvers``), which refuses a level that is not symmetric
-        positive definite.  A larger one runs ``inner.cg`` on the level
-        system preconditioned blockwise by diag(c_0kk) (x) K_0.  ``rhs`` is
-        never written to.
+        (``band_solvers``) under either policy, which refuses a level that
+        is not positive definite.  A larger one runs ``inner.cg`` on the
+        level system preconditioned blockwise by diag(c_0kk) (x) K_0.
+        ``rhs`` is never written to.
         """
         _, tail = self.level_slices(level)
         rhs = np.atleast_2d(rhs)
@@ -466,24 +473,14 @@ class GalerkinOperator:
         return x.reshape(rhs.shape)
 
     @cached_property
-    def symmetric(self) -> bool:
-        """Whether every K_i is symmetric: each stored (r, c) of the shared
-        pattern has (c, r) stored too, and data holds the same values at
-        both, compared in one pass; no transpose is made.  np.take gathers
-        C-ordered: data[:, mirror] is F-ordered, and the comparison with it
-        took 45 ms against 14 at lognormal N=4 P=4, 1/h = 30."""
-        return self._mirror is not None and np.array_equal(
-            self.data, np.take(self.data, self._mirror, axis=1))
-
-    @cached_property
-    def _mirror(self) -> np.ndarray | None:
+    def _mirror(self) -> np.ndarray:
         """mirror[e]: the stored position of (c, r) for the stored position
-        e = (r, c); None when some (c, r) is not stored."""
+        e = (r, c), which the contract checked in ``__init__`` requires."""
         r, c = self._pattern_rows.astype(np.int64), self.indices.astype(np.int64)
-        keys, transposed = r * self.ndof + c, c * self.ndof + r
+        keys = r * self.ndof + c
         order = np.argsort(keys)
-        mirror = order[np.searchsorted(keys, transposed, sorter=order).clip(max=len(keys) - 1)]
-        return mirror if np.array_equal(keys[mirror], transposed) else None
+        return order[np.searchsorted(keys, c * self.ndof + r, sorter=order)
+                     .clip(max=len(keys) - 1)]
 
     @cached_property
     def _bandwidth(self) -> int:
@@ -496,23 +493,19 @@ class GalerkinOperator:
         R -> A_g^{-1} R of the diagonal block A_g = A[g, g], factored once
         by LAPACK's band Cholesky.
 
-        With every K_i symmetric (each C_i is: c_itj = E[psi_i psi_t psi_j])
-        A_g is symmetric, and numbered node-major, unknown (block g[s], node
-        r) at r*m + s, it is a band of half-width m*b + m - 1, b the spatial
-        pattern's bandwidth.  ``_bands`` fills it straight from the coupling
-        values; A_g is not assembled.  At lognormal N=4 P=3 h=1/10, D_3
+        Every K_i is symmetric, and so is each C_i (c_itj = E[psi_i psi_t
+        psi_j]), so A_g is symmetric; numbered node-major, unknown (block
+        g[s], node r) at r*m + s, it is a band of half-width m*b + m - 1, b
+        the spatial pattern's bandwidth.  ``_bands`` fills it straight from
+        the coupling values; A_g is not assembled.  At lognormal N=4 P=3 h=1/10, D_3
         (2420 unknowns) is filled in 4 ms and factored in 14 against
         SuperLU's 45 (one BLAS thread), and stores 5.0 MB against 6.6.
         R is block-major, shape (m, ndof), or for m = 1 one block as a
         vector, which takes one dpbtrs as it is; R is never written.
-        An operator whose K_i are not symmetric is refused with ValueError
-        before any band is filled: dpbtrf reads only the upper band and
-        would factor another matrix.  A block that is not positive definite
-        raises LinAlgError naming it as ``names[g]``.
+        dpbtrf reads only the upper band, the whole of A_g by its symmetry.
+        A block that is not positive definite raises LinAlgError naming it
+        as ``names[g]``.
         """
-        if not self.symmetric:
-            raise ValueError("band Cholesky needs symmetric spatial matrices K_i; "
-                             "this operator's are not")
         solvers = []
         for name, band in zip(names, self._bands(groups)):
             factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)

@@ -23,7 +23,8 @@ Every level solve, the bottom one included, is ``d_block_solve``, and every
 product with blocks of other levels is ``product`` over the ranges of
 ``level_slices``; under the exact policy block Gauss-Seidel factors the
 diagonal blocks of a coupled level by ``band_solvers``, which refuses a
-block that is not symmetric positive definite.  No preconditioner assembles
+block that is not positive definite (each is symmetric: the operator
+refuses non-symmetric K_i when it is built).  No preconditioner assembles
 a matrix.  The constructors set an inner policy's tol of None to their
 outer tolerance.
 

@@ -2,15 +2,19 @@
 
 The builders hand the operator the (indices, indptr, data) triple of the
 assembly; tests that perturb, zero or hole the K_i of a built operator put
-the matrices back on one union CSR pattern here.  Two such perturbations
-make the band Cholesky of every coupled level and block refuse the
-operator: ``nonsymmetric`` (ValueError before any band is filled) and
-``indefinite`` (LinAlgError naming the level or block).
+the matrices back on one union CSR pattern here.  ``nonsymmetric`` breaks
+the operator's contract, so its constructor refuses it with ValueError;
+``indefinite`` keeps the contract, and the band Cholesky of every coupled
+level and block refuses it with LinAlgError naming the level or block.
 """
 import numpy as np
 import scipy.sparse as sp
 
 from sgfem.operator import GalerkinOperator
+
+# the one ValueError of every input that breaks the operator's contract
+CONTRACT = ("^GalerkinOperator needs symmetric spatial matrices K_i on a pattern "
+            "that stores every diagonal$")
 
 
 def shared_pattern(matrices) -> tuple:

@@ -22,7 +22,7 @@ from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
-from shared_pattern import indefinite, nonsymmetric, operator_from_matrices
+from shared_pattern import CONTRACT, indefinite, nonsymmetric, operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -414,53 +414,22 @@ def test_zero_sigma_terms_are_dropped():
     check_products_against_oracle(flat)
 
 
-def test_nonsymmetric_matrices_run_matrix_free():
+def test_nonsymmetric_matrices_are_refused_at_construction():
     op = lognormal_operator(2, 2, 3)
     mats = list(op.matrices)
     n = op.ndof
     pert = sp.random(n, n, density=0.1, random_state=3)
-    # outside the Q1 pattern; coefficient 4, of xi_1 xi_2, couples distinct
-    # blocks of one level
+    # outside the Q1 pattern, every position with its mirror; coefficient
+    # 4, of xi_1 xi_2, couples distinct blocks of one level
     for i in (2, 4):
         mats[i] = mats[i] + 0.01 * (pert - pert.T)
-    nonsym = operator_from_matrices(mats, op.tensor)
-    assert op.symmetric and not nonsym.symmetric
-    assert len(nonsym.indices) > len(op.indices)
-    # its blocks sum several terms, but the pre-summed blocks store one of
-    # each mirrored pair of spatial positions, which only symmetric K_i
-    # allow: the products run matrix-free, exact for any K_i
-    assert len(nonsym.coupling_entries[1]) > len(nonsym.live_blocks[0])
-    assert op.presummed and not nonsym.presummed
-    for K, M in zip(nonsym.matrices, mats):
-        assert abs(K - M).max() == 0.0
-    check_row_products_against_oracle(nonsym, np.random.default_rng(6))
-    check_products_against_oracle(nonsym)
-    A = dense_kron_oracle(nonsym)
-    assert np.abs(A - A.T).max() > 1e-6
-    rng = np.random.default_rng(5)
-    for level in (1, 2):
-        for part in PARTS:
-            rows, cols = block_ranges(nonsym, level, part)
-            X = rng.standard_normal((cols.stop - cols.start, n))
-            ref = dense_part(nonsym, A, level, part) @ X.ravel()
-            got = nonsym.product(rows, cols, X).ravel()
-            assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
-    # the backward sweep reads the rows right of each diagonal block, never
-    # the transpose of those left of it.  K_2 and K_4 are odd in a variable,
-    # so every A_jj stays symmetric and the cg policy solves it
-    r = rng.standard_normal(nonsym.shape[0])
-    ref = dense_bsgs(nonsym, A, r)
-    assert np.linalg.norm(BlockSGS(nonsym, TIGHT_CG)(r) - ref) <= 1e-9 * np.linalg.norm(ref)
-    # the band Cholesky of the exact policy refuses the operator before it
-    # factors anything: dpbtrf would read the upper band alone
-    with pytest.MonkeyPatch.context() as mp:
-        lus, bands = spy_factorizations(mp)
-        for prec in (BlockSGS(nonsym, EXACT), HierarchicalSchur(nonsym, EXACT)):
-            with pytest.raises(ValueError, match="symmetric spatial matrices"):
-                prec(r)
-    assert bands == [] and nonsym._level_solvers == {}
-    # nor did any product or sweep form the pre-summed blocks
-    assert "blocks" not in nonsym.__dict__ and "_upper" not in nonsym.__dict__
+    assert abs(mats[2] - mats[2].T).max() > 1e-6
+    # no product, plan or factor can run on either: the constructor refuses
+    # the values and, with nonsymmetric, one position without its mirror
+    with pytest.raises(ValueError, match=CONTRACT):
+        operator_from_matrices(mats, op.tensor)
+    with pytest.raises(ValueError, match=CONTRACT):
+        nonsymmetric(op)
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +594,14 @@ def with_empty_rows(op, empty) -> GalerkinOperator:
     return operator_from_matrices(mats, op.tensor)
 
 
-def test_dense_blocks_with_empty_spatial_rows():
+def test_rows_without_their_diagonal_are_refused():
     op = lognormal_operator(2, 2, 3)
     n = op.ndof
-    empty = [0, n // 2, n - 1]          # first, interior and last row
-    holey = with_empty_rows(op, empty)
-    assert holey.presummed
-    assert np.array_equal(np.flatnonzero(np.diff(holey.indptr) == 0), empty)
-    check_products_against_oracle(holey)
-    check_row_products_against_oracle(holey, np.random.default_rng(4))
+    # the first, an interior and the last row, and each alone: an empty
+    # row stores no diagonal
+    for empty in ([0, n // 2, n - 1], [0], [n // 2], [n - 1]):
+        with pytest.raises(ValueError, match=CONTRACT):
+            with_empty_rows(op, empty)
 
 
 def full_storage_product(op, rows, cols, X):
@@ -645,17 +613,11 @@ def full_storage_product(op, rows, cols, X):
     return op.row_sums(np.matmul(every[:, rows, cols], G[:, :, None])[:, :, 0]).T
 
 
-@given(hermite_configs, st.booleans(), st.integers(0, 2**32 - 1))
-@example(("lognormal", 2, 2, 3), True, 0)
-def test_upper_storage_products_match_the_dense_oracle(config, holes, seed):
+@given(hermite_configs, st.integers(0, 2**32 - 1))
+@example(("lognormal", 2, 2, 3), 0)
+def test_upper_storage_products_match_the_dense_oracle(config, seed):
     op = build(config)
     n, n_b = op.ndof, op.n_blocks
-    if holes and config[3] > 2:
-        # the first row, the first interior row (one node in from the
-        # corner) and the last; on 3 x 3 nodes no fluctuation would remain
-        side = config[3] + 1
-        op = with_empty_rows(op, [0, side + 1, n - 1])
-        assert np.count_nonzero(np.diff(op.indptr) == 0) == 3
     assert op.presummed
     A = dense_kron_oracle(op)
     rng = np.random.default_rng(seed)
@@ -879,7 +841,7 @@ def test_band_cholesky_level_solves_match_dense_solves(config, cov, seed):
     A = dense_kron_oracle(op)
     rng = np.random.default_rng(seed)
     coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
-    assert op.symmetric and coupled
+    assert coupled
     with pytest.MonkeyPatch.context() as mp:
         lus, bands = spy_factorizations(mp)
         for level in coupled:
@@ -936,13 +898,9 @@ def test_level_bands_equal_the_bands_of_the_assembled_levels(monkeypatch):
 
 def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkeypatch):
     logn = lognormal_operator(2, 2, 3)
-    assert uniform_operator(2, 2, 3).symmetric and logn.symmetric
-    # one entry without its transposed position
-    assert not nonsymmetric(logn).symmetric
     # symmetric, but the unit Dirichlet rows of K_0 shifted to -1 make every
     # coupled level indefinite
     shifted = indefinite(logn)
-    assert shifted.symmetric
     A, n = dense_kron_oracle(shifted), shifted.ndof
     lus, bands = spy_factorizations(monkeypatch)
     for level in (1, 2):

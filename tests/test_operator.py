@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, strategies as st
 
 from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
@@ -10,7 +11,7 @@ from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import InnerSolver, build_uniform_operator
 from sgfem.precond import make_preconditioner
-from shared_pattern import operator_from_matrices
+from shared_pattern import CONTRACT, operator_from_matrices
 
 
 def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
@@ -192,33 +193,81 @@ def lanczos_smallest_ritz(apply_a, n, steps):
     return ev[0]
 
 
-def test_nonsymmetric_coefficient_matrices_supported():
-    # synthetic check of the general sub-block action with a non-symmetric K_1
-    op, mesh = make_operator(1, 2, 3)
-    rng = np.random.default_rng(9)
-    mats = list(op.matrices)
-    pert = sp.random(mesh.n_nodes, mesh.n_nodes, density=0.05, random_state=7)
-    mats[1] = mats[1] + 0.01 * (pert - pert.T)
-    nonsym = operator_from_matrices(mats, op.tensor)
-    assert op.symmetric and not nonsym.symmetric
-    A = np.zeros(nonsym.shape)
-    for Ci, Ki in zip(nonsym.tensor.coupling, nonsym.matrices):
-        A += np.kron(Ci.toarray(), Ki.toarray())
-    u = rng.standard_normal(nonsym.shape[0])
-    assert np.allclose(nonsym.matvec(u), A @ u, atol=1e-12)
-    # B and C are no longer adjoint
-    head, tail = nonsym.level_slices(2)
-    x = rng.standard_normal((head.stop, nonsym.ndof))
-    y = rng.standard_normal((tail.stop - tail.start, nonsym.ndof))
-    lhs = np.sum(x * nonsym.product(head, tail, y))
-    rhs = np.sum(y * nonsym.product(tail, head, x))
-    assert abs(lhs - rhs) > 1e-8
-    # but each matches the dense sub-block of the assembled matrix
-    nb = head.stop * nonsym.ndof
-    nt = (tail.stop - tail.start) * nonsym.ndof
-    B = A[:nb, nb:nb + nt]
-    assert np.allclose(nonsym.product(head, tail, y).ravel(),
-                       B @ y.ravel(), atol=1e-12)
+@pytest.mark.parametrize("build, i, seed, scale", [
+    (lambda: make_operator(1, 2, 3)[0], 1, 7, 0.01),
+    (lambda: build_operator(ExperimentConfig(N=2, P=2, h=0.1)), 0, 4, 0.05)],
+    ids=["K_1", "K_0"])
+def test_nonsymmetric_coefficient_matrices_are_refused(build, i, seed, scale):
+    # a non-symmetric K_1, and a non-symmetric K_0 (which alone would tell
+    # K_0^{-1} from K_0^{-T}), each on a pattern that stores every mirror
+    base = build()
+    mats = list(base.matrices)
+    pert = sp.random(base.ndof, base.ndof, density=0.05, random_state=seed)
+    mats[i] = mats[i] + scale * (pert - pert.T)
+    assert abs(mats[i] - mats[i].T).max() > 1e-3
+    with pytest.raises(ValueError, match=CONTRACT):
+        operator_from_matrices(mats, base.tensor)
+
+
+def stiffness_with(op, add=None, drop=None) -> tuple:
+    """op's (indices, indptr, data) with the position add = (r, c) stored
+    first in row r, zero in every K_i, or the stored position e = drop
+    removed."""
+    indices, indptr, data = op.indices, op.indptr.copy(), op.data
+    if add is not None:
+        r, c = add
+        at = indptr[r]
+        indices, data = np.insert(indices, at, c), np.insert(data, at, 0.0, axis=1)
+        indptr[r + 1:] += 1
+    if drop is not None:
+        indices, data = np.delete(indices, drop), np.delete(data, drop, axis=1)
+        indptr[np.searchsorted(indptr, drop, side="right"):] -= 1
+    return indices, indptr, data
+
+
+@pytest.mark.parametrize("clause", ["value", "position", "diagonal"])
+def test_each_broken_clause_of_the_contract_is_refused_at_construction(clause):
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.25))
+    n, rows = op.ndof, np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    interior = n // 2
+    off = np.flatnonzero((rows == interior) & (op.indices != interior))[0]
+    diagonal = np.flatnonzero((rows == interior) & (op.indices == interior))[0]
+    if clause == "value":
+        # K_2 differs from its mirror at one off-diagonal position
+        indices, indptr, data = stiffness_with(op)
+        data = data.copy()
+        data[2, off] += 1e-9
+    elif clause == "position":
+        # (1, 0) stored, zero in every K_i, and (0, 1) not.  Row 0 stores
+        # its diagonal alone, so the search for (0, 1) lands on (1, 0)
+        # itself, whose values then equal their "mirror"
+        indices, indptr, data = stiffness_with(op, add=(1, 0))
+    else:
+        # a row that stores its neighbours but not its diagonal; the K_i
+        # stay symmetric
+        indices, indptr, data = stiffness_with(op, drop=diagonal)
+    assert len(indptr) == n + 1 and data.shape == (len(op.data), len(indices))
+    # the intact triple is accepted
+    operator.GalerkinOperator(stiffness_with(op), op.tensor)
+    # one line, the same for every clause, raised by the constructor
+    with pytest.raises(ValueError, match=CONTRACT):
+        operator.GalerkinOperator((indices, indptr, data), op.tensor)
+
+
+@given(st.sampled_from(["uniform", "lognormal"]), st.integers(2, 6), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from([0.0, 0.25, 1.0, 1.5]))
+@example("uniform", 2, 1, 1, 0.0)
+@example("uniform", 6, 3, 3, 0.0)
+@example("lognormal", 6, 3, 3, 1.5)
+def test_both_builders_meet_the_contract(distribution, n_cells, dims, degree, cov):
+    # the constructor checks the contract: every K_i symmetric, every
+    # spatial row storing its diagonal.  A lognormal CoV must be positive
+    if distribution == "lognormal" and cov == 0.0:
+        cov = 0.5
+    op = build_operator(ExperimentConfig(distribution=distribution, N=dims, P=degree,
+                                         h=1.0 / n_cells, cov=cov))
+    assert op.ndof == (n_cells + 1) ** 2
+    assert op.presummed == (distribution == "lognormal")
 
 
 def test_zero_sigma_operator_is_block_diagonal():
@@ -244,26 +293,13 @@ def test_set_up_makes_no_per_coefficient_matrix():
         assert np.shares_memory(K.data, op.data[i])
 
 
-def nonsymmetric_mean_operator():
-    """The uniform h=1/10 operator with a non-symmetric K_0."""
-    op = build_operator(ExperimentConfig(N=2, P=2, h=0.1))
-    mats = list(op.matrices)
-    pert = sp.random(op.ndof, op.ndof, density=0.05, random_state=4)
-    mats[0] = mats[0] + 0.05 * (pert - pert.T)
-    return operator_from_matrices(mats, op.tensor)
-
-
 @pytest.mark.parametrize("build", [
     lambda: build_operator(ExperimentConfig(N=2, P=2, h=0.1)),
-    lambda: build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.1)),
-    nonsymmetric_mean_operator], ids=["uniform", "lognormal", "nonsymmetric"])
+    lambda: build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.1))],
+    ids=["uniform", "lognormal"])
 def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     op = build()
     assert op.ndof <= operator.MEAN_INVERSE_LIMIT
-    K0 = op.mean_matrix.toarray()
-    # only a non-symmetric K_0 tells K_0^{-1} from K_0^{-T}
-    assert (np.abs(K0 - K0.T).max() > 1e-3) == (build is nonsymmetric_mean_operator)
-    assert op.symmetric == (build is not nonsymmetric_mean_operator)
     solve = op.mean_solver(InnerSolver())
     lu = spla.splu(op.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                    options={"SymmetricMode": True})

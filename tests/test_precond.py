@@ -13,7 +13,7 @@ from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
                            make_preconditioner, reduced_system_solve, work_count)
-from shared_pattern import indefinite, nonsymmetric
+from shared_pattern import CONTRACT, indefinite, nonsymmetric
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -107,21 +107,22 @@ VARIANTS = {"symmetric": lambda op: op, "non-symmetric": nonsymmetric,
 @given(hermite_configs, st.sampled_from(list(VARIANTS)))
 @example(("uniform", 2, 2, 4), "symmetric")   # no coupled level
 @example(("lognormal", 2, 2, 3), "cg policy")
+@example(("lognormal", 2, 2, 3), "non-symmetric")
 def test_bsgs_matches_dense_sweep_oracle(config, variant):
     family, dims, degree, n_cells = config
     if family == "uniform":
         op = make_operator(dims, degree, n_cells)[0]
+    elif variant == "non-symmetric":
+        # refused where it is built, so no sweep can start: dpbtrf would
+        # read the upper band alone
+        with pytest.raises(ValueError, match=CONTRACT):
+            nonsymmetric(lognormal_operator(dims, degree, n_cells))
+        return
     else:
         op = VARIANTS[variant](lognormal_operator(dims, degree, n_cells))
     r = np.random.default_rng(1).standard_normal(op.shape[0])
     with pytest.MonkeyPatch.context() as mp:
         lus, infos = spy_factorizations(mp)
-        if variant == "non-symmetric":
-            # refused before any band is filled: dpbtrf reads the upper band alone
-            with pytest.raises(ValueError, match="symmetric spatial matrices"):
-                BlockSGS(op, EXACT)(r)
-            assert infos == []
-            return
         if variant == "indefinite":
             # the first block of level 1 is not positive definite; the
             # refusal comes before level 0's K_0 LU
@@ -231,6 +232,20 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT),
                           op.mean_solver(EXACT)(x) / op.diag_weights[0])
+
+
+def test_cg_policy_band_factors_the_coupled_levels_alone(monkeypatch):
+    # the cg policy (``--inner cg-diagonal``) solves K_0 and every block
+    # Gauss-Seidel diagonal block by Jacobi CG; the hierarchical
+    # preconditioner's coupled levels take the band Cholesky all the same
+    lus, bands = spy_factorizations(monkeypatch)
+    op = lognormal_operator()      # N=2 P=2 h=1/4: levels 1 and 2 coupled
+    r = np.ones(op.shape[0])
+    inner = InnerSolver(kind="cg", tol=1e-10)
+    BlockSGS(op, inner)(r)
+    assert lus == [] and bands == []
+    HierarchicalSchur(op, inner)(r)
+    assert lus == [] and bands == [0, 0]
 
 
 @pytest.mark.parametrize("family", ["uniform", "lognormal"])

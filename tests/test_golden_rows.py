@@ -9,9 +9,15 @@ run moves in the fifth digit under any rounding change, to 1e-4 relative.
 T7 CoV 50 and 75 break the hs <= bsgs <= mean ordering that the sweep
 checks (its two DIFF lines); they are pinned as they stand.  A change that
 moves a cell updates this table with a decision recorded in CHANGES.md.
+The benchmark's workloads are checked by its own gate, which compares
+iterations exactly and condition estimates to ``rows.KAPPA_RTOL``.
 """
+import importlib
+from pathlib import Path
+
 import pytest
 
+from sgfem import experiments
 from sgfem.experiments import TABLE_SWEEPS, _sweep_config, run_row
 
 KINDS = ("mean", "bsgs", "hs")
@@ -73,3 +79,18 @@ def test_golden_row(table, value):
         if not same:
             moved.append(f"kappa_{kind} {kappa:.7g} != {want_kappa}")
     assert not moved, f"{table} {variable}={value}: " + "; ".join(moved)
+
+
+def test_benchmark_workloads_pass_the_benchmark_gate(monkeypatch):
+    # one row of each workload on the default seed, as the benchmark times
+    # it, with a constant probe: the gate records no failure, so no
+    # iteration count or condition estimate moved past rows.KAPPA_RTOL
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    rows = importlib.import_module("rows")
+    assert sorted(rows.WORKLOADS) == ["lognormal", "uniform"]
+    for name, workload in rows.WORKLOADS.items():
+        config = workload.config
+        b = rows.make_rhs(experiments.build_operator(config), config, rows.DEFAULT_SEED)
+        gate = rows.Gate(workload, rows.DEFAULT_SEED)
+        gate.check(rows.run_row(config, b, lambda: 1.0))
+        assert (gate.attempted, gate.failures) == (len(rows.KINDS), []), name

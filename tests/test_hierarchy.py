@@ -230,15 +230,27 @@ def spy_factorizations(monkeypatch) -> tuple:
     return lus, bands
 
 
-def test_level_lu_is_factorized_once(monkeypatch):
+def level_band_count(op, level) -> int:
+    """dpbtrf calls of one coupled level: one band over all nodes for a
+    level of one block, else one per nonempty node set, the rows that store
+    more than their diagonal and those that store only it."""
+    _, tail = op.level_slices(level)
+    stored = np.diff(op.indptr)
+    if tail.stop - tail.start == 1:
+        return 1
+    return int(np.any(stored > 1)) + int(np.any(stored == 1))
+
+
+def test_level_band_is_factorized_once(monkeypatch):
     lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator(2, 2, 3)
     _, tail = op.level_slices(2)
     R = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
     X1 = op.d_block_solve(2, R, EXACT)
     X2 = op.d_block_solve(2, R, EXACT)
-    # one band Cholesky, reused by the second solve; no SuperLU
-    assert len(bands) == 1 and lus == []
+    # one band Cholesky per node set, the coupled and the isolated nodes,
+    # reused by the second solve; no SuperLU
+    assert len(bands) == 2 and lus == []
     assert np.array_equal(X1, X2)
 
 
@@ -250,17 +262,19 @@ def test_superlu_factors_k0_alone_with_the_symmetric_ordering(monkeypatch):
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
     # SuperLU: K_0 alone; the n_b - 1 BSGS diagonal blocks and D_1..D_3 take
-    # the band Cholesky
+    # the band Cholesky, each level over its two node sets
     assert [matrix.shape for matrix, _ in lus] == [(op.ndof, op.ndof)]
     assert lus[0][1] == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-    assert len(bands) == (op.n_blocks - 1) + 3 and all(info == 0 for *_, info in bands)
-    # BSGS factors its blocks of 121 nodes, kd = 12 the spatial bandwidth;
-    # HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks, D_3 with
-    # kd = 20 * 12 + 19 = 259 rows above the diagonal
+    assert len(bands) == (op.n_blocks - 1) + 2 * 3 and all(info == 0 for *_, info in bands)
+    # BSGS factors its blocks over all 121 nodes, kd = 12 the spatial
+    # bandwidth; HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks over the
+    # 81 coupled nodes, whose bandwidth is 10 (D_3: kd' = 20 * 10 + 19 =
+    # 219 rows above the diagonal), then over the 40 isolated nodes with
+    # kd = m - 1
     assert op.ndof == 121
     assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(13, 121)] * (op.n_blocks - 1)
     assert [band.shape for band, *_ in bands[op.n_blocks - 1:]] == [
-        (260, 2420), (130, 1210), (52, 484)]
+        (220, 1620), (20, 800), (110, 810), (10, 400), (44, 324), (4, 160)]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
@@ -857,7 +871,7 @@ def test_band_cholesky_level_solves_match_dense_solves(config, cov, seed):
         BlockSGS(op, EXACT)(np.ones(op.shape[0]))
     # SuperLU factors K_0 alone, for the mean block of BSGS
     assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
-    assert len(bands) == len(coupled) + op.n_blocks - 1
+    assert len(bands) == sum(level_band_count(op, l) for l in coupled) + op.n_blocks - 1
     assert all(info == 0 for *_, info in bands)
 
 
@@ -868,10 +882,10 @@ def test_level_band_is_factorized_in_place(monkeypatch):
     op = lognormal_operator(2, 2, 3)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
     BlockSGS(op, EXACT)(np.ones(op.shape[0]))
-    # SuperLU factors K_0 alone; HS factors the P levels, BSGS the n_b - 1
-    # blocks of the coupled levels
+    # SuperLU factors K_0 alone; HS factors the P levels over their two
+    # node sets, BSGS the n_b - 1 blocks of the coupled levels
     assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
-    assert len(bands) == op.basis.degree + op.n_blocks - 1
+    assert len(bands) == 2 * op.basis.degree + op.n_blocks - 1
     for band, kwargs, factor, info in bands:
         assert kwargs == {"lower": 0, "overwrite_ab": 1} and info == 0
         assert band.flags.f_contiguous and np.shares_memory(factor, band)
@@ -881,19 +895,23 @@ def test_level_bands_equal_the_bands_of_the_assembled_levels(monkeypatch):
     op = lognormal_operator(2, 2, 3)
     assembled, _, filled = spy_bsgs_set_up(monkeypatch)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
-    # HS fills the bands of D_2, then D_1, with no assembly; node-major,
-    # unknown (block s, node r) of D_l at r * m + s, and the Q1 stencil on
-    # 4 x 4 nodes reaches 5 nodes away
-    assert assembled == [] and len(filled) == 2
+    # HS fills the bands of D_2, then D_1, with no assembly, each over the
+    # coupled nodes and then the isolated ones; node-major over a set,
+    # unknown (block s, the set's p-th node) of D_l at p * m + s.  Among the
+    # 2 x 2 interior nodes of the 4 x 4 grid the Q1 stencil reaches b' = 3
+    # nodes away; an isolated node is coupled to none
+    assert assembled == [] and len(filled) == 4
     n = op.ndof
-    for level, band in zip((2, 1), filled):
+    stored = np.diff(op.indptr)
+    coupled, isolated = np.flatnonzero(stored > 1), np.flatnonzero(stored == 1)
+    assert (len(coupled), len(isolated)) == (4, 12)
+    for (level, nodes, b), band in zip([(2, coupled, 3), (2, isolated, 0),
+                                        (1, coupled, 3), (1, isolated, 0)], filled):
         _, tail = op.level_slices(level)
         m = tail.stop - tail.start
-        k = np.arange(m * n)
-        node_major = np.empty_like(k)
-        node_major[k % n * m + k // n] = k
+        node_major = (nodes[:, None] + n * np.arange(m)).ravel()
         D = op.assemble_range(tail, tail).toarray()[np.ix_(node_major, node_major)]
-        assert np.array_equal(band, upper_band(D, 5 * m + m - 1)), level
+        assert np.array_equal(band, upper_band(D, b * m + m - 1)), (level, b)
 
 
 def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkeypatch):
@@ -914,7 +932,163 @@ def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkey
     # HS meets D_2 first
     with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):
         HierarchicalSchur(shifted, EXACT)(np.ones(shifted.shape[0]))
-    # dpbtrf finds each level not positive definite, and nothing else is
-    # factored or kept
+    # dpbtrf finds each level not positive definite on its coupled nodes,
+    # the first it factors, and nothing else is factored or kept
     assert [info > 0 for *_, info in bands] == [True, True, True]
     assert lus == [] and shifted._level_solvers == {}
+
+
+# ---------------------------------------------------------------------------
+# coupled levels over two node sets: the coupled and the isolated nodes
+# ---------------------------------------------------------------------------
+
+def node_sets(op) -> tuple:
+    """(coupled, isolated): the spatial rows of the dense K_i that couple
+    to another row, and those that hold their diagonal alone."""
+    off = sum(abs(K.toarray()) for K in op.matrices)
+    np.fill_diagonal(off, 0.0)
+    alone = ~off.any(axis=1)
+    return np.flatnonzero(~alone), np.flatnonzero(alone)
+
+
+def with_spatial(op, change) -> GalerkinOperator:
+    """op with every K_i replaced by change(i, K_i), on the union pattern."""
+    return operator_from_matrices([change(i, K) for i, K in enumerate(op.matrices)],
+                                  op.tensor)
+
+
+def on_nodes(op, nodes, values) -> sp.csr_matrix:
+    """The diagonal matrix holding ``values`` at ``nodes``."""
+    d = np.zeros(op.ndof)
+    d[nodes] = values
+    return sp.diags(d, format="csr")
+
+
+def check_level_solves(op, seed=0) -> list:
+    """Solve every coupled level of op against the dense oracle; the dpbtrf
+    bands per level."""
+    A = dense_kron_oracle(op)
+    rng = np.random.default_rng(seed)
+    per_level = []
+    with pytest.MonkeyPatch.context() as mp:
+        lus, bands = spy_factorizations(mp)
+        for level in range(1, op.basis.degree + 1):
+            assert not op.level_is_scalar_diagonal(level)
+            _, tail = op.level_slices(level)
+            R = rng.standard_normal((tail.stop - tail.start, op.ndof))
+            before = len(bands)
+            X = op.d_block_solve(level, R, EXACT)
+            ref = np.linalg.solve(dense_part(op, A, level, "D"), R.ravel())
+            assert np.linalg.norm(X.ravel() - ref) <= 1e-12 * np.linalg.norm(ref), level
+            per_level.append(bands[before:])
+    assert lus == [] and all(info == 0 for level in per_level for *_, info in level)
+    return per_level
+
+
+def test_isolated_rows_with_fluctuation_values_have_full_blocks():
+    # every K_i, i > 0, gets values on the isolated rows, still diagonal
+    # there and so still symmetric: the m x m block of D_l at an isolated
+    # node is sum_i K_i[r, r] C_i[tail, tail], not diagonal
+    base = lognormal_operator(2, 2, 3)
+    _, isolated = node_sets(base)
+    rng = np.random.default_rng(4)
+    op = with_spatial(base, lambda i, K: K if i == 0 else
+                      K + on_nodes(base, isolated, 0.01 * rng.standard_normal(len(isolated))))
+    assert np.array_equal(node_sets(op)[1], isolated)
+    A, n = dense_kron_oracle(op), op.ndof
+    _, tail = op.level_slices(2)
+    m = tail.stop - tail.start
+    D = dense_part(op, A, 2, "D")
+    block = D[np.ix_(isolated[0] + n * np.arange(m), isolated[0] + n * np.arange(m))]
+    assert np.any(block - np.diag(np.diag(block)) != 0.0)
+    assert np.linalg.eigvalsh(D).min() > 0.0
+    per_level = check_level_solves(op)
+    # each level over both sets, the isolated band of half-width m - 1
+    for level, bands in zip((1, 2), per_level):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        assert [band.shape[0] for band, *_ in bands][1:] == [m]
+
+
+def test_operator_without_isolated_rows_takes_one_band_per_level():
+    # a small path Laplacian over consecutive nodes couples every row to
+    # its neighbours: no isolated node, one band per level over all nodes
+    base = lognormal_operator(2, 2, 3)
+    n = base.ndof
+    path = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                    format="csr")
+    op = with_spatial(base, lambda i, K: K + 0.1 * path if i == 0 else K)
+    coupled, isolated = node_sets(op)
+    assert len(coupled) == n and len(isolated) == 0
+    per_level = check_level_solves(op)
+    b = int(np.abs(op._pattern_rows - op.indices).max())
+    for level, bands in zip((1, 2), per_level):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        assert [band.shape for band, *_ in bands] == [(m * b + m, m * n)]
+
+
+def test_coarsest_mesh_has_no_coupled_node():
+    # at 1/h = 2 the one interior node neighbours Dirichlet nodes alone, so
+    # its row stores only its diagonal: the coupled set is empty and
+    # skipped, and each level is one band of half-width m - 1 over all nodes
+    op = lognormal_operator(2, 2, 2)
+    assert np.array_equal(np.diff(op.indptr), np.ones(9))
+    coupled, isolated = node_sets(op)
+    assert (len(coupled), len(isolated)) == (0, 9)
+    for level, bands in zip((1, 2), check_level_solves(op)):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        assert [band.shape for band, *_ in bands] == [(m, 9 * m)]
+
+
+@pytest.mark.parametrize("n_cells", [3, 4, 10])
+def test_level_band_bytes_follow_the_node_sets(monkeypatch, n_cells):
+    # (kd' + 1) m n_c 8 bytes for the coupled nodes, kd' = m b' + m - 1 with
+    # b' = n_cells for the (n_cells - 1)^2 interior nodes of the grid, and
+    # m^2 n_iso 8 for the 4 n_cells boundary nodes
+    op = lognormal_operator(2, 2, n_cells)
+    n_c, n_iso, b = (n_cells - 1) ** 2, 4 * n_cells, n_cells
+    assert [len(nodes) for nodes in node_sets(op)] == [n_c, n_iso]
+    _, bands = spy_factorizations(monkeypatch)
+    for level in (1, 2):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        del bands[:]
+        op.d_block_solve(level, np.ones((m, op.ndof)), EXACT)
+        expect = [((m * b + m - 1) + 1) * m * n_c * 8, m * m * n_iso * 8]
+        assert [band.nbytes for band, *_ in bands] == expect
+        assert [factor.nbytes for _, _, factor, _ in bands] == expect
+
+
+@pytest.mark.parametrize("where", ["isolated", "coupled"])
+def test_level_indefinite_on_one_node_set_is_refused(monkeypatch, where):
+    # K_0 shifted by -2 on the chosen set alone: the unit Dirichlet rows
+    # become -1 (isolated), or the interior rows lose their definiteness
+    # (coupled); the other set keeps its positive definite part
+    base = lognormal_operator(2, 2, 3)
+    nodes = dict(zip(("coupled", "isolated"), node_sets(base)))
+    op = with_spatial(base, lambda i, K: K - on_nodes(base, nodes[where], 2.0) if i == 0 else K)
+    A, n = dense_kron_oracle(op), op.ndof
+    for level in (1, 2):
+        _, tail = op.level_slices(level)
+        m = tail.stop - tail.start
+        D = dense_part(op, A, level, "D")
+        for name, set_nodes in nodes.items():
+            part = (set_nodes[:, None] + n * np.arange(m)).ravel()
+            smallest = np.linalg.eigvalsh(D[np.ix_(part, part)]).min()
+            assert (smallest < 0.0) == (name == where), (level, name)
+    lus, bands = spy_factorizations(monkeypatch)
+    for level in (1, 2):
+        _, tail = op.level_slices(level)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"^level {level} is not positive definite"):
+            op.d_block_solve(level, np.ones((tail.stop - tail.start, n)), EXACT)
+    # the coupled set is factored first: refused there, the isolated set is
+    # not factored; refused on the isolated set, after a good coupled factor
+    infos = [info > 0 for *_, info in bands]
+    assert infos == ([True, True] if where == "coupled" else [False, True] * 2)
+    assert lus == [] and op._level_solvers == {}
+    with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):
+        HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
+    assert op._level_solvers == {}

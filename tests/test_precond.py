@@ -223,11 +223,11 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
     assert len(lus) == 1 and bands == []
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
     # band Cholesky from the first BSGS application, and HS factorizes each
-    # coupled level by band Cholesky
+    # coupled level by band Cholesky, over its coupled and its isolated nodes
     lus.clear()
     op = lognormal_operator()
     assert factorizations_of_the_first_bsgs_application(op) == (1, op.n_blocks - 1)
-    assert len(lus) == 1 and len(bands) == (op.n_blocks - 1) + op.basis.degree
+    assert len(lus) == 1 and len(bands) == (op.n_blocks - 1) + 2 * op.basis.degree
     assert all(info == 0 for info in bands)
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT),
@@ -237,7 +237,8 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
 def test_cg_policy_band_factors_the_coupled_levels_alone(monkeypatch):
     # the cg policy (``--inner cg-diagonal``) solves K_0 and every block
     # Gauss-Seidel diagonal block by Jacobi CG; the hierarchical
-    # preconditioner's coupled levels take the band Cholesky all the same
+    # preconditioner's coupled levels take the band Cholesky all the same,
+    # each over its coupled and its isolated nodes
     lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator()      # N=2 P=2 h=1/4: levels 1 and 2 coupled
     r = np.ones(op.shape[0])
@@ -245,7 +246,7 @@ def test_cg_policy_band_factors_the_coupled_levels_alone(monkeypatch):
     BlockSGS(op, inner)(r)
     assert lus == [] and bands == []
     HierarchicalSchur(op, inner)(r)
-    assert lus == [] and bands == [0, 0]
+    assert lus == [] and bands == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("family", ["uniform", "lognormal"])

@@ -3,10 +3,10 @@
 The package discretizes a 2D diffusion problem with a random coefficient by
 polynomial chaos in the stochastic variables and bilinear finite elements in
 space, applies the coupled block operator from the stiffness matrices of the
-coefficient expansion (matrix-free, or from dense stochastic blocks when
-blocks sum several terms), and solves it with
-(flexible) conjugate gradients under mean-based, block symmetric
-Gauss-Seidel, or hierarchical Schur complement preconditioning.
+coefficient expansion (matrix-free, or for the lognormal coefficient, whose
+blocks sum several terms, from one dense stochastic block per mesh node),
+and solves it with (flexible) conjugate gradients under mean-based, block
+symmetric Gauss-Seidel, or hierarchical Schur complement preconditioning.
 """
 from .fem import Mesh, assemble_load, assemble_weighted_stiffness, build_mesh
 from .kle import (CovarianceSpec, KLExpansion, build_kl_expansion,

@@ -98,15 +98,8 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
         raise ValueError(f"fields have {fields.shape}, expected (n_fields, {mesh.n_nodes})")
     coeff = fields[:, mesh.connectivity].reshape(-1, 4)
     ke = np.zeros((len(coeff), 4, 4))                     # n_fields * n_elements
-    for gx in (-_GAUSS, _GAUSS):
-        for gy in (-_GAUSS, _GAUSS):
-            shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy)
-                              for cx, cy in _CORNERS])
-            dxi = np.array([0.25 * cx * (1 + cy * gy) for cx, cy in _CORNERS])
-            deta = np.array([0.25 * cy * (1 + cx * gx) for cx, cy in _CORNERS])
-            # (2/h)^2 from the gradients cancels detJ = h^2/4
-            grad = np.outer(dxi, dxi) + np.outer(deta, deta)
-            ke += (coeff @ shape)[:, None, None] * grad
+    for shape, grad in _gauss_points():
+        ke += (coeff @ shape)[:, None, None] * grad
     S, indices, indptr = _assembly_map(mesh)
     data = np.ascontiguousarray((S @ ke.reshape(-1, S.shape[1]).T).T)
     # a boundary row stores its diagonal alone
@@ -114,6 +107,59 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
     scale = np.abs(data).max(axis=1)
     data[1:][scale[1:] <= STRUCTURAL_ZERO_RTOL * scale[0]] = 0.0
     return indices, indptr, data
+
+
+def _gauss_points():
+    """(N(q), G_q) at each point q of the 2x2 Gauss rule: the four shape
+    functions and the element matrix of their gradient products, so that
+    an element's stiffness is sum_q (coeff . N(q)) G_q."""
+    for gx in (-_GAUSS, _GAUSS):
+        for gy in (-_GAUSS, _GAUSS):
+            shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy)
+                              for cx, cy in _CORNERS])
+            dxi = np.array([0.25 * cx * (1 + cy * gy) for cx, cy in _CORNERS])
+            deta = np.array([0.25 * cy * (1 + cx * gx) for cx, cy in _CORNERS])
+            # (2/h)^2 from the gradients cancels detJ = h^2/4
+            yield shape, np.outer(dxi, dxi) + np.outer(deta, deta)
+
+
+def local_hat_stiffness(mesh: Mesh) -> tuple:
+    """(H, S): the stiffness of every nodal hat field, local to its node.
+
+    The coefficient is interpolated bilinearly from its nodal samples, so
+    the stiffness matrix of a field f is linear in them: K(f) = sum_n f[n]
+    H_n, where H_n is the stiffness of the hat field of node n (one at n,
+    zero elsewhere) with the boundary rows and columns left out, as
+    ``assemble_weighted_stiffness`` leaves them out, and without the unit
+    boundary diagonal of the mean matrix.  H_n is nonzero only on the
+    3 x 3 nodes around n.  H, a CSR matrix (9 n_nodes, n_nodes), holds row
+    r of H_n as its local row 9 n + k, r the k-th node of that
+    neighbourhood, x fastest; the 0/1 CSR matrix S (n_nodes, 9 n_nodes)
+    sums each local row into its spatial row r.  A local row whose node
+    lies off the mesh or on its boundary is empty and summed nowhere.
+    Hence K(f) = S diag(f (x) 1_9) H.  Each element with node n at its
+    corner a adds the fixed matrix sum_q N_a(q) G_q of its corners; no
+    field is assembled.
+    """
+    n1, n = mesh.n_cells + 1, mesh.n_nodes
+    hat = sum(np.multiply.outer(shape, grad) for shape, grad in _gauss_points())
+    # corner offsets (x, y) of SW, SE, NE, NW
+    ox, oy = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+    a, b, c = np.indices((4, 4, 4)).reshape(3, -1)
+    conn, boundary = mesh.connectivity, mesh.boundary_mask
+    node, row, col = conn[:, a], conn[:, b], conn[:, c]
+    local = 9 * node + 3 * (oy[b] - oy[a] + 1) + ox[b] - ox[a] + 1
+    keep = ~(boundary[row] | boundary[col])
+    H = sp.csr_matrix((np.broadcast_to(hat[a, b, c], keep.shape)[keep],
+                       (local[keep], col[keep])), shape=(9 * n, n))
+    # local row k = 3 dy + dx of node (ix, iy) is node (ix + dx - 1, iy + dy - 1)
+    ix, iy = np.arange(n) % n1, np.arange(n) // n1
+    dy, dx = np.divmod(np.arange(9), 3)
+    rx, ry = ix[:, None] + dx - 1, iy[:, None] + dy - 1
+    inside = (rx > 0) & (rx < n1 - 1) & (ry > 0) & (ry < n1 - 1)
+    S = sp.csr_matrix((np.ones(inside.sum()), ((ry * n1 + rx)[inside],
+                                                np.flatnonzero(inside))), shape=(n, 9 * n))
+    return H, S
 
 
 def _assembly_map(mesh: Mesh) -> tuple:

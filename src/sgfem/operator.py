@@ -18,12 +18,18 @@ stores its diagonal.  Both builders meet it; any other input is refused
 with one ValueError.  When each nonzero block holds a single term (the
 linear Karhunen-Loeve coefficient) a product runs matrix-free, as
 sum_i C_i[rows, cols] @ (U @ K_i^T), each K_i multiplying only the column
-blocks that reach those rows; otherwise (the lognormal chaos coefficient)
-it reads the dense stochastic blocks blocks[u] = sum_i C_i * K_i[e], summed
-once from the data array at each stored spatial position e = (r, c) with
-r <= c: position (c, r) holds the same block, so each stored block
-multiplies both of its column vectors.  No solve assembles a sub-matrix:
-``assemble_range`` serves ``dense`` and ``masked_apply`` alone.  The graded
+blocks that reach those rows.  The lognormal chaos coefficient sums many
+terms per block, and its builder hands over nodal factors: the chaos
+fields F, sampled at the mesh nodes, from which the bilinear interpolation
+of the assembly makes every K_i linear, K_i = sum_n F[i, n] H_n, with H_n
+the stiffness of the hat field of node n (``fem.local_hat_stiffness``).
+So A = sum_n H_n (x) T_n, plus the unit boundary diagonal of K_0 in every
+diagonal block, with the dense stochastic block T_n = sum_i F[i, n] C_i of
+each node, and a product reads one T_n per node (121 at h=1/10) where a
+block per stored spatial position would read 393.  An operator built from
+plain matrices has no nodal factors and multiplies matrix-free, which is
+exact for any K_i.  No solve assembles a sub-matrix: ``assemble_range``
+serves ``dense`` and ``masked_apply`` alone.  The graded
 index ordering induces a nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -145,14 +151,6 @@ DIRECT_LEVEL_LIMIT = 20_000
 # (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
 # the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
 MEAN_INVERSE_LIMIT = 256
-# stored positions per step of the ``blocks`` build, whose (n_b^2, chunk)
-# product then stays in cache.  Lognormal N=4 P=4 at 1/h = 30 (163 MB of
-# blocks, one BLAS thread), median of 5 builds: 0.14 s at 32 positions,
-# 0.24 at 64, 0.34 at 256, 0.36-0.57 s for the one-shot product and its
-# transposed copy, whose transient took ru_maxrss to 465 MB against 310;
-# N=4 P=3 at 1/h = 10: 2.4 ms at 16-64 positions, 4.4 at 256
-BLOCKS_CHUNK = 32
-
 
 class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
@@ -166,20 +164,25 @@ class GalerkinOperator:
     every spatial row stores its diagonal.  A coefficient whose data row is
     all zeros is structurally zero and takes part in no product.
     tensor holds the couplings c_ijk over the same coefficient index range.
-    ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views of the
-    rows of data, made on first access: the mean solve reads K_0 alone, and
-    only matrix-free products read the others.
+    ``nodal``, when given, is (F, H, S): the fields F (n_coeff, ndof) whose
+    stiffness is data, the spatial dofs being the mesh nodes, and H, S of
+    ``fem.local_hat_stiffness``, so that K_i = S diag(F[i] (x) 1_9) H plus,
+    for i = 0, the unit diagonal of the spatial rows that S sums nothing
+    into.  ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views
+    of the rows of data, made on first access: the mean solve reads K_0
+    alone, and only matrix-free products read the others.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
-    dense blocks and level factors are populated lazily but never change
+    nodal blocks and level factors are populated lazily but never change
     semantics), so concurrent applies are safe.
     """
 
-    def __init__(self, stiffness: tuple, tensor: TripleProductTensor):
+    def __init__(self, stiffness: tuple, tensor: TripleProductTensor, nodal: tuple | None = None):
         self.indices, self.indptr, self.data = stiffness
         if len(self.data) != tensor.n_coeff:
             raise ValueError(
                 f"{len(self.data)} spatial matrices vs {tensor.n_coeff} coefficient indices")
+        self.nodal = nodal
         self.ndof = len(self.indptr) - 1
         self.tensor = tensor
         self.basis = tensor.basis
@@ -249,49 +252,32 @@ class GalerkinOperator:
 
     @cached_property
     def presummed(self) -> bool:
-        """Whether products read the dense blocks sum_i c_itj K_i.
+        """Whether products read the nodal blocks T_n = sum_i F[i, n] C_i.
 
         They pay when some block sums more than one term, that is when the
-        coupling entries outnumber the live blocks; otherwise products run
-        matrix-free over the K_i and the blocks are never formed.
+        coupling entries outnumber the live blocks, and need the nodal
+        factors that ``build_lognormal_operator`` hands over; otherwise
+        products run matrix-free over the K_i, exact for any K_i, and no
+        T_n is formed.
         """
-        return len(self.coupling_entries[1]) > len(self.live_blocks[0])
+        return (self.nodal is not None
+                and len(self.coupling_entries[1]) > len(self.live_blocks[0]))
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        """blocks[u, t, j] = sum_i c_itj data[i, e]: the dense (n_blocks,
-        n_blocks) stochastic block at every stored spatial position e =
-        (r, c) with r <= c, in pattern order (``_upper``); position (c, r)
-        holds the same block, the K_i being symmetric.  Built by the first
-        pre-summed product, BLOCKS_CHUNK positions at a time, straight into
-        the result."""
-        n, W = self.n_blocks, self._block_couplings
-        upper, _, _ = self._upper
-        out = np.empty((len(upper), n, n))
-        flat = out.reshape(len(upper), n * n)
-        for start in range(0, len(upper), BLOCKS_CHUNK):
-            chunk = upper[start:start + BLOCKS_CHUNK]
-            flat[start:start + len(chunk)] = (W @ self.data[:, chunk]).T
-        return out
+    def node_blocks(self) -> np.ndarray:
+        """node_blocks[n, t, j] = sum_i c_itj F[i, n]: the (n_blocks,
+        n_blocks) stochastic block T_n of every mesh node n, over the
+        coefficients that are not structurally zero, C-contiguous per node.
+        Built by the first pre-summed product."""
+        T = np.ascontiguousarray((self._block_couplings @ self.nodal[0]).T)
+        return T.reshape(self.ndof, self.n_blocks, self.n_blocks)
 
     @cached_property
-    def _upper(self) -> tuple:
-        """(upper, pairs, S) of the pattern.  upper lists the stored
-        positions e = (r, c) with r <= c in pattern order, and pairs[u] =
-        (c, r) of upper[u].  S is the 0/1 CSR (ndof, 2 n_upper) matrix that
-        sums the product terms of each spatial row r over its stored
-        positions in pattern order: term 2u of (r, c) with r <= c, term
-        2u + 1 of the mirrored (c, r) with c < r.  It shares the pattern's
-        indptr, so a diagonal position counts once."""
-        r, c = self._pattern_rows, self.indices
-        own = r <= c
-        upper = np.flatnonzero(own)
-        slot = np.empty(len(c), dtype=np.intp)
-        slot[upper] = 2 * np.arange(len(upper))
-        terms = np.where(own, slot, slot[self._mirror] + 1)
-        S = sp.csr_matrix((np.ones(len(c)), terms, self.indptr),
-                          shape=(self.ndof, 2 * len(upper)))
-        return upper, np.stack([c[upper], r[upper]], axis=1), S
+    def _boundary(self) -> np.ndarray:
+        """The spatial rows into which the local hat rows sum nothing: the
+        Dirichlet nodes, whose K_0 row is the unit diagonal and whose other
+        K_i rows hold a zero diagonal."""
+        return np.flatnonzero(np.diff(self.nodal[2].indptr) == 0)
 
     def row_sums(self, P: np.ndarray) -> np.ndarray:
         """out[r] = the sum of P[e] over the stored positions e of spatial
@@ -338,9 +324,10 @@ class GalerkinOperator:
     def product(self, rows: slice, cols: slice, X: np.ndarray) -> np.ndarray:
         """A[rows, cols] @ X over block ranges, X holding one row per column
         block; the result has one row per row block.  Both forms compute
-        only these rows: the pre-summed one from the dense blocks, the
-        matrix-free one by multiplying each K_i with only the column blocks
-        X_j that reach a row asked for (``_plan``).  An empty row or column
+        only these rows: the pre-summed one from the nodal blocks
+        T_n[rows, cols], the matrix-free one by multiplying each K_i with
+        only the column blocks X_j that reach a row asked for (``_plan``).
+        An empty row or column
         range, as at either end of a block Gauss-Seidel sweep, gives zeros
         without a product."""
         start, stop, _ = cols.indices(self.n_blocks)
@@ -350,14 +337,20 @@ class GalerkinOperator:
         if n_rows == 0 or stop <= start:
             return np.zeros((n_rows, self.ndof))
         if self.presummed:
-            # each stored block u at (r, c), r <= c, multiplies both its
-            # column vectors, X[:, c] for row r and X[:, r] for row c, in one
-            # batched product; blocks[u, j, t] = blocks[u, t, j] (c_itj =
-            # c_ijt).  S then sums each spatial row's terms
-            _, pairs, S = self._upper
-            G = np.ascontiguousarray(X.T)[pairs]
-            P = np.matmul(G, self.blocks[:, cols, rows])
-            return (S @ P.reshape(-1, P.shape[-1])).T
+            # A = sum_n H_n (x) T_n plus the boundary diagonal: each node's
+            # local rows H_loc X^T (9 per node), times T_n[cols, rows] =
+            # T_n[rows, cols]^T (c_itj = c_ijt) in one batched product,
+            # summed into the spatial rows by S
+            _, H, S = self.nodal
+            Z = H @ np.ascontiguousarray(X.T)
+            W = np.matmul(Z.reshape(self.ndof, 9, -1), self.node_blocks[:, cols, rows])
+            out = (S @ W.reshape(-1, W.shape[-1])).T
+            # the unit boundary diagonal of K_0 times c_0tj = delta_tj
+            r0, r1, _ = rows.indices(self.n_blocks)
+            lo, hi = max(r0, start), min(r1, stop)
+            if lo < hi:
+                out[lo - r0:hi - r0, self._boundary] += X[lo - start:hi - start, self._boundary]
+            return out
         lo, hi, groups, L = self._plan(rows, cols)
         XT = np.ascontiguousarray(X[lo:hi].T)     # scipy would copy X.T per product
         Y = np.empty((L.shape[1], self.ndof))
@@ -522,8 +515,9 @@ class GalerkinOperator:
         one band over all nodes, of half-width b: on a 121-node block a
         second dpbtrs costs more than kd 12 -> 10 saves, 3.9 -> 7.0 us a
         solve split (best of 7), over 952 solves per block Gauss-Seidel
-        solve of the benchmark's lognormal row.  R is block-major, shape (m, ndof), or for m = 1 one block as a
-        vector, which takes one dpbtrs as it is; R is never written.
+        solve of the benchmark's lognormal row.  R is block-major, shape
+        (m, ndof), or for m = 1 one block as a vector, which takes one
+        dpbtrs as it is; R is never written.
         dpbtrf reads only the upper band, the whole of A_g by its symmetry.
         A block that is not positive definite on either set raises
         LinAlgError naming it as ``names[g]``.

@@ -43,7 +43,7 @@ GOLDEN = {
     ("T4", 5): ((14, 5, 6), (2.7313617, 1.1338, 1.1153)),
     ("T4", 10): ((15, 6, 6), (3.0287821, 1.1743, 1.1457)),
     ("T4", 15): ((16, 6, 6), (3.205756, 1.1952, 1.1640)),
-    ("T5", 1): ((39, 15, 15), (29.018838, 3.7519, 3.3545)),
+    ("T5", 1): ((40, 15, 15), (29.040334, 3.7519, 3.3545)),
     ("T5", 2): ((54, 16, 16), (35.573356, 3.9903, 3.6564)),
     ("T6", 1): ((13, 7, 5), (3.7009757, 1.4531, 1.1179)),
     ("T6", 2): ((26, 11, 9), (9.7496914, 2.1027, 1.6523)),

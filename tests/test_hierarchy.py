@@ -7,6 +7,7 @@ rule, the hierarchical Schur work counters and the block symmetric
 Gauss-Seidel mapping with its work counters are checked against the
 explicitly assembled matrix.
 """
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +23,7 @@ from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
+from sgfem.triple_product import STRUCTURAL_ZERO_RTOL
 from shared_pattern import CONTRACT, indefinite, nonsymmetric, operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
@@ -181,20 +183,20 @@ def test_linear_levels_are_scalar_and_lognormal_levels_coupled():
 
 def test_levels_are_built_lazily_and_once(monkeypatch):
     calls = []
-    original = GalerkinOperator.blocks.func
+    original = GalerkinOperator.node_blocks.func
 
     def spy(self):
         calls.append(self)
         return original(self)
 
-    blocks = cached_property(spy)
-    blocks.__set_name__(GalerkinOperator, "blocks")
-    monkeypatch.setattr(GalerkinOperator, "blocks", blocks)
+    node_blocks = cached_property(spy)
+    node_blocks.__set_name__(GalerkinOperator, "node_blocks")
+    monkeypatch.setattr(GalerkinOperator, "node_blocks", node_blocks)
     op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=1 / 3))
     assert op.presummed
     precs = [make_preconditioner(op, kind, EXACT) for kind in ("mean", "bsgs", "hs")]
-    # neither the build nor a preconditioner set-up forms the dense blocks
-    # or factorizes a level
+    # neither the build nor a preconditioner set-up forms the nodal blocks
+    # T_n or factorizes a level
     assert calls == [] and op._level_solvers == {}
     head, tail = op.level_slices(2)
     X = np.ones((tail.stop - tail.start, op.ndof))
@@ -594,8 +596,8 @@ def test_empty_range_products_are_zeros_without_a_product(kind):
                                   (empty, tail, X, 0), (last, tail, X, 0)):
         out = op.product(rows, cols, Y)
         assert out.shape == (n_rows, op.ndof) and not out.any()
-    # no plan, and on the pre-summed form no dense blocks
-    assert op._plans == {} and "blocks" not in op.__dict__
+    # no plan, and on the pre-summed form no nodal blocks
+    assert op._plans == {} and "node_blocks" not in op.__dict__
 
 
 def with_empty_rows(op, empty) -> GalerkinOperator:
@@ -618,60 +620,150 @@ def test_rows_without_their_diagonal_are_refused():
             with_empty_rows(op, empty)
 
 
-def full_storage_product(op, rows, cols, X):
-    """A[rows, cols] @ X as the pre-summed product ran with a block at every
-    stored spatial position: one matrix-vector product per position against
-    X at its column, summed over each spatial row in pattern order."""
-    every = op.block_values(np.arange(op.n_blocks)[None])[0].transpose(2, 0, 1)
-    G = np.ascontiguousarray(X.T)[op.indices]
-    return op.row_sums(np.matmul(every[:, rows, cols], G[:, :, None])[:, :, 0]).T
+nodal_configs = st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3),
+                          st.sampled_from([0.25, 1.0, 1.5]))
 
 
-@given(hermite_configs, st.integers(0, 2**32 - 1))
-@example(("lognormal", 2, 2, 3), 0)
-def test_upper_storage_products_match_the_dense_oracle(config, seed):
-    op = build(config)
-    n, n_b = op.ndof, op.n_blocks
-    assert op.presummed
-    A = dense_kron_oracle(op)
-    rng = np.random.default_rng(seed)
+def matrix_free(op) -> GalerkinOperator:
+    """op's spatial matrices and tensor without its nodal factors."""
+    return GalerkinOperator((op.indices, op.indptr, op.data), op.tensor)
+
+
+def every_range(op) -> list:
+    """The full range, the empty ranges at either end, and the four
+    (rows, cols) ranges of every level: head/tail, tail/head, tail/tail
+    and head/head."""
+    n_b = op.n_blocks
     everything, none, last = slice(0, n_b), slice(0, 0), slice(n_b, n_b)
     ranges = [(everything, everything), (none, everything), (everything, none),
               (last, everything), (everything, last)]
     for level in range(op.basis.degree + 1):
         head, tail = op.level_slices(level)
         ranges += [(head, tail), (tail, head), (tail, tail), (head, head)]
-    for rows, cols in ranges:
+    return ranges
+
+
+def check_ranges_against_oracle(op, A, rng, rtol, other=None):
+    """op.product over every_range equals the dense A to rtol relative, and
+    the product of ``other`` over the same range as well."""
+    n = op.ndof
+    for rows, cols in every_range(op):
         X = rng.standard_normal((cols.stop - cols.start, n))
         ref = A[rows.start * n:rows.stop * n, cols.start * n:cols.stop * n] @ X.ravel()
         got = op.product(rows, cols, X)
         assert got.shape == (rows.stop - rows.start, n)
-        assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
-        # each mirrored pair read once changes the product by rounding only
-        full = full_storage_product(op, rows, cols, X)
-        assert np.linalg.norm(got - full) <= 1e-15 * np.linalg.norm(full)
+        scale = max(np.linalg.norm(ref), 1.0)
+        assert np.linalg.norm(got.ravel() - ref) <= rtol * scale, (rows, cols)
+        if other is not None:
+            assert np.linalg.norm(got - other.product(rows, cols, X)) <= rtol * scale
 
 
-def test_dense_blocks_hold_the_block_sums(monkeypatch):
-    # several chunks of the build, the last one short
-    monkeypatch.setattr(operator, "BLOCKS_CHUNK", 7)
+@given(nodal_configs, st.integers(0, 2**32 - 1))
+@example((2, 3, 3, 1.5), 0)
+@example((6, 3, 3, 1.0), 1)
+def test_nodal_products_match_the_dense_oracle_and_the_matrix_free_product(config, seed):
+    n_cells, dims, degree, cov = config
+    op = lognormal_operator(dims, degree, n_cells, cov)
+    assert op.presummed
+    free = matrix_free(op)
+    assert not free.presummed
+    check_ranges_against_oracle(op, dense_kron_oracle(op), np.random.default_rng(seed),
+                                1e-13, other=free)
+    assert "node_blocks" in op.__dict__ and "node_blocks" not in free.__dict__
+
+
+def nodal_values(op) -> np.ndarray:
+    """F H on the stored positions, one row per coefficient: the stiffness
+    values that the nodal factors give, S diag(F[i] (x) 1_9) H for each i."""
+    fields, H, S = op.nodal
+    rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    return np.vstack([np.asarray((S @ sp.diags(np.repeat(f, 9)) @ H)[rows, op.indices])
+                      for f in fields])
+
+
+@given(nodal_configs)
+@example((2, 3, 1, 1.0))
+def test_nodal_factors_reproduce_the_stiffness_values(config):
+    n_cells, dims, degree, cov = config
+    op = lognormal_operator(dims, degree, n_cells, cov)
+    values = nodal_values(op)
+    # plus the unit boundary diagonal of K_0, which no hat field reaches
+    boundary = build_mesh(1.0 / n_cells).boundary_mask
+    rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    unit = (rows == op.indices) & boundary[rows]
+    assert not values[:, unit].any() and np.all(op.data[0, unit] == 1.0)
+    values[0, unit] = 1.0
+    scale = np.abs(op.data[0]).max()
+    live = op.data.any(axis=1)
+    assert np.abs(values[live] - op.data[live]).max() <= 1e-14 * scale
+    # a structurally zero row: F H vanishes up to rounding, and the
+    # assembly stores exact zeros
+    assert np.abs(values[~live]).max(initial=0.0) <= STRUCTURAL_ZERO_RTOL * scale
+
+
+def test_node_blocks_hold_the_nodal_block_sums():
     op = lognormal_operator(2, 2, 3)
-    A = dense_kron_oracle(op)
-    n, n_b = op.ndof, op.n_blocks
-    rows = np.repeat(np.arange(n), np.diff(op.indptr))
-    # the stored positions e with rows[e] <= indices[e], in pattern order
-    upper = np.flatnonzero(rows <= op.indices)
-    assert 0 < len(upper) < len(rows) and len(upper) % 7 != 0
-    assert op.blocks.shape == (len(upper), n_b, n_b)
-    assert op.blocks.nbytes == len(upper) * n_b ** 2 * 8
-    # blocks[u, t, j] is entry (rows[e], indices[e]) of block (t, j) for
-    # e = upper[u], and entry (indices[e], rows[e]) too
-    blocks = A.reshape(n_b, n, n_b, n)
-    for r, c in ((rows[upper], op.indices[upper]), (op.indices[upper], rows[upper])):
-        assert np.abs(op.blocks - blocks[:, r, :, c]).max() <= 1e-14 * np.abs(A).max()
-    # chunk by chunk, bit for bit the sums of the coupling values
-    every = op.block_values(np.arange(n_b)[None])[0]
-    assert np.array_equal(op.blocks, every[..., upper].transpose(2, 0, 1))
+    fields = op.nodal[0]
+    n_nodes, n_b = op.ndof, op.n_blocks
+    T = op.node_blocks
+    assert T.shape == (n_nodes, n_b, n_b) and T.flags.c_contiguous
+    assert T.nbytes == n_nodes * n_b ** 2 * 8
+    # T_n = sum_i F[i, n] C_i over the coefficients that are not
+    # structurally zero
+    live = op.data.any(axis=1)
+    C = np.array([Ci.toarray() for Ci in op.tensor.coupling])[live]
+    expect = np.einsum("in,itj->ntj", fields[live], C)
+    assert np.abs(T - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert np.array_equal(T, T.transpose(0, 2, 1))
+
+
+def test_nodal_products_form_no_array_of_the_size_of_the_per_position_blocks():
+    # the benchmark's lognormal row: 393 stored positions with row <= col
+    # would hold 3.9 MB of (n_b, n_b) blocks, against 1.2 MB of T_n
+    op = lognormal_operator(4, 3, 10)
+    rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    per_position = np.count_nonzero(rows <= op.indices) * op.n_blocks ** 2 * 8
+    X = np.random.default_rng(0).standard_normal((op.n_blocks, op.ndof))
+    tracemalloc.start()
+    try:
+        op.product(slice(None), slice(None), X)
+        for level in range(1, op.basis.degree + 1):
+            head, tail = op.level_slices(level)
+            op.product(head, tail, X[tail])
+            op.product(tail, head, X[head])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.node_blocks.nbytes == op.ndof * op.n_blocks ** 2 * 8 < per_position / 3
+    assert peak < per_position
+
+
+def test_structurally_zero_coefficients_take_part_in_no_nodal_product():
+    # at 1/h = 2 the odd Karhunen-Loeve modes cancel at the one interior
+    # node: their stiffness rows are stored as zeros, their fields are not
+    op = lognormal_operator(3, 2, 2)
+    zero = ~op.data.any(axis=1)
+    fields, H, S = op.nodal
+    assert zero.any() and np.abs(fields[zero]).max() > 0.1
+    garbage = fields.copy()
+    garbage[zero] = 1e6
+    other = GalerkinOperator((op.indices, op.indptr, op.data), op.tensor,
+                             nodal=(garbage, H, S))
+    rng = np.random.default_rng(3)
+    for rows, cols in every_range(op):
+        X = rng.standard_normal((cols.stop - cols.start, op.ndof))
+        assert np.array_equal(op.product(rows, cols, X), other.product(rows, cols, X))
+    assert np.array_equal(op.node_blocks, other.node_blocks)
+
+
+def test_operator_from_plain_matrices_multiplies_matrix_free():
+    # the lognormal blocks sum several terms, but matrices on a shared
+    # pattern carry no nodal factors
+    logn = lognormal_operator(2, 2, 3)
+    op = operator_from_matrices(logn.matrices, logn.tensor)
+    assert op.nodal is None and oracle_presummed(op) and not op.presummed
+    check_ranges_against_oracle(op, dense_kron_oracle(op), np.random.default_rng(4), 1e-12)
+    assert "node_blocks" not in op.__dict__ and op._plans
 
 
 def spy_bsgs_set_up(monkeypatch) -> tuple:
@@ -741,10 +833,12 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
         values, solvers = level
         m = tail.stop - tail.start
         assert values.flags.c_contiguous and values.shape == (m, m, len(op.indices))
-        # every stored position: the pre-summed blocks at those with
-        # row <= col, the same values at their mirrors
-        upper, _, _ = op._upper
-        assert np.array_equal(values[..., upper], op.blocks[:, tail, tail].transpose(1, 2, 0))
+        # every stored position (r, c): block (j, s) of D_l at (r, c), and
+        # the same values at its mirror (c, r)
+        rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+        blocks = dense_kron_oracle(op).reshape(op.n_blocks, op.ndof, op.n_blocks, op.ndof)
+        expect = blocks[tail, :, tail][:, rows, :, op.indices].transpose(1, 2, 0)
+        assert np.abs(values - expect).max() <= 1e-14 * np.abs(blocks).max()
         assert np.array_equal(values, values[..., op._mirror])
         assert len(solvers) == tail.stop - tail.start
         n_coupled += len(solvers)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 import sgfem.operator as operator
 from sgfem.fem import assemble_load, build_mesh
@@ -204,6 +205,33 @@ def test_iterative_policy_reports_nonconvergence(monkeypatch):
     monkeypatch.setattr(operator, "INNER_MAX_ITER", 2)
     with pytest.raises(InnerSolveError):
         dense_d_block_solve(op, 2, R, inner=InnerSolver(kind="cg", tol=1e-14))
+
+
+def per_index_coefficients(gauss, coeff_set):
+    """The chaos coefficient fields, one multi-index at a time: f <- f
+    G[d]^a / sqrt(a!) for d ascending, starting from k0."""
+    G = gauss.fields
+    k0 = np.exp(gauss.mean + 0.5 * np.sum(G * G, axis=0))
+    fields = np.empty((len(coeff_set), G.shape[1]))
+    for row, alpha in enumerate(coeff_set.indices):
+        f = k0.copy()
+        for d, a in enumerate(alpha):
+            if a:
+                f = f * G[d] ** a / math.sqrt(math.factorial(a))
+        fields[row] = f
+    return fields
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(2, 30),
+       st.sampled_from([0.25, 1.0, 1.5]), st.integers(0, 2**32 - 1))
+def test_gpc_coefficients_equal_the_per_index_products_bit_for_bit(dims, order, n_nodes,
+                                                                   scale, seed):
+    rng = np.random.default_rng(seed)
+    gauss = KLExpansion(np.ones(dims), scale * rng.standard_normal((dims, n_nodes)),
+                        rng.standard_normal())
+    coeff = build_multi_index_set(dims, order)
+    assert np.array_equal(lognormal_gpc_coefficients(gauss, coeff),
+                          per_index_coefficients(gauss, coeff))
 
 
 def test_dimension_mismatch():

@@ -18,8 +18,9 @@ stores its diagonal.  Both builders meet it; any other input is refused
 with one ValueError.  When each nonzero block holds a single term (the
 linear Karhunen-Loeve coefficient) a product runs matrix-free, as
 sum_i C_i[rows, cols] @ (U @ K_i^T), each K_i multiplying only the column
-blocks that reach those rows.  The lognormal chaos coefficient sums many
-terms per block, and its builder hands over nodal factors: the chaos
+blocks that reach those rows, gathered as rows of U where that pays.  The
+lognormal chaos coefficient sums many terms per block, and its builder
+hands over nodal factors: the chaos
 fields F, sampled at the mesh nodes, from which the bilinear interpolation
 of the assembly makes every K_i linear, K_i = sum_n F[i, n] H_n, with H_n
 the stiffness of the hat field of node n (``fem.local_hat_stiffness``).
@@ -151,6 +152,18 @@ DIRECT_LEVEL_LIMIT = 20_000
 # (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
 # the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
 MEAN_INVERSE_LIMIT = 256
+# a matrix-free product gathers the column blocks of K_i, as rows of X, when
+# nnz (span - count) > GATHER_COPY ndof count + GATHER_FIXED: the stored
+# positions of the columns it skips outweigh the entries it copies plus a
+# fixed cost per gather, counted in stored positions multiplied for one
+# column.  Timed per planned range, every coefficient gathering against
+# none (226 ranges of 25 uniform bases and meshes, N=1-8, P=1-8, 1/h=4-30,
+# one BLAS thread), these constants keep each configuration's summed
+# product time within 4.8 % of the faster choice per range (mean 0.7 %).
+# A fixed cost of 1000-2000, the take-and-copy overhead alone, stops
+# gathers that pay, since a gather also spares the shared X^T
+GATHER_COPY = 1.8
+GATHER_FIXED = 250
 
 class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
@@ -285,14 +298,16 @@ class GalerkinOperator:
         return np.add.reduceat(P, self.indptr[:-1], axis=0)
 
     def _plan(self, rows: slice, cols: slice) -> tuple:
-        """(lo, hi, groups, L) with A[rows, cols] @ X = L @ Y, built once
-        per pair of ranges.  X[lo:hi] spans the column blocks j of every pair
+        """(span, groups, L) with A[rows, cols] @ X = L @ Y, built once per
+        pair of ranges.  X[span] spans the column blocks j of every pair
         (i, j) with a coupling c_itj, t in rows.  Each coefficient i with
         such a pair has a group (K_i, sel, out) that writes
-        Y[out] = (K_i @ X[lo:hi].T[:, sel]).T: sel picks its own column
-        blocks when that drops at least half of the span, and is None (the
-        whole span) otherwise.  L[t - rows.start, Y row of K_i X_j] = c_itj,
-        so each row sums its terms in ascending i, then j."""
+        Y[out] = (K_i @ Z).T: Z gathers its own column blocks, X[sel].T, when
+        the stored positions of the skipped columns outweigh the gathered
+        entries (GATHER_COPY, GATHER_FIXED), and is the shared X[span].T
+        otherwise, with sel None; span is None when every coefficient
+        gathers.  L[t - rows.start, Y row of K_i X_j] = c_itj, so each row
+        sums its terms in ascending i, then j."""
         n = self.n_blocks
         r0, r1, _ = rows.indices(n)
         c0, c1, _ = cols.indices(n)
@@ -306,18 +321,18 @@ class GalerkinOperator:
             lo, hi = (pj.min(), pj.max() + 1) if len(pairs) else (c0, c0)
             active, first, count = np.unique(pairs // n, return_index=True,
                                              return_counts=True)
-            # a gathered column costs 1.4-1.7 multiplied ones (one BLAS
-            # thread); full applies need 58-98 % of their columns
-            gather = 2 * count <= hi - lo
+            gather = (len(self.indices) * (hi - lo - count)
+                      > GATHER_COPY * self.ndof * count + GATHER_FIXED)
             width = np.where(gather, count, hi - lo)
             a = np.repeat(np.arange(len(active)), count)
             offset = np.cumsum(width) - width
             row = offset[a] + np.where(gather[a], np.arange(len(pairs)) - first[a], pj - lo)
             L = sp.csr_matrix((v[keep], (t[keep] - r0, row[pair])),
                               shape=(max(r1 - r0, 0), width.sum()))
-            groups = [(self.matrices[k], pj[f:f + c] - lo if g else None, slice(o, o + w))
+            groups = [(self.matrices[k], pj[f:f + c] - c0 if g else None, slice(o, o + w))
                       for k, f, c, g, o, w in zip(active, first, count, gather, offset, width)]
-            self._plans[key] = lo - c0, hi - c0, groups, L
+            span = None if gather.all() else slice(lo - c0, hi - c0)
+            self._plans[key] = span, groups, L
         return self._plans[key]
 
     # -- products -------------------------------------------------------
@@ -326,10 +341,12 @@ class GalerkinOperator:
         block; the result has one row per row block.  Both forms compute
         only these rows: the pre-summed one from the nodal blocks
         T_n[rows, cols], the matrix-free one by multiplying each K_i with
-        only the column blocks X_j that reach a row asked for (``_plan``).
-        An empty row or column
-        range, as at either end of a block Gauss-Seidel sweep, gives zeros
-        without a product."""
+        the column blocks X_j that reach a row asked for (``_plan``): a
+        coefficient that gathers takes them as rows of X, one take and one
+        transposed copy, and the others share one transposed copy of the
+        span, made only when some coefficient multiplies all of it.  An
+        empty row or column range, as at either end of a block Gauss-Seidel
+        sweep, gives zeros without a product."""
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
@@ -351,11 +368,13 @@ class GalerkinOperator:
             if lo < hi:
                 out[lo - r0:hi - r0, self._boundary] += X[lo - start:hi - start, self._boundary]
             return out
-        lo, hi, groups, L = self._plan(rows, cols)
-        XT = np.ascontiguousarray(X[lo:hi].T)     # scipy would copy X.T per product
+        span, groups, L = self._plan(rows, cols)
+        # C-contiguous: scipy would copy a transposed view per product
+        XT = None if span is None else np.ascontiguousarray(X[span].T)
         Y = np.empty((L.shape[1], self.ndof))
         for K, sel, out in groups:
-            Y[out] = (K @ (XT if sel is None else XT[:, sel])).T
+            Z = XT if sel is None else np.ascontiguousarray(X.take(sel, axis=0).T)
+            Y[out] = (K @ Z).T
         return L @ Y
 
     def apply(self, u: np.ndarray) -> np.ndarray:

@@ -540,14 +540,65 @@ def test_block_products_do_the_work_the_counters_count():
     tally = count_spatial_products(op)
     r = np.random.default_rng(3).standard_normal(op.shape[0])
     op.matvec(r)
-    # K_0 and every fluctuation K_i multiply all 495 column blocks: 285 of
-    # them reach a row for each K_i, too many to pay for gathering
-    assert sum(tally) == 9 * 495
+    # K_0 multiplies all 495 column blocks, each fluctuation K_i gathers the
+    # 285 that reach a row: exactly the distinct pairs (i, j)
+    i, _, j, _ = op.coupling_entries
+    assert sum(tally) == len(np.unique(i * op.n_blocks + j)) == 495 + 8 * 285
     for kind in ("bsgs", "hs"):
         prec = make_preconditioner(op, kind, EXACT)
         tally.clear()
         prec(r)
         assert sum(tally) == prec.counters.block_matvecs == 2640, kind
+
+
+def planned_ranges(op) -> list:
+    """The (rows, cols) ranges the solvers multiply: the full one, B_l and
+    C_l of every level l = 1..P, and the backward sweep range (tail_l,
+    after_l) of every level l = 0..P-1."""
+    ranges = [(slice(0, op.n_blocks), slice(0, op.n_blocks))]
+    for level in range(op.basis.degree + 1):
+        head, tail = op.level_slices(level)
+        if level:
+            ranges += [(head, tail), (tail, head)]
+        if level < op.basis.degree:
+            ranges.append((tail, slice(tail.stop, op.n_blocks)))
+    return ranges
+
+
+def check_gather_choice_changes_no_bit(op, rng):
+    """Products over planned_ranges with every coefficient gathering its
+    column blocks, and with none gathering, equal the default ones bit for
+    bit; the first multiplies each distinct pair (i, j) once and forms no
+    shared X^T, the second the whole column span of each coefficient."""
+    i, t, j, _ = op.coupling_entries
+    ranges = planned_ranges(op)
+    inputs = [rng.standard_normal((cols.stop - cols.start, op.ndof)) for _, cols in ranges]
+    default = [op.product(rows, cols, X) for (rows, cols), X in zip(ranges, inputs)]
+    for fixed, every in ((-1.0, True), (np.inf, False)):
+        other = matrix_free(op)
+        tally = count_spatial_products(other)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operator, "GATHER_COPY", 0.0)
+            mp.setattr(operator, "GATHER_FIXED", fixed)
+            for (rows, cols), X, ref in zip(ranges, inputs, default):
+                tally.clear()
+                assert np.array_equal(other.product(rows, cols, X), ref), (rows, cols, every)
+                block = (t >= rows.start) & (t < rows.stop) & (j >= cols.start) & (j < cols.stop)
+                pairs = np.unique(i[block] * op.n_blocks + j[block])
+                span = j[block].max() - j[block].min() + 1 if block.any() else 0
+                expect = len(pairs) if every else len(np.unique(i[block])) * span
+                assert sum(tally) == expect, (rows, cols, every)
+                # no shared transposed copy of X unless a coefficient needs it
+                shared = other._plan(rows, cols)[0]
+                assert (shared is None) == (every or not block.any()), (rows, cols, every)
+
+
+@given(legendre_configs, st.integers(0, 2**32 - 1))
+@example(("uniform", 8, 4, 4), 4)
+def test_gather_choice_changes_no_bit(config, seed):
+    # the example is the benchmark row's basis, whose default full plan
+    # mixes both choices (test_block_products_do_the_work_the_counters_count)
+    check_gather_choice_changes_no_bit(build(config), np.random.default_rng(seed))
 
 
 def test_product_plans_are_built_lazily_and_once():

@@ -10,7 +10,7 @@ Config files are flat ``key=value`` text (hash comments allowed); keys and
 flags are the fields of ExperimentConfig (``--max-iter`` sets max_iter) and
 flags override file values.  Exit codes: 0 success, 2 reference diff beyond
 tolerance or condition bound violated, 1 solver or usage error (any bad
-flag, key or value; one line).
+flag, key or value) or an allocation that fails (one line).
 """
 from __future__ import annotations
 
@@ -157,6 +157,10 @@ def main(argv=None) -> int:
     # scipy's LinAlgError is a ValueError; OSError covers unusable paths
     except (ValueError, OSError, InnerSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # numpy's failed allocation is a MemoryError that names the array
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

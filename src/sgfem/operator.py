@@ -169,12 +169,15 @@ class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
 
     ``stiffness`` is the triple (indices, indptr, data) that
-    assemble_weighted_stiffness gives for many fields: the spatial matrices
-    share the CSR pattern (indices, indptr) and one ``(n_coeff, nnz)`` array
-    ``data``, whose row i holds the values of K_i.  The operator's contract
-    (see the module docstring) is checked here, before anything else is
-    computed: ValueError unless every K_i is symmetric on the pattern and
-    every spatial row stores its diagonal.  A coefficient whose data row is
+    assemble_weighted_stiffness gives for many fields, or that the lognormal
+    builder gives with K_0 so assembled and the other rows from the hat
+    stiffness: the spatial matrices share the CSR pattern (indices, indptr)
+    and one ``(n_coeff, nnz)`` array ``data``, whose row i holds the values
+    of K_i.  The mean solve, the band factors and matrix-free products read
+    data; pre-summed products read F and the hat stiffness instead.  The
+    operator's contract (see the module docstring) is checked here, before
+    anything else is computed: ValueError unless every K_i is symmetric on
+    the pattern and every spatial row stores its diagonal.  A coefficient whose data row is
     all zeros is structurally zero and takes part in no product.
     tensor holds the couplings c_ijk over the same coefficient index range.
     ``nodal``, when given, is (F, H, S): the fields F (n_coeff, ndof) whose

@@ -3,7 +3,9 @@ import ast
 import dataclasses
 import re
 
+import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 from scipy.linalg import LinAlgError
 
 from sgfem import cli, experiments, operator
@@ -149,6 +151,21 @@ def test_solver_error_exit_one_without_traceback(monkeypatch, capsys, error):
     rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25"])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: out of memory"),
+    (_ArrayMemoryError((10 ** 6, 10 ** 6), np.dtype(float)),
+     "error: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000, 1000000) and data type float64")])
+def test_out_of_memory_exit_one_with_one_error_line(monkeypatch, capsys, error, line):
+    def failing_run(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    rc = cli.main(["run", "--N", "2", "--P", "1", "--h", "0.25"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_stalled_inner_solve_exit_one(monkeypatch, capsys):

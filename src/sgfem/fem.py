@@ -6,7 +6,10 @@ zeroing boundary rows and columns; the matrix for the mean coefficient gets
 unit diagonal entries at boundary nodes so it stays positive definite, while
 fluctuation matrices keep zero diagonals there and never couple boundary
 degrees of freedom.  This keeps each spatial block the full node count, so
-block dimensions are (n+1)^2.
+block dimensions are (n+1)^2.  The interior nodes are numbered first and the
+boundary nodes last, so the Dirichlet rows, which hold only K_0's unit
+diagonal, form one trailing range [(n-1)^2, (n+1)^2) of every spatial block,
+and the solver's kernels run on the leading range alone.
 
 Weighted stiffness entries are integrals of k grad(phi_l) . grad(phi_m) with
 the coefficient k interpolated bilinearly inside each element and a 2x2 Gauss
@@ -15,7 +18,9 @@ coefficient matrices K_i of a stochastic operator) are assembled at once and
 returned as plain arrays (indices, indptr, data): one CSR pattern, the
 interior entries plus the boundary diagonal, and one row of values per
 field, which GalerkinOperator takes as they are.  No per-field matrix is
-formed.
+formed.  Duplicates are summed in element order, whatever the numbering,
+so each value equals, bit for bit, the one a row-major numbering of the
+nodes gives at the same pair of grid points.
 
 Because the coefficient is interpolated bilinearly, a field's stiffness is
 linear in its nodal samples: K(f) = sum_n f[n] H_n, with H_n the stiffness
@@ -29,6 +34,7 @@ up to rounding as exact zeros by one rule (``_zero_structural_rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +49,11 @@ _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 class Mesh:
     """Uniform n x n grid of square Q1 elements on [0, 1]^2.
 
-    Nodes are ordered row-major with x fastest: node (ix, iy) has id
-    iy*(n+1) + ix and coordinates (ix*h, iy*h).
+    Grid point (ix, iy) lies at (ix*h, iy*h) and has the grid index
+    iy*(n+1) + ix (row-major, x fastest).  Nodes are numbered interior first,
+    then boundary, each in grid-index order: node k is the grid point
+    ``grid_index[k]``, and the grid point g is node ``node_ids[g]``.  The
+    boundary nodes are thus the trailing range [(n-1)^2, (n+1)^2).
     """
 
     n_cells: int
@@ -57,27 +66,44 @@ class Mesh:
     def n_nodes(self) -> int:
         return (self.n_cells + 1) ** 2
 
+    @cached_property
+    def grid_index(self) -> np.ndarray:
+        """The grid index of every node: the interior grid points, then
+        the boundary ones, each ascending; read-only."""
+        n, n1 = self.n_cells, self.n_cells + 1
+        iy, ix = np.divmod(np.arange(n1 * n1), n1)
+        edge = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
+        grid = np.argsort(edge, kind="stable")
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def node_ids(self) -> np.ndarray:
+        """The node of every grid index, the inverse of ``grid_index``;
+        read-only."""
+        ids = np.empty(self.n_nodes, dtype=np.intp)
+        ids[self.grid_index] = np.arange(self.n_nodes)
+        ids.flags.writeable = False
+        return ids
+
     @property
     def node_coords(self) -> np.ndarray:
-        n1 = self.n_cells + 1
-        g = np.linspace(0.0, 1.0, n1)
-        xx, yy = np.meshgrid(g, g, indexing="xy")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        g = np.linspace(0.0, 1.0, self.n_cells + 1)
+        iy, ix = np.divmod(self.grid_index, self.n_cells + 1)
+        return np.column_stack([g[ix], g[iy]])
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        n, n1 = self.n_cells, self.n_cells + 1
-        ids = np.arange(n1 * n1)
-        ix, iy = ids % n1, ids // n1
-        return (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
+        return np.arange(self.n_nodes) >= (self.n_cells - 1) ** 2
 
     @property
     def connectivity(self) -> np.ndarray:
-        """(n_elements, 4) node ids, corner order SW, SE, NE, NW."""
+        """(n_elements, 4) node ids, corner order SW, SE, NE, NW; elements
+        in row-major order of their SW corner."""
         n, n1 = self.n_cells, self.n_cells + 1
         ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
         sw = ey.ravel() * n1 + ex.ravel()
-        return np.column_stack([sw, sw + 1, sw + n1 + 1, sw + n1])
+        return self.node_ids[np.column_stack([sw, sw + 1, sw + n1 + 1, sw + n1])]
 
 
 def build_mesh(h: float) -> Mesh:
@@ -155,7 +181,9 @@ def local_hat_stiffness(mesh: Mesh) -> tuple:
     lies off the mesh or on its boundary is empty and summed nowhere.
     Hence K(f) = S diag(f (x) 1_9) H.  Each element with node n at its
     corner a adds the fixed matrix sum_q N_a(q) G_q of its corners; no
-    field is assembled.
+    field is assembled.  Each row of S lists its local rows in the grid
+    order of their nodes, not sorted by local row, so a product with S
+    sums them in the same order under any numbering of the nodes.
     """
     n1, n = mesh.n_cells + 1, mesh.n_nodes
     hat = sum(np.multiply.outer(shape, grad) for shape, grad in _gauss_points())
@@ -168,13 +196,14 @@ def local_hat_stiffness(mesh: Mesh) -> tuple:
     keep = ~(boundary[row] | boundary[col])
     H = sp.csr_matrix((np.broadcast_to(hat[a, b, c], keep.shape)[keep],
                        (local[keep], col[keep])), shape=(9 * n, n))
-    # local row k = 3 dy + dx of node (ix, iy) is node (ix + dx - 1, iy + dy - 1)
-    ix, iy = np.arange(n) % n1, np.arange(n) // n1
-    dy, dx = np.divmod(np.arange(9), 3)
-    rx, ry = ix[:, None] + dx - 1, iy[:, None] + dy - 1
-    inside = (rx > 0) & (rx < n1 - 1) & (ry > 0) & (ry < n1 - 1)
-    S = sp.csr_matrix((np.ones(inside.sum()), ((ry * n1 + rx)[inside],
-                                                np.flatnonzero(inside))), shape=(n, 9 * n))
+    # local row k = 3 dy + dx of node (ix, iy) is node (ix + dx - 1, iy + dy - 1),
+    # so an interior node's k-th neighbour in grid order holds its row as
+    # local row 8 - k
+    oy, ox = np.divmod(np.arange(9), 3)
+    inner = np.flatnonzero(~boundary)
+    nodes = mesh.node_ids[mesh.grid_index[inner][:, None] + (oy - 1) * n1 + ox - 1]
+    S = sp.csr_matrix((np.ones(9 * len(inner)), (9 * nodes + 8 - 3 * oy - ox).ravel(),
+                       np.append(0, np.cumsum(9 * ~boundary))), shape=(n, 9 * n))
     return H, S
 
 

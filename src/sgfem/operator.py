@@ -30,7 +30,14 @@ each node, and a product reads one T_n per node (121 at h=1/10) where a
 block per stored spatial position would read 393.  An operator built from
 plain matrices has no nodal factors and multiplies matrix-free, which is
 exact for any K_i.  No solve assembles a sub-matrix: ``assemble_range``
-serves ``dense`` and ``masked_apply`` alone.  The graded
+serves ``dense`` and ``masked_apply`` alone.
+
+The mesh numbers its boundary nodes last, so the Dirichlet rows, which
+store only K_0's unit diagonal and are zero in every other K_i, form one
+trailing range [n_c, ndof) of every spatial block (40 of 121 rows at
+h=1/10).  Products, and mean solves by the dense K_0^{-1}, run on the
+leading n_c rows and columns alone; on the Dirichlet rows A[rows, cols] X
+is c_0tt X_t, one scaled copy, and a mean solve copies them.  The graded
 index ordering induces a nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
@@ -48,11 +55,11 @@ band Cholesky factors once (``band_solvers``, the band filled straight
 from the coupling values, D_l not assembled).  No stored position joins a
 spatial row that stores only its diagonal (a Dirichlet node) to any other,
 so D_l is factored as two bands: over the coupled nodes, numbered
-consecutively, of half-width m b' + m - 1 with b' their bandwidth (10
-against 12 at h=1/10), and over the isolated nodes, one m x m block each.
-The same routine factors the diagonal blocks A_jj of block Gauss-Seidel,
-the case of one block, as one band over all nodes: there a second band
-solve costs more than the narrower band saves.  The
+consecutively, of half-width m b' + m - 1 with b' their bandwidth (10 at
+h=1/10), and over the isolated nodes, one m x m block each.  The same
+routine factors the diagonal blocks A_jj of block Gauss-Seidel, the case of
+one block, as one band over all nodes, of half-width 10 at h=1/10 too: the
+Dirichlet nodes, numbered last, widen no band.  The
 lognormal Galerkin matrix, the projection of a positive field, is positive
 definite; a level or block that is not is refused with an error, never
 solved another way.  C_l is the transpose of B_l, every K_i and C_i being
@@ -153,17 +160,21 @@ DIRECT_LEVEL_LIMIT = 20_000
 # the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
 MEAN_INVERSE_LIMIT = 256
 # a matrix-free product gathers the column blocks of K_i, as rows of X, when
-# nnz (span - count) > GATHER_COPY ndof count + GATHER_FIXED: the stored
+# nnz (span - count) > GATHER_COPY n_c count + GATHER_FIXED, nnz the stored
+# positions of the leading n_c rows that it multiplies: the stored
 # positions of the columns it skips outweigh the entries it copies plus a
 # fixed cost per gather, counted in stored positions multiplied for one
-# column.  Timed per planned range, every coefficient gathering against
-# none (226 ranges of 25 uniform bases and meshes, N=1-8, P=1-8, 1/h=4-30,
-# one BLAS thread), these constants keep each configuration's summed
-# product time within 4.8 % of the faster choice per range (mean 0.7 %).
+# column.  Timed per planned range over all ndof rows, before the Dirichlet
+# rows were left out, every coefficient gathering against none (226 ranges
+# of 25 uniform bases and meshes, N=1-8, P=1-8, 1/h=4-30, one BLAS thread),
+# these constants kept each configuration's summed product time within
+# 4.8 % of the faster choice per range (mean 0.7 %).
 # A fixed cost of 1000-2000, the take-and-copy overhead alone, stops
 # gathers that pay, since a gather also spares the shared X^T
 GATHER_COPY = 1.8
 GATHER_FIXED = 250
+# bytes of data whose mirror the contract check gathers at a time
+CHECK_CHUNK_BYTES = 2 ** 20
 
 class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
@@ -210,12 +221,16 @@ class GalerkinOperator:
         self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
         # the contract: each (r, c) has its mirror with the same values, and
         # the diagonal positions are (0, 0), ..., (ndof - 1, ndof - 1).
-        # np.take gathers C-ordered: data[:, mirror] is F-ordered, and the
-        # comparison with it took 45 ms against 14 at lognormal N=4 P=4,
-        # 1/h = 30
+        # The values are compared CHECK_CHUNK_BYTES of rows at a time, so no
+        # copy has the size of data; np.take gathers C-ordered, where
+        # data[:, mirror] is F-ordered and took 45 ms against 14 at lognormal
+        # N=4 P=4, 1/h = 30
         r, c, mirror = self._pattern_rows, self.indices, self._mirror
+        step = max(1, CHECK_CHUNK_BYTES // (8 * len(mirror)))
         if not (np.array_equal(r[mirror], c) and np.array_equal(c[mirror], r)
-                and np.array_equal(self.data, np.take(self.data, mirror, axis=1))
+                and all(np.array_equal(chunk, np.take(chunk, mirror, axis=1))
+                        for chunk in (self.data[lo:lo + step]
+                                      for lo in range(0, len(self.data), step)))
                 and np.array_equal(r[r == c], np.arange(self.ndof))):
             raise ValueError("GalerkinOperator needs symmetric spatial matrices K_i "
                              "on a pattern that stores every diagonal")
@@ -289,11 +304,37 @@ class GalerkinOperator:
         return T.reshape(self.ndof, self.n_blocks, self.n_blocks)
 
     @cached_property
-    def _boundary(self) -> np.ndarray:
-        """The spatial rows into which the local hat rows sum nothing: the
-        Dirichlet nodes, whose K_0 row is the unit diagonal and whose other
-        K_i rows hold a zero diagonal."""
-        return np.flatnonzero(np.diff(self.nodal[2].indptr) == 0)
+    def n_c(self) -> int:
+        """The start of the trailing Dirichlet rows [n_c, ndof): the longest
+        trailing run of spatial rows that store only their diagonal, 1 in
+        K_0 and 0 in every other K_i; ndof when C_0 is not diagonal.
+        No stored position joins them to the leading rows, so the kernels
+        run on the leading n_c rows and columns, and on these rows
+        A[rows, cols] X is c_0tt X_t (``product``).  The mesh numbers its
+        boundary nodes last, so n_c = (1/h - 1)^2 for both builders."""
+        i, t, j, _ = self.coupling_entries
+        if np.any((i == 0) & (t != j)):
+            return self.ndof
+        first = self.indptr[:-1]
+        unit = (np.diff(self.indptr) == 1) & (self.data[0, first] == 1.0)
+        unit[unit] = ~self.data[1:, first[unit]].any(axis=0)
+        # the trailing run: the rows after the last one that is not a unit row
+        other = np.flatnonzero(~unit)
+        return int(other[-1]) + 1 if len(other) else 0
+
+    @cached_property
+    def _leading_hat(self) -> sp.csr_matrix:
+        """H of the nodal factors cut to its leading n_c columns: no local
+        row stores a Dirichlet column."""
+        return self.nodal[1][:, :self.n_c]
+
+    @cached_property
+    def _leading_matrices(self) -> tuple:
+        """Every K_i[:n_c, :n_c], a CSR view of the first indptr[n_c]
+        entries of data[i]: the leading rows store no Dirichlet column."""
+        end = self.indptr[self.n_c]
+        return tuple(_csr_view(row[:end], self.indices[:end], self.indptr[:self.n_c + 1])
+                     for row in self.data)
 
     def row_sums(self, P: np.ndarray) -> np.ndarray:
         """out[r] = the sum of P[e] over the stored positions e of spatial
@@ -324,15 +365,16 @@ class GalerkinOperator:
             lo, hi = (pj.min(), pj.max() + 1) if len(pairs) else (c0, c0)
             active, first, count = np.unique(pairs // n, return_index=True,
                                              return_counts=True)
-            gather = (len(self.indices) * (hi - lo - count)
-                      > GATHER_COPY * self.ndof * count + GATHER_FIXED)
+            gather = (self.indptr[self.n_c] * (hi - lo - count)
+                      > GATHER_COPY * self.n_c * count + GATHER_FIXED)
             width = np.where(gather, count, hi - lo)
             a = np.repeat(np.arange(len(active)), count)
             offset = np.cumsum(width) - width
             row = offset[a] + np.where(gather[a], np.arange(len(pairs)) - first[a], pj - lo)
             L = sp.csr_matrix((v[keep], (t[keep] - r0, row[pair])),
                               shape=(max(r1 - r0, 0), width.sum()))
-            groups = [(self.matrices[k], pj[f:f + c] - c0 if g else None, slice(o, o + w))
+            groups = [(self._leading_matrices[k], pj[f:f + c] - c0 if g else None,
+                       slice(o, o + w))
                       for k, f, c, g, o, w in zip(active, first, count, gather, offset, width)]
             span = None if gather.all() else slice(lo - c0, hi - c0)
             self._plans[key] = span, groups, L
@@ -349,36 +391,44 @@ class GalerkinOperator:
         transposed copy, and the others share one transposed copy of the
         span, made only when some coefficient multiplies all of it.  An
         empty row or column range, as at either end of a block Gauss-Seidel
-        sweep, gives zeros without a product."""
+        sweep, gives zeros without a product.  Both forms multiply only the
+        leading n_c spatial columns of X and write the leading rows.  On
+        the Dirichlet rows A[rows, cols] X is c_0tt X_t for each row block
+        t in both ranges and zero for the others, as the sum of the
+        coupling terms gives it: one scaled copy."""
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
         n_rows = len(range(*rows.indices(self.n_blocks)))
         if n_rows == 0 or stop <= start:
             return np.zeros((n_rows, self.ndof))
+        n = self.n_c
         if self.presummed:
-            # A = sum_n H_n (x) T_n plus the boundary diagonal: each node's
-            # local rows H_loc X^T (9 per node), times T_n[cols, rows] =
+            # A = sum_n H_n (x) T_n on the leading rows: each node's local
+            # rows H_loc X^T (9 per node), times T_n[cols, rows] =
             # T_n[rows, cols]^T (c_itj = c_ijt) in one batched product,
-            # summed into the spatial rows by S
-            _, H, S = self.nodal
-            Z = H @ np.ascontiguousarray(X.T)
+            # summed into the spatial rows by S, which sums nothing into
+            # the Dirichlet rows
+            Z = self._leading_hat @ np.ascontiguousarray(X[:, :n].T)
             W = np.matmul(Z.reshape(self.ndof, 9, -1), self.node_blocks[:, cols, rows])
-            out = (S @ W.reshape(-1, W.shape[-1])).T
-            # the unit boundary diagonal of K_0 times c_0tj = delta_tj
-            r0, r1, _ = rows.indices(self.n_blocks)
-            lo, hi = max(r0, start), min(r1, stop)
-            if lo < hi:
-                out[lo - r0:hi - r0, self._boundary] += X[lo - start:hi - start, self._boundary]
-            return out
-        span, groups, L = self._plan(rows, cols)
-        # C-contiguous: scipy would copy a transposed view per product
-        XT = None if span is None else np.ascontiguousarray(X[span].T)
-        Y = np.empty((L.shape[1], self.ndof))
-        for K, sel, out in groups:
-            Z = XT if sel is None else np.ascontiguousarray(X.take(sel, axis=0).T)
-            Y[out] = (K @ Z).T
-        return L @ Y
+            out = (self.nodal[2] @ W.reshape(-1, W.shape[-1])).T
+        else:
+            span, groups, L = self._plan(rows, cols)
+            # C-contiguous: scipy would copy a transposed view per product
+            XT = None if span is None else np.ascontiguousarray(X[span, :n].T)
+            Y = np.empty((L.shape[1], n))
+            for K, sel, at in groups:
+                Z = XT if sel is None else np.ascontiguousarray(X[:, :n].take(sel, axis=0).T)
+                Y[at] = (K @ Z).T
+            out = np.empty((n_rows, self.ndof))
+            out[:, :n] = L @ Y
+            out[:, n:] = 0.0
+        r0, r1, _ = rows.indices(self.n_blocks)
+        lo, hi = max(r0, start), min(r1, stop)
+        if lo < hi:
+            np.multiply(X[lo - start:hi - start, n:], self.diag_weights[lo:hi, None],
+                        out=out[lo - r0:hi - r0, n:])
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Product with a block vector; accepts flat or (n_blocks, ndof)."""
@@ -436,7 +486,10 @@ class GalerkinOperator:
         by the dense K_0^{-1}, one LU solve of the identity: a mean or
         level solve is then one matrix product, which on these meshes beats
         the triangular solves though it does more flops (495 right-hand
-        sides at h=1/10: 0.36 against 1.0-1.6 ms, one BLAS thread).  A cg
+        sides at h=1/10: 0.36 against 1.0-1.6 ms, one BLAS thread).  The
+        product takes the leading n_c x n_c block of K_0^{-1} and copies
+        the Dirichlet columns, whose K_0 rows are the unit diagonal: 171
+        against 311 us for all 121 columns there (best of 7).  A cg
         policy takes its own ``inner.make``: an inexact solve of the
         identity would change it.
         """
@@ -447,8 +500,9 @@ class GalerkinOperator:
                                options={"SymmetricMode": True})
                 solve = lambda B: lu.solve(B.T).T
                 if self.ndof <= MEAN_INVERSE_LIMIT:
-                    inv_t = solve(np.eye(self.ndof))
-                    solve = lambda B: B @ inv_t
+                    n = self.n_c
+                    solve = partial(_leading_solve, np.ascontiguousarray(
+                        solve(np.eye(self.ndof))[:n, :n]))
             else:
                 solve = inner.make(self.mean_matrix)
             self._solver_cache[key] = solve
@@ -477,7 +531,9 @@ class GalerkinOperator:
                              f"rhs has {rhs.shape[0]} rows")
         weights = self.diag_weights[tail][:, None]
         if self.level_is_scalar_diagonal(level):
-            return self.mean_solver(inner)(rhs) / weights
+            X = self.mean_solver(inner)(rhs)
+            X /= weights        # the solve's own array, divided in place
+            return X
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_solvers:
                 self._level_solvers[level], = self.band_solvers(
@@ -526,18 +582,20 @@ class GalerkinOperator:
         over the two sets of ``_node_sets``, A_g = A_g[coupled, coupled] (+)
         A_g[isolated, isolated]: the coupled nodes with half-width
         kd' = m*b' + m - 1, b' the bandwidth among them (10 for the 81
-        interior nodes at h=1/10, against 12 for all 121), and the isolated
-        ones with kd = m - 1, one m x m block per node; an empty set is
-        skipped.  At lognormal N=4 P=3 h=1/10 that takes D_3 from 2420
-        unknowns at kd = 259 (5.0 MB) to 1620 at kd = 219 (2.85 MB) and 800
-        at kd = 19: dpbtrf 9.2 -> 5.1 ms, a solve 0.45 -> 0.22 ms (best of
-        5 and of 50, one BLAS thread); a D_1 solve (m = 4) takes 25 -> 30
-        us, the second dpbtrs costing more than its narrower band saves.  A
-        group of one block (every block Gauss-Seidel diagonal block) keeps
-        one band over all nodes, of half-width b: on a 121-node block a
-        second dpbtrs costs more than kd 12 -> 10 saves, 3.9 -> 7.0 us a
-        solve split (best of 7), over 952 solves per block Gauss-Seidel
-        solve of the benchmark's lognormal row.  R is block-major, shape
+        interior nodes at h=1/10), and the isolated ones with kd = m - 1,
+        one m x m block per node; an empty set is skipped.  At lognormal
+        N=4 P=3 h=1/10 that factors D_3 as 1620 unknowns at kd = 219 (2.85
+        MB) and 800 at kd = 19, where the row-major node numbering gave one
+        band of 2420 at kd = 259 (5.0 MB): dpbtrf 9.2 -> 5.1 ms, a solve
+        0.45 -> 0.22 ms (best of 5 and of 50, one BLAS thread); a D_1 solve
+        (m = 4) took 25 -> 30 us, the second dpbtrs costing more than its
+        narrower band saves.  A group of one block (every block
+        Gauss-Seidel diagonal block) keeps one band over all nodes, of
+        half-width b, 10 at h=1/10 (12 under the row-major numbering, whose
+        Dirichlet nodes sit between the interior ones): a second dpbtrs
+        over the Dirichlet nodes would cost more than it saves (3.9 against
+        7.0 us a solve split, best of 7, at kd 12 against 10).  R is
+        block-major, shape
         (m, ndof), or for m = 1 one block as a vector, which takes one
         dpbtrs as it is; R is never written.
         dpbtrf reads only the upper band, the whole of A_g by its symmetry.
@@ -656,6 +714,18 @@ class GalerkinOperator:
         b = np.zeros((self.n_blocks, self.ndof))
         b[0] = load
         return b
+
+
+def _leading_solve(inv_t: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B K_0^{-T} from the leading n_c x n_c block inv_t of K_0^{-T}: the
+    leading columns of B times inv_t, the Dirichlet columns, whose K_0 rows
+    are the unit diagonal, copied; B a vector or one row per right-hand
+    side, not written."""
+    n = len(inv_t)
+    X = np.empty(np.shape(B))
+    np.matmul(B[..., :n], inv_t, out=X[..., :n])
+    X[..., n:] = B[..., n:]
+    return X
 
 
 def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -127,7 +127,8 @@ class MeanBased(_BlockPreconditioner):
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         R = R.reshape(self.op.n_blocks, self.op.ndof)   # ValueError naming any other size
-        Z = self._solve(R) / self._weights[:, None]
+        Z = self._solve(R)
+        Z /= self._weights[:, None]     # the solve's own array, divided in place
         self.counters.block_solves += self.op.n_blocks
         return Z
 
@@ -138,12 +139,16 @@ class BlockSGS(_BlockPreconditioner):
     The forward sweep solves (L + D) y = r, the backward sweep
     (D + U) z = D y, which makes the mapping symmetric for symmetric
     operators.  Both are ``_sweep``: forward from x = 0 with b = r, backward
-    from x = y with b = 0.  A sweep walks the levels of ``level_slices``,
-    ascending forward and descending backward.  A level first subtracts its
-    coupling to the levels swept before it, one ``product`` (forward, the
-    C_l of the hierarchical preconditioner).  A level with
-    D_l = diag(c_0kk K_0) is then one d_block_solve; a coupled level is
-    swept block by block (``_level_blocks``).  Residuals are read as float.
+    from x = y with b = 0, given as None.  A sweep walks the levels of
+    ``level_slices``, ascending forward and descending backward.  A level
+    first subtracts its coupling to the levels swept before it, one
+    ``product`` (forward, the C_l of the hierarchical preconditioner).  A
+    level with D_l = diag(c_0kk K_0) is then one d_block_solve; a coupled
+    level is swept block by block (``_level_blocks``).  The backward sweep
+    starts at the top level, which has no later blocks and b = 0, so its
+    update is zero: a scalar-diagonal top level is skipped (for N=8 P=4, a
+    330-block product with K_0^{-1}), and a coupled one skips the solve of
+    its last block.  Residuals are read as float.
     """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
@@ -181,15 +186,22 @@ class BlockSGS(_BlockPreconditioner):
             levels.append((values, solvers))
         return levels
 
-    def _sweep(self, B: np.ndarray, X: np.ndarray, forward: bool) -> None:
+    def _sweep(self, B: np.ndarray | None, X: np.ndarray, forward: bool) -> None:
         """Over the blocks j in sweep order, x_j += A_jj^{-1} (b_j - sum
-        over the blocks s swept before j of A_js x_s), in place."""
+        over the blocks s swept before j of A_js x_s), in place; B None
+        stands for b = 0, where the first level's first update is zero and
+        is skipped."""
         op = self.op
         levels = list(enumerate(self._level_blocks))
         for l, level in levels if forward else reversed(levels):
             head, tail = op.level_slices(l)
             swept = head if forward else slice(tail.stop, op.n_blocks)
-            rhs = B[tail] - op.product(tail, swept, X[swept])
+            # nothing swept and b = 0: the first block's update is zero
+            zero = B is None and swept.start == swept.stop
+            if zero and level is None:
+                continue
+            coupling = op.product(tail, swept, X[swept])
+            rhs = -coupling if B is None else B[tail] - coupling
             if level is None:
                 X[tail] += op.d_block_solve(l, rhs, self.inner)
                 continue
@@ -199,8 +211,9 @@ class BlockSGS(_BlockPreconditioner):
             G = np.empty((m, len(op.indices)))
             for j in range(m) if forward else reversed(range(m)):
                 done = slice(0, j) if forward else slice(j + 1, m)
-                coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
-                x[j] += solvers[j](rhs[j] - coupling)
+                if not (zero and j == (0 if forward else m - 1)):
+                    coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
+                    x[j] += solvers[j](rhs[j] - coupling)
                 x[j].take(op.indices, out=G[j])
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
@@ -208,7 +221,7 @@ class BlockSGS(_BlockPreconditioner):
         R = np.asarray(R, dtype=float).reshape(self.op.n_blocks, self.op.ndof)
         Y = np.zeros_like(R)
         self._sweep(R, Y, forward=True)
-        self._sweep(np.zeros_like(R), Y, forward=False)
+        self._sweep(None, Y, forward=False)
         self.counters.block_solves += 2 * self.op.n_blocks
         self.counters.block_matvecs += self._n_products
         return Y

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
-from sgfem.fem import assemble_load, assemble_weighted_stiffness, build_mesh
+from sgfem.fem import (assemble_load, assemble_weighted_stiffness, build_mesh,
+                       local_hat_stiffness)
 
 
 def hand_assembled_unit_stiffness(n):
     """Oracle: textbook Q1 element stiffness for unit coefficient, assembled
-    with explicit loops, Dirichlet rows/cols zeroed, unit boundary diagonal."""
+    with explicit loops, Dirichlet rows/cols zeroed, unit boundary diagonal,
+    on the grid numbered row-major (node iy*(n+1) + ix)."""
     ke = np.array([[4, -1, -2, -1],
                    [-1, 4, -1, -2],
                    [-2, -1, 4, -1],
@@ -64,18 +67,19 @@ def test_rejects_non_integer_resolution():
 
 
 def test_unit_coefficient_matches_hand_assembly():
-    mesh = build_mesh(0.5)
-    [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
-    oracle = hand_assembled_unit_stiffness(2)
-    assert np.max(np.abs(K.toarray() - oracle)) < 1e-14
+    for n in (2, 3):
+        mesh = build_mesh(1.0 / n)
+        [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
+        oracle = hand_assembled_unit_stiffness(n)
+        g = mesh.grid_index
+        assert np.max(np.abs(K.toarray() - oracle[np.ix_(g, g)])) < 1e-14
 
 
 def test_stiffness_annihilates_constants_deep_interior():
     mesh = build_mesh(0.1)
     [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
     v = K @ np.ones(mesh.n_nodes)
-    ids = np.arange(mesh.n_nodes)
-    ix, iy = ids % 11, ids // 11
+    ix, iy = np.rint(mesh.node_coords / mesh.h).T
     deep = (ix >= 2) & (ix <= 8) & (iy >= 2) & (iy <= 8)
     assert np.max(np.abs(v[deep])) < 1e-12
 
@@ -130,7 +134,7 @@ def test_poisson_center_value():
     [K] = stiffness_matrices(mesh, np.ones((1, mesh.n_nodes)))
     f = assemble_load(mesh, 1.0)
     u = sp.linalg.spsolve(K.tocsc(), f)
-    center = 5 * 11 + 5
+    [center] = np.flatnonzero(np.all(mesh.node_coords == 0.5, axis=1))
     oracle = fourier_poisson_center_value()
     assert oracle == pytest.approx(0.0737, abs=2e-4)
     assert u[center] == pytest.approx(oracle, rel=0.02)
@@ -187,3 +191,49 @@ def test_batched_assembly_matches_per_field_assembly():
             assert np.array_equal(K.data, ref.data)
     with pytest.raises(ValueError):
         assemble_weighted_stiffness(mesh, np.ones((2, 3, mesh.n_nodes)))
+
+
+class GridMesh:
+    """The grid of build_mesh(1/n) numbered row-major, x fastest: node
+    iy*(n+1) + ix, the numbering of ``hand_assembled_unit_stiffness``."""
+
+    def __init__(self, n):
+        n1 = n + 1
+        self.n_cells, self.n_nodes = n, n1 * n1
+        self.grid_index = self.node_ids = np.arange(self.n_nodes)
+        iy, ix = np.divmod(self.grid_index, n1)
+        self.boundary_mask = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
+        self.grid_coords = np.column_stack([ix, iy]) / n
+        ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+        sw = (ey * n1 + ex).ravel()
+        self.connectivity = np.column_stack([sw, sw + 1, sw + n1 + 1, sw + n1])
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_mesh_numbers_the_boundary_last_and_keeps_the_grid_values(n, seed):
+    mesh, grid = build_mesh(1.0 / n), GridMesh(n)
+    g, n_nodes, n_interior = mesh.grid_index, mesh.n_nodes, (n - 1) ** 2
+    assert np.array_equal(np.sort(g), np.arange(n_nodes))
+    assert np.array_equal(mesh.node_ids[g], np.arange(n_nodes))
+    # the boundary nodes are one trailing run; each part keeps grid order
+    assert np.array_equal(mesh.boundary_mask, np.arange(n_nodes) >= n_interior)
+    assert np.array_equal(grid.boundary_mask[g], mesh.boundary_mask)
+    assert np.all(np.diff(g[:n_interior]) > 0) and np.all(np.diff(g[n_interior:]) > 0)
+    assert np.abs(mesh.node_coords - grid.grid_coords[g]).max() <= 1e-15
+    assert np.array_equal(mesh.connectivity, mesh.node_ids[grid.connectivity])
+    # every stiffness value is the row-major assembly's, bit for bit
+    rng = np.random.default_rng(seed)
+    fields = np.vstack([np.ones(n_nodes), rng.uniform(0.5, 2.0, (2, n_nodes))])
+    indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
+    for k, (row, field) in enumerate(zip(data, fields)):
+        K = sp.csr_matrix((row, indices, indptr), shape=(n_nodes,) * 2).toarray()
+        ref = element_by_element_stiffness(grid, field[mesh.node_ids], k == 0).toarray()
+        assert np.array_equal(K, ref[np.ix_(g, g)]), k
+    # the hat stiffness too, and S sums the local rows in the same order:
+    # local row 9 m + k of node m is the grid's 9 g[m] + k
+    H, S = local_hat_stiffness(mesh)
+    H_grid, S_grid = local_hat_stiffness(grid)
+    local = (9 * g[:, None] + np.arange(9)).ravel()
+    assert np.array_equal(H.toarray(), H_grid.toarray()[np.ix_(local, g)])
+    W = rng.standard_normal((9 * n_nodes, 3))
+    assert np.array_equal(S @ W[local], (S_grid @ W)[g])

@@ -8,6 +8,7 @@ Gauss-Seidel mapping with its work counters are checked against the
 explicitly assembled matrix.
 """
 import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -268,13 +269,13 @@ def test_superlu_factors_k0_alone_with_the_symmetric_ordering(monkeypatch):
     assert [matrix.shape for matrix, _ in lus] == [(op.ndof, op.ndof)]
     assert lus[0][1] == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     assert len(bands) == (op.n_blocks - 1) + 2 * 3 and all(info == 0 for *_, info in bands)
-    # BSGS factors its blocks over all 121 nodes, kd = 12 the spatial
-    # bandwidth; HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks over the
-    # 81 coupled nodes, whose bandwidth is 10 (D_3: kd' = 20 * 10 + 19 =
-    # 219 rows above the diagonal), then over the 40 isolated nodes with
-    # kd = m - 1
+    # BSGS factors its blocks over all 121 nodes, kd = 10 the spatial
+    # bandwidth, the Dirichlet nodes being numbered last; HS factors D_3,
+    # D_2, D_1 of m = 20, 10, 4 blocks over the 81 coupled nodes, whose
+    # bandwidth is 10 (D_3: kd' = 20 * 10 + 19 = 219 rows above the
+    # diagonal), then over the 40 isolated nodes with kd = m - 1
     assert op.ndof == 121
-    assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(13, 121)] * (op.n_blocks - 1)
+    assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(11, 121)] * (op.n_blocks - 1)
     assert [band.shape for band, *_ in bands[op.n_blocks - 1:]] == [
         (220, 1620), (20, 800), (110, 810), (10, 400), (44, 324), (4, 160)]
 
@@ -358,8 +359,23 @@ def test_bsgs_groups_match_dense_oracle(monkeypatch, config, level_groups):
     check_bsgs_against_oracle(op)
     # level 0, the mean block, is always one scalar group
     levels = list(range(op.basis.degree + 1)) if level_groups else [0]
-    # two preconditioners, each one forward and one backward sweep
-    assert calls == 2 * (levels + levels[::-1])
+    # two preconditioners, each one forward and one backward sweep; the
+    # backward sweep skips a scalar top level, whose update is zero
+    backward = [level for level in levels[::-1] if level != op.basis.degree]
+    assert calls == 2 * (levels + backward)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_bsgs_skips_only_a_zero_update(kind):
+    # with b = 0 passed as zeros, the backward sweep skips nothing: the
+    # application that skips the top level's zero update agrees bit for bit
+    op = build((kind, 2, 3, 3))
+    prec = BlockSGS(op, EXACT)
+    R = np.random.default_rng(5).standard_normal((op.n_blocks, op.ndof))
+    Y = np.zeros_like(R)
+    prec._sweep(R, Y, forward=True)
+    prec._sweep(np.zeros_like(R), Y, forward=False)
+    assert np.array_equal(prec(R), Y)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +494,8 @@ def count_spatial_products(op) -> list:
     The product plans take the K_i when built, so none may exist yet."""
     assert not op.presummed and op._plans == {}
     tally = []
-    op.__dict__["matrices"] = tuple(CountingMatrix(K, tally) for K in op.matrices)
+    op.__dict__["_leading_matrices"] = tuple(CountingMatrix(K, tally)
+                                             for K in op._leading_matrices)
     return tally
 
 
@@ -707,6 +724,70 @@ def check_ranges_against_oracle(op, A, rng, rtol, other=None):
         assert np.linalg.norm(got.ravel() - ref) <= rtol * scale, (rows, cols)
         if other is not None:
             assert np.linalg.norm(got - other.product(rows, cols, X)) <= rtol * scale
+
+
+def with_dirichlet_rows(op, n_cells, where) -> GalerkinOperator:
+    """op, built on build_mesh(1/n_cells), with its Dirichlet rows trailing
+    as the mesh numbers them, interleaved (every K_i renumbered row-major on
+    the grid, on the union pattern), absent (every K_i cut to the interior
+    nodes), or trailing with the first one taking a diagonal value in every
+    K_i, i > 0 (fluctuating), so that it is no Dirichlet row."""
+    if where == "trailing":
+        return op
+    if where == "interleaved":
+        grid = build_mesh(1.0 / n_cells).node_ids
+        return operator_from_matrices([K[grid][:, grid] for K in op.matrices], op.tensor)
+    n = (n_cells - 1) ** 2
+    if where == "fluctuating":
+        return with_spatial(op, lambda i, K: K + on_nodes(op, [n], 0.01 * i) if i else K)
+    return operator_from_matrices([K[:n, :n] for K in op.matrices], op.tensor)
+
+
+@given(configs, st.sampled_from(["trailing", "interleaved", "absent", "fluctuating"]),
+       st.integers(0, 2**32 - 1))
+@example(("uniform", 2, 2, 1), "trailing", 0)
+@example(("lognormal", 2, 2, 2), "interleaved", 0)
+@example(("uniform", 2, 2, 3), "fluctuating", 0)
+def test_products_and_mean_solves_match_the_oracle_wherever_the_dirichlet_rows_lie(
+        config, where, seed):
+    n_cells = config[3]
+    base = build(config)
+    op = with_dirichlet_rows(base, n_cells, where)
+    # the kernels' leading range ends where the trailing Dirichlet run
+    # starts: after the interior nodes, before the grid's last row and the
+    # node ending the row below it, nowhere, or after the first boundary node
+    n_c = {"trailing": (n_cells - 1) ** 2, "absent": op.ndof,
+           "interleaved": max(op.ndof - n_cells - 2, 0),
+           "fluctuating": (n_cells - 1) ** 2 + 1}[where]
+    assert op.n_c == n_c
+    A = dense_kron_oracle(op)
+    rng = np.random.default_rng(seed)
+    check_ranges_against_oracle(op, A, rng, 1e-13)
+    if where == "interleaved" and not base.presummed:
+        # the numbering changes no bit of a matrix-free product
+        grid = build_mesh(1.0 / n_cells).grid_index
+        for rows, cols in every_range(op):
+            X = rng.standard_normal((cols.stop - cols.start, op.ndof))
+            expect = base.product(rows, cols, X[:, grid])
+            assert np.array_equal(op.product(rows, cols, X)[:, grid], expect), (rows, cols)
+    K0 = op.matrices[0].toarray()
+    R = rng.standard_normal((op.n_blocks, op.ndof))
+    solve = op.mean_solver(EXACT)
+    ref = np.linalg.solve(K0, R.T).T
+    assert np.abs(solve(R) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert solve(R[0]).shape == (op.ndof,) and np.array_equal(solve(R[0]), solve(R[:1])[0])
+
+
+def test_c0_off_its_diagonal_leaves_no_dirichlet_rows():
+    # c_001 != 0: the Dirichlet rows of A X are no longer c_0tt X_t, so the
+    # kernels run over every row
+    op = uniform_operator(2, 2, 3)
+    C = op.tensor.stacked.tolil()
+    C[0, 1] = C[1, 0] = 0.1
+    other = GalerkinOperator((op.indices, op.indptr, op.data),
+                             replace(op.tensor, stacked=C.tocsr()))
+    assert op.n_c == 4 and other.n_c == other.ndof
+    check_ranges_against_oracle(other, dense_kron_oracle(other), np.random.default_rng(0), 1e-13)
 
 
 @given(nodal_configs, st.integers(0, 2**32 - 1))
@@ -954,10 +1035,11 @@ def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
     # of the assembled block; level 0 is c_000 K_0 and takes the K_0 LU
     assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
     assert len(filled) == op.n_blocks - 1
-    # 4 x 4 nodes: the Q1 stencil reaches 5 nodes away
-    assert [band.shape for band in filled] == [(6, op.ndof)] * (op.n_blocks - 1)
+    # 4 x 4 nodes, the 2 x 2 interior ones first: the Q1 stencil reaches 3
+    # nodes away
+    assert [band.shape for band in filled] == [(4, op.ndof)] * (op.n_blocks - 1)
     for j, band in enumerate(filled, start=1):
-        assert np.array_equal(band, upper_band(op.assemble_range([j], [j]).toarray(), 5))
+        assert np.array_equal(band, upper_band(op.assemble_range([j], [j]).toarray(), 3))
 
 
 def test_bsgs_block_solves_leave_their_rhs_unchanged():

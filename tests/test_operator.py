@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -229,7 +231,8 @@ def stiffness_with(op, add=None, drop=None) -> tuple:
 def test_each_broken_clause_of_the_contract_is_refused_at_construction(clause):
     op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.25))
     n, rows = op.ndof, np.repeat(np.arange(op.ndof), np.diff(op.indptr))
-    interior = n // 2
+    # the centre of the 5 x 5 grid
+    interior = build_mesh(0.25).node_ids[2 * 5 + 2]
     off = np.flatnonzero((rows == interior) & (op.indices != interior))[0]
     diagonal = np.flatnonzero((rows == interior) & (op.indices == interior))[0]
     if clause == "value":
@@ -238,10 +241,11 @@ def test_each_broken_clause_of_the_contract_is_refused_at_construction(clause):
         data = data.copy()
         data[2, off] += 1e-9
     elif clause == "position":
-        # (1, 0) stored, zero in every K_i, and (0, 1) not.  Row 0 stores
-        # its diagonal alone, so the search for (0, 1) lands on (1, 0)
-        # itself, whose values then equal their "mirror"
-        indices, indptr, data = stiffness_with(op, add=(1, 0))
+        # (n - 1, n - 2) stored, zero in every K_i, and (n - 2, n - 1) not.
+        # Row n - 2, a Dirichlet node, stores its diagonal alone, so the
+        # search for (n - 2, n - 1) lands on (n - 1, n - 2) itself, whose
+        # values then equal their "mirror"
+        indices, indptr, data = stiffness_with(op, add=(n - 1, n - 2))
     else:
         # a row that stores its neighbours but not its diagonal; the K_i
         # stay symmetric
@@ -252,6 +256,26 @@ def test_each_broken_clause_of_the_contract_is_refused_at_construction(clause):
     # one line, the same for every clause, raised by the constructor
     with pytest.raises(ValueError, match=CONTRACT):
         operator.GalerkinOperator((indices, indptr, data), op.tensor)
+
+
+def test_contract_check_holds_no_copy_of_the_values_and_reads_the_last_chunk():
+    # N=4 P=4 1/h=20: 495 rows of values, 12.3 MB, compared a chunk of
+    # operator.CHECK_CHUNK_BYTES at a time
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=4, P=4, h=0.05))
+    rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    assert 8 * op.data[0].size * 2 < operator.CHECK_CHUNK_BYTES < op.data.nbytes / 4
+    tracemalloc.start()
+    try:
+        operator.GalerkinOperator((op.indices, op.indptr, op.data), op.tensor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.data.nbytes / 4
+    # the last K_i differs from its mirror at one off-diagonal position
+    data = op.data.copy()
+    data[-1, np.flatnonzero(rows != op.indices)[0]] += 1e-9
+    with pytest.raises(ValueError, match=CONTRACT):
+        operator.GalerkinOperator((op.indices, op.indptr, data), op.tensor)
 
 
 @given(st.sampled_from(["uniform", "lognormal"]), st.integers(2, 6), st.integers(1, 3),

@@ -114,7 +114,8 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
 
 def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
     """The CG loop of cg() and fcg(): each step applies apply_m and apply_a
-    once, so a run of k steps applies each k times."""
+    once, so a run of k steps applies each k times.  Standard CG updates p
+    in place; flexible CG keeps a fresh p per step for its history."""
     b = np.asarray(b, dtype=float).ravel()
     if max_iter is None:
         max_iter = default_max_iter(b.size)
@@ -141,7 +142,8 @@ def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
             for q, aq, qaq in history:
                 p -= (float(z @ aq) / qaq) * q
         else:
-            p = z + betas[-1] * p
+            p *= betas[-1]
+            p += z
         Ap = apply_a(p)
         pAp = float(p @ Ap)
         if _halt(report, pAp, pAp <= 0.0):

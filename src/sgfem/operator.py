@@ -159,20 +159,22 @@ DIRECT_LEVEL_LIMIT = 20_000
 # (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
 # the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
 MEAN_INVERSE_LIMIT = 256
-# a matrix-free product gathers the column blocks of K_i, as rows of X, when
+# a matrix-free product gathers the column blocks of K_i, as whole rows of X
+# whose leading n_c columns it copies transposed, when
 # nnz (span - count) > GATHER_COPY n_c count + GATHER_FIXED, nnz the stored
 # positions of the leading n_c rows that it multiplies: the stored
 # positions of the columns it skips outweigh the entries it copies plus a
 # fixed cost per gather, counted in stored positions multiplied for one
-# column.  Timed per planned range over all ndof rows, before the Dirichlet
-# rows were left out, every coefficient gathering against none (226 ranges
-# of 25 uniform bases and meshes, N=1-8, P=1-8, 1/h=4-30, one BLAS thread),
-# these constants kept each configuration's summed product time within
-# 4.8 % of the faster choice per range (mean 0.7 %).
-# A fixed cost of 1000-2000, the take-and-copy overhead alone, stops
-# gathers that pay, since a gather also spares the shared X^T
-GATHER_COPY = 1.8
-GATHER_FIXED = 250
+# column.  Every coefficient gathers when the gathers the others would add
+# cost less than the shared X^T they spare, GATHER_COPY n_c span, counted
+# once per plan.  Fitted to the whole-row gather on 226 planned ranges (25
+# uniform bases and meshes, N=1-8, P=1-8, 1/h=4-30, one BLAS thread),
+# timing each plan a threshold on count can give: over GATHER_COPY 0.5-4.0
+# and GATHER_FIXED 0-4000 these constants kept each configuration's summed
+# product time within 1.9 % of the fastest plan per range (mean 0.34 %).
+# BENCH_gather.json holds the table
+GATHER_COPY = 3.6
+GATHER_FIXED = 1750
 # bytes of data whose mirror the contract check gathers at a time
 CHECK_CHUNK_BYTES = 2 ** 20
 
@@ -346,12 +348,15 @@ class GalerkinOperator:
         pair of ranges.  X[span] spans the column blocks j of every pair
         (i, j) with a coupling c_itj, t in rows.  Each coefficient i with
         such a pair has a group (K_i, sel, out) that writes
-        Y[out] = (K_i @ Z).T: Z gathers its own column blocks, X[sel].T, when
-        the stored positions of the skipped columns outweigh the gathered
-        entries (GATHER_COPY, GATHER_FIXED), and is the shared X[span].T
-        otherwise, with sel None; span is None when every coefficient
-        gathers.  L[t - rows.start, Y row of K_i X_j] = c_itj, so each row
-        sums its terms in ascending i, then j."""
+        Y[out] = (K_i @ Z).T: Z gathers its own column blocks, the leading
+        n_c columns of the whole rows X[sel], transposed, when the stored
+        positions of the skipped columns outweigh the gather (GATHER_COPY,
+        GATHER_FIXED), or, with every other coefficient, when their gathers
+        cost less than the shared X[span].T they spare; Z is that shared
+        copy otherwise, with sel None, and span is None when every
+        coefficient gathers.
+        L[t - rows.start, Y row of K_i X_j] = c_itj, so each row sums its
+        terms in ascending i, then j."""
         n = self.n_blocks
         r0, r1, _ = rows.indices(n)
         c0, c1, _ = cols.indices(n)
@@ -365,8 +370,12 @@ class GalerkinOperator:
             lo, hi = (pj.min(), pj.max() + 1) if len(pairs) else (c0, c0)
             active, first, count = np.unique(pairs // n, return_index=True,
                                              return_counts=True)
-            gather = (self.indptr[self.n_c] * (hi - lo - count)
-                      > GATHER_COPY * self.n_c * count + GATHER_FIXED)
+            copy = GATHER_COPY * self.n_c
+            saved = self.indptr[self.n_c] * (hi - lo - count) - (copy * count + GATHER_FIXED)
+            gather = saved > 0
+            # the gathers the others would add against the shared X^T they spare
+            if not gather.all() and -saved[~gather].sum() < copy * (hi - lo):
+                gather[:] = True
             width = np.where(gather, count, hi - lo)
             a = np.repeat(np.arange(len(active)), count)
             offset = np.cumsum(width) - width
@@ -387,9 +396,10 @@ class GalerkinOperator:
         only these rows: the pre-summed one from the nodal blocks
         T_n[rows, cols], the matrix-free one by multiplying each K_i with
         the column blocks X_j that reach a row asked for (``_plan``): a
-        coefficient that gathers takes them as rows of X, one take and one
-        transposed copy, and the others share one transposed copy of the
-        span, made only when some coefficient multiplies all of it.  An
+        coefficient that gathers takes them as whole rows of X and copies
+        their leading n_c columns, transposed, once, so no product copies X
+        whole, whatever its layout; the others share one transposed copy of
+        the span, made only when some coefficient multiplies all of it.  An
         empty row or column range, as at either end of a block Gauss-Seidel
         sweep, gives zeros without a product.  Both forms multiply only the
         leading n_c spatial columns of X and write the leading rows.  On
@@ -418,7 +428,7 @@ class GalerkinOperator:
             XT = None if span is None else np.ascontiguousarray(X[span, :n].T)
             Y = np.empty((L.shape[1], n))
             for K, sel, at in groups:
-                Z = XT if sel is None else np.ascontiguousarray(X[:, :n].take(sel, axis=0).T)
+                Z = XT if sel is None else np.ascontiguousarray(X.take(sel, axis=0)[:, :n].T)
                 Y[at] = (K @ Z).T
             out = np.empty((n_rows, self.ndof))
             out[:, :n] = L @ Y

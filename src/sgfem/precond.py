@@ -37,9 +37,12 @@ block-diagonal-level operator that is n_ds = 2 n_db - 1 and n_m = n_b - n_db,
 the tabulated work counts.  On either form of the operator a counted
 product is work done: the pre-summed form multiplies only the blocks of the
 rows asked for, and the matrix-free form multiplies each K_i with only the
-column blocks that reach them (one K_i X_j per counted block at N=8, P=4; a
-K_i whose skipped columns would save less than gathering its own costs,
-``operator.GATHER_COPY``, multiplies its whole column range).
+column blocks that reach them, gathered as whole rows of the block vector
+whose leading n_c columns are copied transposed (one K_i X_j per counted
+block at N=8, P=4, h=1/10; a K_i whose skipped columns would save less
+than gathering its own costs, ``operator.GATHER_COPY`` and
+``GATHER_FIXED``, fitted to the timings in BENCH_gather.json, multiplies
+its whole column range).
 """
 from __future__ import annotations
 

@@ -551,9 +551,10 @@ def test_matrix_free_products_give_exact_rows_from_the_needed_columns(config, se
 
 
 def test_block_products_do_the_work_the_counters_count():
-    # the uniform benchmark row's basis, N=8 P=4, on h = 1/4: at h = 1/2 the
-    # odd modes vanish at the one interior node
-    op = build_operator(ExperimentConfig(distribution="uniform", N=8, P=4, h=0.25))
+    # the uniform benchmark row, N=8 P=4 h=1/10, where every planned range
+    # gathers; on coarser meshes a one-block gather costs more than the
+    # columns it skips, and the rule leaves it out
+    op = build_operator(ExperimentConfig(distribution="uniform", N=8, P=4, h=0.1))
     tally = count_spatial_products(op)
     r = np.random.default_rng(3).standard_normal(op.shape[0])
     op.matvec(r)
@@ -611,11 +612,49 @@ def check_gather_choice_changes_no_bit(op, rng):
 
 
 @given(legendre_configs, st.integers(0, 2**32 - 1))
-@example(("uniform", 8, 4, 4), 4)
+@example(("uniform", 8, 4, 10), 4)
 def test_gather_choice_changes_no_bit(config, seed):
-    # the example is the benchmark row's basis, whose default full plan
-    # mixes both choices (test_block_products_do_the_work_the_counters_count)
+    # the example is the benchmark row's basis and mesh, whose default full
+    # plan mixes both choices (test_block_products_do_the_work_the_counters_count)
     check_gather_choice_changes_no_bit(build(config), np.random.default_rng(seed))
+
+
+@given(configs, st.integers(0, 2**32 - 1))
+def test_products_do_not_depend_on_the_layout_of_x(config, seed):
+    # X as a row slice of a larger array, Fortran-ordered and as a
+    # column-sliced view gives the product of a C-contiguous X, bit for bit
+    op = build(config)
+    rng = np.random.default_rng(seed)
+    for rows, cols in planned_ranges(op):
+        m = cols.stop - cols.start
+        X = rng.standard_normal((m, op.ndof))
+        ref = op.product(rows, cols, X)
+        taller = np.zeros((m + 2, op.ndof))
+        taller[1:-1] = X
+        wider = np.zeros((m, op.ndof + 3))
+        wider[:, 1:-2] = X
+        for layout in (taller[1:-1], np.asfortranarray(X), wider[:, 1:-2]):
+            assert np.array_equal(op.product(rows, cols, layout), ref), (rows, cols)
+
+
+def test_a_gather_copies_only_the_rows_it_takes():
+    # the backward sweep range (tail_0, [1, n_blocks)) of the uniform
+    # benchmark row: each K_i with i >= 1 gathers one column block.  A
+    # gather reads whole rows of X and then its leading n_c columns, so no
+    # product copies X whole, here a row slice of a larger array
+    op = build_operator(ExperimentConfig(distribution="uniform", N=8, P=4, h=0.1))
+    _, tail = op.level_slices(0)
+    rows, cols = tail, slice(tail.stop, op.n_blocks)
+    X = np.random.default_rng(0).standard_normal((op.n_blocks, op.ndof))[1:]
+    op.product(rows, cols, X)
+    assert op._plans[(0, 1, 1, op.n_blocks)][0] is None    # every K_i gathers
+    tracemalloc.start()
+    try:
+        op.product(rows, cols, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * X.nbytes
 
 
 def test_product_plans_are_built_lazily_and_once():

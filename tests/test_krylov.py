@@ -226,3 +226,23 @@ def test_condition_estimate_is_computed_on_first_read(monkeypatch):
     assert report.kappa_estimate == pytest.approx(10.0, rel=1e-8)
     assert report.kappa_estimate == original(report.alphas, report.betas[:9])
     assert calls == [10]
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_a_preconditioner_returning_its_argument_changes_no_iterate(solver):
+    # apply_m(r) is r itself, which the loop then updates in place: every
+    # iterate, coefficient and residual equals that of apply_m=None, bit for
+    # bit, and b is not written
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    A = Q @ np.diag(np.linspace(1.0, 300.0, 40)) @ Q.T
+    b = rng.standard_normal(40)
+    b0 = b.copy()
+    for max_iter in range(1, 30):
+        x, report = solver(lambda v: A @ v, b, apply_m=lambda r: r, tol=1e-12,
+                           max_iter=max_iter)
+        y, ref = solver(lambda v: A @ v, b, tol=1e-12, max_iter=max_iter)
+        assert np.array_equal(x, y), max_iter
+        assert (report.alphas, report.betas, report.relative_residuals) == (
+            ref.alphas, ref.betas, ref.relative_residuals)
+        assert np.array_equal(b, b0)

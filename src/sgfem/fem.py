@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .triple_product import STRUCTURAL_ZERO_RTOL
-
+# relative size below which a fluctuation row is stored as exact zeros
+STRUCTURAL_ZERO_RTOL = 1e-12
 _GAUSS = 1.0 / np.sqrt(3.0)
 _CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
@@ -125,8 +125,8 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
     all from one sparse product.  Boundary rows and columns are zeroed.
     Row 0 is the mean coefficient, whose boundary diagonal is set to one;
     a row r >= 1 whose largest value is within STRUCTURAL_ZERO_RTOL of row
-    0's is stored as exact zeros, as the coupling tensor stores its values
-    (odd Karhunen-Loeve modes cancel up to rounding on the coarsest mesh).
+    0's is stored as exact zeros (odd Karhunen-Loeve modes cancel up to
+    rounding on the coarsest mesh).
     """
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2 or fields.shape[1] != mesh.n_nodes:

@@ -15,8 +15,11 @@ Every operator keeps one contract, checked once when it is built: each
 stored spatial position (r, c) has its mirror (c, r) stored, data holds the
 same values at both, so every K_i is symmetric, and every spatial row
 stores its diagonal.  Both builders meet it; any other input is refused
-with one ValueError.  When each nonzero block holds a single term (the
-linear Karhunen-Loeve coefficient) a product runs matrix-free, as
+with one ValueError.  The mean coupling C_0 is the identity, c_0tj =
+E[psi_t psi_j] in an orthonormal basis, which both families give exactly;
+a tensor whose C_0 is not is refused with a ValueError of its own.  When
+each nonzero block holds a single term (the linear Karhunen-Loeve
+coefficient) a product runs matrix-free, as
 sum_i C_i[rows, cols] @ (U @ K_i^T), each K_i multiplying only the column
 blocks that reach those rows, gathered as rows of U where that pays.  The
 lognormal chaos coefficient sums many terms per block, and its builder
@@ -37,17 +40,17 @@ store only K_0's unit diagonal and are zero in every other K_i, form one
 trailing range [n_c, ndof) of every spatial block (40 of 121 rows at
 h=1/10).  Products, and mean solves by the dense K_0^{-1}, run on the
 leading n_c rows and columns alone; on the Dirichlet rows A[rows, cols] X
-is c_0tt X_t, one scaled copy, and a mean solve copies them.  The graded
-index ordering induces a nested 2x2 partition
+is X_t, one copy, and a mean solve copies them.  The graded index
+ordering induces a nested 2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
 where A_{l-1} spans the blocks of degree < l and D_l the blocks of degree
-exactly l; level 0 has an empty head and D_0 = A_00 = c_000 K_0, the mean
+exactly l; level 0 has an empty head and D_0 = A_00 = K_0, the mean
 block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
-(Karhunen-Loeve) coefficient case every D_l is block diagonal with each
-diagonal block a scalar multiple of the mean matrix K_0, so solving with D_l
-costs one multi-right-hand-side K_0 solve; on meshes of up to
+(Karhunen-Loeve) coefficient case every D_l is I (x) K_0, each diagonal
+block the mean matrix, so solving with D_l costs one
+multi-right-hand-side K_0 solve; on meshes of up to
 MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-1}.
 In the lognormal case D_l is coupled and symmetric, and numbered
 node-major (spatial node outer, block inner) it is a band, which LAPACK's
@@ -192,7 +195,8 @@ class GalerkinOperator:
     anything else is computed: ValueError unless every K_i is symmetric on
     the pattern and every spatial row stores its diagonal.  A coefficient whose data row is
     all zeros is structurally zero and takes part in no product.
-    tensor holds the couplings c_ijk over the same coefficient index range.
+    tensor holds the couplings c_ijk over the same coefficient index range,
+    with C_0 = I stored as its diagonal of exact ones (else ValueError).
     ``nodal``, when given, is (F, H, S): the fields F (n_coeff, ndof) whose
     stiffness is data, the spatial dofs being the mesh nodes, and H, S of
     ``fem.local_hat_stiffness``, so that K_i = S diag(F[i] (x) 1_9) H plus,
@@ -219,8 +223,13 @@ class GalerkinOperator:
         self._solver_cache: dict = {}
         self._level_solvers: dict = {}
         self._plans: dict = {}
-        # c_0kk values scale the diagonal blocks in the scalar-multiple case
-        self.diag_weights = tensor.stacked[:self.n_blocks].diagonal()
+        # C_0 = I: rows 0..n-1 of stacked store one 1.0 each, on the diagonal
+        n, C = self.n_blocks, tensor.stacked
+        if not (np.array_equal(C.indptr[:n + 1], np.arange(n + 1))
+                and np.array_equal(C.indices[:n], np.arange(n))
+                and np.all(C.data[:n] == 1.0)):
+            raise ValueError("GalerkinOperator needs the mean coupling C_0 = I "
+                             "of an orthonormal basis")
         # the contract: each (r, c) has its mirror with the same values, and
         # the diagonal positions are (0, 0), ..., (ndof - 1, ndof - 1).
         # The values are compared CHECK_CHUNK_BYTES of rows at a time, so no
@@ -309,14 +318,11 @@ class GalerkinOperator:
     def n_c(self) -> int:
         """The start of the trailing Dirichlet rows [n_c, ndof): the longest
         trailing run of spatial rows that store only their diagonal, 1 in
-        K_0 and 0 in every other K_i; ndof when C_0 is not diagonal.
-        No stored position joins them to the leading rows, so the kernels
-        run on the leading n_c rows and columns, and on these rows
-        A[rows, cols] X is c_0tt X_t (``product``).  The mesh numbers its
-        boundary nodes last, so n_c = (1/h - 1)^2 for both builders."""
-        i, t, j, _ = self.coupling_entries
-        if np.any((i == 0) & (t != j)):
-            return self.ndof
+        K_0 and 0 in every other K_i.  No stored position joins them to
+        the leading rows, so the kernels run on the leading n_c rows and
+        columns, and on these rows A[rows, cols] X is X_t, C_0 being the
+        identity (``product``).  The mesh numbers its boundary nodes last,
+        so n_c = (1/h - 1)^2 for both builders."""
         first = self.indptr[:-1]
         unit = (np.diff(self.indptr) == 1) & (self.data[0, first] == 1.0)
         unit[unit] = ~self.data[1:, first[unit]].any(axis=0)
@@ -403,9 +409,9 @@ class GalerkinOperator:
         empty row or column range, as at either end of a block Gauss-Seidel
         sweep, gives zeros without a product.  Both forms multiply only the
         leading n_c spatial columns of X and write the leading rows.  On
-        the Dirichlet rows A[rows, cols] X is c_0tt X_t for each row block
-        t in both ranges and zero for the others, as the sum of the
-        coupling terms gives it: one scaled copy."""
+        the Dirichlet rows A[rows, cols] X is X_t for each row block t in
+        both ranges and zero for the others, as C_0 = I gives it: one
+        copy."""
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
@@ -436,8 +442,7 @@ class GalerkinOperator:
         r0, r1, _ = rows.indices(self.n_blocks)
         lo, hi = max(r0, start), min(r1, stop)
         if lo < hi:
-            np.multiply(X[lo - start:hi - start, n:], self.diag_weights[lo:hi, None],
-                        out=out[lo - r0:hi - r0, n:])
+            out[lo - r0:hi - r0, n:] = X[lo - start:hi - start, n:]
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -464,15 +469,14 @@ class GalerkinOperator:
     # -- diagonal-block solves -------------------------------------------
     @cached_property
     def _scalar_levels(self) -> np.ndarray:
-        """Per degree: no same-degree coupling but c_0kk on the diagonal."""
-        i, t, j, v = self.coupling_entries
+        """Per degree: no same-degree coupling but C_0 = I's diagonal."""
+        i, t, j, _ = self.coupling_entries
         degree = np.array(self.basis.degrees())
-        other = (degree[t] == degree[j]) & ((i != 0) | ((t != j) & (v != 0.0)))
+        other = (degree[t] == degree[j]) & (i != 0)
         return ~np.isin(np.arange(self.basis.degree + 1), degree[j[other]])
 
     def level_is_scalar_diagonal(self, level: int) -> bool:
-        """True when D_l is diagonal with blocks c_0kk * K_0, as the mean
-        block D_0 = A_00 is in an orthonormal basis.
+        """True when D_l = I (x) K_0, as the mean block D_0 = A_00 is.
 
         Couplings whose spatial matrix is structurally zero (e.g. vanished
         fluctuation fields) cannot contribute and are ignored.  Read off the
@@ -521,17 +525,17 @@ class GalerkinOperator:
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver) -> np.ndarray:
         """Solve D_l X = rhs, one row of rhs per degree-l block, l = 0..P.
 
-        A level diagonal with blocks c_0kk K_0 (level 0, and every level of
-        the linear coefficient case) takes one multi-right-hand-side K_0
-        solve under ``inner``, rescaled by 1/c_0kk: with the exact policy on
-        a mesh of up to MEAN_INVERSE_LIMIT dof, one product with the dense
-        K_0^{-1} of ``mean_solver``.  A coupled level of dimension up to
+        A level D_l = I (x) K_0 (level 0, and every level of the linear
+        coefficient case) is one multi-right-hand-side K_0 solve under
+        ``inner``: with the exact policy on a mesh of up to
+        MEAN_INVERSE_LIMIT dof, one product with the dense K_0^{-1} of
+        ``mean_solver``.  A coupled level of dimension up to
         DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
         (``band_solvers``) under either policy, as two bands, over the
         spatial nodes coupled to others (half-width m b' + m - 1) and over
         the isolated ones (half-width m - 1); it refuses a level that is
         not positive definite on either.  A larger one runs ``inner.cg`` on
-        the level system preconditioned blockwise by diag(c_0kk) (x) K_0.
+        the level system preconditioned blockwise by I (x) K_0.
         ``rhs`` is never written to.
         """
         _, tail = self.level_slices(level)
@@ -539,11 +543,8 @@ class GalerkinOperator:
         if rhs.shape[0] != tail.stop - tail.start:
             raise ValueError(f"level {level} has {tail.stop - tail.start} blocks, "
                              f"rhs has {rhs.shape[0]} rows")
-        weights = self.diag_weights[tail][:, None]
         if self.level_is_scalar_diagonal(level):
-            X = self.mean_solver(inner)(rhs)
-            X /= weights        # the solve's own array, divided in place
-            return X
+            return self.mean_solver(inner)(rhs)
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_solvers:
                 self._level_solvers[level], = self.band_solvers(
@@ -555,7 +556,7 @@ class GalerkinOperator:
             return self.product(tail, tail, x.reshape(rhs.shape)).ravel()
 
         def block_mean_prec(r):
-            return (mean_solve(r.reshape(rhs.shape)) / weights).ravel()
+            return mean_solve(r.reshape(rhs.shape)).ravel()
 
         x = inner.cg(apply_level, rhs.ravel(), block_mean_prec, level,
                      f"level {level} system")

@@ -12,9 +12,10 @@ Two families are supported:
 
 Triple products E[psi_a psi_b psi_c] vanish unless a+b+c is even and a, b, c
 satisfy the triangle inequality; those structural zeros are returned exactly.
-Nonzero Legendre values are computed by a Gauss-Legendre rule of sufficient
-order (exact for polynomials); Hermite values use the classical factorial
-formula.
+Nonzero Legendre values use the Adams-Neumann formula in exact integers
+(J. C. Adams, Proc. R. Soc. Lond. 27, 1878); Hermite values use the
+classical factorial formula.  Both give E[psi_0 psi_k psi_k] = 1 exactly,
+so the mean coupling C_0 is the identity, as the Galerkin operator requires.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class PolynomialFamily:
         if self.kind == "hermite":
             return (math.sqrt(math.factorial(a) * math.factorial(b) * math.factorial(c))
                     / (math.factorial(s - a) * math.factorial(s - b) * math.factorial(s - c)))
-        return _legendre_triple(self.kind, a, b, c)
+        return _legendre_triple(a, b, c)
 
     def triple_product_table(self, max_first: int, max_other: int) -> np.ndarray:
         """Table T[a, b, c] = E[psi_a psi_b psi_c], a <= max_first, b,c <= max_other."""
@@ -90,12 +91,15 @@ class PolynomialFamily:
 
 
 @lru_cache(maxsize=None)
-def _legendre_triple(kind: str, a: int, b: int, c: int) -> float:
-    family = PolynomialFamily(kind, 1.0 / math.sqrt(3.0))
-    n = (a + b + c) // 2 + 1
-    x, w = family.gauss_rule(n)
-    vals = family.evaluate(max(a, b, c), x)
-    return float(np.dot(w, vals[a] * vals[b] * vals[c]))
+def _legendre_triple(a: int, b: int, c: int) -> float:
+    """Adams-Neumann with s = (a+b+c)/2, m(n) = C(2n, n): E[P_a P_b P_c] =
+    m(s-a) m(s-b) m(s-c) / (m(s) (2s+1)), the leading coefficients' powers
+    of 2 cancelling; psi_a psi_b psi_c is the square root of one exact
+    quotient of integers, correctly rounded, so any order gives one value."""
+    s = (a + b + c) // 2
+    m = lambda n: math.comb(2 * n, n)
+    num, den = m(s - a) * m(s - b) * m(s - c), m(s) * (2 * s + 1)
+    return math.sqrt(num * num * (2 * a + 1) * (2 * b + 1) * (2 * c + 1) / (den * den))
 
 
 def legendre_family() -> PolynomialFamily:

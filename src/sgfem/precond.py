@@ -3,12 +3,12 @@
 Three preconditioners are provided, all operating block-wise:
 
 * mean-based: every spatial block of the residual is solved independently
-  with the (scaled) mean matrix, one block solve per block.
+  with the mean matrix, one block solve per block.
 * block symmetric Gauss-Seidel: a forward and a backward block sweep, one
   routine, over the natural block order from a zero guess; symmetric
   whenever the operator is.  A sweep walks the levels: each takes its
   coupling to the levels swept before it in one product; then a level with
-  D_l = diag(c_0kk K_0) is one level solve, and a coupled level is swept
+  D_l = I (x) K_0 is one level solve, and a coupled level is swept
   block by block against its couplings, summed once from the coupling values.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
@@ -120,18 +120,16 @@ class _BlockPreconditioner:
 
 
 class MeanBased(_BlockPreconditioner):
-    """Independent solves of every spatial block with the scaled mean matrix."""
+    """Independent solves of every spatial block with the mean matrix K_0."""
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
         super().__init__(op, inner, outer_tol)
         self._solve = op.mean_solver(self.inner)
-        self._weights = op.diag_weights
 
     def apply_blocks(self, R: np.ndarray) -> np.ndarray:
         R = R.reshape(self.op.n_blocks, self.op.ndof)   # ValueError naming any other size
         Z = self._solve(R)
-        Z /= self._weights[:, None]     # the solve's own array, divided in place
         self.counters.block_solves += self.op.n_blocks
         return Z
 
@@ -146,7 +144,7 @@ class BlockSGS(_BlockPreconditioner):
     ``level_slices``, ascending forward and descending backward.  A level
     first subtracts its coupling to the levels swept before it, one
     ``product`` (forward, the C_l of the hierarchical preconditioner).  A
-    level with D_l = diag(c_0kk K_0) is then one d_block_solve; a coupled
+    level with D_l = I (x) K_0 is then one d_block_solve; a coupled
     level is swept block by block (``_level_blocks``).  The backward sweep
     starts at the top level, which has no later blocks and b = 0, so its
     update is zero: a scalar-diagonal top level is skipped (for N=8 P=4, a
@@ -164,7 +162,7 @@ class BlockSGS(_BlockPreconditioner):
 
     @cached_property
     def _level_blocks(self) -> list:
-        """Per level l = 0..P: None when D_l = diag(c_0kk K_0), else
+        """Per level l = 0..P: None when D_l = I (x) K_0, else
         (values, solvers), built at the first application.  values[j, s, e]
         is block (j, s) of D_l at stored spatial position e, summed from the
         coupling values (``block_values``), C-contiguous.  solvers[j]

@@ -13,11 +13,11 @@ with t the univariate triple product, and t(a, b, c) vanishes unless
 Galerkin matrices", SIAM J. Matrix Anal. Appl. 31, 2010).  The builder
 therefore never scans all (j, k) pairs: starting from the (i, j) pairs it
 extends k one dimension at a time by the digits those rules allow, keeping
-|k| <= P, so its work and memory follow the number of nonzeros.  Entries
-below a relative threshold are dropped: quadrature noise must not destroy
-the provable sparsity pattern (for the linear/Legendre case every
-same-degree off-diagonal block vanishes identically, which the hierarchical
-preconditioner relies on).
+|k| <= P, so its work and memory follow the number of nonzeros, and it
+stores only products of nonzero univariate values: the selection rules give
+the exact sparsity pattern (for the linear/Legendre case every same-degree
+off-diagonal block vanishes identically, which the hierarchical
+preconditioner relies on), and t(0, b, b) = 1 exactly gives C_0 = I.
 """
 from __future__ import annotations
 
@@ -29,8 +29,6 @@ import scipy.sparse as sp
 
 from .multi_index import MultiIndexSet
 from .orthopoly import PolynomialFamily
-
-STRUCTURAL_ZERO_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,14 +131,13 @@ def build_triple_product_tensor(basis: MultiIndexSet, coeff_set: MultiIndexSet,
         r, c = np.nonzero((table[a, b] != 0.0) & ((ksum + rest)[:, None] + digits <= P))
         value = value[r] * table[a[r], b[r], c]
         i, j, code, ksum, rest = i[r], j[r], code[r] * (P + 1) + c, ksum[r] + c, rest[r]
-    keep = np.abs(value) >= STRUCTURAL_ZERO_RTOL * np.abs(value).max()
     basis_code = jind @ (P + 1) ** np.arange(dims - 1, -1, -1, dtype=np.int64)
     by_code = np.argsort(basis_code)
-    k = by_code[np.searchsorted(basis_code[by_code], code[keep])]
-    row = i[keep] * M1 + j[keep]                  # non-decreasing
+    k = by_code[np.searchsorted(basis_code[by_code], code)]
+    row = i * M1 + j                              # non-decreasing
     order = np.argsort(row * M1 + k)              # each row's entries by k
     n_rows = len(coeff) * M1
-    stacked = sp.csr_matrix((value[keep][order], k[order],
+    stacked = sp.csr_matrix((value[order], k[order],
                              np.searchsorted(row, np.arange(n_rows + 1))),
                             shape=(n_rows, M1))
     return TripleProductTensor(coeff_set, basis, stacked)

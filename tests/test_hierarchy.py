@@ -18,17 +18,18 @@ from hypothesis import example, given, strategies as st
 
 from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
-from sgfem.fem import assemble_weighted_stiffness, build_mesh
+from sgfem.fem import STRUCTURAL_ZERO_RTOL, assemble_weighted_stiffness, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
-from sgfem.triple_product import STRUCTURAL_ZERO_RTOL
 from shared_pattern import CONTRACT, indefinite, nonsymmetric, operator_from_matrices
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
+# the one ValueError of a tensor whose C_0 is not the identity
+MEAN_COUPLING = "^GalerkinOperator needs the mean coupling C_0 = I of an orthonormal basis$"
 PARTS = ("A", "B", "C", "D")
 
 
@@ -87,9 +88,9 @@ def dense_part(op, A, level, part):
 
 
 def dense_is_scalar(op, D, level):
-    """D_l block diagonal with blocks c_0kk K_0, read off the dense matrix."""
+    """D_l = I (x) K_0, read off the dense matrix."""
     _, tail = op.level_slices(level)
-    expect = np.kron(np.diag(op.diag_weights[tail]), op.matrices[0].toarray())
+    expect = np.kron(np.eye(tail.stop - tail.start), op.matrices[0].toarray())
     return np.allclose(D, expect, rtol=0.0, atol=1e-13 * np.abs(D).max())
 
 
@@ -178,7 +179,7 @@ def test_linear_levels_are_scalar_and_lognormal_levels_coupled():
     # only the mean coupling survives on a linear level
     _, tail = uni.level_slices(2)
     D = uni.assemble_range(tail, tail).toarray()
-    expect = np.kron(np.diag(uni.diag_weights[tail]), uni.matrices[0].toarray())
+    expect = np.kron(np.eye(tail.stop - tail.start), uni.matrices[0].toarray())
     assert np.array_equal(D, expect)
 
 
@@ -290,7 +291,7 @@ def test_level_zero_is_the_mean_block(kind):
     ref = np.linalg.solve(A_00, R[0])
     for inner in (EXACT, TIGHT_CG):
         X = op.d_block_solve(0, R, inner)
-        assert np.array_equal(X, op.mean_solver(inner)(R) / op.diag_weights[0])
+        assert np.array_equal(X, op.mean_solver(inner)(R))
         assert np.linalg.norm(X[0] - ref) <= 1e-9 * np.linalg.norm(ref), inner.kind
     for level in (-1, op.basis.degree + 1):
         with pytest.raises(ValueError):
@@ -817,16 +818,21 @@ def test_products_and_mean_solves_match_the_oracle_wherever_the_dirichlet_rows_l
     assert solve(R[0]).shape == (op.ndof,) and np.array_equal(solve(R[0]), solve(R[:1])[0])
 
 
-def test_c0_off_its_diagonal_leaves_no_dirichlet_rows():
-    # c_001 != 0: the Dirichlet rows of A X are no longer c_0tt X_t, so the
-    # kernels run over every row
-    op = uniform_operator(2, 2, 3)
-    C = op.tensor.stacked.tolil()
-    C[0, 1] = C[1, 0] = 0.1
-    other = GalerkinOperator((op.indices, op.indptr, op.data),
-                             replace(op.tensor, stacked=C.tocsr()))
-    assert op.n_c == 4 and other.n_c == other.ndof
-    check_ranges_against_oracle(other, dense_kron_oracle(other), np.random.default_rng(0), 1e-13)
+@pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+def test_a_mean_coupling_other_than_the_identity_is_refused(kind):
+    # C_0 = I is part of the contract: the Dirichlet rows of A X are X_t
+    # and a diagonal level is I (x) K_0; an off-diagonal c_001, or a
+    # diagonal value of 1 + 1e-15, is refused at construction
+    op = build((kind, 2, 2, 3))
+    assert np.all(op.tensor.coupling[0].toarray() == np.eye(op.n_blocks))
+    GalerkinOperator((op.indices, op.indptr, op.data), op.tensor)
+    off = op.tensor.stacked.tolil()
+    off[0, 1] = off[1, 0] = 0.1
+    near = op.tensor.stacked.copy()
+    near[1, 1] = 1.0 + 1e-15
+    for C in (off.tocsr(), near):
+        with pytest.raises(ValueError, match=MEAN_COUPLING):
+            GalerkinOperator((op.indices, op.indptr, op.data), replace(op.tensor, stacked=C))
 
 
 @given(nodal_configs, st.integers(0, 2**32 - 1))
@@ -1071,7 +1077,7 @@ def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
     prec(np.ones(op.shape[0]))
     # every block of the coupled levels gets its own band at the first
     # application, filled from the coupling values bit for bit as the band
-    # of the assembled block; level 0 is c_000 K_0 and takes the K_0 LU
+    # of the assembled block; level 0 is K_0 and takes the K_0 LU
     assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
     assert len(filled) == op.n_blocks - 1
     # 4 x 4 nodes, the 2 x 2 interior ones first: the Q1 stencil reaches 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -78,10 +79,51 @@ def test_selection_rules_exact_zero(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
 def test_permutation_symmetry(family):
-    import itertools
-    for (a, b, c) in [(1, 2, 3), (2, 2, 4), (0, 3, 3)]:
+    # both closed forms round only integers that are symmetric in a, b, c,
+    # so every permutation gives the same bits
+    for (a, b, c) in itertools.combinations_with_replacement(range(9), 3):
         vals = {family.triple_product(*p) for p in itertools.permutations((a, b, c))}
-        assert max(vals) - min(vals) < 1e-14
+        assert len(vals) == 1, (a, b, c, vals)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_mean_coupling_is_exactly_one(family):
+    # c_0kk = E[psi_k^2] = 1 with no rounding: C_0 is the identity
+    for k in range(17):
+        assert family.triple_product(0, k, k) == 1.0, k
+        assert family.triple_product(k, 0, k) == family.triple_product(k, k, 0) == 1.0, k
+
+
+def test_legendre_closed_form_matches_gauss_legendre_quadrature():
+    # the family's own evaluate and gauss_rule, with s + 1 points, exact
+    # for the degree-2s integrand up to rounding
+    fam = legendre_family()
+    worst = 0.0
+    for a in range(17):
+        for b in range(9):
+            for c in range(9):
+                n = (a + b + c) // 2 + 1
+                x, w = fam.gauss_rule(n)
+                vals = fam.evaluate(max(a, b, c), x)
+                quad = float(np.dot(w, vals[a] * vals[b] * vals[c]))
+                exact = fam.triple_product(a, b, c)
+                if exact == 0.0:
+                    assert abs(quad) < 1e-13, (a, b, c)
+                else:
+                    worst = max(worst, abs(exact - quad) / abs(exact))
+    assert worst <= 2e-14
+
+
+def test_hermite_values_are_the_factorial_formula_bit_for_bit():
+    fam = hermite_family()
+    f = math.factorial
+    for (a, b, c) in itertools.product(range(9), repeat=3):
+        s = (a + b + c) // 2
+        if (a + b + c) % 2 or max(a, b, c) > s:
+            expect = 0.0
+        else:
+            expect = math.sqrt(f(a) * f(b) * f(c)) / (f(s - a) * f(s - b) * f(s - c))
+        assert fam.triple_product(a, b, c) == expect, (a, b, c)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)

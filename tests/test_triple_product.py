@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from sgfem.experiments import TABLE_SWEEPS
+from sgfem.fem import STRUCTURAL_ZERO_RTOL
 from sgfem.multi_index import build_multi_index_set
 from sgfem.orthopoly import hermite_family, legendre_family
-from sgfem.triple_product import STRUCTURAL_ZERO_RTOL, build_triple_product_tensor
+from sgfem.triple_product import build_triple_product_tensor
 
 
 def kl_tensor(dims, degree, family=None):
@@ -74,7 +75,7 @@ def test_identity_coupling_for_constant_coefficient():
     c0 = t.coupling[0].toarray()
     off = c0 - np.diag(np.diag(c0))
     assert np.all(off == 0.0)          # selection rules give exact zeros
-    assert np.allclose(np.diag(c0), 1.0, atol=1e-13)
+    assert np.all(np.diag(c0) == 1.0)    # the closed form gives exact ones
 
 
 def test_diagonal_blocks_are_scalar_multiples():

@@ -8,6 +8,15 @@ it convergent when the preconditioner changes between iterations, e.g. with
 inner iterative block solves.  With a fixed preconditioner it reproduces the
 standard CG iterates.
 
+A preconditioner may pair its application with the operator's product:
+when ``apply_m.paired(apply_a)`` gives a step r -> (z, A z) for this very
+apply_a, A p follows the recurrence of p and the loop never calls apply_a;
+the step returns fresh arrays, which the loop may update in place.
+Block Gauss-Seidel and the hierarchical preconditioner pair with their
+operator's own ``matvec`` when every level solve is exact and D_l = I (x) K_0
+(see the precond module); each other preconditioner or operator keeps the
+explicit product.  Either way the iterates agree up to rounding.
+
 Both stop on the unpreconditioned relative residual ||b - A x|| / ||b|| <= tol,
 so iteration counts are comparable across preconditioners.  The scalar
 recurrences of CG define a symmetric tridiagonal (Lanczos) matrix whose
@@ -93,7 +102,8 @@ def cg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None)
     """Preconditioned conjugate gradients with a fixed preconditioner.
 
     apply_a and apply_m are callables on flat vectors; apply_m defaults to
-    the identity.  Returns (solution, SolveReport).  Exceeding max_iter is
+    the identity, and may pair with apply_a (see the module docstring).
+    Returns (solution, SolveReport).  Exceeding max_iter is
     reported, not raised; an indefiniteness signal (negative <p, Ap> or
     negative <r, z>) sets spd_suspect and a non-finite <p, Ap>, <r, z> or
     residual sets non_finite, and either stops the iteration.
@@ -113,9 +123,12 @@ def fcg(apply_a, b, apply_m=None, tol: float = 1e-8, max_iter: int | None = None
 
 
 def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
-    """The CG loop of cg() and fcg(): each step applies apply_m and apply_a
-    once, so a run of k steps applies each k times.  Standard CG updates p
-    in place; flexible CG keeps a fresh p per step for its history."""
+    """The CG loop of cg() and fcg(): each step applies apply_m once, and
+    apply_a once unless apply_m pairs with it (``paired``), so a run of k
+    steps applies each k times.  A paired step returns (z, A z), and A p
+    follows p: A p = A z + beta A p for CG, A z - sum (z . A q / q A q) A q
+    over the history for FCG.  Standard CG updates p and A p in place;
+    flexible CG keeps fresh ones per step for its history."""
     b = np.asarray(b, dtype=float).ravel()
     if max_iter is None:
         max_iter = default_max_iter(b.size)
@@ -125,12 +138,17 @@ def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
     if bnorm == 0.0:
         report.converged = True
         return x, report
+    offer = getattr(apply_m, "paired", None)
+    paired = offer(apply_a) if offer else None
     r = b.copy()
     alphas, betas = report.alphas, report.betas
     history: list[tuple] = []     # (p, Ap, <p, Ap>) of every step; flexible only
     report.relative_residuals.append(1.0)
     while report.iterations < max_iter:
-        z = apply_m(r) if apply_m else r.copy()
+        if paired:
+            z, Az = paired(r)
+        else:
+            z, Az = apply_m(r) if apply_m else r.copy(), None
         rz = float(r @ z)
         if _halt(report, rz, rz < 0.0):
             break
@@ -138,13 +156,20 @@ def _pcg(apply_a, b, apply_m, tol: float, max_iter: int | None, flexible: bool):
             betas.append(rz / rz_prev)
         rz_prev = rz
         if flexible or not report.iterations:
-            p = z.copy()
+            p, Ap = z.copy(), Az
             for q, aq, qaq in history:
-                p -= (float(z @ aq) / qaq) * q
+                c = float(z @ aq) / qaq
+                p -= c * q
+                if paired:
+                    Ap -= c * aq
         else:
             p *= betas[-1]
             p += z
-        Ap = apply_a(p)
+            if paired:
+                Ap *= betas[-1]
+                Ap += Az
+        if not paired:
+            Ap = apply_a(p)
         pAp = float(p @ Ap)
         if _halt(report, pAp, pAp <= 0.0):
             break

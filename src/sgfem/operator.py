@@ -55,14 +55,14 @@ MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-1}.
 In the lognormal case D_l is coupled and symmetric, and numbered
 node-major (spatial node outer, block inner) it is a band, which LAPACK's
 band Cholesky factors once (``band_solvers``, the band filled straight
-from the coupling values, D_l not assembled).  No stored position joins a
-spatial row that stores only its diagonal (a Dirichlet node) to any other,
-so D_l is factored as two bands: over the coupled nodes, numbered
-consecutively, of half-width m b' + m - 1 with b' their bandwidth (10 at
-h=1/10), and over the isolated nodes, one m x m block each.  The same
-routine factors the diagonal blocks A_jj of block Gauss-Seidel, the case of
-one block, as one band over all nodes, of half-width 10 at h=1/10 too: the
-Dirichlet nodes, numbered last, widen no band.  The
+from the coupling values, D_l not assembled).  On the trailing Dirichlet
+rows D_l is the identity, C_0 = I, and no stored position joins them to
+the leading ones, so D_l is factored over the leading n_c nodes alone, a
+band of half-width m b' + m - 1 with b' their bandwidth (10 at h=1/10), and
+a solve copies the Dirichlet rows.  The same routine factors the diagonal
+blocks A_jj of block Gauss-Seidel, the case of one block, as one band over
+all nodes, of half-width 10 at h=1/10 too: the Dirichlet nodes, numbered
+last, widen no band.  The
 lognormal Galerkin matrix, the projection of a positive field, is positive
 definite; a level or block that is not is refused with an error, never
 solved another way.  C_l is the transpose of B_l, every K_i and C_i being
@@ -531,10 +531,10 @@ class GalerkinOperator:
         MEAN_INVERSE_LIMIT dof, one product with the dense K_0^{-1} of
         ``mean_solver``.  A coupled level of dimension up to
         DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
-        (``band_solvers``) under either policy, as two bands, over the
-        spatial nodes coupled to others (half-width m b' + m - 1) and over
-        the isolated ones (half-width m - 1); it refuses a level that is
-        not positive definite on either.  A larger one runs ``inner.cg`` on
+        (``band_solvers``) under either policy, over the leading n_c nodes
+        (half-width m b' + m - 1), the identity on the Dirichlet rows
+        copied; it refuses a level that is not positive definite.  A larger
+        one runs ``inner.cg`` on
         the level system preconditioned blockwise by I (x) K_0.
         ``rhs`` is never written to.
         """
@@ -572,15 +572,6 @@ class GalerkinOperator:
         return order[np.searchsorted(keys, c * self.ndof + r, sorter=order)
                      .clip(max=len(keys) - 1)]
 
-    @cached_property
-    def _node_sets(self) -> tuple:
-        """(coupled, isolated): the spatial rows that store more than their
-        diagonal, and those that store only it (the Dirichlet nodes of the
-        assembly), each ascending.  A stored (r, c) has its mirror (c, r)
-        stored, so no stored position joins the two sets."""
-        alone = np.diff(self.indptr) == 1
-        return np.flatnonzero(~alone), np.flatnonzero(alone)
-
     def band_solvers(self, groups: np.ndarray, names: list) -> list:
         """Per row g of the (k, m) block indices ``groups``: a solver
         R -> A_g^{-1} R of the diagonal block A_g = A[g, g], factored once
@@ -588,19 +579,17 @@ class GalerkinOperator:
 
         Every K_i is symmetric, and so is each C_i (c_itj = E[psi_i psi_t
         psi_j]), so A_g is symmetric.  ``_bands`` fills it straight from the
-        coupling values, node-major over a set of spatial nodes; A_g is not
-        assembled.  A group of m > 1 blocks (a coupled level) is factored
-        over the two sets of ``_node_sets``, A_g = A_g[coupled, coupled] (+)
-        A_g[isolated, isolated]: the coupled nodes with half-width
-        kd' = m*b' + m - 1, b' the bandwidth among them (10 for the 81
-        interior nodes at h=1/10), and the isolated ones with kd = m - 1,
-        one m x m block per node; an empty set is skipped.  At lognormal
-        N=4 P=3 h=1/10 that factors D_3 as 1620 unknowns at kd = 219 (2.85
-        MB) and 800 at kd = 19, where the row-major node numbering gave one
-        band of 2420 at kd = 259 (5.0 MB): dpbtrf 9.2 -> 5.1 ms, a solve
-        0.45 -> 0.22 ms (best of 5 and of 50, one BLAS thread); a D_1 solve
-        (m = 4) took 25 -> 30 us, the second dpbtrs costing more than its
-        narrower band saves.  A group of one block (every block
+        coupling values, node-major over the leading spatial nodes; A_g is
+        not assembled.  A group of m > 1 blocks (a coupled level) is
+        factored over the leading n_c nodes alone, with half-width
+        kd' = m*b' + m - 1, b' their bandwidth (10 for the 81 interior
+        nodes at h=1/10): on the trailing Dirichlet rows A_g is the
+        identity (``n_c``, C_0 = I), which a solve copies, as
+        ``_leading_solve`` does for K_0.  At lognormal N=4 P=3 h=1/10 that
+        factors D_3 as 1620 unknowns at kd = 219 (2.85 MB), where the
+        row-major node numbering gave one band of 2420 at kd = 259 (5.0
+        MB): dpbtrf 9.2 -> 5.1 ms, a solve 0.45 -> 0.22 ms (best of 5 and
+        of 50, one BLAS thread).  A group of one block (every block
         Gauss-Seidel diagonal block) keeps one band over all nodes, of
         half-width b, 10 at h=1/10 (12 under the row-major numbering, whose
         Dirichlet nodes sit between the interior ones): a second dpbtrs
@@ -610,51 +599,41 @@ class GalerkinOperator:
         (m, ndof), or for m = 1 one block as a vector, which takes one
         dpbtrs as it is; R is never written.
         dpbtrf reads only the upper band, the whole of A_g by its symmetry.
-        A block that is not positive definite on either set raises
-        LinAlgError naming it as ``names[g]``.
+        A block that is not positive definite raises LinAlgError naming it
+        as ``names[g]``.
         """
         m = groups.shape[1]
-        node_sets = ([np.arange(self.ndof)] if m == 1
-                     else [nodes for nodes in self._node_sets if len(nodes)])
-        values = self.block_values(groups)
         factors = []
-        for nodes in node_sets:
-            factors.append([])
-            for name, band in zip(names, self._bands(values, nodes)):
-                factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
-                if info > 0:
-                    raise np.linalg.LinAlgError(f"{name} is not positive definite "
-                                                "(band Cholesky)")
-                factors[-1].append(factor)
-        if m == 1:
-            return [partial(_band_solve, factor) for factor in factors[0]]
-        # unknown (block s, node nodes[p]) of R.ravel() at s*ndof + nodes[p],
-        # node-major at p*m + s
-        index = [(nodes[:, None] + self.ndof * np.arange(m)).ravel() for nodes in node_sets]
-        return [partial(_split_band_solve, list(zip(index, per_set)))
-                for per_set in zip(*factors)]
+        for name, band in zip(names, self._bands(self.block_values(groups),
+                                                 self.ndof if m == 1 else self.n_c)):
+            factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"{name} is not positive definite "
+                                            "(band Cholesky)")
+            factors.append(factor)
+        return [partial(_band_solve if m == 1 else _leading_band_solve, factor)
+                for factor in factors]
 
-    def _bands(self, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """bands[g]: the upper band of A_g[nodes, nodes] (see
-        ``band_solvers``) numbered node-major, unknown (block g[s], node
-        nodes[p]) at p*m + s, of half-width kd = m*b + m - 1, b = max |p - q|
-        over the stored positions (nodes[p], nodes[q]).  No stored position
-        joins ``nodes`` to the other nodes.  The band is in LAPACK's upper
-        band layout, A_g[I, J] at bands[g, kd + I - J, J] for I <= J, each
-        Fortran-ordered so that dpbtrf factors it without a copy.
+    def _bands(self, values: np.ndarray, n: int) -> np.ndarray:
+        """bands[g]: the upper band of A_g over the leading n spatial nodes
+        (see ``band_solvers``) numbered node-major, unknown (block g[s],
+        node p) at p*m + s, of half-width kd = m*b + m - 1, b = max |p - q|
+        over their stored positions (p, q), the first indptr[n].  No stored
+        position joins them to the other nodes: n is n_c or ndof.  The band
+        is in LAPACK's upper band layout, A_g[I, J] at bands[g, kd + I - J, J]
+        for I <= J, each Fortran-ordered so that dpbtrf factors it without
+        a copy.
 
         All k bands are filled in one pass straight from the coupling
         values ``values`` = ``block_values(groups)``: block (s, s') of A_g
-        at the stored position (nodes[p], nodes[q]) sits at (p*m + s,
-        q*m + s').  Positions are int32 while a band has fewer than 2^31
-        entries, as every band of up to DIRECT_LEVEL_LIMIT unknowns has.
+        at the stored position (p, q) sits at (p*m + s, q*m + s').
+        Positions are int32 while a band has fewer than 2^31 entries, as
+        every band of up to DIRECT_LEVEL_LIMIT unknowns has.
         """
         k, m = values.shape[:2]
-        number = np.full(self.ndof, -1, dtype=np.intp)
-        number[nodes] = np.arange(len(nodes))
-        e = np.flatnonzero(number[self._pattern_rows] >= 0)
-        p, q = number[self._pattern_rows[e]], number[self.indices[e]]
-        kd, N = m * int(np.abs(p - q).max()) + m - 1, m * len(nodes)
+        end = self.indptr[n]
+        p, q = self._pattern_rows[:end], self.indices[:end]
+        kd, N = m * int(np.abs(p - q).max()) + m - 1, m * n
         s = np.arange(m, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
         p, q = p.astype(s.dtype), q.astype(s.dtype)
         out = np.zeros((k, N, kd + 1))
@@ -666,7 +645,7 @@ class GalerkinOperator:
             I = (p[at] * m)[None, None] + s[:, None, None]
             J = (q[at] * m)[None, None] + s[None, :, None]
             # position J (kd + 1) + kd + I - J of a band, out[g] read transposed
-            out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., e[at]][:, pairs]
+            out.reshape(k, -1)[:, (kd + I + kd * J)[pairs]] = values[..., at][:, pairs]
         return out.transpose(0, 2, 1)
 
     def block_values(self, groups: np.ndarray) -> np.ndarray:
@@ -748,16 +727,20 @@ def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
     return lapack.dpbtrs(factor, R.ravel())[0].reshape(R.shape)
 
 
-def _split_band_solve(parts: list, R: np.ndarray) -> np.ndarray:
-    """A_g^{-1} R, R block-major of shape (m, ndof), from the factors of
-    A_g over its node sets (see ``GalerkinOperator.band_solvers``): each
-    (index, factor) of ``parts`` gathers its unknowns node-major with one
-    take and stores the solution back through the same index; R is not
-    written."""
-    X = np.empty(R.size)
-    for index, factor in parts:
-        X[index] = lapack.dpbtrs(factor, R.take(index), overwrite_b=1)[0]
-    return X.reshape(R.shape)
+def _leading_band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A_g^{-1} R, R block-major of shape (m, ndof), from the band Cholesky
+    factor of A_g over the leading n_c nodes (see
+    ``GalerkinOperator.band_solvers``), whose node-major unknowns are
+    R[:, :n_c].T in C order; on the Dirichlet rows, where A_g is the
+    identity, R is copied.  R is not written."""
+    m = len(R)
+    n = factor.shape[1] // m
+    X = np.empty(R.shape)
+    # ravel copies the transposed view, which dpbtrs may overwrite
+    x = lapack.dpbtrs(factor, R[:, :n].T.ravel(), overwrite_b=1)[0]
+    X[:, :n] = x.reshape(n, m).T
+    X[:, n:] = R[:, n:]
+    return X
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

@@ -43,6 +43,32 @@ block at N=8, P=4, h=1/10; a K_i whose skipped columns would save less
 than gathering its own costs, ``operator.GATHER_COPY`` and
 ``GATHER_FIXED``, fitted to the timings in BENCH_gather.json, multiplies
 its whole column range).
+
+When every level is D_l = I (x) K_0 (the linear coefficient) and its solves
+are exact, block Gauss-Seidel and the hierarchical preconditioner also give
+A z for the z they return, from products over ranges their sweeps already
+plan, and CG takes that pair in place of its own operator apply
+(``paired``, ``krylov``):
+
+* block Gauss-Seidel, A = L + D + U over the level ranges: the forward sweep
+  gives (L + D) y = r and the backward one (D + U) z = D y, so
+  A z = r + L (z - y) = D y + L z, with L w the products
+  A[tail_l, head_l] w[head_l] of the forward sweep and D y = r - L y the
+  right-hand side of each level's forward solve;
+* hierarchical Schur: the post-correction makes the tail rows of level l
+  exact, and its head rows differ from the pre-corrected residual by
+  B_l (z_l - t_l), t_l the level's down-sweep solve, so
+  A z = r + sum_l B_l (z_l - t_l), each term in the head rows of level l;
+  r - sum_l B_l t_l is the residual that reaches each level on the way
+  down, so A z is that plus the products B_l z_l.
+
+Each is the rearranged form, which saves a pass over the block vector.
+Both need D_l z_l to be what the sweep solved for: a coupled level's
+within-level couplings lie outside these products, and an inexact inner
+solve breaks the identity.  The extra products, about half an operator
+apply per application, are operator work done in place of the apply CG
+skips, not block work of the preconditioner: ``Counters`` does not count
+them, and its tallies still meet the closed forms.
 """
 from __future__ import annotations
 
@@ -104,6 +130,10 @@ class Counters:
 class _BlockPreconditioner:
     """Shared plumbing: resolved inner policy, call interface and counters."""
 
+    # whether apply_blocks(R, product=True) gives (Z, A Z) when every level
+    # is I (x) K_0 and solved exactly (module docstring)
+    gives_product = False
+
     def __init__(self, op: GalerkinOperator, inner: InnerSolver, outer_tol: float):
         self.op = op
         self.inner = inner if inner.tol is not None else replace(inner, tol=outer_tol)
@@ -117,6 +147,23 @@ class _BlockPreconditioner:
         Z = self.apply_blocks(self.op.as_blocks(r))
         self.counters.applications += 1
         return Z.ravel() if flat else Z
+
+    def paired(self, apply_a):
+        """The step r -> (M r, A M r) on flat vectors that ``krylov`` takes
+        in place of apply_a, or None.  Only for apply_a the operator's own
+        ``matvec``, when the preconditioner gives the product, its inner
+        policy is exact and every level is I (x) K_0."""
+        op = self.op
+        if not (self.gives_product and self.inner.kind == "exact" and apply_a == op.matvec
+                and all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))):
+            return None
+
+        def step(r):
+            Z, AZ = self.apply_blocks(op.as_blocks(r), product=True)
+            self.counters.applications += 1
+            return Z.ravel(), AZ.ravel()
+
+        return step
 
 
 class MeanBased(_BlockPreconditioner):
@@ -149,8 +196,12 @@ class BlockSGS(_BlockPreconditioner):
     starts at the top level, which has no later blocks and b = 0, so its
     update is zero: a scalar-diagonal top level is skipped (for N=8 P=4, a
     330-block product with K_0^{-1}), and a coupled one skips the solve of
-    its last block.  Residuals are read as float.
+    its last block.  Residuals are read as float.  With ``product`` it
+    also returns A z = D y + L z, L the forward sweep's products and D y
+    its right-hand sides, valid when ``paired`` offers it.
     """
+
+    gives_product = True
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -187,13 +238,15 @@ class BlockSGS(_BlockPreconditioner):
             levels.append((values, solvers))
         return levels
 
-    def _sweep(self, B: np.ndarray | None, X: np.ndarray, forward: bool) -> None:
+    def _sweep(self, B: np.ndarray | None, X: np.ndarray, forward: bool) -> list:
         """Over the blocks j in sweep order, x_j += A_jj^{-1} (b_j - sum
         over the blocks s swept before j of A_js x_s), in place; B None
         stands for b = 0, where the first level's first update is zero and
-        is skipped."""
+        is skipped.  Returns each level's b - (its coupling to the levels
+        swept before it), in sweep order, a level that is skipped left out."""
         op = self.op
         levels = list(enumerate(self._level_blocks))
+        kept = []
         for l, level in levels if forward else reversed(levels):
             head, tail = op.level_slices(l)
             swept = head if forward else slice(tail.stop, op.n_blocks)
@@ -203,6 +256,7 @@ class BlockSGS(_BlockPreconditioner):
                 continue
             coupling = op.product(tail, swept, X[swept])
             rhs = -coupling if B is None else B[tail] - coupling
+            kept.append(rhs)
             if level is None:
                 X[tail] += op.d_block_solve(l, rhs, self.inner)
                 continue
@@ -216,16 +270,26 @@ class BlockSGS(_BlockPreconditioner):
                     coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
                     x[j] += solvers[j](rhs[j] - coupling)
                 x[j].take(op.indices, out=G[j])
+        return kept
 
-    def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+    def apply_blocks(self, R: np.ndarray, product: bool = False):
+        op = self.op
         # ValueError naming any other size
-        R = np.asarray(R, dtype=float).reshape(self.op.n_blocks, self.op.ndof)
+        R = np.asarray(R, dtype=float).reshape(op.n_blocks, op.ndof)
         Y = np.zeros_like(R)
-        self._sweep(R, Y, forward=True)
+        D_y = self._sweep(R, Y, forward=True)
         self._sweep(None, Y, forward=False)
-        self.counters.block_solves += 2 * self.op.n_blocks
+        self.counters.block_solves += 2 * op.n_blocks
         self.counters.block_matvecs += self._n_products
-        return Y
+        if not product:
+            return Y
+        # A z = r + L (z - y) = D y + L z, level l's D y being r - L y, the
+        # right-hand side of its forward solve
+        AY = np.empty_like(R)
+        for l, rhs in enumerate(D_y):
+            head, tail = op.level_slices(l)
+            np.add(rhs, op.product(tail, head, Y[head]), out=AY[tail])
+        return Y, AY
 
 
 class HierarchicalSchur(_BlockPreconditioner):
@@ -238,8 +302,13 @@ class HierarchicalSchur(_BlockPreconditioner):
     times that solution from the head (pre-correction).  At the bottom solve
     with D_0, the mean block.  Ascending, each level gets its tail from
     D_l^{-1} (r_l^tail - C_l u_head) (post-correction), in the output rows
-    that kept r_l^tail on the way down.
+    that kept r_l^tail on the way down.  With ``product`` it also returns
+    A_L u = r + sum_l B_l (u_l^tail - t_l), t_l the down-sweep solve of
+    level l, as the pre-corrected residuals plus sum_l B_l u_l^tail, valid
+    when ``paired`` offers it.
     """
+
+    gives_product = True
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -253,7 +322,7 @@ class HierarchicalSchur(_BlockPreconditioner):
         higher = np.maximum(degree[t], degree[j])[degree[t] != degree[j]]
         self._n_products = np.bincount(higher, minlength=len(self._levels)).cumsum().tolist()
 
-    def apply_blocks(self, R: np.ndarray) -> np.ndarray:
+    def apply_blocks(self, R: np.ndarray, product: bool = False):
         op = self.op
         top = self._levels.get(len(R))
         if top is None:
@@ -266,6 +335,8 @@ class HierarchicalSchur(_BlockPreconditioner):
             U[tail] = cur[tail]
             t = op.d_block_solve(l, cur[tail], self.inner)
             cur = cur[head] - op.product(head, tail, t)
+        # r - sum_l B_l t_l: each level's residual after the pre-corrections
+        AU = np.vstack([cur, U[1:]]) if product else None
         U[:1] = op.d_block_solve(0, cur, self.inner)
         for l in range(1, top + 1):
             head, tail = op.level_slices(l)
@@ -273,7 +344,13 @@ class HierarchicalSchur(_BlockPreconditioner):
                                        self.inner)
         self.counters.block_solves += 2 * len(R) - 1
         self.counters.block_matvecs += self._n_products[top]
-        return U
+        if not product:
+            return U
+        # A_L u = r + sum_l B_l (u_l - t_l) = (r - sum_l B_l t_l) + sum_l B_l u_l
+        for l in range(1, top + 1):
+            head, tail = op.level_slices(l)
+            AU[head] += op.product(head, tail, U[tail])
+        return U, AU
 
 
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,

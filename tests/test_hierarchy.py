@@ -234,17 +234,6 @@ def spy_factorizations(monkeypatch) -> tuple:
     return lus, bands
 
 
-def level_band_count(op, level) -> int:
-    """dpbtrf calls of one coupled level: one band over all nodes for a
-    level of one block, else one per nonempty node set, the rows that store
-    more than their diagonal and those that store only it."""
-    _, tail = op.level_slices(level)
-    stored = np.diff(op.indptr)
-    if tail.stop - tail.start == 1:
-        return 1
-    return int(np.any(stored > 1)) + int(np.any(stored == 1))
-
-
 def test_level_band_is_factorized_once(monkeypatch):
     lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator(2, 2, 3)
@@ -252,9 +241,9 @@ def test_level_band_is_factorized_once(monkeypatch):
     R = np.random.default_rng(1).standard_normal((tail.stop - tail.start, op.ndof))
     X1 = op.d_block_solve(2, R, EXACT)
     X2 = op.d_block_solve(2, R, EXACT)
-    # one band Cholesky per node set, the coupled and the isolated nodes,
-    # reused by the second solve; no SuperLU
-    assert len(bands) == 2 and lus == []
+    # one band Cholesky over the leading n_c nodes, reused by the second
+    # solve; no SuperLU
+    assert len(bands) == 1 and lus == []
     assert np.array_equal(X1, X2)
 
 
@@ -266,19 +255,19 @@ def test_superlu_factors_k0_alone_with_the_symmetric_ordering(monkeypatch):
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
     # SuperLU: K_0 alone; the n_b - 1 BSGS diagonal blocks and D_1..D_3 take
-    # the band Cholesky, each level over its two node sets
+    # the band Cholesky, each level over its leading n_c nodes
     assert [matrix.shape for matrix, _ in lus] == [(op.ndof, op.ndof)]
     assert lus[0][1] == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-    assert len(bands) == (op.n_blocks - 1) + 2 * 3 and all(info == 0 for *_, info in bands)
+    assert len(bands) == (op.n_blocks - 1) + 3 and all(info == 0 for *_, info in bands)
     # BSGS factors its blocks over all 121 nodes, kd = 10 the spatial
     # bandwidth, the Dirichlet nodes being numbered last; HS factors D_3,
-    # D_2, D_1 of m = 20, 10, 4 blocks over the 81 coupled nodes, whose
+    # D_2, D_1 of m = 20, 10, 4 blocks over the 81 leading nodes, whose
     # bandwidth is 10 (D_3: kd' = 20 * 10 + 19 = 219 rows above the
-    # diagonal), then over the 40 isolated nodes with kd = m - 1
-    assert op.ndof == 121
+    # diagonal), and copies the 40 Dirichlet rows, where each is I
+    assert op.ndof == 121 and op.n_c == 81
     assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(11, 121)] * (op.n_blocks - 1)
     assert [band.shape for band, *_ in bands[op.n_blocks - 1:]] == [
-        (220, 1620), (20, 800), (110, 810), (10, 400), (44, 324), (4, 160)]
+        (220, 1620), (110, 810), (44, 324)]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
@@ -1172,7 +1161,8 @@ def test_band_cholesky_level_solves_match_dense_solves(config, cov, seed):
         BlockSGS(op, EXACT)(np.ones(op.shape[0]))
     # SuperLU factors K_0 alone, for the mean block of BSGS
     assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
-    assert len(bands) == sum(level_band_count(op, l) for l in coupled) + op.n_blocks - 1
+    # one band per coupled level and per BSGS diagonal block but the mean one
+    assert len(bands) == len(coupled) + op.n_blocks - 1
     assert all(info == 0 for *_, info in bands)
 
 
@@ -1183,10 +1173,10 @@ def test_level_band_is_factorized_in_place(monkeypatch):
     op = lognormal_operator(2, 2, 3)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
     BlockSGS(op, EXACT)(np.ones(op.shape[0]))
-    # SuperLU factors K_0 alone; HS factors the P levels over their two
-    # node sets, BSGS the n_b - 1 blocks of the coupled levels
+    # SuperLU factors K_0 alone; HS factors the P levels over their
+    # leading nodes, BSGS the n_b - 1 blocks of the coupled levels
     assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
-    assert len(bands) == 2 * op.basis.degree + op.n_blocks - 1
+    assert len(bands) == op.basis.degree + op.n_blocks - 1
     for band, kwargs, factor, info in bands:
         assert kwargs == {"lower": 0, "overwrite_ab": 1} and info == 0
         assert band.flags.f_contiguous and np.shares_memory(factor, band)
@@ -1197,17 +1187,15 @@ def test_level_bands_equal_the_bands_of_the_assembled_levels(monkeypatch):
     assembled, _, filled = spy_bsgs_set_up(monkeypatch)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
     # HS fills the bands of D_2, then D_1, with no assembly, each over the
-    # coupled nodes and then the isolated ones; node-major over a set,
-    # unknown (block s, the set's p-th node) of D_l at p * m + s.  Among the
-    # 2 x 2 interior nodes of the 4 x 4 grid the Q1 stencil reaches b' = 3
-    # nodes away; an isolated node is coupled to none
-    assert assembled == [] and len(filled) == 4
+    # leading n_c nodes, node-major, unknown (block s, node p) of D_l at
+    # p * m + s.  Among the 2 x 2 interior nodes of the 4 x 4 grid the Q1
+    # stencil reaches b' = 3 nodes away
+    assert assembled == [] and len(filled) == 2
     n = op.ndof
     stored = np.diff(op.indptr)
-    coupled, isolated = np.flatnonzero(stored > 1), np.flatnonzero(stored == 1)
-    assert (len(coupled), len(isolated)) == (4, 12)
-    for (level, nodes, b), band in zip([(2, coupled, 3), (2, isolated, 0),
-                                        (1, coupled, 3), (1, isolated, 0)], filled):
+    coupled = np.flatnonzero(stored > 1)
+    assert np.array_equal(coupled, np.arange(op.n_c)) and op.n_c == 4
+    for (level, nodes, b), band in zip([(2, coupled, 3), (1, coupled, 3)], filled):
         _, tail = op.level_slices(level)
         m = tail.stop - tail.start
         node_major = (nodes[:, None] + n * np.arange(m)).ravel()
@@ -1233,14 +1221,17 @@ def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkey
     # HS meets D_2 first
     with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):
         HierarchicalSchur(shifted, EXACT)(np.ones(shifted.shape[0]))
-    # dpbtrf finds each level not positive definite on its coupled nodes,
-    # the first it factors, and nothing else is factored or kept
+    # the shifted Dirichlet rows are no unit rows, so n_c = ndof: dpbtrf
+    # finds each level not positive definite over all nodes, and nothing
+    # else is factored or kept
+    assert shifted.n_c == n
     assert [info > 0 for *_, info in bands] == [True, True, True]
     assert lus == [] and shifted._level_solvers == {}
 
 
 # ---------------------------------------------------------------------------
-# coupled levels over two node sets: the coupled and the isolated nodes
+# coupled levels over the leading n_c nodes: the rows before the trailing
+# unit Dirichlet rows, where each level is the identity
 # ---------------------------------------------------------------------------
 
 def node_sets(op) -> tuple:
@@ -1304,11 +1295,14 @@ def test_isolated_rows_with_fluctuation_values_have_full_blocks():
     assert np.any(block - np.diag(np.diag(block)) != 0.0)
     assert np.linalg.eigvalsh(D).min() > 0.0
     per_level = check_level_solves(op)
-    # each level over both sets, the isolated band of half-width m - 1
+    # no row is a unit Dirichlet row any more, n_c = ndof: each level is one
+    # band over all nodes, of half-width m b' + m - 1, b' = 3 among the 2 x 2
+    # interior nodes
+    assert op.n_c == n
     for level, bands in zip((1, 2), per_level):
         _, tail = op.level_slices(level)
         m = tail.stop - tail.start
-        assert [band.shape[0] for band, *_ in bands][1:] == [m]
+        assert [band.shape for band, *_ in bands] == [(3 * m + m, n * m)]
 
 
 def test_operator_without_isolated_rows_takes_one_band_per_level():
@@ -1331,33 +1325,33 @@ def test_operator_without_isolated_rows_takes_one_band_per_level():
 
 def test_coarsest_mesh_has_no_coupled_node():
     # at 1/h = 2 the one interior node neighbours Dirichlet nodes alone, so
-    # its row stores only its diagonal: the coupled set is empty and
-    # skipped, and each level is one band of half-width m - 1 over all nodes
+    # its row stores only its diagonal; it is still the one leading node,
+    # and each level is one band of half-width m - 1 over it
     op = lognormal_operator(2, 2, 2)
     assert np.array_equal(np.diff(op.indptr), np.ones(9))
     coupled, isolated = node_sets(op)
-    assert (len(coupled), len(isolated)) == (0, 9)
+    assert (len(coupled), len(isolated)) == (0, 9) and op.n_c == 1
     for level, bands in zip((1, 2), check_level_solves(op)):
         _, tail = op.level_slices(level)
         m = tail.stop - tail.start
-        assert [band.shape for band, *_ in bands] == [(m, 9 * m)]
+        assert [band.shape for band, *_ in bands] == [(m, m)]
 
 
 @pytest.mark.parametrize("n_cells", [3, 4, 10])
 def test_level_band_bytes_follow_the_node_sets(monkeypatch, n_cells):
     # (kd' + 1) m n_c 8 bytes for the coupled nodes, kd' = m b' + m - 1 with
     # b' = n_cells for the (n_cells - 1)^2 interior nodes of the grid, and
-    # m^2 n_iso 8 for the 4 n_cells boundary nodes
+    # none for the 4 n_cells boundary nodes, where each level is I
     op = lognormal_operator(2, 2, n_cells)
     n_c, n_iso, b = (n_cells - 1) ** 2, 4 * n_cells, n_cells
-    assert [len(nodes) for nodes in node_sets(op)] == [n_c, n_iso]
+    assert [len(nodes) for nodes in node_sets(op)] == [n_c, n_iso] and op.n_c == n_c
     _, bands = spy_factorizations(monkeypatch)
     for level in (1, 2):
         _, tail = op.level_slices(level)
         m = tail.stop - tail.start
         del bands[:]
         op.d_block_solve(level, np.ones((m, op.ndof)), EXACT)
-        expect = [((m * b + m - 1) + 1) * m * n_c * 8, m * m * n_iso * 8]
+        expect = [((m * b + m - 1) + 1) * m * n_c * 8]
         assert [band.nbytes for band, *_ in bands] == expect
         assert [factor.nbytes for _, _, factor, _ in bands] == expect
 
@@ -1385,10 +1379,10 @@ def test_level_indefinite_on_one_node_set_is_refused(monkeypatch, where):
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"^level {level} is not positive definite"):
             op.d_block_solve(level, np.ones((tail.stop - tail.start, n)), EXACT)
-    # the coupled set is factored first: refused there, the isolated set is
-    # not factored; refused on the isolated set, after a good coupled factor
-    infos = [info > 0 for *_, info in bands]
-    assert infos == ([True, True] if where == "coupled" else [False, True] * 2)
+    # one band per level, refused: over the leading n_c interior nodes, or,
+    # the shifted Dirichlet rows being no unit rows, over all nodes
+    assert op.n_c == (n if where == "isolated" else len(nodes["coupled"]))
+    assert [info > 0 for *_, info in bands] == [True, True]
     assert lus == [] and op._level_solvers == {}
     with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):
         HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))

@@ -246,3 +246,48 @@ def test_a_preconditioner_returning_its_argument_changes_no_iterate(solver):
         assert (report.alphas, report.betas, report.relative_residuals) == (
             ref.alphas, ref.betas, ref.relative_residuals)
         assert np.array_equal(b, b0)
+
+
+class PairedJacobi:
+    """Jacobi preconditioner of a dense A that pairs with ``apply_a`` alone:
+    its step returns (z, A z) without calling apply_a."""
+
+    def __init__(self, A, apply_a):
+        self.A, self.apply_a, self.steps = A, apply_a, 0
+
+    def __call__(self, r):
+        return r / np.diag(self.A)
+
+    def paired(self, apply_a):
+        if apply_a is not self.apply_a:
+            return None
+
+        def step(r):
+            self.steps += 1
+            z = self(r)
+            return z, self.A @ z
+
+        return step
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+def test_a_paired_preconditioner_replaces_the_operator_apply(solver):
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = Q @ np.diag(np.linspace(1.0, 500.0, 60)) @ Q.T + np.diag(np.linspace(1, 50, 60))
+    b = rng.standard_normal(60)
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return A @ v
+
+    prec = PairedJacobi(A, apply_a)
+    x, report = solver(apply_a, b, apply_m=prec, tol=1e-10)
+    assert calls == [] and prec.steps == report.iterations and report.converged
+    # any other apply_a takes the explicit product every step
+    y, ref = solver(lambda v: apply_a(v), b, apply_m=prec, tol=1e-10)
+    assert len(calls) == ref.iterations and prec.steps == report.iterations
+    assert report.iterations == ref.iterations
+    assert report.kappa_estimate == pytest.approx(ref.kappa_estimate, rel=1e-10)
+    assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y)

@@ -8,7 +8,7 @@ import sgfem.operator as operator
 from sgfem.experiments import ExperimentConfig, build_operator
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
-from sgfem.krylov import cg
+from sgfem.krylov import cg, fcg
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
@@ -223,11 +223,11 @@ def test_diagonal_blocks_reuse_the_mean_factorization(monkeypatch):
     assert len(lus) == 1 and bands == []
     # lognormal: A_00 = K_0 shares the mean LU; each other block has its own
     # band Cholesky from the first BSGS application, and HS factorizes each
-    # coupled level by band Cholesky, over its coupled and its isolated nodes
+    # coupled level by band Cholesky, over its leading n_c nodes
     lus.clear()
     op = lognormal_operator()
     assert factorizations_of_the_first_bsgs_application(op) == (1, op.n_blocks - 1)
-    assert len(lus) == 1 and len(bands) == (op.n_blocks - 1) + 2 * op.basis.degree
+    assert len(lus) == 1 and len(bands) == (op.n_blocks - 1) + op.basis.degree
     assert all(info == 0 for info in bands)
     x = np.random.default_rng(8).standard_normal((1, op.ndof))
     assert np.array_equal(op.d_block_solve(0, x, EXACT), op.mean_solver(EXACT)(x))
@@ -237,7 +237,7 @@ def test_cg_policy_band_factors_the_coupled_levels_alone(monkeypatch):
     # the cg policy (``--inner cg-diagonal``) solves K_0 and every block
     # Gauss-Seidel diagonal block by Jacobi CG; the hierarchical
     # preconditioner's coupled levels take the band Cholesky all the same,
-    # each over its coupled and its isolated nodes
+    # each over its leading n_c nodes
     lus, bands = spy_factorizations(monkeypatch)
     op = lognormal_operator()      # N=2 P=2 h=1/4: levels 1 and 2 coupled
     r = np.ones(op.shape[0])
@@ -245,7 +245,7 @@ def test_cg_policy_band_factors_the_coupled_levels_alone(monkeypatch):
     BlockSGS(op, inner)(r)
     assert lus == [] and bands == []
     HierarchicalSchur(op, inner)(r)
-    assert lus == [] and bands == [0, 0, 0, 0]
+    assert lus == [] and bands == [0, 0]
 
 
 @pytest.mark.parametrize("family", ["uniform", "lognormal"])
@@ -545,3 +545,114 @@ def test_unresolved_inner_tolerance_is_rejected():
     assert prec.inner.tol == 1e-9
     assert np.allclose(prec(b), HierarchicalSchur(op, EXACT)(b), rtol=0.0,
                        atol=1e-7 * np.abs(b).max())
+
+
+# ---------------------------------------------------------------------------
+# A z from the sweeps: CG without its operator apply
+# ---------------------------------------------------------------------------
+
+uniform_configs = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 5),
+                            st.integers(0, 2 ** 16))
+
+
+@given(uniform_configs, st.sampled_from([BlockSGS, HierarchicalSchur]))
+@example((2, 3, 4, 0), BlockSGS)
+@example((2, 3, 4, 0), HierarchicalSchur)
+def test_paired_step_returns_the_operator_product_of_its_result(config, kind):
+    dims, degree, n_cells, seed = config
+    op, _ = make_operator(dims, degree, n_cells)
+    r = np.random.default_rng(seed).standard_normal(op.shape[0])
+    prec = kind(op, EXACT)
+    z, Az = prec.paired(op.matvec)(r)
+    assert np.array_equal(z, kind(op, EXACT).apply_blocks(op.as_blocks(r)).ravel())
+    ref = op.apply(z)
+    assert np.linalg.norm(Az - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert prec.counters.applications == 1
+
+
+def spy_paths(monkeypatch) -> dict:
+    """Counts of GalerkinOperator.apply calls and of BSGS / HS applications
+    with and without the product, from now on."""
+    calls = {"apply": 0, "paired": 0, "plain": 0}
+    apply = GalerkinOperator.apply
+
+    def apply_spy(self, u):
+        calls["apply"] += 1
+        return apply(self, u)
+
+    monkeypatch.setattr(GalerkinOperator, "apply", apply_spy)
+    for cls in (BlockSGS, HierarchicalSchur):
+        def blocks_spy(self, R, product=False, _original=cls.apply_blocks):
+            calls["paired" if product else "plain"] += 1
+            return _original(self, R, product) if product else _original(self, R)
+
+        monkeypatch.setattr(cls, "apply_blocks", blocks_spy)
+    return calls
+
+
+@pytest.mark.parametrize("solver", [cg, fcg])
+@pytest.mark.parametrize("kind", [BlockSGS, HierarchicalSchur])
+@pytest.mark.parametrize("dims, degree, n_cells", [(2, 3, 4), (3, 2, 5), (4, 4, 4)])
+def test_paired_solve_matches_the_explicit_product(monkeypatch, solver, kind,
+                                                   dims, degree, n_cells):
+    op, b = make_operator(dims, degree, n_cells)
+    calls = spy_paths(monkeypatch)
+    x, report = solver(op.matvec, b, apply_m=kind(op, EXACT), tol=1e-10)
+    # the paired path: every application returns A z, no operator apply
+    assert calls == {"apply": 0, "paired": report.iterations, "plain": 0}
+    calls.update(apply=0, paired=0)
+    y, ref = solver(lambda v: op.matvec(v), b, apply_m=kind(op, EXACT), tol=1e-10)
+    assert calls == {"apply": ref.iterations, "paired": 0, "plain": ref.iterations}
+    assert report.converged and report.iterations == ref.iterations
+    assert report.kappa_estimate == pytest.approx(ref.kappa_estimate, rel=1e-12)
+    assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y)
+    res = np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b)
+    assert res <= 10 * 1e-10
+
+
+@pytest.mark.parametrize("dims, degree", [(2, 2), (3, 3), (4, 4)])
+def test_paired_hs_counters_meet_the_closed_forms(monkeypatch, dims, degree):
+    # the products that give A z are not block work of the preconditioner
+    op, b = make_operator(dims, degree, n_cells=3)
+    calls = spy_paths(monkeypatch)
+    prec = HierarchicalSchur(op, EXACT)
+    _, report = cg(op.matvec, b, apply_m=prec, tol=1e-10)
+    apps = prec.counters.applications
+    assert report.converged and calls["paired"] == apps == report.iterations > 0
+    wc = work_count(dims, degree)
+    assert prec.counters.block_solves == wc.n_ds * apps
+    assert prec.counters.block_matvecs == wc.n_m * apps
+
+
+def test_explicit_product_everywhere_else(monkeypatch):
+    op, b = make_operator(2, 3)
+    logn = lognormal_operator()
+    b_logn = logn.rhs(assemble_load(build_mesh(1.0 / 4), 1.0)).ravel()
+    calls = spy_paths(monkeypatch)
+
+    def explicit(op, b, apply_m, apply_a=None, solver=cg):
+        calls.update(apply=0, paired=0, plain=0)
+        _, report = solver(apply_a or op.matvec, b, apply_m=apply_m, tol=1e-10)
+        assert report.converged
+        assert calls["apply"] == report.iterations and calls["paired"] == 0
+        return report
+
+    # no preconditioner, the mean-based one, and a lambda apply_a
+    explicit(op, b, None)
+    explicit(op, b, MeanBased(op, EXACT))
+    for kind in (BlockSGS, HierarchicalSchur):
+        explicit(op, b, kind(op, EXACT), apply_a=lambda v: op.matvec(v))
+        # inexact level solves: the cg-diagonal policy
+        explicit(op, b, kind(op, InnerSolver(kind="cg")), solver=fcg)
+        # coupled levels: the lognormal operator, its products pre-summed
+        assert logn.presummed
+        explicit(logn, b_logn, kind(logn, EXACT))
+        assert kind(logn, EXACT).paired(logn.matvec) is None
+        assert kind(op, EXACT).paired(lambda v: op.matvec(v)) is None
+        assert kind(op, EXACT).paired(logn.matvec) is None
+    assert MeanBased(op, EXACT).paired(op.matvec) is None
+    # the Schur system's CG applies its own operator; HS takes no product
+    calls.update(apply=0, paired=0, plain=0)
+    _, report = reduced_system_solve(op, b, tol=1e-10)
+    assert report.converged and calls["paired"] == 0
+    assert calls["plain"] == report.iterations

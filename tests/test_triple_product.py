@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from sgfem.experiments import TABLE_SWEEPS
-from sgfem.fem import STRUCTURAL_ZERO_RTOL
 from sgfem.multi_index import build_multi_index_set
 from sgfem.orthopoly import hermite_family, legendre_family
 from sgfem.triple_product import build_triple_product_tensor
@@ -22,15 +21,14 @@ def kl_tensor(dims, degree, family=None):
 
 def dense_oracle(basis, coeff, family) -> sp.csr_matrix:
     """c_ijk from the full (n_coeff, M+1, M+1) array: per coefficient the
-    product of the univariate tables over the dimensions in order, entries
-    below the relative cutoff dropped, as CSR rows i * (M+1) + j."""
+    product of the univariate tables over the dimensions in order, whose
+    exact zeros CSR drops, as CSR rows i * (M+1) + j."""
     table = family.triple_product_table(coeff.degree, basis.degree)
     digits = np.array(basis.indices)
     dense = np.ones((len(coeff), len(basis), len(basis)))
     for C, ind in zip(dense, coeff.indices):
         for d in range(basis.dims):
             C *= table[ind[d]][digits[:, d][:, None], digits[:, d][None, :]]
-    dense[np.abs(dense) < STRUCTURAL_ZERO_RTOL * np.abs(dense).max()] = 0.0
     return sp.csr_matrix(dense.reshape(-1, len(basis)))
 
 

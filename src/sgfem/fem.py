@@ -13,28 +13,26 @@ and the solver's kernels run on the leading range alone.
 
 Weighted stiffness entries are integrals of k grad(phi_l) . grad(phi_m) with
 the coefficient k interpolated bilinearly inside each element and a 2x2 Gauss
-rule (exact for the integrand's polynomial degree).  Many fields (the
-coefficient matrices K_i of a stochastic operator) are assembled at once and
-returned as plain arrays (indices, indptr, data): one CSR pattern, the
-interior entries plus the boundary diagonal, and one row of values per
-field, which GalerkinOperator takes as they are.  No per-field matrix is
-formed.  Duplicates are summed in element order, whatever the numbering,
-so each value equals, bit for bit, the one a row-major numbering of the
-nodes gives at the same pair of grid points.
-
-Because the coefficient is interpolated bilinearly, a field's stiffness is
-linear in its nodal samples: K(f) = sum_n f[n] H_n, with H_n the stiffness
-of the hat field of node n (``local_hat_stiffness``).  Many fields can
-therefore skip the element assembly: the lognormal builder assembles only
-the mean field by elements and gives every other row as one sparse product
-f Hhat with the hat stiffness on the pattern (``_hat_stiffness``), equal to
-the element assembly up to rounding.  Both routes store a row that is zero
-up to rounding as exact zeros by one rule (``_zero_structural_rows``).
+rule (exact for the integrand's polynomial degree).  So a field's stiffness
+is linear in its nodal samples: K(f) = sum_n f[n] H_n, with H_n the
+stiffness of the hat field of node n.  On the interior rows and columns,
+the only ones kept, H_n is one fixed 9 x 9 table T over the offsets of the
+row and the column from n (``_hat_table``), whatever n.  Many fields (the
+coefficient matrices K_i of a stochastic operator) are assembled at once,
+as one sparse product of their nodal samples with T laid out on the
+pattern, and returned as plain arrays (indices, indptr, data): one CSR
+pattern, the interior entries plus the boundary diagonal, and one row of
+values per field, which GalerkinOperator takes as they are.  No per-field
+matrix is formed.  Each value is summed over the table's offsets in one
+order, whatever the numbering, so it equals, bit for bit, the one a
+row-major numbering of the nodes gives at the same pair of grid points.
+The same table gives the local hat stiffness (``local_hat_stiffness``)
+that the lognormal operator's products read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,26 +119,47 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
 
     ``fields`` holds one field per row.  Gives the arrays (indices, indptr,
     data) of all their matrices on one CSR pattern, the interior entries
-    plus the boundary diagonal, with data[r] the values of row r's matrix,
-    all from one sparse product.  Boundary rows and columns are zeroed.
-    Row 0 is the mean coefficient, whose boundary diagonal is set to one;
-    a row r >= 1 whose largest value is within STRUCTURAL_ZERO_RTOL of row
-    0's is stored as exact zeros (odd Karhunen-Loeve modes cancel up to
-    rounding on the coarsest mesh).
+    plus the boundary diagonal, with data[r] the values of row r's matrix:
+    each value of an interior entry (r, c) is sum_u f[r - u] T[u, v] over
+    the entries of ``_hat_entries`` that reach it, in ascending u.  The
+    rows are written _CHUNK_BYTES at a time, so no temporary has the size
+    of data.  Boundary rows and columns are zeroed.  Row 0 is the mean
+    coefficient, whose boundary diagonal is set to one; a row r >= 1 whose
+    largest value is within STRUCTURAL_ZERO_RTOL of row 0's is stored as
+    exact zeros (odd Karhunen-Loeve modes cancel up to rounding on the
+    coarsest mesh).
     """
     fields = np.asarray(fields, dtype=float)
     if fields.ndim != 2 or fields.shape[1] != mesh.n_nodes:
         raise ValueError(f"fields have {fields.shape}, expected (n_fields, {mesh.n_nodes})")
-    coeff = fields[:, mesh.connectivity].reshape(-1, 4)
-    ke = np.zeros((len(coeff), 4, 4))                     # n_fields * n_elements
-    for shape, grad in _gauss_points():
-        ke += (coeff @ shape)[:, None, None] * grad
-    S, indices, indptr = _assembly_map(mesh)
-    data = np.ascontiguousarray((S @ ke.reshape(-1, S.shape[1]).T).T)
+    n = mesh.n_nodes
+    row, node, col, _, value = _hat_entries(mesh)
+    # the entries, then the diagonal of each boundary row, which none reaches
+    keys = np.append(row * n + col, np.flatnonzero(mesh.boundary_mask) * (n + 1))
+    order = np.argsort(keys, kind="stable")
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    rows, indices = np.divmod(keys[order[first]], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    # row p of hat_t lists the entries of stored position p in ascending u
+    entry = order[order < len(row)]
+    ends = np.append(0, np.cumsum(order < len(row)))[np.append(first, len(order))]
+    hat_t = sp.csr_matrix((value[entry], node[entry], ends), shape=(len(first), n))
+    data = np.empty((len(fields), len(first)))
+    step = max(1, _CHUNK_BYTES // (8 * len(first)))
+    for lo in range(0, len(fields), step):
+        data[lo:lo + step] = (hat_t @ fields[lo:lo + step].T).T
     # a boundary row stores its diagonal alone
     data[0, indptr[:-1][mesh.boundary_mask]] = 1.0
     _zero_structural_rows(data)
-    return indices, indptr, data
+    return indices.astype(np.int32), indptr, data
+
+
+# bytes of the temporary through which each chunk of stiffness rows is
+# written.  Assembling 495 fields at 1/h = 20 and 30 (one BLAS thread,
+# median of 9) took 6.4 and 19.1 ms at 0.5 MB, 5.6 and 16.0 ms at 1 MB,
+# 6.2 and 15.9 ms at 2 MB, and 18.3 and 50.5 ms in one chunk; at N=4 P=3
+# h=1/10 every row fits one chunk
+_CHUNK_BYTES = 2 ** 20
 
 
 def _zero_structural_rows(data: np.ndarray) -> None:
@@ -165,6 +184,57 @@ def _gauss_points():
             yield shape, np.outer(dxi, dxi) + np.outer(deta, deta)
 
 
+@cache
+def _hat_table() -> np.ndarray:
+    """T[u, v]: the stiffness entry (n + u, n + v) of the hat field of a
+    node n whose four elements all lie in the mesh, u and v the offsets of
+    the row and column from n, numbered 3 (dy + 1) + dx + 1 (x fastest).
+
+    Each of the four elements, with n at its corner a, adds sum_q N_a(q)
+    G_q[b, c] at the offsets of its corners b and c from n.  T[u, v] is an
+    exact zero where no element holds n, n + u and n + v.
+    """
+    hat = sum(np.multiply.outer(shape, grad) for shape, grad in _gauss_points())
+    # 3 x 3 index of corners SW, SE, NE, NW from the element's SW corner
+    corner = np.array([0, 1, 4, 3])
+    a, b, c = np.indices((4, 4, 4)).reshape(3, -1)
+    T = np.zeros((9, 9))
+    np.add.at(T, (corner[b] - corner[a] + 4, corner[c] - corner[a] + 4), hat[a, b, c])
+    T.flags.writeable = False
+    return T
+
+
+def _hat_entries(mesh: Mesh) -> tuple:
+    """(row, node, col, u, value): every entry value = H_n[row, col] of the
+    hat stiffness with row and col interior nodes, n = node, and u the
+    offset of row from n.
+
+    Every element that holds an interior node lies inside the mesh, so for
+    interior r and c, H_n[r, c] = T[u, v] of ``_hat_table`` with u and v
+    the offsets of r and c from n, boundary n included.  The entries run
+    over the interior rows r ascending and, for each, over the nonzero
+    T[u, v] with u ascending, v ascending; col = r - u + v stays in the 3 x
+    3 neighbourhood of r, as T[u, v] is zero unless r and c share an
+    element.
+    """
+    T = _hat_table()
+    u, v = np.nonzero(T)
+    step = _grid_steps(mesh)
+    r = np.flatnonzero(~mesh.boundary_mask)
+    # the grid index of node r - u
+    grid = mesh.grid_index[r][:, None] - step[u]
+    node, col = mesh.node_ids[grid], mesh.node_ids[grid + step[v]]
+    keep = ~mesh.boundary_mask[col]
+    row, u, value = np.broadcast_arrays(r[:, None], u, T[u, v])
+    return row[keep], node[keep], col[keep], u[keep], value[keep]
+
+
+def _grid_steps(mesh: Mesh) -> np.ndarray:
+    """The grid-index step of each 3 x 3 offset, 3 (dy + 1) + dx + 1."""
+    dy, dx = np.divmod(np.arange(9), 3)
+    return (dy - 1) * (mesh.n_cells + 1) + dx - 1
+
+
 def local_hat_stiffness(mesh: Mesh) -> tuple:
     """(H, S): the stiffness of every nodal hat field, local to its node.
 
@@ -175,126 +245,25 @@ def local_hat_stiffness(mesh: Mesh) -> tuple:
     ``assemble_weighted_stiffness`` leaves them out, and without the unit
     boundary diagonal of the mean matrix.  H_n is nonzero only on the
     3 x 3 nodes around n.  H, a CSR matrix (9 n_nodes, n_nodes), holds row
-    r of H_n as its local row 9 n + k, r the k-th node of that
-    neighbourhood, x fastest; the 0/1 CSR matrix S (n_nodes, 9 n_nodes)
-    sums each local row into its spatial row r.  A local row whose node
-    lies off the mesh or on its boundary is empty and summed nowhere.
-    Hence K(f) = S diag(f (x) 1_9) H.  Each element with node n at its
-    corner a adds the fixed matrix sum_q N_a(q) G_q of its corners; no
-    field is assembled.  Each row of S lists its local rows in the grid
-    order of their nodes, not sorted by local row, so a product with S
-    sums them in the same order under any numbering of the nodes.
+    r of H_n as its local row 9 n + u, u the offset of r from n, read from
+    the table T (``_hat_entries``); the 0/1 CSR matrix S (n_nodes,
+    9 n_nodes) sums each local row into its spatial row r.  A local row
+    whose node lies off the mesh or on its boundary is empty and summed
+    nowhere.  Hence K(f) = S diag(f (x) 1_9) H.  Each row of S lists its
+    local rows in the grid order of their nodes, not sorted by local row,
+    so a product with S sums them in the same order under any numbering of
+    the nodes.
     """
-    n1, n = mesh.n_cells + 1, mesh.n_nodes
-    hat = sum(np.multiply.outer(shape, grad) for shape, grad in _gauss_points())
-    # corner offsets (x, y) of SW, SE, NE, NW
-    ox, oy = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
-    a, b, c = np.indices((4, 4, 4)).reshape(3, -1)
-    conn, boundary = mesh.connectivity, mesh.boundary_mask
-    node, row, col = conn[:, a], conn[:, b], conn[:, c]
-    local = 9 * node + 3 * (oy[b] - oy[a] + 1) + ox[b] - ox[a] + 1
-    keep = ~(boundary[row] | boundary[col])
-    H = sp.csr_matrix((np.broadcast_to(hat[a, b, c], keep.shape)[keep],
-                       (local[keep], col[keep])), shape=(9 * n, n))
-    # local row k = 3 dy + dx of node (ix, iy) is node (ix + dx - 1, iy + dy - 1),
-    # so an interior node's k-th neighbour in grid order holds its row as
-    # local row 8 - k
-    oy, ox = np.divmod(np.arange(9), 3)
-    inner = np.flatnonzero(~boundary)
-    nodes = mesh.node_ids[mesh.grid_index[inner][:, None] + (oy - 1) * n1 + ox - 1]
-    S = sp.csr_matrix((np.ones(9 * len(inner)), (9 * nodes + 8 - 3 * oy - ox).ravel(),
-                       np.append(0, np.cumsum(9 * ~boundary))), shape=(n, 9 * n))
+    n = mesh.n_nodes
+    _, node, col, offset, value = _hat_entries(mesh)
+    H = sp.csr_matrix((value, (9 * node + offset, col)), shape=(9 * n, n))
+    # the nodes r - u of an interior row r in grid order: u descending
+    u = np.arange(8, -1, -1)
+    inner = np.flatnonzero(~mesh.boundary_mask)
+    nodes = mesh.node_ids[mesh.grid_index[inner][:, None] - _grid_steps(mesh)[u]]
+    S = sp.csr_matrix((np.ones(9 * len(inner)), (9 * nodes + u).ravel(),
+                       np.append(0, np.cumsum(9 * ~mesh.boundary_mask))), shape=(n, 9 * n))
     return H, S
-
-
-# bytes of the temporary that each chunk of _hat_stiffness's rows writes
-# through.  Filling data at N=4 P=4, 1/h = 20 and 30 (495 rows, one BLAS
-# thread) took 5.5 and 14.6 ms at 0.5 MB, 5.2 and 14.4 ms at 1 MB, 6.7 and
-# 14.4 ms at 2 MB; at N=4 P=3 h=1/10 every row fits one chunk
-_CHUNK_BYTES = 2 ** 20
-
-
-def _hat_values(H: sp.csr_matrix, S: sp.csr_matrix, indices: np.ndarray,
-                indptr: np.ndarray) -> sp.csr_matrix:
-    """The hat stiffness on a stiffness pattern: the CSR matrix (n_nodes,
-    nnz) whose row n holds H_n at the stored positions of the pattern
-    (indices, indptr), for (H, S) of ``local_hat_stiffness``.
-
-    Local row 9 n + k of H is spatial row r of H_n, the row into which S
-    sums it, so its entry in column c goes to row n at the position of
-    (r, c).  The pattern must store every such (r, c), with each row's
-    columns ascending, as ``assemble_weighted_stiffness`` gives it; the
-    values are H's unchanged.
-    """
-    n = S.shape[0]
-    spatial_row = np.empty(S.shape[1], dtype=np.int64)
-    summed = S.tocoo()
-    spatial_row[summed.col] = summed.row
-    local = H.tocoo()
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-    pos = np.searchsorted(keys, spatial_row[local.row] * n + local.col)
-    return sp.csr_matrix((local.data, (local.row // 9, pos)), shape=(n, len(indices)))
-
-
-def _hat_stiffness(mean: tuple, fields: np.ndarray, H: sp.csr_matrix,
-                   S: sp.csr_matrix) -> tuple:
-    """(indices, indptr, data) of the stiffness of every field, from
-    ``mean`` = assemble_weighted_stiffness(mesh, fields[:1]) and (H, S) of
-    ``local_hat_stiffness(mesh)``.
-
-    Row 0 of data is mean's values, bit for bit.  A row r >= 1 is
-    fields[r] Hhat with Hhat of ``_hat_values``: the interpolated field's
-    stiffness sum_n fields[r, n] H_n, equal to the element assembly up to
-    rounding (1.9e-16 relative to K_0 at N=4 P=3 h=1/10).  With K_0's
-    assembly included, all fields take 1.9 against 6.4 ms by elements
-    there and 23 against 275 ms at N=4 P=4 1/h = 30.  The rows are
-    written into data _CHUNK_BYTES at a time, so no temporary has the size
-    of data, and the structural-zero rule of ``assemble_weighted_stiffness``
-    is applied to them.
-    """
-    indices, indptr, mean_values = mean
-    hats = _hat_values(H, S, indices, indptr)
-    data = np.empty((len(fields), len(indices)))
-    data[0] = mean_values[0]
-    step = max(1, _CHUNK_BYTES // (8 * len(indices)))
-    for lo in range(1, len(fields), step):
-        data[lo:lo + step] = fields[lo:lo + step] @ hats
-    _zero_structural_rows(data)
-    return indices, indptr, data
-
-
-def _assembly_map(mesh: Mesh) -> tuple:
-    """(S, indices, indptr): the element matrices, flattened to one row of
-    ``ke``, sum to the stiffness values S @ ke on the CSR pattern (indices,
-    indptr) of the interior entries and the boundary diagonal.
-
-    Each row of S adds the duplicates of one entry in the order in which
-    scipy's COO-to-CSR conversion adds them (rows bucketed stably, then each
-    row's columns sorted by a routine that compares columns only, which
-    entry numbers in place of values reproduce), so the values equal an
-    element-by-element assembly bit for bit.  Entries touching a boundary
-    node are left out, which zeroes the Dirichlet rows and columns; the
-    boundary diagonal keeps its position with an empty row of S.
-    """
-    conn, n, boundary = mesh.connectivity, mesh.n_nodes, mesh.boundary_mask
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel().astype(np.int32)
-    order = np.argsort(rows, kind="stable")
-    P = sp.csr_matrix((order.astype(float), cols[order],
-                       np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)),
-                      shape=(n, n))
-    P.sort_indices()
-    perm = P.data.astype(np.intp)
-    first = np.flatnonzero(np.diff(rows[perm] * n + P.indices, prepend=-1))
-    r, c = rows[perm[first]], P.indices[first]
-    inside = ~(boundary[r] | boundary[c])
-    keep = inside | (boundary[r] & (r == c))
-    runs = np.diff(np.append(first, len(perm)))
-    terms = np.where(inside, runs, 0)[keep]
-    S = sp.csr_matrix((np.ones(terms.sum()), perm[np.repeat(inside, runs)],
-                       np.append(0, np.cumsum(terms))), shape=(len(terms), perm.size))
-    indptr = np.searchsorted(r[keep], np.arange(n + 1)).astype(np.int32)
-    return S, c[keep], indptr
 
 
 def assemble_load(mesh: Mesh, f: float = 1.0) -> np.ndarray:
@@ -310,12 +279,8 @@ def assemble_load(mesh: Mesh, f: float = 1.0) -> np.ndarray:
     fe = np.full(mesh.n_nodes, float(f))[conn]            # (ne, 4)
     load = np.zeros(mesh.n_nodes)
     detj = mesh.h * mesh.h / 4.0
-    for gx in (-_GAUSS, _GAUSS):
-        for gy in (-_GAUSS, _GAUSS):
-            shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy)
-                              for cx, cy in _CORNERS])
-            np.add.at(load, conn.ravel(),
-                      (detj * (fe @ shape)[:, None] * shape[None, :]).ravel())
+    for shape, _ in _gauss_points():
+        np.add.at(load, conn.ravel(), (detj * (fe @ shape)[:, None] * shape[None, :]).ravel())
     load[mesh.boundary_mask] = 0.0
     return load
 

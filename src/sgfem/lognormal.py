@@ -21,18 +21,16 @@ systems rather than block diagonals; GalerkinOperator.d_block_solve solves
 them by a factorization of the level system while it is small (a band
 Cholesky in node-major order, filled straight from the coupling values, the
 K_i being symmetric) and by an inner Krylov loop preconditioned blockwise
-with the mean matrix beyond.  The band is split in two: the Dirichlet nodes,
-whose rows store only their diagonal, leave the band of the coupled nodes
-and form their own of half-width m - 1, so D_3 at N=4 P=3 h=1/10 factors
-1620 unknowns at half-width 219 and 800 at 19, not 2420 at 259 (dpbtrf
-9.2 -> 5.1 ms, best of 5, one BLAS thread).  Block Gauss-Seidel's one-block
-diagonal blocks keep one band over all nodes.
+with the mean matrix beyond.  The band spans the leading n_c nodes alone:
+the Dirichlet nodes, numbered last, store only their diagonal, where each
+level is the identity, so D_3 at N=4 P=3 h=1/10 factors 1620 of its 2420
+unknowns, at half-width 219.  Block Gauss-Seidel's one-block diagonal
+blocks keep one band over all nodes.
 
 The expansion has C(N + 2P, N) coefficient fields (210 at N=4 P=3), and
-each has a stiffness matrix K_alpha.  Only K_0 is assembled by elements;
-the others are the one sparse product k_alpha Hhat of the nodal samples
-with the hat stiffness (``fem._hat_stiffness``), equal to the element
-assembly up to rounding (1.9e-16 relative) at a fraction of its cost.
+each has a stiffness matrix K_alpha.  All of them, K_0 included, come from
+one call of ``fem.assemble_weighted_stiffness``: the sparse product of the
+nodal samples with the hat stiffness laid out on the stiffness pattern.
 
 Every block sums many coefficient terms, so products with the operator read
 one pre-summed stochastic block per mesh node, T_n = sum_alpha k_alpha(x_n)
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Mesh, _hat_stiffness, assemble_weighted_stiffness, local_hat_stiffness
+from .fem import Mesh, assemble_weighted_stiffness, local_hat_stiffness
 from .kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from .multi_index import MultiIndexSet, build_multi_index_set
 from .operator import GalerkinOperator, InnerSolver
@@ -118,12 +116,10 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
 
     The solution basis is the order-``degree`` Hermite set in ``dims``
     variables; the coefficient is expanded to order 2*degree over the same
-    variables.  The resulting block pattern is fully dense.  The mean
-    stiffness K_0 is assembled by elements, which gives the pattern; every
-    other K_alpha is its field's nodal samples times the hat stiffness on
-    that pattern.  The operator gets the coefficient fields at the mesh
-    nodes and the local hat stiffness as its nodal factors, which its
-    products read.
+    variables.  The resulting block pattern is fully dense.  Every
+    K_alpha comes from one stiffness assembly of all the fields.  The
+    operator gets the coefficient fields at the mesh nodes and the local
+    hat stiffness as its nodal factors, which its products read.
     """
     family = hermite_family()
     basis = build_multi_index_set(dims, degree)
@@ -131,9 +127,8 @@ def build_lognormal_operator(spec: LognormalFieldSpec, mesh: Mesh, dims: int,
     gauss = gaussian_kl(spec, mesh, dims)
     fields = lognormal_gpc_coefficients(gauss, coeff_set)
     tensor = build_triple_product_tensor(basis, coeff_set, family)
-    H, S = local_hat_stiffness(mesh)
-    stiffness = _hat_stiffness(assemble_weighted_stiffness(mesh, fields[:1]), fields, H, S)
-    return GalerkinOperator(stiffness, tensor, nodal=(fields, H, S))
+    return GalerkinOperator(assemble_weighted_stiffness(mesh, fields), tensor,
+                            nodal=(fields, *local_hat_stiffness(mesh)))
 
 
 def dense_d_block_solve(op: GalerkinOperator, level: int, rhs: np.ndarray,

@@ -185,9 +185,8 @@ class GalerkinOperator:
     """The coupled block operator with its hierarchy views.
 
     ``stiffness`` is the triple (indices, indptr, data) that
-    assemble_weighted_stiffness gives for many fields, or that the lognormal
-    builder gives with K_0 so assembled and the other rows from the hat
-    stiffness: the spatial matrices share the CSR pattern (indices, indptr)
+    assemble_weighted_stiffness gives for many fields, as both builders
+    take it: the spatial matrices share the CSR pattern (indices, indptr)
     and one ``(n_coeff, nnz)`` array ``data``, whose row i holds the values
     of K_i.  The mean solve, the band factors and matrix-free products read
     data; pre-summed products read F and the hat stiffness instead.  The

@@ -140,21 +140,28 @@ def test_poisson_center_value():
     assert u[center] == pytest.approx(oracle, rel=0.02)
 
 
-def element_by_element_stiffness(mesh, field, unit_boundary_diag=False):
-    """Oracle: 2x2 Gauss element matrices of one field scattered through a
-    COO matrix, Dirichlet rows/columns zeroed by diagonal products."""
+def gauss_rule():
+    """Oracle's 2x2 Gauss rule: the four Q1 shape functions and their
+    reference gradients at each point, corner order SW, SE, NE, NW."""
     g = 1.0 / np.sqrt(3.0)
     corners = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
-    conn = mesh.connectivity
-    coeff = field[conn]
-    ke = np.zeros((len(conn), 4, 4))
     for gx in (-g, g):
         for gy in (-g, g):
             shape = np.array([0.25 * (1 + cx * gx) * (1 + cy * gy) for cx, cy in corners])
             dxi = np.array([0.25 * cx * (1 + cy * gy) for cx, cy in corners])
             deta = np.array([0.25 * cy * (1 + cx * gx) for cx, cy in corners])
-            grad = np.outer(dxi, dxi) + np.outer(deta, deta)
-            ke += (coeff @ shape)[:, None, None] * grad[None, :, :]
+            yield shape, dxi, deta
+
+
+def element_by_element_stiffness(mesh, field, unit_boundary_diag=False):
+    """Oracle: 2x2 Gauss element matrices of one field scattered through a
+    COO matrix, Dirichlet rows/columns zeroed by diagonal products."""
+    conn = mesh.connectivity
+    coeff = field[conn]
+    ke = np.zeros((len(conn), 4, 4))
+    for shape, dxi, deta in gauss_rule():
+        grad = np.outer(dxi, dxi) + np.outer(deta, deta)
+        ke += (coeff @ shape)[:, None, None] * grad[None, :, :]
     K = sp.coo_matrix((ke.ravel(), (np.repeat(conn, 4, axis=1).ravel(),
                                     np.tile(conn, (1, 4)).ravel())),
                       shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
@@ -166,6 +173,39 @@ def element_by_element_stiffness(mesh, field, unit_boundary_diag=False):
     return K.tocsr()
 
 
+def element_by_element_load(mesh, f):
+    """Oracle: the load of the constant source f, the element sums of each
+    Gauss point added at the corners, zeroed at the boundary nodes."""
+    conn = mesh.connectivity
+    fe = np.full(conn.shape, float(f))
+    detj = mesh.h * mesh.h / 4.0
+    load = np.zeros(mesh.n_nodes)
+    for shape, _, _ in gauss_rule():
+        np.add.at(load, conn.ravel(), (detj * (fe @ shape)[:, None] * shape[None, :]).ravel())
+    load[mesh.boundary_mask] = 0.0
+    return load
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("f", [1.0, 0.3])
+def test_load_vector_is_the_element_loop_bit_for_bit(n, f):
+    mesh = build_mesh(1.0 / n)
+    assert np.array_equal(assemble_load(mesh, f), element_by_element_load(mesh, f))
+
+
+def builder_fields(mesh) -> tuple:
+    """The fields of both builders on the mesh: the uniform builder's mean
+    and Legendre-scaled Karhunen-Loeve fields, and the lognormal builder's
+    Hermite chaos coefficients at N=2, order 4."""
+    from sgfem.kle import CovarianceSpec, build_kl_expansion
+    from sgfem.lognormal import LognormalFieldSpec, gaussian_kl, lognormal_gpc_coefficients
+    from sgfem.multi_index import build_multi_index_set
+    kl = build_kl_expansion(CovarianceSpec(0.5, 0.5), 2, 1.0, mesh.node_coords)
+    gauss = gaussian_kl(LognormalFieldSpec(cov=1.0), mesh, 2)
+    return (np.vstack([np.full(mesh.n_nodes, kl.mean), kl.fields / np.sqrt(3.0)]),
+            lognormal_gpc_coefficients(gauss, build_multi_index_set(2, 4)))
+
+
 def test_batched_assembly_matches_per_field_assembly():
     from sgfem.kle import CovarianceSpec, build_kl_expansion
     from sgfem.lognormal import LognormalFieldSpec, gaussian_kl, lognormal_gpc_coefficients
@@ -173,22 +213,23 @@ def test_batched_assembly_matches_per_field_assembly():
     mesh = build_mesh(0.125)
     kl = build_kl_expansion(CovarianceSpec(0.5, 0.5), 4, 1.0, mesh.node_coords)
     gauss = gaussian_kl(LognormalFieldSpec(cov=1.0), mesh, 2)
+    # the pattern: the interior entries of the Q1 stencil, and the boundary
+    # diagonal alone in each boundary row
+    pattern = element_by_element_stiffness(mesh, np.ones(mesh.n_nodes), True)
     for fields in (np.vstack([np.ones(mesh.n_nodes), kl.fields]),
                    lognormal_gpc_coefficients(gauss, build_multi_index_set(2, 4))):
         indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
         assert data.shape == (len(fields), len(indices)) and data.flags.c_contiguous
-        # interior entries plus the boundary diagonal, one entry per boundary row
+        assert np.array_equal(indptr, pattern.indptr)
+        assert np.array_equal(indices, pattern.indices)
         assert np.array_equal(np.diff(indptr)[mesh.boundary_mask], np.ones(
             mesh.boundary_mask.sum()))
+        # the element sums up to rounding
+        scale = np.abs(data[0]).max()
         for k, (row, field) in enumerate(zip(data, fields)):
-            K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2,
-                              copy=True)
-            K.eliminate_zeros()
+            K = sp.csr_matrix((row, indices, indptr), shape=(mesh.n_nodes,) * 2)
             ref = element_by_element_stiffness(mesh, field, k == 0)
-            # the same sums in the same order: equal bit for bit
-            assert np.array_equal(K.indptr, ref.indptr)
-            assert np.array_equal(K.indices, ref.indices)
-            assert np.array_equal(K.data, ref.data)
+            assert np.abs(K - ref).max() <= 1e-15 * scale, k
     with pytest.raises(ValueError):
         assemble_weighted_stiffness(mesh, np.ones((2, 3, mesh.n_nodes)))
 
@@ -221,14 +262,20 @@ def test_mesh_numbers_the_boundary_last_and_keeps_the_grid_values(n, seed):
     assert np.all(np.diff(g[:n_interior]) > 0) and np.all(np.diff(g[n_interior:]) > 0)
     assert np.abs(mesh.node_coords - grid.grid_coords[g]).max() <= 1e-15
     assert np.array_equal(mesh.connectivity, mesh.node_ids[grid.connectivity])
-    # every stiffness value is the row-major assembly's, bit for bit
+    # every stiffness value is the row-major assembly's, bit for bit, for
+    # any fields and for both builders'
     rng = np.random.default_rng(seed)
-    fields = np.vstack([np.ones(n_nodes), rng.uniform(0.5, 2.0, (2, n_nodes))])
-    indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
-    for k, (row, field) in enumerate(zip(data, fields)):
-        K = sp.csr_matrix((row, indices, indptr), shape=(n_nodes,) * 2).toarray()
-        ref = element_by_element_stiffness(grid, field[mesh.node_ids], k == 0).toarray()
-        assert np.array_equal(K, ref[np.ix_(g, g)]), k
+    for fields in (np.vstack([np.ones(n_nodes), rng.uniform(0.5, 2.0, (2, n_nodes))]),
+                   *builder_fields(mesh)):
+        indices, indptr, data = assemble_weighted_stiffness(mesh, fields)
+        grid_indices, grid_indptr, grid_data = assemble_weighted_stiffness(
+            grid, fields[:, mesh.node_ids])
+        # the pattern, as the 0/1 matrix of the stored positions, and each K_i
+        for row, grid_row in zip([np.ones(len(indices)), *data],
+                                 [np.ones(len(grid_indices)), *grid_data]):
+            K = sp.csr_matrix((row, indices, indptr), shape=(n_nodes,) * 2)
+            K_grid = sp.csr_matrix((grid_row, grid_indices, grid_indptr), shape=(n_nodes,) * 2)
+            assert np.array_equal(K.toarray(), K_grid.toarray()[np.ix_(g, g)])
     # the hat stiffness too, and S sums the local rows in the same order:
     # local row 9 m + k of node m is the grid's 9 g[m] + k
     H, S = local_hat_stiffness(mesh)

@@ -51,7 +51,7 @@ GOLDEN = {
     ("T7", 0.25): ((14, 5, 5), (3.0065945, 1.1338, 1.1170)),
     ("T7", 0.5): ((26, 8, 9), (8.5456889, 1.6737, 1.6110)),
     ("T7", 0.75): ((41, 12, 13), (20.762375, 2.7886, 2.5583)),
-    ("T8", 5): ((45, 15, 14), (33.379242, 3.7541, 3.2755)),
+    ("T8", 5): ((45, 15, 14), (33.348143, 3.7541, 3.2755)),
     # the base lognormal row, N=4 P=4 h=1/10 CoV 1 (8470 dof), also T6 P=4
     ("T8", 10): ((58, 17, 17), (43.426962, 4.5863, 3.9975)),
 }

@@ -18,13 +18,14 @@ from hypothesis import example, given, strategies as st
 
 from sgfem import operator
 from sgfem.experiments import ExperimentConfig, build_operator
-from sgfem.fem import STRUCTURAL_ZERO_RTOL, assemble_weighted_stiffness, build_mesh
+from sgfem.fem import STRUCTURAL_ZERO_RTOL, build_mesh
 from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import BlockSGS, HierarchicalSchur, make_preconditioner
 from shared_pattern import CONTRACT, indefinite, nonsymmetric, operator_from_matrices
+from test_fem import element_by_element_stiffness
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -874,13 +875,19 @@ def test_lognormal_stiffness_values_match_the_element_assembly(config):
     n_cells, dims, degree, cov = config
     mesh = build_mesh(1.0 / n_cells)
     op = build_lognormal_operator(LognormalFieldSpec(cov=cov), mesh, dims, degree)
-    indices, indptr, data = assemble_weighted_stiffness(mesh, op.nodal[0])
-    assert np.array_equal(op.indices, indices) and np.array_equal(op.indptr, indptr)
-    # K_0 by elements, bit for bit; every other K_i from the hat stiffness
-    assert np.array_equal(op.data[0], data[0])
-    scale = np.abs(data[0]).max()
-    assert np.abs(op.data[1:] - data[1:]).max(initial=0.0) <= 1e-14 * scale
-    assert np.array_equal(op.data.any(axis=1), data.any(axis=1))
+    pattern = element_by_element_stiffness(mesh, np.ones(mesh.n_nodes), True)
+    assert np.array_equal(op.indices, pattern.indices)
+    assert np.array_equal(op.indptr, pattern.indptr)
+    # every K_i, K_0 included, is the element sum up to rounding
+    rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+    ref = np.vstack([np.asarray(element_by_element_stiffness(mesh, field, i == 0)[rows, op.indices])
+                     for i, field in enumerate(op.nodal[0])])
+    scale = np.abs(ref[0]).max()
+    live = op.data.any(axis=1)
+    assert np.abs(op.data[live] - ref[live]).max() <= 1e-14 * scale
+    # a row stored as exact zeros is zero up to rounding, and no other is
+    small = np.abs(ref).max(axis=1) <= STRUCTURAL_ZERO_RTOL * scale
+    assert np.array_equal(~live, small)
 
 
 def test_lognormal_build_holds_no_second_copy_of_the_stiffness_values():
@@ -1234,9 +1241,11 @@ def test_symmetry_selects_the_band_path_and_indefinite_levels_are_refused(monkey
 # unit Dirichlet rows, where each level is the identity
 # ---------------------------------------------------------------------------
 
-def node_sets(op) -> tuple:
-    """(coupled, isolated): the spatial rows of the dense K_i that couple
-    to another row, and those that hold their diagonal alone."""
+def coupled_and_diagonal_rows(op) -> tuple:
+    """(coupled, diagonal): the spatial rows of the dense K_i that couple
+    to another row, and those that hold their diagonal alone; on a built
+    operator the diagonal rows are the trailing Dirichlet rows, and the
+    coupled ones the leading n_c rows of a level's one band."""
     off = sum(abs(K.toarray()) for K in op.matrices)
     np.fill_diagonal(off, 0.0)
     alone = ~off.any(axis=1)
@@ -1282,11 +1291,11 @@ def test_isolated_rows_with_fluctuation_values_have_full_blocks():
     # there and so still symmetric: the m x m block of D_l at an isolated
     # node is sum_i K_i[r, r] C_i[tail, tail], not diagonal
     base = lognormal_operator(2, 2, 3)
-    _, isolated = node_sets(base)
+    _, isolated = coupled_and_diagonal_rows(base)
     rng = np.random.default_rng(4)
     op = with_spatial(base, lambda i, K: K if i == 0 else
                       K + on_nodes(base, isolated, 0.01 * rng.standard_normal(len(isolated))))
-    assert np.array_equal(node_sets(op)[1], isolated)
+    assert np.array_equal(coupled_and_diagonal_rows(op)[1], isolated)
     A, n = dense_kron_oracle(op), op.ndof
     _, tail = op.level_slices(2)
     m = tail.stop - tail.start
@@ -1313,7 +1322,7 @@ def test_operator_without_isolated_rows_takes_one_band_per_level():
     path = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
                     format="csr")
     op = with_spatial(base, lambda i, K: K + 0.1 * path if i == 0 else K)
-    coupled, isolated = node_sets(op)
+    coupled, isolated = coupled_and_diagonal_rows(op)
     assert len(coupled) == n and len(isolated) == 0
     per_level = check_level_solves(op)
     b = int(np.abs(op._pattern_rows - op.indices).max())
@@ -1329,7 +1338,7 @@ def test_coarsest_mesh_has_no_coupled_node():
     # and each level is one band of half-width m - 1 over it
     op = lognormal_operator(2, 2, 2)
     assert np.array_equal(np.diff(op.indptr), np.ones(9))
-    coupled, isolated = node_sets(op)
+    coupled, isolated = coupled_and_diagonal_rows(op)
     assert (len(coupled), len(isolated)) == (0, 9) and op.n_c == 1
     for level, bands in zip((1, 2), check_level_solves(op)):
         _, tail = op.level_slices(level)
@@ -1338,13 +1347,15 @@ def test_coarsest_mesh_has_no_coupled_node():
 
 
 @pytest.mark.parametrize("n_cells", [3, 4, 10])
-def test_level_band_bytes_follow_the_node_sets(monkeypatch, n_cells):
-    # (kd' + 1) m n_c 8 bytes for the coupled nodes, kd' = m b' + m - 1 with
-    # b' = n_cells for the (n_cells - 1)^2 interior nodes of the grid, and
-    # none for the 4 n_cells boundary nodes, where each level is I
+def test_level_band_bytes_cover_the_leading_nodes(monkeypatch, n_cells):
+    # one band of (kd' + 1) m n_c 8 bytes over the leading nodes, kd' =
+    # m b' + m - 1 with b' = n_cells for the (n_cells - 1)^2 interior nodes
+    # of the grid, and none for the 4 n_cells boundary nodes, where each
+    # level is I
     op = lognormal_operator(2, 2, n_cells)
     n_c, n_iso, b = (n_cells - 1) ** 2, 4 * n_cells, n_cells
-    assert [len(nodes) for nodes in node_sets(op)] == [n_c, n_iso] and op.n_c == n_c
+    assert [len(rows) for rows in coupled_and_diagonal_rows(op)] == [n_c, n_iso]
+    assert op.n_c == n_c
     _, bands = spy_factorizations(monkeypatch)
     for level in (1, 2):
         _, tail = op.level_slices(level)
@@ -1356,13 +1367,13 @@ def test_level_band_bytes_follow_the_node_sets(monkeypatch, n_cells):
         assert [factor.nbytes for _, _, factor, _ in bands] == expect
 
 
-@pytest.mark.parametrize("where", ["isolated", "coupled"])
-def test_level_indefinite_on_one_node_set_is_refused(monkeypatch, where):
-    # K_0 shifted by -2 on the chosen set alone: the unit Dirichlet rows
-    # become -1 (isolated), or the interior rows lose their definiteness
-    # (coupled); the other set keeps its positive definite part
+@pytest.mark.parametrize("where", ["dirichlet", "leading"])
+def test_level_indefinite_on_leading_or_dirichlet_rows_is_refused(monkeypatch, where):
+    # K_0 shifted by -2 on the chosen rows alone: the unit Dirichlet rows
+    # become -1 (dirichlet), or the leading interior rows lose their
+    # definiteness (leading); the other rows keep their positive definite part
     base = lognormal_operator(2, 2, 3)
-    nodes = dict(zip(("coupled", "isolated"), node_sets(base)))
+    nodes = dict(zip(("leading", "dirichlet"), coupled_and_diagonal_rows(base)))
     op = with_spatial(base, lambda i, K: K - on_nodes(base, nodes[where], 2.0) if i == 0 else K)
     A, n = dense_kron_oracle(op), op.ndof
     for level in (1, 2):
@@ -1381,7 +1392,7 @@ def test_level_indefinite_on_one_node_set_is_refused(monkeypatch, where):
             op.d_block_solve(level, np.ones((tail.stop - tail.start, n)), EXACT)
     # one band per level, refused: over the leading n_c interior nodes, or,
     # the shifted Dirichlet rows being no unit rows, over all nodes
-    assert op.n_c == (n if where == "isolated" else len(nodes["coupled"]))
+    assert op.n_c == (n if where == "dirichlet" else len(nodes["leading"]))
     assert [info > 0 for *_, info in bands] == [True, True]
     assert lus == [] and op._level_solvers == {}
     with pytest.raises(np.linalg.LinAlgError, match="^level 2 is not positive definite"):

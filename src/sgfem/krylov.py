@@ -12,10 +12,12 @@ A preconditioner may pair its application with the operator's product:
 when ``apply_m.paired(apply_a)`` gives a step r -> (z, A z) for this very
 apply_a, A p follows the recurrence of p and the loop never calls apply_a;
 the step returns fresh arrays, which the loop may update in place.
-Block Gauss-Seidel and the hierarchical preconditioner pair with their
-operator's own ``matvec`` when every level solve is exact and D_l = I (x) K_0
-(see the precond module); each other preconditioner or operator keeps the
-explicit product.  Either way the iterates agree up to rounding.
+The three block preconditioners pair with their operator's own ``matvec``
+when their solves are exact: the mean-based one when the operator multiplies
+matrix-free, block Gauss-Seidel and the hierarchical one when every level is
+D_l = I (x) K_0 (see the precond module); each other preconditioner or
+operator keeps the explicit product.  Either way the iterates agree up to
+rounding.
 
 Both stop on the unpreconditioned relative residual ||b - A x|| / ||b|| <= tol,
 so iteration counts are comparable across preconditioners.  The scalar

@@ -21,7 +21,9 @@ a tensor whose C_0 is not is refused with a ValueError of its own.  When
 each nonzero block holds a single term (the linear Karhunen-Loeve
 coefficient) a product runs matrix-free, as
 sum_i C_i[rows, cols] @ (U @ K_i^T), each K_i multiplying only the column
-blocks that reach those rows, gathered as rows of U where that pays.  The
+blocks that reach those rows, gathered as rows of U where that pays; it
+can leave out the mean term, for (A - I (x) K_0)[rows, cols] @ U[cols],
+which the mean-based preconditioner's A z reads (``_product``).  The
 lognormal chaos coefficient sums many terms per block, and its builder
 hands over nodal factors: the chaos
 fields F, sampled at the mesh nodes, from which the bilinear interpolation
@@ -348,10 +350,12 @@ class GalerkinOperator:
         row r, in pattern order; every row stores at least its diagonal."""
         return np.add.reduceat(P, self.indptr[:-1], axis=0)
 
-    def _plan(self, rows: slice, cols: slice) -> tuple:
+    def _plan(self, rows: slice, cols: slice, mean: bool = True) -> tuple:
         """(span, groups, L) with A[rows, cols] @ X = L @ Y, built once per
-        pair of ranges.  X[span] spans the column blocks j of every pair
-        (i, j) with a coupling c_itj, t in rows.  Each coefficient i with
+        pair of ranges; without ``mean`` the same for (A - I (x) K_0)[rows,
+        cols], the coefficients i >= 1 alone, under a key of its own.
+        X[span] spans the column blocks j of every pair (i, j) with a
+        coupling c_itj, t in rows.  Each coefficient i with
         such a pair has a group (K_i, sel, out) that writes
         Y[out] = (K_i @ Z).T: Z gathers its own column blocks, the leading
         n_c columns of the whole rows X[sel], transposed, when the stored
@@ -365,10 +369,11 @@ class GalerkinOperator:
         n = self.n_blocks
         r0, r1, _ = rows.indices(n)
         c0, c1, _ = cols.indices(n)
-        key = (r0, r1, c0, c1)
+        key = (r0, r1, c0, c1) if mean else (r0, r1, c0, c1, "no mean")
         if key not in self._plans:
             i, t, j, v = self.coupling_entries
-            keep = (t >= r0) & (t < r1) & (j >= c0) & (j < c1)
+            keep = ((t >= r0) & (t < r1) & (j >= c0) & (j < c1)
+                    & (i >= (0 if mean else 1)))
             # ascending i, then j
             pairs, pair = np.unique(i[keep] * n + j[keep], return_inverse=True)
             pj = pairs % n
@@ -411,6 +416,17 @@ class GalerkinOperator:
         the Dirichlet rows A[rows, cols] X is X_t for each row block t in
         both ranges and zero for the others, as C_0 = I gives it: one
         copy."""
+        return self._product(rows, cols, X, mean=True)
+
+    def _product(self, rows: slice, cols: slice, X: np.ndarray, mean: bool) -> np.ndarray:
+        """``product``, or without ``mean`` (A - I (x) K_0)[rows, cols] @ X,
+        the matrix-free product over the coefficients i >= 1, which is zero
+        on the Dirichlet rows: only K_0 stores them.  ValueError without
+        ``mean`` on a pre-summed operator, whose nodal blocks T_n sum K_0's
+        terms with the others."""
+        if not mean and self.presummed:
+            raise ValueError("the pre-summed product cannot leave out the mean "
+                             "coefficient K_0")
         start, stop, _ = cols.indices(self.n_blocks)
         if len(X) != stop - start:
             raise ValueError(f"{stop - start} column blocks, X has {len(X)} rows")
@@ -428,7 +444,7 @@ class GalerkinOperator:
             W = np.matmul(Z.reshape(self.ndof, 9, -1), self.node_blocks[:, cols, rows])
             out = (self.nodal[2] @ W.reshape(-1, W.shape[-1])).T
         else:
-            span, groups, L = self._plan(rows, cols)
+            span, groups, L = self._plan(rows, cols, mean)
             # C-contiguous: scipy would copy a transposed view per product
             XT = None if span is None else np.ascontiguousarray(X[span, :n].T)
             Y = np.empty((L.shape[1], n))
@@ -440,7 +456,7 @@ class GalerkinOperator:
             out[:, n:] = 0.0
         r0, r1, _ = rows.indices(self.n_blocks)
         lo, hi = max(r0, start), min(r1, stop)
-        if lo < hi:
+        if mean and lo < hi:
             out[lo - r0:hi - r0, n:] = X[lo - start:hi - start, n:]
         return out
 

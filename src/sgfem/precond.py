@@ -44,12 +44,17 @@ than gathering its own costs, ``operator.GATHER_COPY`` and
 ``GATHER_FIXED``, fitted to the timings in BENCH_gather.json, multiplies
 its whole column range).
 
-When every level is D_l = I (x) K_0 (the linear coefficient) and its solves
-are exact, block Gauss-Seidel and the hierarchical preconditioner also give
-A z for the z they return, from products over ranges their sweeps already
-plan, and CG takes that pair in place of its own operator apply
-(``paired``, ``krylov``):
+Under an exact inner policy the three preconditioners can also give A z for
+the z they return, and CG takes that pair in place of its own operator apply
+(``paired``, ``krylov``).  The mean-based one does so on any operator whose
+products run matrix-free; block Gauss-Seidel and the hierarchical one when
+every level is D_l = I (x) K_0 (the linear coefficient), from products over
+ranges their sweeps already plan:
 
+* mean-based, z = (I (x) K_0)^{-1} r: A z = r + (A - I (x) K_0) z, the
+  second term one matrix-free product over the coefficients i >= 1 (2280
+  of the 2775 K-columns of a full apply at N=8, P=4, h=1/10); a nodal
+  block T_n holds K_0's term, so the lognormal operator applies A itself;
 * block Gauss-Seidel, A = L + D + U over the level ranges: the forward sweep
   gives (L + D) y = r and the backward one (D + U) z = D y, so
   A z = r + L (z - y) = D y + L z, with L w the products
@@ -62,13 +67,13 @@ plan, and CG takes that pair in place of its own operator apply
   r - sum_l B_l t_l is the residual that reaches each level on the way
   down, so A z is that plus the products B_l z_l.
 
-Each is the rearranged form, which saves a pass over the block vector.
-Both need D_l z_l to be what the sweep solved for: a coupled level's
-within-level couplings lie outside these products, and an inexact inner
-solve breaks the identity.  The extra products, about half an operator
-apply per application, are operator work done in place of the apply CG
-skips, not block work of the preconditioner: ``Counters`` does not count
-them, and its tallies still meet the closed forms.
+The last two are the rearranged form, which saves a pass over the block
+vector.  Each identity needs the solves it assumes, K_0 z_j = r_j or D_l
+z_l what the sweep solved for (a coupled level's within-level couplings lie
+outside the sweeps' products); an inexact inner solve breaks it.  The extra
+products are operator work done in place of the apply CG skips, not block
+work of the preconditioner: ``Counters`` does not count them, and its
+tallies still meet the closed forms.
 """
 from __future__ import annotations
 
@@ -127,12 +132,15 @@ class Counters:
     applications: int = 0
 
 
+def _every_level_scalar(prec) -> bool:
+    """The pairing condition of block Gauss-Seidel and the hierarchical
+    preconditioner: every level is D_l = I (x) K_0."""
+    op = prec.op
+    return all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))
+
+
 class _BlockPreconditioner:
     """Shared plumbing: resolved inner policy, call interface and counters."""
-
-    # whether apply_blocks(R, product=True) gives (Z, A Z) when every level
-    # is I (x) K_0 and solved exactly (module docstring)
-    gives_product = False
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver, outer_tol: float):
         self.op = op
@@ -148,14 +156,21 @@ class _BlockPreconditioner:
         self.counters.applications += 1
         return Z.ravel() if flat else Z
 
+    def _gives_product(self) -> bool:
+        """Whether apply_blocks(R, product=True) gives (Z, A Z) under an
+        exact inner policy: each class's own condition (module docstring)."""
+        return False
+
     def paired(self, apply_a):
         """The step r -> (M r, A M r) on flat vectors that ``krylov`` takes
         in place of apply_a, or None.  Only for apply_a the operator's own
-        ``matvec``, when the preconditioner gives the product, its inner
-        policy is exact and every level is I (x) K_0."""
+        ``matvec``, when the inner policy is exact and the class's condition
+        holds (``_gives_product``): for the mean-based preconditioner an
+        operator that multiplies matrix-free, for the other two one whose
+        every level is I (x) K_0."""
         op = self.op
-        if not (self.gives_product and self.inner.kind == "exact" and apply_a == op.matvec
-                and all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))):
+        if not (self.inner.kind == "exact" and apply_a == op.matvec
+                and self._gives_product()):
             return None
 
         def step(r):
@@ -167,18 +182,33 @@ class _BlockPreconditioner:
 
 
 class MeanBased(_BlockPreconditioner):
-    """Independent solves of every spatial block with the mean matrix K_0."""
+    """Independent solves of every spatial block with the mean matrix K_0.
+
+    With ``product`` it also returns A z = r + (A - I (x) K_0) z, the
+    second term one matrix-free product without coefficient 0, valid when
+    ``paired`` offers it.
+    """
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
         super().__init__(op, inner, outer_tol)
         self._solve = op.mean_solver(self.inner)
 
-    def apply_blocks(self, R: np.ndarray) -> np.ndarray:
-        R = R.reshape(self.op.n_blocks, self.op.ndof)   # ValueError naming any other size
+    def _gives_product(self) -> bool:
+        return not self.op.presummed
+
+    def apply_blocks(self, R: np.ndarray, product: bool = False):
+        op = self.op
+        R = R.reshape(op.n_blocks, op.ndof)   # ValueError naming any other size
         Z = self._solve(R)
-        self.counters.block_solves += self.op.n_blocks
-        return Z
+        self.counters.block_solves += op.n_blocks
+        if not product:
+            return Z
+        # (I (x) K_0) z = r; on the Dirichlet rows the product is zero and
+        # A z = z = r
+        AZ = op._product(slice(None), slice(None), Z, mean=False)
+        AZ += R
+        return Z, AZ
 
 
 class BlockSGS(_BlockPreconditioner):
@@ -201,7 +231,7 @@ class BlockSGS(_BlockPreconditioner):
     its right-hand sides, valid when ``paired`` offers it.
     """
 
-    gives_product = True
+    _gives_product = _every_level_scalar
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -308,7 +338,7 @@ class HierarchicalSchur(_BlockPreconditioner):
     when ``paired`` offers it.
     """
 
-    gives_product = True
+    _gives_product = _every_level_scalar
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):

@@ -628,6 +628,28 @@ def test_products_do_not_depend_on_the_layout_of_x(config, seed):
             assert np.array_equal(op.product(rows, cols, layout), ref), (rows, cols)
 
 
+@given(configs, st.integers(0, 2**32 - 1))
+@example(("uniform", 2, 3, 4), 0)
+@example(("lognormal", 2, 2, 3), 0)
+def test_the_product_without_the_mean_coefficient_is_the_full_one_less_k0(config, seed):
+    # the mean-based preconditioner's A z = r + (A - I (x) K_0) z: the
+    # matrix-free product over the coefficients i >= 1, zero on the
+    # Dirichlet rows; the pre-summed form refuses it
+    op = build(config)
+    if op.presummed:
+        with pytest.raises(ValueError, match="pre-summed"):
+            op._product(slice(None), slice(None), np.zeros((op.n_blocks, op.ndof)), mean=False)
+        op = matrix_free(op)
+    X = np.random.default_rng(seed).standard_normal((op.n_blocks, op.ndof))
+    got = op._product(slice(None), slice(None), X, mean=False)
+    ref = op.apply(X) - (op.mean_matrix @ X.T).T
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert not got[:, op.n_c:].any()
+    # a plan of its own: the full product's plan keeps its key
+    n = op.n_blocks
+    assert set(op._plans) == {(0, n, 0, n), (0, n, 0, n, "no mean")}
+
+
 def test_a_gather_copies_only_the_rows_it_takes():
     # the backward sweep range (tail_0, [1, n_blocks)) of the uniform
     # benchmark row: each K_i with i >= 1 gathers one column block.  A

@@ -555,7 +555,8 @@ uniform_configs = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2,
                             st.integers(0, 2 ** 16))
 
 
-@given(uniform_configs, st.sampled_from([BlockSGS, HierarchicalSchur]))
+@given(uniform_configs, st.sampled_from([MeanBased, BlockSGS, HierarchicalSchur]))
+@example((2, 3, 4, 0), MeanBased)
 @example((2, 3, 4, 0), BlockSGS)
 @example((2, 3, 4, 0), HierarchicalSchur)
 def test_paired_step_returns_the_operator_product_of_its_result(config, kind):
@@ -570,9 +571,24 @@ def test_paired_step_returns_the_operator_product_of_its_result(config, kind):
     assert prec.counters.applications == 1
 
 
+def test_mean_pairs_on_coupled_levels_multiplied_matrix_free():
+    # A z = r + (A - I (x) K_0) z asks nothing of the levels: the lognormal
+    # operator without its nodal factors multiplies matrix-free, and the
+    # mean-based preconditioner pairs there, where BSGS and HS do not
+    logn = lognormal_operator()
+    op = GalerkinOperator((logn.indices, logn.indptr, logn.data), logn.tensor)
+    assert not op.presummed and not op.level_is_scalar_diagonal(1)
+    r = np.random.default_rng(0).standard_normal(op.shape[0])
+    z, Az = MeanBased(op, EXACT).paired(op.matvec)(r)
+    ref = op.apply(z)
+    assert np.linalg.norm(Az - ref) <= 1e-12 * np.linalg.norm(ref)
+    for kind in (BlockSGS, HierarchicalSchur):
+        assert kind(op, EXACT).paired(op.matvec) is None
+
+
 def spy_paths(monkeypatch) -> dict:
-    """Counts of GalerkinOperator.apply calls and of BSGS / HS applications
-    with and without the product, from now on."""
+    """Counts of GalerkinOperator.apply calls and of mean / BSGS / HS
+    applications with and without the product, from now on."""
     calls = {"apply": 0, "paired": 0, "plain": 0}
     apply = GalerkinOperator.apply
 
@@ -581,7 +597,7 @@ def spy_paths(monkeypatch) -> dict:
         return apply(self, u)
 
     monkeypatch.setattr(GalerkinOperator, "apply", apply_spy)
-    for cls in (BlockSGS, HierarchicalSchur):
+    for cls in (MeanBased, BlockSGS, HierarchicalSchur):
         def blocks_spy(self, R, product=False, _original=cls.apply_blocks):
             calls["paired" if product else "plain"] += 1
             return _original(self, R, product) if product else _original(self, R)
@@ -591,7 +607,7 @@ def spy_paths(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("solver", [cg, fcg])
-@pytest.mark.parametrize("kind", [BlockSGS, HierarchicalSchur])
+@pytest.mark.parametrize("kind", [MeanBased, BlockSGS, HierarchicalSchur])
 @pytest.mark.parametrize("dims, degree, n_cells", [(2, 3, 4), (3, 2, 5), (4, 4, 4)])
 def test_paired_solve_matches_the_explicit_product(monkeypatch, solver, kind,
                                                    dims, degree, n_cells):
@@ -637,20 +653,20 @@ def test_explicit_product_everywhere_else(monkeypatch):
         assert calls["apply"] == report.iterations and calls["paired"] == 0
         return report
 
-    # no preconditioner, the mean-based one, and a lambda apply_a
+    # no preconditioner, and each preconditioner with a lambda apply_a
     explicit(op, b, None)
-    explicit(op, b, MeanBased(op, EXACT))
-    for kind in (BlockSGS, HierarchicalSchur):
+    for kind in (MeanBased, BlockSGS, HierarchicalSchur):
         explicit(op, b, kind(op, EXACT), apply_a=lambda v: op.matvec(v))
-        # inexact level solves: the cg-diagonal policy
+        # inexact mean and level solves: the cg-diagonal policy
         explicit(op, b, kind(op, InnerSolver(kind="cg")), solver=fcg)
-        # coupled levels: the lognormal operator, its products pre-summed
+        # the lognormal operator, its products pre-summed: its nodal blocks
+        # hold K_0, and BSGS and HS see coupled levels
         assert logn.presummed
         explicit(logn, b_logn, kind(logn, EXACT))
         assert kind(logn, EXACT).paired(logn.matvec) is None
         assert kind(op, EXACT).paired(lambda v: op.matvec(v)) is None
         assert kind(op, EXACT).paired(logn.matvec) is None
-    assert MeanBased(op, EXACT).paired(op.matvec) is None
+        assert kind(op, InnerSolver(kind="cg")).paired(op.matvec) is None
     # the Schur system's CG applies its own operator; HS takes no product
     calls.update(apply=0, paired=0, plain=0)
     _, report = reduced_system_solve(op, b, tol=1e-10)

@@ -84,6 +84,16 @@ class Mesh:
         ids.flags.writeable = False
         return ids
 
+    @cached_property
+    def hat_entries(self) -> tuple:
+        """(row, node, col, u, value) of ``_hat_entries``, enumerated once
+        per mesh for both the stiffness assembly and the local hat
+        stiffness; read-only."""
+        entries = _hat_entries(self)
+        for a in entries:
+            a.flags.writeable = False
+        return entries
+
     @property
     def node_coords(self) -> np.ndarray:
         g = np.linspace(0.0, 1.0, self.n_cells + 1)
@@ -121,7 +131,7 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
     data) of all their matrices on one CSR pattern, the interior entries
     plus the boundary diagonal, with data[r] the values of row r's matrix:
     each value of an interior entry (r, c) is sum_u f[r - u] T[u, v] over
-    the entries of ``_hat_entries`` that reach it, in ascending u.  The
+    the entries of ``Mesh.hat_entries`` that reach it, in ascending u.  The
     rows are written _CHUNK_BYTES at a time, so no temporary has the size
     of data.  Boundary rows and columns are zeroed.  Row 0 is the mean
     coefficient, whose boundary diagonal is set to one; a row r >= 1 whose
@@ -133,7 +143,7 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
     if fields.ndim != 2 or fields.shape[1] != mesh.n_nodes:
         raise ValueError(f"fields have {fields.shape}, expected (n_fields, {mesh.n_nodes})")
     n = mesh.n_nodes
-    row, node, col, _, value = _hat_entries(mesh)
+    row, node, col, _, value = mesh.hat_entries
     # the entries, then the diagonal of each boundary row, which none reaches
     keys = np.append(row * n + col, np.flatnonzero(mesh.boundary_mask) * (n + 1))
     order = np.argsort(keys, kind="stable")
@@ -246,7 +256,7 @@ def local_hat_stiffness(mesh: Mesh) -> tuple:
     boundary diagonal of the mean matrix.  H_n is nonzero only on the
     3 x 3 nodes around n.  H, a CSR matrix (9 n_nodes, n_nodes), holds row
     r of H_n as its local row 9 n + u, u the offset of r from n, read from
-    the table T (``_hat_entries``); the 0/1 CSR matrix S (n_nodes,
+    the table T (``Mesh.hat_entries``); the 0/1 CSR matrix S (n_nodes,
     9 n_nodes) sums each local row into its spatial row r.  A local row
     whose node lies off the mesh or on its boundary is empty and summed
     nowhere.  Hence K(f) = S diag(f (x) 1_9) H.  Each row of S lists its
@@ -255,7 +265,7 @@ def local_hat_stiffness(mesh: Mesh) -> tuple:
     the nodes.
     """
     n = mesh.n_nodes
-    _, node, col, offset, value = _hat_entries(mesh)
+    _, node, col, offset, value = mesh.hat_entries
     H = sp.csr_matrix((value, (9 * node + offset, col)), shape=(9 * n, n))
     # the nodes r - u of an interior row r in grid order: u descending
     u = np.arange(8, -1, -1)

@@ -46,10 +46,9 @@ its whole column range).
 
 Under an exact inner policy the three preconditioners can also give A z for
 the z they return, and CG takes that pair in place of its own operator apply
-(``paired``, ``krylov``).  The mean-based one does so on any operator whose
-products run matrix-free; block Gauss-Seidel and the hierarchical one when
-every level is D_l = I (x) K_0 (the linear coefficient), from products over
-ranges their sweeps already plan:
+(``paired``, ``krylov``).  Each does so on an operator whose products run
+matrix-free; block Gauss-Seidel and the hierarchical one also need every
+level to be D_l = I (x) K_0 (the linear coefficient):
 
 * mean-based, z = (I (x) K_0)^{-1} r: A z = r + (A - I (x) K_0) z, the
   second term one matrix-free product over the coefficients i >= 1 (2280
@@ -57,23 +56,31 @@ ranges their sweeps already plan:
   block T_n holds K_0's term, so the lognormal operator applies A itself;
 * block Gauss-Seidel, A = L + D + U over the level ranges: the forward sweep
   gives (L + D) y = r and the backward one (D + U) z = D y, so
-  A z = r + L (z - y) = D y + L z, with L w the products
-  A[tail_l, head_l] w[head_l] of the forward sweep and D y = r - L y the
-  right-hand side of each level's forward solve;
+  A z = r + L (z - y) = D y + L z, with D y = r - L y the right-hand side
+  of each level's forward solve;
 * hierarchical Schur: the post-correction makes the tail rows of level l
   exact, and its head rows differ from the pre-corrected residual by
   B_l (z_l - t_l), t_l the level's down-sweep solve, so
-  A z = r + sum_l B_l (z_l - t_l), each term in the head rows of level l;
-  r - sum_l B_l t_l is the residual that reaches each level on the way
-  down, so A z is that plus the products B_l z_l.
+  A z = r + sum_l B_l (z_l - t_l); r - sum_l B_l t_l is the residual that
+  reaches each level on the way down, so A z is that plus the products
+  B_l z_l.
 
-The last two are the rearranged form, which saves a pass over the block
-vector.  Each identity needs the solves it assumes, K_0 z_j = r_j or D_l
-z_l what the sweep solved for (a coupled level's within-level couplings lie
-outside the sweeps' products); an inexact inner solve breaks it.  The extra
-products are operator work done in place of the apply CG skips, not block
-work of the preconditioner: ``Counters`` does not count them, and its
-tallies still meet the closed forms.
+The last two multiply each level's final iterate once.  Once z_l is final
+(the backward sweep) or u_l is (the up-sweep), one product without K_0 over
+the rows its columns reach, levels l - 1..l + 1 for the linear coefficient
+(``_column_spans``), gives both what the sweep still needs and a term of A z;
+level l's own rows are zero there.  For block Gauss-Seidel the rows below l
+are the backward coupling of the levels below, and those above the L z term
+of the levels above; for the hierarchical one the rows above l are the
+C-terms of the up-sweep, and those below the B_l z_l of A z.  A paired
+application so makes 2P + 1 products, P in the forward sweep or the
+down-sweep and one per level 0..P, where the sweeps with a separate A z
+pass made 3P.  Each identity needs the solves it assumes, K_0 z_j = r_j or
+D_l z_l what the sweep solved for; an inexact inner solve breaks it.  The
+column-level products are operator work done in place of the apply CG
+skips, not block work of the preconditioner: ``Counters`` counts the blocks
+of the sweeps' couplings as before, and its tallies still meet the closed
+forms.
 """
 from __future__ import annotations
 
@@ -132,11 +139,28 @@ class Counters:
     applications: int = 0
 
 
-def _every_level_scalar(prec) -> bool:
+def _levels_give_product(prec) -> bool:
     """The pairing condition of block Gauss-Seidel and the hierarchical
-    preconditioner: every level is D_l = I (x) K_0."""
+    preconditioner: every level is D_l = I (x) K_0, and the operator
+    multiplies matrix-free, as their products without K_0 need."""
     op = prec.op
-    return all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))
+    return not op.presummed and all(op.level_is_scalar_diagonal(l)
+                                    for l in range(op.basis.degree + 1))
+
+
+def _add_beside(part: np.ndarray, rows: slice, tail: slice, below: np.ndarray,
+                above: np.ndarray) -> None:
+    """Add part = (A - I (x) K_0)[rows, tail] z_tail, a level's column
+    product, into below at its rows before tail and into above at its rows
+    after it; on the rows of tail itself, a level D_l = I (x) K_0, it is
+    zero."""
+    lo, hi = rows.start, rows.stop
+    cut = min(hi, tail.start)
+    if lo < cut:
+        below[lo:cut] += part[:cut - lo]
+    cut = max(lo, tail.stop)
+    if cut < hi:
+        above[cut:hi] += part[cut - lo:]
 
 
 class _BlockPreconditioner:
@@ -160,6 +184,22 @@ class _BlockPreconditioner:
         """Whether apply_blocks(R, product=True) gives (Z, A Z) under an
         exact inner policy: each class's own condition (module docstring)."""
         return False
+
+    @cached_property
+    def _column_spans(self) -> list:
+        """Per level l = 0..P: the block range of the rows that level l's
+        columns reach in A - I (x) K_0, over the couplings c_itj with i >= 1
+        and j of degree l; empty, at level l, when none does.  For the
+        linear coefficient, levels l - 1..l + 1, l's own rows zero."""
+        op = self.op
+        i, t, j, _ = op.coupling_entries
+        spans = []
+        for l in range(op.basis.degree + 1):
+            _, tail = op.level_slices(l)
+            reached = t[(i >= 1) & (j >= tail.start) & (j < tail.stop)]
+            spans.append(slice(int(reached.min()), int(reached.max()) + 1) if len(reached)
+                         else slice(tail.start, tail.start))
+        return spans
 
     def paired(self, apply_a):
         """The step r -> (M r, A M r) on flat vectors that ``krylov`` takes
@@ -226,12 +266,16 @@ class BlockSGS(_BlockPreconditioner):
     starts at the top level, which has no later blocks and b = 0, so its
     update is zero: a scalar-diagonal top level is skipped (for N=8 P=4, a
     330-block product with K_0^{-1}), and a coupled one skips the solve of
-    its last block.  Residuals are read as float.  With ``product`` it
-    also returns A z = D y + L z, L the forward sweep's products and D y
-    its right-hand sides, valid when ``paired`` offers it.
+    its last block.  Residuals are read as float.  With ``product``, valid
+    when ``paired`` offers it, it also returns A z = D y + L z, D y the
+    forward sweep's right-hand sides: the backward sweep is then a loop
+    of its own over the scalar levels, which multiplies each final z_l
+    once, over the rows level l's columns reach (``_column_spans``), the
+    rows below l taking their backward coupling from it and those above
+    their term of L z.
     """
 
-    _gives_product = _every_level_scalar
+    _gives_product = _levels_give_product
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -308,18 +352,28 @@ class BlockSGS(_BlockPreconditioner):
         R = np.asarray(R, dtype=float).reshape(op.n_blocks, op.ndof)
         Y = np.zeros_like(R)
         D_y = self._sweep(R, Y, forward=True)
-        self._sweep(None, Y, forward=False)
+        if not product:
+            self._sweep(None, Y, forward=False)
+        else:
+            # the backward sweep over levels D_l = I (x) K_0, the top one
+            # skipped, multiplying each final z_l once over the rows its
+            # columns reach: the rows below l take their backward coupling
+            # from it, and those above their term of A z = r + L (z - y) =
+            # D y + L z, level m's D y being r_m - (L y)_m, the right-hand
+            # side of its forward solve
+            top = op.basis.degree
+            AY = np.vstack(D_y)
+            coupling = np.zeros((op.basis.degree_offsets[top], op.ndof))
+            for l in range(top, -1, -1):
+                _, tail = op.level_slices(l)
+                if l < top:
+                    Y[tail] += op.d_block_solve(l, -coupling[tail], self.inner)
+                rows = self._column_spans[l]
+                _add_beside(op._product(rows, tail, Y[tail], mean=False), rows, tail,
+                            below=coupling, above=AY)
         self.counters.block_solves += 2 * op.n_blocks
         self.counters.block_matvecs += self._n_products
-        if not product:
-            return Y
-        # A z = r + L (z - y) = D y + L z, level l's D y being r - L y, the
-        # right-hand side of its forward solve
-        AY = np.empty_like(R)
-        for l, rhs in enumerate(D_y):
-            head, tail = op.level_slices(l)
-            np.add(rhs, op.product(tail, head, Y[head]), out=AY[tail])
-        return Y, AY
+        return (Y, AY) if product else Y
 
 
 class HierarchicalSchur(_BlockPreconditioner):
@@ -332,13 +386,16 @@ class HierarchicalSchur(_BlockPreconditioner):
     times that solution from the head (pre-correction).  At the bottom solve
     with D_0, the mean block.  Ascending, each level gets its tail from
     D_l^{-1} (r_l^tail - C_l u_head) (post-correction), in the output rows
-    that kept r_l^tail on the way down.  With ``product`` it also returns
-    A_L u = r + sum_l B_l (u_l^tail - t_l), t_l the down-sweep solve of
-    level l, as the pre-corrected residuals plus sum_l B_l u_l^tail, valid
-    when ``paired`` offers it.
+    that kept r_l^tail on the way down.  With ``product``, valid when
+    ``paired`` offers it, it also returns A_L u = r + sum_l B_l (u_l^tail -
+    t_l), t_l the down-sweep solve of level l, as the pre-corrected
+    residuals plus sum_l B_l u_l^tail: its up-sweep then multiplies each
+    final u_l once, over the rows of A_L that level l's columns reach
+    (``_column_spans``), the rows above l their C-term and those below
+    their term of B_l u_l.
     """
 
-    _gives_product = _every_level_scalar
+    _gives_product = _levels_give_product
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -365,22 +422,32 @@ class HierarchicalSchur(_BlockPreconditioner):
             U[tail] = cur[tail]
             t = op.d_block_solve(l, cur[tail], self.inner)
             cur = cur[head] - op.product(head, tail, t)
-        # r - sum_l B_l t_l: each level's residual after the pre-corrections
-        AU = np.vstack([cur, U[1:]]) if product else None
         U[:1] = op.d_block_solve(0, cur, self.inner)
-        for l in range(1, top + 1):
-            head, tail = op.level_slices(l)
-            U[tail] = op.d_block_solve(l, U[tail] - op.product(tail, head, U[head]),
-                                       self.inner)
+        if not product:
+            for l in range(1, top + 1):
+                head, tail = op.level_slices(l)
+                U[tail] = op.d_block_solve(l, U[tail] - op.product(tail, head, U[head]),
+                                           self.inner)
+        else:
+            # the up-sweep over levels D_l = I (x) K_0, multiplying each
+            # final u_l once over the rows of A_L its columns reach: the rows
+            # above l take their C-term from it, and those below their term
+            # of A_L u = (r - sum_l B_l t_l) + sum_l B_l u_l; r - sum_l B_l
+            # t_l is each level's residual after the pre-corrections, kept
+            # in U's rows above the mean
+            AU = np.vstack([cur, U[1:]])
+            C_u = np.zeros(U.shape)
+            for l in range(top + 1):
+                _, tail = op.level_slices(l)
+                if l:
+                    U[tail] = op.d_block_solve(l, U[tail] - C_u[tail], self.inner)
+                span = self._column_spans[l]
+                rows = slice(span.start, min(span.stop, len(R)))
+                _add_beside(op._product(rows, tail, U[tail], mean=False), rows, tail,
+                            below=AU, above=C_u)
         self.counters.block_solves += 2 * len(R) - 1
         self.counters.block_matvecs += self._n_products[top]
-        if not product:
-            return U
-        # A_L u = r + sum_l B_l (u_l - t_l) = (r - sum_l B_l t_l) + sum_l B_l u_l
-        for l in range(1, top + 1):
-            head, tail = op.level_slices(l)
-            AU[head] += op.product(head, tail, U[tail])
-        return U, AU
+        return (U, AU) if product else U
 
 
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from sgfem.fem import (assemble_load, assemble_weighted_stiffness, build_mesh,
+from sgfem import fem
+from sgfem.fem import (_hat_entries, assemble_load, assemble_weighted_stiffness, build_mesh,
                        local_hat_stiffness)
 
 
@@ -249,6 +250,9 @@ class GridMesh:
         sw = (ey * n1 + ex).ravel()
         self.connectivity = np.column_stack([sw, sw + 1, sw + n1 + 1, sw + n1])
 
+    # the builders read the hat entries off the mesh, as Mesh gives them
+    hat_entries = property(_hat_entries)
+
 
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_mesh_numbers_the_boundary_last_and_keeps_the_grid_values(n, seed):
@@ -284,3 +288,30 @@ def test_mesh_numbers_the_boundary_last_and_keeps_the_grid_values(n, seed):
     assert np.array_equal(H.toarray(), H_grid.toarray()[np.ix_(local, g)])
     W = rng.standard_normal((9 * n_nodes, 3))
     assert np.array_equal(S @ W[local], (S_grid @ W)[g])
+
+
+def test_hat_entries_are_enumerated_once_per_mesh(monkeypatch):
+    from sgfem.lognormal import LognormalFieldSpec, build_lognormal_operator
+    calls = []
+    enumerate_entries = fem._hat_entries
+    monkeypatch.setattr(fem, "_hat_entries",
+                        lambda mesh: calls.append(mesh) or enumerate_entries(mesh))
+    # the stiffness and the local hat stiffness of one lognormal build
+    mesh = build_mesh(1.0 / 5)
+    build_lognormal_operator(LognormalFieldSpec(cov=1.0), mesh, 2, 2)
+    assert calls == [mesh]
+    # the cached entries, read-only, are those of a fresh enumeration, and
+    # both functions give on them what they give on a fresh mesh, bit for bit
+    entries = mesh.hat_entries
+    assert mesh.hat_entries is entries and calls == [mesh]
+    for cached, fresh in zip(entries, enumerate_entries(build_mesh(1.0 / 5))):
+        assert not cached.flags.writeable
+        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+    fields = np.random.default_rng(0).uniform(0.5, 2.0, (3, mesh.n_nodes))
+    for got, want in zip(assemble_weighted_stiffness(mesh, fields),
+                         assemble_weighted_stiffness(build_mesh(1.0 / 5), fields)):
+        assert np.array_equal(got, want)
+    for got, want in zip(local_hat_stiffness(mesh), local_hat_stiffness(build_mesh(1.0 / 5))):
+        assert (got != want).nnz == 0
+    # the mesh built once enumerated nothing more; each fresh one once
+    assert calls[0] is mesh and len(calls) == 3

@@ -559,6 +559,12 @@ uniform_configs = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2,
 @example((2, 3, 4, 0), MeanBased)
 @example((2, 3, 4, 0), BlockSGS)
 @example((2, 3, 4, 0), HierarchicalSchur)
+# the two ends of the column-level loop: one level above the mean, and one
+# block per level
+@example((3, 1, 4, 0), BlockSGS)
+@example((3, 1, 4, 0), HierarchicalSchur)
+@example((1, 4, 4, 0), BlockSGS)
+@example((1, 4, 4, 0), HierarchicalSchur)
 def test_paired_step_returns_the_operator_product_of_its_result(config, kind):
     dims, degree, n_cells, seed = config
     op, _ = make_operator(dims, degree, n_cells)
@@ -569,6 +575,101 @@ def test_paired_step_returns_the_operator_product_of_its_result(config, kind):
     ref = op.apply(z)
     assert np.linalg.norm(Az - ref) <= 1e-12 * np.linalg.norm(ref)
     assert prec.counters.applications == 1
+
+
+def odd_hermite_operator(nodal: bool) -> GalerkinOperator:
+    """The lognormal operator at N=2, P=3, h=1/4 with its even-order fields
+    set to zero: every level is I (x) K_0, and the fields of order 1, 3 and
+    5 couple each level to the levels up to three degrees away.  With the
+    nodal factors its products are pre-summed, several terms to a block."""
+    logn = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=3, h=0.25,
+                                           cov=1.0))
+    even = np.array(logn.tensor.coeff_set.degrees()) % 2 == 0
+    even[0] = False
+    data, fields = logn.data.copy(), logn.nodal[0].copy()
+    data[even] = fields[even] = 0.0
+    return GalerkinOperator((logn.indices, logn.indptr, data), logn.tensor,
+                            nodal=(fields, *logn.nodal[1:]) if nodal else None)
+
+
+def test_paired_step_on_hermite_operators_of_scalar_levels():
+    # the even-order fields of a CoV of 1e-7 are structurally zero: every
+    # level is I (x) K_0 and products run matrix-free
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=3, h=0.25,
+                                         cov=1e-7))
+    # and an operator whose column levels reach beyond their neighbours,
+    # whose parts add into the rows they reach
+    odd = odd_hermite_operator(nodal=False)
+    for op, rtol in ((op, 0.0), (odd, 1e-14)):
+        assert not op.presummed
+        assert all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))
+        r = np.random.default_rng(3).standard_normal(op.shape[0])
+        for kind in (BlockSGS, HierarchicalSchur):
+            z, Az = kind(op, EXACT).paired(op.matvec)(r)
+            z_plain = kind(op, EXACT)(r)
+            assert np.linalg.norm(z - z_plain) <= rtol * np.linalg.norm(z_plain)
+            ref = op.apply(z)
+            assert np.linalg.norm(Az - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert max(s.stop - s.start for s in BlockSGS(odd, EXACT)._column_spans) == 9
+
+
+def test_a_presummed_operator_of_scalar_levels_takes_no_pair():
+    # its nodal blocks hold K_0: no product leaves it out
+    op = odd_hermite_operator(nodal=True)
+    assert op.presummed
+    assert all(op.level_is_scalar_diagonal(l) for l in range(op.basis.degree + 1))
+    for kind in (MeanBased, BlockSGS, HierarchicalSchur):
+        assert kind(op, EXACT).paired(op.matvec) is None
+
+
+@pytest.mark.parametrize("dims, degree", [(2, 1), (1, 4), (3, 3)])
+def test_paired_steps_multiply_each_column_level_once(monkeypatch, dims, degree):
+    op, _ = make_operator(dims, degree, n_cells=3)
+    products, planned = [], []
+    product = GalerkinOperator._product
+
+    def product_spy(self, rows, cols, X, mean):
+        if len(range(*rows.indices(self.n_blocks))) and len(X):
+            products.append((rows, cols, mean))
+        return product(self, rows, cols, X, mean)
+
+    class Plans(dict):
+        def __setitem__(self, key, value):
+            planned.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(GalerkinOperator, "_product", product_spy)
+    op._plans = Plans()
+    r = np.random.default_rng(degree).standard_normal(op.shape[0])
+    # per paired application: P products of the forward sweep or the
+    # down-sweep, one per column level 0..P
+    n_plans = []
+    for kind in (BlockSGS, HierarchicalSchur):
+        step = kind(op, EXACT).paired(op.matvec)
+        for _ in range(2):
+            products.clear()
+            step(r)
+            assert len(products) == 2 * degree + 1, kind
+            assert sum(not mean for _, _, mean in products) == degree + 1, kind
+        n_plans.append(len(planned))
+    # each range planned once; HS adds only its down-sweep ranges B_l to
+    # BSGS's forward ranges C_l and the column levels they share
+    assert n_plans == [2 * degree + 1, 3 * degree + 1]
+    assert len(set(planned)) == len(planned)
+
+
+@pytest.mark.parametrize("dims, degree", [(2, 4), (3, 3), (1, 2)])
+def test_hs_product_on_a_leading_hierarchy_is_its_product(dims, degree):
+    op, _ = make_operator(dims, degree)
+    hs = HierarchicalSchur(op, EXACT)
+    rng = np.random.default_rng(dims)
+    for level in range(degree + 1):
+        m = op.basis.degree_offsets[level + 1]
+        R = rng.standard_normal((m, op.ndof))
+        U, AU = hs.apply_blocks(R, product=True)
+        assert np.array_equal(U, hs.apply_blocks(R)), level
+        ref = op.product(slice(0, m), slice(0, m), U)
+        assert np.linalg.norm(AU - ref) <= 1e-12 * np.linalg.norm(ref), level
 
 
 def test_mean_pairs_on_coupled_levels_multiplied_matrix_free():

@@ -159,10 +159,8 @@ class InnerSolver:
 DENSE_ASSEMBLY_LIMIT = 2000
 # largest coupled level system that d_block_solve factorizes
 DIRECT_LEVEL_LIMIT = 20_000
-# largest K_0 whose exact mean solver is its dense inverse.  T4 rows (mean,
-# bsgs and hs, build included, one BLAS thread), LU -> inverse: 1/h = 15
-# (256 dof) 0.081 -> 0.070 s; 1/h = 20 (441 dof) 0.164 -> 0.156 s, within
-# the noise; 1/h = 30 (961 dof) 0.31 -> 0.56 s
+# largest K_0 whose exact mean solver is its dense inverse: up to it the
+# one dense product beats the sparse LU's triangular solves
 MEAN_INVERSE_LIMIT = 256
 # a matrix-free product gathers the column blocks of K_i, as whole rows of X
 # whose leading n_c columns it copies transposed, when
@@ -235,8 +233,7 @@ class GalerkinOperator:
         # the diagonal positions are (0, 0), ..., (ndof - 1, ndof - 1).
         # The values are compared CHECK_CHUNK_BYTES of rows at a time, so no
         # copy has the size of data; np.take gathers C-ordered, where
-        # data[:, mirror] is F-ordered and took 45 ms against 14 at lognormal
-        # N=4 P=4, 1/h = 30
+        # data[:, mirror] would gather F-ordered, the slower layout
         r, c, mirror = self._pattern_rows, self.indices, self._mirror
         step = max(1, CHECK_CHUNK_BYTES // (8 * len(mirror)))
         if not (np.array_equal(r[mirror], c) and np.array_equal(c[mirror], r)
@@ -410,12 +407,11 @@ class GalerkinOperator:
         their leading n_c columns, transposed, once, so no product copies X
         whole, whatever its layout; the others share one transposed copy of
         the span, made only when some coefficient multiplies all of it.  An
-        empty row or column range, as at either end of a block Gauss-Seidel
-        sweep, gives zeros without a product.  Both forms multiply only the
-        leading n_c spatial columns of X and write the leading rows.  On
-        the Dirichlet rows A[rows, cols] X is X_t for each row block t in
-        both ranges and zero for the others, as C_0 = I gives it: one
-        copy."""
+        empty row or column range gives zeros without a product.  Both forms
+        multiply only the leading n_c spatial columns of X and write the
+        leading rows.  On the Dirichlet rows A[rows, cols] X is X_t for
+        each row block t in both ranges and zero for the others, as
+        C_0 = I gives it: one copy."""
         return self._product(rows, cols, X, mean=True)
 
     def _product(self, rows: slice, cols: slice, X: np.ndarray, mean: bool) -> np.ndarray:
@@ -507,20 +503,16 @@ class GalerkinOperator:
         exact policies share one.
 
         The exact solver is the program's one sparse LU, SuperLU ordered
-        by minimum degree on A + A^T with diagonal pivots preferred: less
-        fill than the default COLAMD (31,236 against 43,426 entries of
-        L + U at h=1/30).  It factors a CSC copy of K_0, not its transpose
-        view, whose solve of many right-hand sides (495 at h=1/20) takes
-        1.3-1.5 times as long.  Up to MEAN_INVERSE_LIMIT dof it multiplies
-        by the dense K_0^{-1}, one LU solve of the identity: a mean or
-        level solve is then one matrix product, which on these meshes beats
-        the triangular solves though it does more flops (495 right-hand
-        sides at h=1/10: 0.36 against 1.0-1.6 ms, one BLAS thread).  The
-        product takes the leading n_c x n_c block of K_0^{-1} and copies
-        the Dirichlet columns, whose K_0 rows are the unit diagonal: 171
-        against 311 us for all 121 columns there (best of 7).  A cg
-        policy takes its own ``inner.make``: an inexact solve of the
-        identity would change it.
+        by minimum degree on A + A^T with diagonal pivots preferred, which
+        fills less than the default COLAMD.  It factors a CSC copy of K_0,
+        not its transpose view, whose solve of many right-hand sides is
+        slower.  Up to MEAN_INVERSE_LIMIT dof it multiplies by the dense
+        K_0^{-1}, one LU solve of the identity: a mean or level solve is
+        then one matrix product, which on these meshes beats the triangular
+        solves though it does more flops.  The product takes the leading
+        n_c x n_c block of K_0^{-1} and copies the Dirichlet columns, whose
+        K_0 rows are the unit diagonal.  A cg policy takes its own
+        ``inner.make``: an inexact solve of the identity would change it.
         """
         key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
@@ -600,19 +592,13 @@ class GalerkinOperator:
         kd' = m*b' + m - 1, b' their bandwidth (10 for the 81 interior
         nodes at h=1/10): on the trailing Dirichlet rows A_g is the
         identity (``n_c``, C_0 = I), which a solve copies, as
-        ``_leading_solve`` does for K_0.  At lognormal N=4 P=3 h=1/10 that
-        factors D_3 as 1620 unknowns at kd = 219 (2.85 MB), where the
-        row-major node numbering gave one band of 2420 at kd = 259 (5.0
-        MB): dpbtrf 9.2 -> 5.1 ms, a solve 0.45 -> 0.22 ms (best of 5 and
-        of 50, one BLAS thread).  A group of one block (every block
+        ``_leading_solve`` does for K_0.  A group of one block (every block
         Gauss-Seidel diagonal block) keeps one band over all nodes, of
-        half-width b, 10 at h=1/10 (12 under the row-major numbering, whose
-        Dirichlet nodes sit between the interior ones): a second dpbtrs
-        over the Dirichlet nodes would cost more than it saves (3.9 against
-        7.0 us a solve split, best of 7, at kd 12 against 10).  R is
-        block-major, shape
-        (m, ndof), or for m = 1 one block as a vector, which takes one
-        dpbtrs as it is; R is never written.
+        half-width b, 10 at h=1/10: the Dirichlet nodes, numbered last,
+        widen nothing, and a second dpbtrs over them would cost more than
+        it saves.  R is block-major, shape (m, ndof), or for m = 1 one
+        block as a vector, which takes one dpbtrs as it is; R is never
+        written.
         dpbtrf reads only the upper band, the whole of A_g by its symmetry.
         A block that is not positive definite raises LinAlgError naming it
         as ``names[g]``.

@@ -4,20 +4,32 @@ Three preconditioners are provided, all operating block-wise:
 
 * mean-based: every spatial block of the residual is solved independently
   with the mean matrix, one block solve per block.
-* block symmetric Gauss-Seidel: a forward and a backward block sweep, one
-  routine, over the natural block order from a zero guess; symmetric
-  whenever the operator is.  A sweep walks the levels: each takes its
-  coupling to the levels swept before it in one product; then a level with
-  D_l = I (x) K_0 is one level solve, and a coupled level is swept
-  block by block against its couplings, summed once from the coupling values.
+* block symmetric Gauss-Seidel: a forward sweep over the levels of
+  ``level_slices``, 0..P, then a backward one, P..0, from a zero guess;
+  symmetric whenever the operator is.  A level with D_l = I (x) K_0 is one
+  level solve, and a coupled level is swept block by block against its
+  couplings, summed once from the coupling values.
 * hierarchical Schur complement: walks the nested 2x2 partition downward
   computing pre-corrections g_{l-1} = r_l^head - B_l D_l^{-1} r_l^tail,
   solves the mean-value problem D_0 = A_00 at the bottom, and walks back up
   with post-corrections u_l^tail = D_l^{-1} (r_l^tail - C_l u_l^head).
-  Replacing each Schur complement by the next-lower hierarchy matrix is the
-  only approximation; with exact block solves on a decoupled system it is
-  the exact inverse.  It applies to any leading hierarchy A_L, the one its
+  With exact D_l solves that is symmetric block Gauss-Seidel over whole
+  levels run P..0 and then 0..P, and it is applied so.  Replacing each
+  Schur complement by the next-lower hierarchy matrix is the only
+  approximation; with exact block solves on a decoupled system it is the
+  exact inverse.  It applies to any leading hierarchy A_L, the one its
   residual spans, so the Schur reduction uses it on the same operator.
+
+The last two are one pair of level sweeps, ``_sweep``, in opposite level
+orders.  A sweep holds right-hand sides W and an iterate X.  Each level l in
+turn updates x_l against its rows of W, by the class's level update (one
+d_block_solve; block by block on a coupled block Gauss-Seidel level), and
+then takes A[rows, tail_l] x_l from W over the rows still to come that
+level l's columns reach (``_column_spans``).  The first sweep starts from
+W = r and X = 0.  The second starts from W = 0 and the first's X, so each
+level adds to x_l the correction that the levels updated before it in the
+second order make; the first level has none, and its first update is
+skipped.
 
 Every level solve, the bottom one included, is ``d_block_solve``, and every
 product with blocks of other levels is ``product`` over the ranges of
@@ -37,50 +49,32 @@ block-diagonal-level operator that is n_ds = 2 n_db - 1 and n_m = n_b - n_db,
 the tabulated work counts.  On either form of the operator a counted
 product is work done: the pre-summed form multiplies only the blocks of the
 rows asked for, and the matrix-free form multiplies each K_i with only the
-column blocks that reach them, gathered as whole rows of the block vector
-whose leading n_c columns are copied transposed (one K_i X_j per counted
-block at N=8, P=4, h=1/10; a K_i whose skipped columns would save less
-than gathering its own costs, ``operator.GATHER_COPY`` and
-``GATHER_FIXED``, fitted to the timings in BENCH_gather.json, multiplies
-its whole column range).
+column blocks that reach them (``operator.GalerkinOperator.product``).
 
 Under an exact inner policy the three preconditioners can also give A z for
 the z they return, and CG takes that pair in place of its own operator apply
-(``paired``, ``krylov``).  Each does so on an operator whose products run
-matrix-free; block Gauss-Seidel and the hierarchical one also need every
-level to be D_l = I (x) K_0 (the linear coefficient):
+(``paired``, ``krylov``; Eisenstat's trick).  Each needs an operator whose
+products run matrix-free; the sweep pair also needs every level to be
+D_l = I (x) K_0 (the linear coefficient):
 
 * mean-based, z = (I (x) K_0)^{-1} r: A z = r + (A - I (x) K_0) z, the
-  second term one matrix-free product over the coefficients i >= 1 (2280
-  of the 2775 K-columns of a full apply at N=8, P=4, h=1/10); a nodal
+  second term one matrix-free product over the coefficients i >= 1; a nodal
   block T_n holds K_0's term, so the lognormal operator applies A itself;
-* block Gauss-Seidel, A = L + D + U over the level ranges: the forward sweep
-  gives (L + D) y = r and the backward one (D + U) z = D y, so
-  A z = r + L (z - y) = D y + L z, with D y = r - L y the right-hand side
-  of each level's forward solve;
-* hierarchical Schur: the post-correction makes the tail rows of level l
-  exact, and its head rows differ from the pre-corrected residual by
-  B_l (z_l - t_l), t_l the level's down-sweep solve, so
-  A z = r + sum_l B_l (z_l - t_l); r - sum_l B_l t_l is the residual that
-  reaches each level on the way down, so A z is that plus the products
-  B_l z_l.
+* the sweep pair: the first sweep leaves in each level's rows of W the
+  right-hand side of its solve, D_l x_l.  The second sweep takes that W as
+  AX: each level, once solved, restarts its rows of W from -AX and takes
+  (A - I (x) K_0)[span, tail_l] x_l, zero on its own rows, from W over its
+  whole column span.  The rows still to come get what the plain sweep gives
+  them; the solved ones end at -(AX_l + sum of A_lk x_k over the levels k
+  solved after l), which is -(A z)_l: D y + L z for block Gauss-Seidel and
+  the pre-corrected residual plus sum_l B_l u_l for the hierarchical one.
 
-The last two multiply each level's final iterate once.  Once z_l is final
-(the backward sweep) or u_l is (the up-sweep), one product without K_0 over
-the rows its columns reach, levels l - 1..l + 1 for the linear coefficient
-(``_column_spans``), gives both what the sweep still needs and a term of A z;
-level l's own rows are zero there.  For block Gauss-Seidel the rows below l
-are the backward coupling of the levels below, and those above the L z term
-of the levels above; for the hierarchical one the rows above l are the
-C-terms of the up-sweep, and those below the B_l z_l of A z.  A paired
-application so makes 2P + 1 products, P in the forward sweep or the
-down-sweep and one per level 0..P, where the sweeps with a separate A z
-pass made 3P.  Each identity needs the solves it assumes, K_0 z_j = r_j or
-D_l z_l what the sweep solved for; an inexact inner solve breaks it.  The
-column-level products are operator work done in place of the apply CG
-skips, not block work of the preconditioner: ``Counters`` counts the blocks
-of the sweeps' couplings as before, and its tallies still meet the closed
-forms.
+A paired application so makes 2P + 1 products, the plain one 2P.  Each
+identity needs the solves it assumes, K_0 z_j = r_j or D_l x_l = W_l; an
+inexact inner solve breaks it.  The wider products are operator work done
+in place of the apply CG skips, not block work of the preconditioner:
+``Counters`` counts the blocks of the sweeps' couplings, and its tallies
+still meet the closed forms.
 """
 from __future__ import annotations
 
@@ -139,32 +133,10 @@ class Counters:
     applications: int = 0
 
 
-def _levels_give_product(prec) -> bool:
-    """The pairing condition of block Gauss-Seidel and the hierarchical
-    preconditioner: every level is D_l = I (x) K_0, and the operator
-    multiplies matrix-free, as their products without K_0 need."""
-    op = prec.op
-    return not op.presummed and all(op.level_is_scalar_diagonal(l)
-                                    for l in range(op.basis.degree + 1))
-
-
-def _add_beside(part: np.ndarray, rows: slice, tail: slice, below: np.ndarray,
-                above: np.ndarray) -> None:
-    """Add part = (A - I (x) K_0)[rows, tail] z_tail, a level's column
-    product, into below at its rows before tail and into above at its rows
-    after it; on the rows of tail itself, a level D_l = I (x) K_0, it is
-    zero."""
-    lo, hi = rows.start, rows.stop
-    cut = min(hi, tail.start)
-    if lo < cut:
-        below[lo:cut] += part[:cut - lo]
-    cut = max(lo, tail.stop)
-    if cut < hi:
-        above[cut:hi] += part[cut - lo:]
-
-
 class _BlockPreconditioner:
-    """Shared plumbing: resolved inner policy, call interface and counters."""
+    """Shared plumbing: resolved inner policy, call interface, counters and
+    the level sweep of block Gauss-Seidel and the hierarchical
+    preconditioner."""
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver, outer_tol: float):
         self.op = op
@@ -182,8 +154,12 @@ class _BlockPreconditioner:
 
     def _gives_product(self) -> bool:
         """Whether apply_blocks(R, product=True) gives (Z, A Z) under an
-        exact inner policy: each class's own condition (module docstring)."""
-        return False
+        exact inner policy.  For the sweep pair: the operator multiplies
+        matrix-free, as the products without K_0 need, and every level is
+        D_l = I (x) K_0."""
+        op = self.op
+        return not op.presummed and all(op.level_is_scalar_diagonal(l)
+                                        for l in range(op.basis.degree + 1))
 
     @cached_property
     def _column_spans(self) -> list:
@@ -201,13 +177,49 @@ class _BlockPreconditioner:
                          else slice(tail.start, tail.start))
         return spans
 
+    def _level_update(self, l: int, w: np.ndarray, x: np.ndarray, back: bool,
+                      zero: bool) -> None:
+        """x_l += D_l^{-1} w_l in place; with ``zero``, w_l = 0, nothing.
+        ``back`` orders the blocks of a level that a class sweeps block by
+        block."""
+        if not zero:
+            x += self.op.d_block_solve(l, w, self.inner)
+
+    def _sweep(self, W: np.ndarray, X: np.ndarray, levels: range, back: bool = False,
+               AX: np.ndarray | None = None) -> None:
+        """One block Gauss-Seidel sweep over ``levels``, a contiguous range
+        of levels ascending or descending, on the block rows of W and X, in
+        place.  Each level l updates x_l against W[tail_l]
+        (``_level_update``), then takes A[rows, tail_l] x_l from W over the
+        rows still to come that its columns reach.  ``back`` marks the
+        second sweep, from W = 0: its first level's update is zero and is
+        skipped.  With AX, the W of the first sweep, the second sweep also
+        leaves -A X in W (module docstring): each level restarts its rows
+        from -AX once solved and takes (A - I (x) K_0)[span, tail_l] x_l
+        from W over its whole span, on an operator of scalar levels whose
+        products run matrix-free."""
+        op, n = self.op, len(W)
+        for k, l in enumerate(levels):
+            _, tail = op.level_slices(l)
+            self._level_update(l, W[tail], X[tail], back, zero=back and k == 0)
+            span = self._column_spans[l]
+            if AX is None:
+                lo, hi = (tail.stop, n) if levels.step > 0 else (0, tail.start)
+                rows = slice(max(span.start, lo), min(span.stop, hi))
+                if rows.start < rows.stop:
+                    W[rows] -= op.product(rows, tail, X[tail])
+            else:
+                rows = slice(span.start, min(span.stop, n))
+                np.negative(AX[tail], out=W[tail])
+                W[rows] -= op._product(rows, tail, X[tail], mean=False)
+
     def paired(self, apply_a):
         """The step r -> (M r, A M r) on flat vectors that ``krylov`` takes
         in place of apply_a, or None.  Only for apply_a the operator's own
         ``matvec``, when the inner policy is exact and the class's condition
         holds (``_gives_product``): for the mean-based preconditioner an
         operator that multiplies matrix-free, for the other two one whose
-        every level is I (x) K_0."""
+        every level is I (x) K_0 as well."""
         op = self.op
         if not (self.inner.kind == "exact" and apply_a == op.matvec
                 and self._gives_product()):
@@ -254,28 +266,18 @@ class MeanBased(_BlockPreconditioner):
 class BlockSGS(_BlockPreconditioner):
     """Symmetric block Gauss-Seidel sweep pair with zero initial guess.
 
-    The forward sweep solves (L + D) y = r, the backward sweep
-    (D + U) z = D y, which makes the mapping symmetric for symmetric
-    operators.  Both are ``_sweep``: forward from x = 0 with b = r, backward
-    from x = y with b = 0, given as None.  A sweep walks the levels of
-    ``level_slices``, ascending forward and descending backward.  A level
-    first subtracts its coupling to the levels swept before it, one
-    ``product`` (forward, the C_l of the hierarchical preconditioner).  A
-    level with D_l = I (x) K_0 is then one d_block_solve; a coupled
-    level is swept block by block (``_level_blocks``).  The backward sweep
-    starts at the top level, which has no later blocks and b = 0, so its
-    update is zero: a scalar-diagonal top level is skipped (for N=8 P=4, a
-    330-block product with K_0^{-1}), and a coupled one skips the solve of
-    its last block.  Residuals are read as float.  With ``product``, valid
-    when ``paired`` offers it, it also returns A z = D y + L z, D y the
-    forward sweep's right-hand sides: the backward sweep is then a loop
-    of its own over the scalar levels, which multiplies each final z_l
-    once, over the rows level l's columns reach (``_column_spans``), the
-    rows below l taking their backward coupling from it and those above
-    their term of L z.
+    The forward sweep, levels 0..P, solves (L + D) y = r; the backward
+    sweep, levels P..0, adds the correction of (D + U) z = D y, which makes
+    the mapping symmetric for symmetric operators.  Both are ``_sweep``.  A
+    level with D_l = I (x) K_0 is one d_block_solve; a coupled level is
+    swept block by block (``_level_blocks``), in the sweep's order.  The
+    backward sweep's first level, the top one, has no later blocks: a
+    scalar-diagonal top level is skipped (for N=8 P=4, a 330-block product
+    with K_0^{-1}), and a coupled one skips the solve of its last block.
+    Residuals are read as float.  With ``product``, valid when ``paired``
+    offers it, it also returns A z = D y + L z, D y the forward sweep's
+    right-hand sides.
     """
-
-    _gives_product = _levels_give_product
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -312,90 +314,54 @@ class BlockSGS(_BlockPreconditioner):
             levels.append((values, solvers))
         return levels
 
-    def _sweep(self, B: np.ndarray | None, X: np.ndarray, forward: bool) -> list:
-        """Over the blocks j in sweep order, x_j += A_jj^{-1} (b_j - sum
-        over the blocks s swept before j of A_js x_s), in place; B None
-        stands for b = 0, where the first level's first update is zero and
-        is skipped.  Returns each level's b - (its coupling to the levels
-        swept before it), in sweep order, a level that is skipped left out."""
+    def _level_update(self, l, w, x, back, zero):
+        """A coupled level: over its blocks j, ascending or, ``back``,
+        descending, x_j += A_jj^{-1} (w_j - sum over the blocks s swept
+        before j of A_js x_s), the first block's update skipped when
+        ``zero``."""
+        level = self._level_blocks[l]
+        if level is None:
+            return super()._level_update(l, w, x, back, zero)
         op = self.op
-        levels = list(enumerate(self._level_blocks))
-        kept = []
-        for l, level in levels if forward else reversed(levels):
-            head, tail = op.level_slices(l)
-            swept = head if forward else slice(tail.stop, op.n_blocks)
-            # nothing swept and b = 0: the first block's update is zero
-            zero = B is None and swept.start == swept.stop
-            if zero and level is None:
-                continue
-            coupling = op.product(tail, swept, X[swept])
-            rhs = -coupling if B is None else B[tail] - coupling
-            kept.append(rhs)
-            if level is None:
-                X[tail] += op.d_block_solve(l, rhs, self.inner)
-                continue
-            values, solvers = level
-            x, m = X[tail], len(solvers)
-            # G[s]: x_s at the column of every stored position, once swept
-            G = np.empty((m, len(op.indices)))
-            for j in range(m) if forward else reversed(range(m)):
-                done = slice(0, j) if forward else slice(j + 1, m)
-                if not (zero and j == (0 if forward else m - 1)):
-                    coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
-                    x[j] += solvers[j](rhs[j] - coupling)
-                x[j].take(op.indices, out=G[j])
-        return kept
+        values, solvers = level
+        m = len(solvers)
+        # G[s]: x_s at the column of every stored position, once swept
+        G = np.empty((m, len(op.indices)))
+        for k, j in enumerate(reversed(range(m)) if back else range(m)):
+            done = slice(j + 1, m) if back else slice(0, j)
+            if not (zero and k == 0):
+                coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
+                x[j] += solvers[j](w[j] - coupling)
+            x[j].take(op.indices, out=G[j])
 
     def apply_blocks(self, R: np.ndarray, product: bool = False):
         op = self.op
         # ValueError naming any other size
         R = np.asarray(R, dtype=float).reshape(op.n_blocks, op.ndof)
-        Y = np.zeros_like(R)
-        D_y = self._sweep(R, Y, forward=True)
-        if not product:
-            self._sweep(None, Y, forward=False)
-        else:
-            # the backward sweep over levels D_l = I (x) K_0, the top one
-            # skipped, multiplying each final z_l once over the rows its
-            # columns reach: the rows below l take their backward coupling
-            # from it, and those above their term of A z = r + L (z - y) =
-            # D y + L z, level m's D y being r_m - (L y)_m, the right-hand
-            # side of its forward solve
-            top = op.basis.degree
-            AY = np.vstack(D_y)
-            coupling = np.zeros((op.basis.degree_offsets[top], op.ndof))
-            for l in range(top, -1, -1):
-                _, tail = op.level_slices(l)
-                if l < top:
-                    Y[tail] += op.d_block_solve(l, -coupling[tail], self.inner)
-                rows = self._column_spans[l]
-                _add_beside(op._product(rows, tail, Y[tail], mean=False), rows, tail,
-                            below=coupling, above=AY)
+        top = op.basis.degree
+        W, Y = R.copy(), np.zeros_like(R)
+        self._sweep(W, Y, range(top + 1))
+        W, D_y = np.zeros_like(R), W
+        self._sweep(W, Y, range(top, -1, -1), back=True, AX=D_y if product else None)
         self.counters.block_solves += 2 * op.n_blocks
         self.counters.block_matvecs += self._n_products
-        return (Y, AY) if product else Y
+        return (Y, -W) if product else Y
 
 
 class HierarchicalSchur(_BlockPreconditioner):
     """Recursive Schur-complement preconditioner over the degree hierarchy.
 
     It takes any leading hierarchy A_L (degrees <= L) of its operator: a
-    residual of ``basis.degree_offsets[L + 1]`` block rows.  Descending over
-    levels l = L..1: split the running residual into its head (degree < l)
-    and tail (degree l) parts, solve the tail with D_l, and subtract B_l
-    times that solution from the head (pre-correction).  At the bottom solve
-    with D_0, the mean block.  Ascending, each level gets its tail from
-    D_l^{-1} (r_l^tail - C_l u_head) (post-correction), in the output rows
-    that kept r_l^tail on the way down.  With ``product``, valid when
-    ``paired`` offers it, it also returns A_L u = r + sum_l B_l (u_l^tail -
-    t_l), t_l the down-sweep solve of level l, as the pre-corrected
-    residuals plus sum_l B_l u_l^tail: its up-sweep then multiplies each
-    final u_l once, over the rows of A_L that level l's columns reach
-    (``_column_spans``), the rows above l their C-term and those below
-    their term of B_l u_l.
+    residual of ``basis.degree_offsets[L + 1]`` block rows.  The down-sweep,
+    levels L..0, solves each level against its pre-corrected residual,
+    t_l = D_l^{-1} g_l, and takes B_l t_l from the rows of lower degree;
+    the mean block D_0 is its last solve.  The up-sweep, levels 0..L, makes the
+    post-corrections, u_l = t_l + D_l^{-1} (-C_l u_head), whose first,
+    level 0's, is zero.  Both are ``_sweep``, the sweep pair of block
+    Gauss-Seidel in the opposite level order.  With ``product``, valid when
+    ``paired`` offers it, it also returns A_L u = g + sum_l B_l u_l, g the
+    down-sweep's pre-corrected residuals.
     """
-
-    _gives_product = _levels_give_product
 
     def __init__(self, op: GalerkinOperator, inner: InnerSolver = InnerSolver(),
                  outer_tol: float = 1e-8):
@@ -410,44 +376,18 @@ class HierarchicalSchur(_BlockPreconditioner):
         self._n_products = np.bincount(higher, minlength=len(self._levels)).cumsum().tolist()
 
     def apply_blocks(self, R: np.ndarray, product: bool = False):
-        op = self.op
         top = self._levels.get(len(R))
         if top is None:
             raise ValueError(f"{len(R)} block rows span no leading hierarchy; "
                              f"expected one of {list(self._levels)}")
-        cur = np.asarray(R, dtype=float)
-        U = np.empty_like(cur)
-        for l in range(top, 0, -1):
-            head, tail = op.level_slices(l)
-            U[tail] = cur[tail]
-            t = op.d_block_solve(l, cur[tail], self.inner)
-            cur = cur[head] - op.product(head, tail, t)
-        U[:1] = op.d_block_solve(0, cur, self.inner)
-        if not product:
-            for l in range(1, top + 1):
-                head, tail = op.level_slices(l)
-                U[tail] = op.d_block_solve(l, U[tail] - op.product(tail, head, U[head]),
-                                           self.inner)
-        else:
-            # the up-sweep over levels D_l = I (x) K_0, multiplying each
-            # final u_l once over the rows of A_L its columns reach: the rows
-            # above l take their C-term from it, and those below their term
-            # of A_L u = (r - sum_l B_l t_l) + sum_l B_l u_l; r - sum_l B_l
-            # t_l is each level's residual after the pre-corrections, kept
-            # in U's rows above the mean
-            AU = np.vstack([cur, U[1:]])
-            C_u = np.zeros(U.shape)
-            for l in range(top + 1):
-                _, tail = op.level_slices(l)
-                if l:
-                    U[tail] = op.d_block_solve(l, U[tail] - C_u[tail], self.inner)
-                span = self._column_spans[l]
-                rows = slice(span.start, min(span.stop, len(R)))
-                _add_beside(op._product(rows, tail, U[tail], mean=False), rows, tail,
-                            below=AU, above=C_u)
+        W = np.array(R, dtype=float)
+        U = np.zeros_like(W)
+        self._sweep(W, U, range(top, -1, -1))
+        W, G = np.zeros_like(W), W
+        self._sweep(W, U, range(top + 1), back=True, AX=G if product else None)
         self.counters.block_solves += 2 * len(R) - 1
         self.counters.block_matvecs += self._n_products[top]
-        return (U, AU) if product else U
+        return (U, -W) if product else U
 
 
 def reduced_system_solve(op: GalerkinOperator, b: np.ndarray, tol: float = 1e-8,

@@ -357,16 +357,36 @@ def test_bsgs_groups_match_dense_oracle(monkeypatch, config, level_groups):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
-def test_bsgs_skips_only_a_zero_update(kind):
-    # with b = 0 passed as zeros, the backward sweep skips nothing: the
-    # application that skips the top level's zero update agrees bit for bit
+def test_bsgs_skips_only_a_zero_update(monkeypatch, kind):
+    # the second sweep starts from W = 0, so its first level's first update
+    # is zero and is skipped: BSGS's top level (a coupled one its last
+    # block's solve), HS's mean block.  A pair of sweeps that makes every
+    # update agrees bit for bit
     op = build((kind, 2, 3, 3))
-    prec = BlockSGS(op, EXACT)
+    top = op.basis.degree
     R = np.random.default_rng(5).standard_normal((op.n_blocks, op.ndof))
-    Y = np.zeros_like(R)
-    prec._sweep(R, Y, forward=True)
-    prec._sweep(np.zeros_like(R), Y, forward=False)
-    assert np.array_equal(prec(R), Y)
+    calls = []
+    original = GalerkinOperator.d_block_solve
+
+    def spy(self, level, *args, **kwargs):
+        calls.append(level)
+        return original(self, level, *args, **kwargs)
+
+    monkeypatch.setattr(GalerkinOperator, "d_block_solve", spy)
+    for cls, levels in ((BlockSGS, range(top + 1)), (HierarchicalSchur, range(top, -1, -1))):
+
+        class EveryUpdate(cls):
+            def _level_update(self, l, w, x, back, zero):
+                super()._level_update(l, w, x, back, zero=False)
+
+        prec = EveryUpdate(op, EXACT)
+        Y = np.zeros_like(R)
+        prec._sweep(R.copy(), Y, levels)
+        prec._sweep(np.zeros_like(R), Y, levels[::-1], back=True)
+        calls.clear()
+        assert np.array_equal(cls(op, EXACT)(R), Y)
+    # HS solves every level on the way down and levels 1..P on the way up
+    assert calls == [*range(top, -1, -1), *range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +710,11 @@ def test_product_plans_are_built_lazily_and_once():
     op.matvec(r)
     for prec in precs[1:]:
         prec(r)
-    # each planned at its first use: the full product; per level l = 1..P
-    # B_l and C_l (a forward sweep range is that of C_l); and per level
-    # l = 0..P-1 the backward sweep range (tail_l, after_l).  The empty
-    # ranges, forward at level 0 and backward at level P, plan nothing
-    n_plans = 3 * op.basis.degree + 1
+    # each planned at its first use: the full product and, per level l, its
+    # columns' rows in level l + 1 (part of C_{l+1}) and in level l - 1
+    # (B_l), none after level P or before level 0.  BSGS and HS sweep the
+    # same ranges in opposite level orders
+    n_plans = 2 * op.basis.degree + 1
     assert len(built) == len(set(built)) == n_plans
     for prec in precs:
         prec(r)

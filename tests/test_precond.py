@@ -291,6 +291,46 @@ def test_bsgs_counts():
 # hierarchical Schur complement
 # ---------------------------------------------------------------------------
 
+def level_gauss_seidel(op, r, levels) -> np.ndarray:
+    """Oracle: symmetric block Gauss-Seidel over whole levels on the dense
+    matrix from a zero guess, the first sweep over ``levels`` in that order
+    and the second back, each level solved exactly with its dense D_l."""
+    A = op.dense()
+    position = np.empty(len(levels), dtype=int)
+    position[list(levels)] = range(len(levels))
+    # the sweep position of every unknown's level
+    at = np.repeat(position[op.basis.degrees()], op.ndof)
+    D = np.where(at[:, None] == at[None, :], A, 0.0)
+    before = np.where(at[:, None] > at[None, :], A, 0.0)
+    y = np.linalg.solve(D + before, r)
+    return np.linalg.solve(A - before, D @ y)
+
+
+sweep_configs = st.tuples(st.sampled_from(["uniform", "lognormal"]), st.integers(1, 3),
+                          st.integers(1, 3), st.integers(2, 4))
+
+
+@given(sweep_configs)
+@example(("uniform", 2, 3, 3))
+@example(("lognormal", 2, 3, 3))
+def test_hs_and_bsgs_are_level_gauss_seidel_in_opposite_orders(config):
+    # HS is symmetric block Gauss-Seidel over whole levels run P..0..P;
+    # BSGS, whose levels are I (x) K_0 on the uniform operators, the same
+    # run 0..P..0
+    family, dims, degree, n_cells = config
+    op = (make_operator(dims, degree, n_cells)[0] if family == "uniform"
+          else lognormal_operator(dims, degree, n_cells))
+    r = np.random.default_rng(degree).standard_normal(op.shape[0])
+    levels = range(degree + 1)
+    cases = [(HierarchicalSchur, levels[::-1])]
+    if family == "uniform":
+        cases.append((BlockSGS, levels))
+    for kind, order in cases:
+        got = kind(op, EXACT)(r)
+        ref = level_gauss_seidel(op, r, order)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), kind
+
+
 def test_hs_constant_chaos_is_single_solve():
     op, b = make_operator(degree=0)
     prec = HierarchicalSchur(op, EXACT)

@@ -165,10 +165,7 @@ def assemble_weighted_stiffness(mesh: Mesh, fields: np.ndarray):
 
 
 # bytes of the temporary through which each chunk of stiffness rows is
-# written.  Assembling 495 fields at 1/h = 20 and 30 (one BLAS thread,
-# median of 9) took 6.4 and 19.1 ms at 0.5 MB, 5.6 and 16.0 ms at 1 MB,
-# 6.2 and 15.9 ms at 2 MB, and 18.3 and 50.5 ms in one chunk; at N=4 P=3
-# h=1/10 every row fits one chunk
+# written; at N=4 P=3 h=1/10 every row fits one chunk
 _CHUNK_BYTES = 2 ** 20
 
 

@@ -21,11 +21,10 @@ systems rather than block diagonals; GalerkinOperator.d_block_solve solves
 them by a factorization of the level system while it is small (a band
 Cholesky in node-major order, filled straight from the coupling values, the
 K_i being symmetric) and by an inner Krylov loop preconditioned blockwise
-with the mean matrix beyond.  The band spans the leading n_c nodes alone:
-the Dirichlet nodes, numbered last, store only their diagonal, where each
-level is the identity, so D_3 at N=4 P=3 h=1/10 factors 1620 of its 2420
-unknowns, at half-width 219.  Block Gauss-Seidel's one-block diagonal
-blocks keep one band over all nodes.
+with the mean matrix beyond.  Every band, of a level or of a block
+Gauss-Seidel diagonal block, spans the leading n_c nodes alone: the
+Dirichlet nodes, numbered last, store only their diagonal, where each
+level and block is the identity, and a solve copies them.
 
 The expansion has C(N + 2P, N) coefficient fields (210 at N=4 P=3), and
 each has a stiffness matrix K_alpha.  All of them, K_0 included, come from
@@ -38,9 +37,8 @@ C_alpha: the assembly interpolates each k_alpha bilinearly from its nodal
 samples, which makes K_alpha = sum_n k_alpha(x_n) H_n with H_n the
 stiffness of the hat field of node n.  The builder hands the operator the
 sampled fields and the hat stiffness (``fem.local_hat_stiffness``) with the
-assembled matrices, and the operator forms T on its first product (1.2 MB
-at N=4 P=3 h=1/10, where one block per stored spatial position took
-3.9 MB).
+assembled matrices, and the operator forms T on its first product, one
+(n_blocks, n_blocks) block per mesh node.
 """
 from __future__ import annotations
 

@@ -40,10 +40,14 @@ serves ``dense`` and ``masked_apply`` alone.
 The mesh numbers its boundary nodes last, so the Dirichlet rows, which
 store only K_0's unit diagonal and are zero in every other K_i, form one
 trailing range [n_c, ndof) of every spatial block (40 of 121 rows at
-h=1/10).  Products, and mean solves by the dense K_0^{-1}, run on the
-leading n_c rows and columns alone; on the Dirichlet rows A[rows, cols] X
-is X_t, one copy, and a mean solve copies them.  The graded index
-ordering induces a nested 2x2 partition
+h=1/10), and no stored position joins them to the leading rows.  Products
+run on the leading n_c rows and columns alone; on the Dirichlet rows
+A[rows, cols] X is X_t, one copy.  Every exact solve keeps one rule: on
+the Dirichlet rows each diagonal block and each level D_l is the
+identity, C_0 being I, so the factor or inverse covers the leading n_c
+unknowns alone and a solve copies the Dirichlet rows of its right-hand
+side (``_leading_solve``).  The graded index ordering induces a nested
+2x2 partition
 
     A_l = [[A_{l-1}, B_l], [C_l, D_l]],    l = P, ..., 1,
 
@@ -53,22 +57,18 @@ block (c_i00 = E[psi_i] = 0 for i > 0).  For the truncated linear
 (Karhunen-Loeve) coefficient case every D_l is I (x) K_0, each diagonal
 block the mean matrix, so solving with D_l costs one
 multi-right-hand-side K_0 solve; on meshes of up to
-MEAN_INVERSE_LIMIT dof that is one product with the dense K_0^{-1}.
-In the lognormal case D_l is coupled and symmetric, and numbered
-node-major (spatial node outer, block inner) it is a band, which LAPACK's
-band Cholesky factors once (``band_solvers``, the band filled straight
-from the coupling values, D_l not assembled).  On the trailing Dirichlet
-rows D_l is the identity, C_0 = I, and no stored position joins them to
-the leading ones, so D_l is factored over the leading n_c nodes alone, a
-band of half-width m b' + m - 1 with b' their bandwidth (10 at h=1/10), and
-a solve copies the Dirichlet rows.  The same routine factors the diagonal
-blocks A_jj of block Gauss-Seidel, the case of one block, as one band over
-all nodes, of half-width 10 at h=1/10 too: the Dirichlet nodes, numbered
-last, widen no band.  The
-lognormal Galerkin matrix, the projection of a positive field, is positive
-definite; a level or block that is not is refused with an error, never
-solved another way.  C_l is the transpose of B_l, every K_i and C_i being
-symmetric; each is a product over its own ranges.
+MEAN_INVERSE_LIMIT dof that is one product with the dense inverse of
+K_0[:n_c, :n_c].  In the lognormal case D_l is coupled and symmetric, and
+numbered node-major (spatial node outer, block inner) over the leading
+nodes it is a band of half-width m b' + m - 1, b' their bandwidth (10 at
+h=1/10), which LAPACK's band Cholesky factors once (``band_solvers``, the
+band filled straight from the coupling values, D_l not assembled).  The
+same routine factors the diagonal blocks A_jj of block Gauss-Seidel, the
+case of one block.  The lognormal Galerkin matrix, the projection of a
+positive field, is positive definite; a level or block that is not is
+refused with an error, never solved another way.  C_l is the transpose of
+B_l, every K_i and C_i being symmetric; each is a product over its own
+ranges.
 """
 from __future__ import annotations
 
@@ -334,18 +334,23 @@ class GalerkinOperator:
         row stores a Dirichlet column."""
         return self.nodal[1][:, :self.n_c]
 
+    def leading_matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """The n_c x n_c CSR matrix on the pattern of the leading rows
+        holding a view of values[:indptr[n_c]], one value per stored
+        position: the leading rows store no Dirichlet column."""
+        end = self.indptr[self.n_c]
+        return _csr_view(values[:end], self.indices[:end], self.indptr[:self.n_c + 1])
+
     @cached_property
     def _leading_matrices(self) -> tuple:
-        """Every K_i[:n_c, :n_c], a CSR view of the first indptr[n_c]
-        entries of data[i]: the leading rows store no Dirichlet column."""
-        end = self.indptr[self.n_c]
-        return tuple(_csr_view(row[:end], self.indices[:end], self.indptr[:self.n_c + 1])
-                     for row in self.data)
+        """Every K_i[:n_c, :n_c], a view of data[i]."""
+        return tuple(self.leading_matrix(row) for row in self.data)
 
     def row_sums(self, P: np.ndarray) -> np.ndarray:
         """out[r] = the sum of P[e] over the stored positions e of spatial
-        row r, in pattern order; every row stores at least its diagonal."""
-        return np.add.reduceat(P, self.indptr[:-1], axis=0)
+        row r, in pattern order, for the leading n_c rows, P one value per
+        stored position of theirs; every row stores at least its diagonal."""
+        return np.add.reduceat(P, self.indptr[:self.n_c], axis=0)
 
     def _plan(self, rows: slice, cols: slice, mean: bool = True) -> tuple:
         """(span, groups, L) with A[rows, cols] @ X = L @ Y, built once per
@@ -502,31 +507,34 @@ class GalerkinOperator:
         the shape of B, a vector for a vector, under either policy.  All
         exact policies share one.
 
-        The exact solver is the program's one sparse LU, SuperLU ordered
-        by minimum degree on A + A^T with diagonal pivots preferred, which
-        fills less than the default COLAMD.  It factors a CSC copy of K_0,
-        not its transpose view, whose solve of many right-hand sides is
-        slower.  Up to MEAN_INVERSE_LIMIT dof it multiplies by the dense
-        K_0^{-1}, one LU solve of the identity: a mean or level solve is
-        then one matrix product, which on these meshes beats the triangular
-        solves though it does more flops.  The product takes the leading
-        n_c x n_c block of K_0^{-1} and copies the Dirichlet columns, whose
-        K_0 rows are the unit diagonal.  A cg policy takes its own
-        ``inner.make``: an inexact solve of the identity would change it.
+        Either policy solves with K_0[:n_c, :n_c], a view of the first
+        indptr[n_c] entries of data[0], and copies the Dirichlet columns,
+        whose K_0 rows are the unit diagonal (``_leading_solve``).  The
+        exact solver is the program's one sparse LU, SuperLU ordered by
+        minimum degree on A + A^T with diagonal pivots preferred, which
+        fills less than the default COLAMD.  It factors a CSC copy, not the
+        transpose view, whose solve of many right-hand sides is slower.  Up
+        to MEAN_INVERSE_LIMIT dof it multiplies by the dense inverse, one
+        LU solve of the identity, written in place: a mean or level solve
+        is then one matrix product, which on these meshes beats the
+        triangular solves though it does more flops.  A cg policy takes its
+        own ``inner.make``: an inexact solve of the identity would change
+        it.
         """
         key = "exact" if inner.kind == "exact" else inner
         if key not in self._solver_cache:
-            if key == "exact":
-                lu = spla.splu(self.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                               options={"SymmetricMode": True})
-                solve = lambda B: lu.solve(B.T).T
-                if self.ndof <= MEAN_INVERSE_LIMIT:
-                    n = self.n_c
-                    solve = partial(_leading_solve, np.ascontiguousarray(
-                        solve(np.eye(self.ndof))[:n, :n]))
+            K = self.leading_matrix(self.data[0])
+            if key != "exact":
+                solve = _writing(inner.make(K))
             else:
-                solve = inner.make(self.mean_matrix)
-            self._solver_cache[key] = solve
+                lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True})
+                if self.ndof <= MEAN_INVERSE_LIMIT:
+                    inv_t = np.ascontiguousarray(lu.solve(np.eye(self.n_c)).T)
+                    solve = lambda B, out: np.matmul(B, inv_t, out=out)
+                else:
+                    solve = _writing(lambda B: lu.solve(B.T).T)
+            self._solver_cache[key] = partial(_leading_solve, solve, self.n_c)
         return self._solver_cache[key]
 
     def d_block_solve(self, level: int, rhs: np.ndarray, inner: InnerSolver) -> np.ndarray:
@@ -535,14 +543,14 @@ class GalerkinOperator:
         A level D_l = I (x) K_0 (level 0, and every level of the linear
         coefficient case) is one multi-right-hand-side K_0 solve under
         ``inner``: with the exact policy on a mesh of up to
-        MEAN_INVERSE_LIMIT dof, one product with the dense K_0^{-1} of
+        MEAN_INVERSE_LIMIT dof, one product with the dense inverse of
         ``mean_solver``.  A coupled level of dimension up to
         DIRECT_LEVEL_LIMIT is factorized once by band Cholesky
         (``band_solvers``) under either policy, over the leading n_c nodes
-        (half-width m b' + m - 1), the identity on the Dirichlet rows
-        copied; it refuses a level that is not positive definite.  A larger
-        one runs ``inner.cg`` on
-        the level system preconditioned blockwise by I (x) K_0.
+        (half-width m b' + m - 1), and a solve copies the Dirichlet rows
+        (``_leading_solve``); it refuses a level that is not positive
+        definite.  A larger one runs ``inner.cg`` on the level system
+        preconditioned blockwise by I (x) K_0.
         ``rhs`` is never written to.
         """
         _, tail = self.level_slices(level)
@@ -554,8 +562,10 @@ class GalerkinOperator:
             return self.mean_solver(inner)(rhs)
         if rhs.size <= DIRECT_LEVEL_LIMIT:
             if level not in self._level_solvers:
-                self._level_solvers[level], = self.band_solvers(
-                    np.arange(tail.start, tail.stop)[None], [f"level {level}"])
+                solve, = self.band_solvers(np.arange(tail.start, tail.stop)[None],
+                                           [f"level {level}"])
+                self._level_solvers[level] = partial(_leading_solve, _writing(solve),
+                                                     self.n_c)
             return self._level_solvers[level](rhs)
         mean_solve = self.mean_solver(InnerSolver(kind="exact"))
 
@@ -581,49 +591,38 @@ class GalerkinOperator:
 
     def band_solvers(self, groups: np.ndarray, names: list) -> list:
         """Per row g of the (k, m) block indices ``groups``: a solver
-        R -> A_g^{-1} R of the diagonal block A_g = A[g, g], factored once
-        by LAPACK's band Cholesky.
+        R -> A_g^{-1} R of the diagonal block A_g = A[g, g] over the leading
+        n_c nodes, factored once by LAPACK's band Cholesky.  R is
+        block-major, of shape (m, n_c), or for m = 1 one block as a vector;
+        R is never written.  On the trailing Dirichlet rows A_g is the
+        identity (``n_c``, C_0 = I), which the caller copies
+        (``_leading_solve``).
 
         Every K_i is symmetric, and so is each C_i (c_itj = E[psi_i psi_t
         psi_j]), so A_g is symmetric.  ``_bands`` fills it straight from the
-        coupling values, node-major over the leading spatial nodes; A_g is
-        not assembled.  A group of m > 1 blocks (a coupled level) is
-        factored over the leading n_c nodes alone, with half-width
-        kd' = m*b' + m - 1, b' their bandwidth (10 for the 81 interior
-        nodes at h=1/10): on the trailing Dirichlet rows A_g is the
-        identity (``n_c``, C_0 = I), which a solve copies, as
-        ``_leading_solve`` does for K_0.  A group of one block (every block
-        Gauss-Seidel diagonal block) keeps one band over all nodes, of
-        half-width b, 10 at h=1/10: the Dirichlet nodes, numbered last,
-        widen nothing, and a second dpbtrs over them would cost more than
-        it saves.  R is block-major, shape (m, ndof), or for m = 1 one
-        block as a vector, which takes one dpbtrs as it is; R is never
-        written.
-        dpbtrf reads only the upper band, the whole of A_g by its symmetry.
-        A block that is not positive definite raises LinAlgError naming it
-        as ``names[g]``.
+        coupling values, node-major, with half-width kd' = m*b' + m - 1,
+        b' the bandwidth of the leading nodes (10 for the 81 interior nodes
+        at h=1/10); A_g is not assembled.  dpbtrf reads only the upper
+        band, the whole of A_g by its symmetry.  A block that is not
+        positive definite raises LinAlgError naming it as ``names[g]``.
         """
-        m = groups.shape[1]
         factors = []
-        for name, band in zip(names, self._bands(self.block_values(groups),
-                                                 self.ndof if m == 1 else self.n_c)):
+        for name, band in zip(names, self._bands(self.block_values(groups))):
             factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
             if info > 0:
                 raise np.linalg.LinAlgError(f"{name} is not positive definite "
                                             "(band Cholesky)")
             factors.append(factor)
-        return [partial(_band_solve if m == 1 else _leading_band_solve, factor)
-                for factor in factors]
+        return [partial(_node_major_solve, factor) for factor in factors]
 
-    def _bands(self, values: np.ndarray, n: int) -> np.ndarray:
-        """bands[g]: the upper band of A_g over the leading n spatial nodes
-        (see ``band_solvers``) numbered node-major, unknown (block g[s],
-        node p) at p*m + s, of half-width kd = m*b + m - 1, b = max |p - q|
-        over their stored positions (p, q), the first indptr[n].  No stored
-        position joins them to the other nodes: n is n_c or ndof.  The band
-        is in LAPACK's upper band layout, A_g[I, J] at bands[g, kd + I - J, J]
-        for I <= J, each Fortran-ordered so that dpbtrf factors it without
-        a copy.
+    def _bands(self, values: np.ndarray) -> np.ndarray:
+        """bands[g]: the upper band of A_g over the leading n_c spatial
+        nodes (see ``band_solvers``) numbered node-major, unknown (block
+        g[s], node p) at p*m + s, of half-width kd = m*b + m - 1,
+        b = max |p - q| over their stored positions (p, q), the first
+        indptr[n_c].  The band is in LAPACK's upper band layout, A_g[I, J]
+        at bands[g, kd + I - J, J] for I <= J, each Fortran-ordered so that
+        dpbtrf factors it without a copy.
 
         All k bands are filled in one pass straight from the coupling
         values ``values`` = ``block_values(groups)``: block (s, s') of A_g
@@ -631,10 +630,9 @@ class GalerkinOperator:
         Positions are int32 while a band has fewer than 2^31 entries, as
         every band of up to DIRECT_LEVEL_LIMIT unknowns has.
         """
-        k, m = values.shape[:2]
-        end = self.indptr[n]
+        k, m, _, end = values.shape
         p, q = self._pattern_rows[:end], self.indices[:end]
-        kd, N = m * int(np.abs(p - q).max()) + m - 1, m * n
+        kd, N = m * int(np.abs(p - q).max()) + m - 1, m * self.n_c
         s = np.arange(m, dtype=np.int32 if (kd + 1) * N < 2**31 else np.int64)
         p, q = p.astype(s.dtype), q.astype(s.dtype)
         out = np.zeros((k, N, kd + 1))
@@ -652,12 +650,13 @@ class GalerkinOperator:
     def block_values(self, groups: np.ndarray) -> np.ndarray:
         """values[g, s, s', e] = sum_i c_itj data[i, e], t = groups[g, s] and
         j = groups[g, s']: block (s, s') of A_g = A[g, g] at every stored
-        spatial position e, from the coupling values, shape (k, m, m, nnz)
-        for the (k, m) block indices ``groups``."""
+        spatial position e of the leading n_c rows, from the coupling
+        values, shape (k, m, m, indptr[n_c]) for the (k, m) block indices
+        ``groups``; each (g, s, s') row is contiguous."""
         k, m = groups.shape
         W = self._block_couplings[(groups[:, :, None] * self.n_blocks
                                    + groups[:, None, :]).ravel()]
-        return (W @ self.data).reshape(k, m, m, -1)
+        return (W @ self.data).reshape(k, m, m, -1)[..., :self.indptr[self.n_c]]
 
     # -- assembly ----------------------------------------------------------
     @cached_property
@@ -707,41 +706,30 @@ class GalerkinOperator:
         return b
 
 
-def _leading_solve(inv_t: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B K_0^{-T} from the leading n_c x n_c block inv_t of K_0^{-T}: the
-    leading columns of B times inv_t, the Dirichlet columns, whose K_0 rows
-    are the unit diagonal, copied; B a vector or one row per right-hand
-    side, not written."""
-    n = len(inv_t)
+def _leading_solve(solve, n: int, B: np.ndarray) -> np.ndarray:
+    """A^{-1} B, B a vector or one row per right-hand side, for an A that is
+    the identity on the trailing Dirichlet rows [n, ndof) and joins them to
+    no leading row: ``solve(B[..., :n], out)`` writes the solution on the
+    leading rows into out, and B[..., n:] is copied.  B is not written."""
     X = np.empty(np.shape(B))
-    np.matmul(B[..., :n], inv_t, out=X[..., :n])
+    solve(B[..., :n], X[..., :n])
     X[..., n:] = B[..., n:]
     return X
 
 
-def _band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """A_j^{-1} R of one block from the upper band Cholesky factor of A_j
-    over all nodes, R a vector or of shape (1, ndof) (see
-    ``GalerkinOperator.band_solvers``); R is not written."""
-    if R.ndim == 1:
-        return lapack.dpbtrs(factor, R)[0]
-    return lapack.dpbtrs(factor, R.ravel())[0].reshape(R.shape)
+def _writing(solve):
+    """The solver B -> X as the writer (B, out) -> None of ``_leading_solve``."""
+    return lambda B, out: np.copyto(out, solve(B))
 
 
-def _leading_band_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """A_g^{-1} R, R block-major of shape (m, ndof), from the band Cholesky
-    factor of A_g over the leading n_c nodes (see
-    ``GalerkinOperator.band_solvers``), whose node-major unknowns are
-    R[:, :n_c].T in C order; on the Dirichlet rows, where A_g is the
-    identity, R is copied.  R is not written."""
-    m = len(R)
-    n = factor.shape[1] // m
-    X = np.empty(R.shape)
-    # ravel copies the transposed view, which dpbtrs may overwrite
-    x = lapack.dpbtrs(factor, R[:, :n].T.ravel(), overwrite_b=1)[0]
-    X[:, :n] = x.reshape(n, m).T
-    X[:, n:] = R[:, n:]
-    return X
+def _node_major_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A_g^{-1} R from the band Cholesky factor of A_g over the leading
+    nodes (see ``GalerkinOperator.band_solvers``), R block-major of shape
+    (m, n_c) or one block as a vector, whose node-major unknowns are R.T in
+    C order.  flatten copies even a contiguous R, which dpbtrs overwrites:
+    R is not written."""
+    x = lapack.dpbtrs(factor, R.T.flatten(), overwrite_b=1)[0]
+    return x if R.ndim == 1 else x.reshape(R.T.shape).T
 
 
 def _csr_view(row: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:

@@ -85,7 +85,7 @@ import numpy as np
 
 from . import krylov
 from .multi_index import build_multi_index_set
-from .operator import GalerkinOperator, InnerSolver, _csr_view
+from .operator import GalerkinOperator, InnerSolver
 from .orthopoly import legendre_family
 from .triple_product import TripleProductTensor, build_triple_product_tensor
 
@@ -291,11 +291,12 @@ class BlockSGS(_BlockPreconditioner):
     def _level_blocks(self) -> list:
         """Per level l = 0..P: None when D_l = I (x) K_0, else
         (values, solvers), built at the first application.  values[j, s, e]
-        is block (j, s) of D_l at stored spatial position e, summed from the
-        coupling values (``block_values``), C-contiguous.  solvers[j]
-        solves with A_jj: by band Cholesky under the exact policy
-        (``band_solvers``), by ``inner.make`` of values[j, j] on the shared
-        pattern under the cg policy."""
+        is block (j, s) of D_l at stored spatial position e of the leading
+        n_c rows, summed from the coupling values (``block_values``).
+        solvers[j] solves with A_jj over the leading n_c nodes: by band
+        Cholesky under the exact policy (``band_solvers``), by
+        ``inner.make`` of values[j, j] on the leading rows' pattern under
+        the cg policy."""
         op = self.op
         levels = []
         for l in range(op.basis.degree + 1):
@@ -309,7 +310,7 @@ class BlockSGS(_BlockPreconditioner):
                 solvers = op.band_solvers(blocks[:, None],
                                           [f"diagonal block {j}" for j in blocks])
             else:
-                solvers = [self.inner.make(_csr_view(values[j, j], op.indices, op.indptr))
+                solvers = [self.inner.make(op.leading_matrix(values[j, j]))
                            for j in range(len(blocks))]
             levels.append((values, solvers))
         return levels
@@ -317,22 +318,26 @@ class BlockSGS(_BlockPreconditioner):
     def _level_update(self, l, w, x, back, zero):
         """A coupled level: over its blocks j, ascending or, ``back``,
         descending, x_j += A_jj^{-1} (w_j - sum over the blocks s swept
-        before j of A_js x_s), the first block's update skipped when
-        ``zero``."""
+        before j of A_js x_s) on the leading n_c rows, the first block's
+        update skipped when ``zero``; on the Dirichlet rows, where A_jj is
+        the identity and A_js zero, x += w for the whole level at once."""
         level = self._level_blocks[l]
         if level is None:
             return super()._level_update(l, w, x, back, zero)
-        op = self.op
+        op, n = self.op, self.op.n_c
         values, solvers = level
-        m = len(solvers)
-        # G[s]: x_s at the column of every stored position, once swept
-        G = np.empty((m, len(op.indices)))
+        m, end = len(solvers), values.shape[-1]
+        cols = op.indices[:end]
+        # G[s]: x_s at the column of every stored position of the leading
+        # rows, once swept
+        G = np.empty((m, end))
         for k, j in enumerate(reversed(range(m)) if back else range(m)):
             done = slice(j + 1, m) if back else slice(0, j)
             if not (zero and k == 0):
                 coupling = op.row_sums(np.einsum("se,se->e", values[j, done], G[done]))
-                x[j] += solvers[j](w[j] - coupling)
-            x[j].take(op.indices, out=G[j])
+                x[j, :n] += solvers[j](w[j, :n] - coupling)
+            x[j].take(cols, out=G[j])
+        x[:, n:] += w[:, n:]
 
     def apply_blocks(self, R: np.ndarray, product: bool = False):
         op = self.op

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from hypothesis import example, given, strategies as st
 
 from sgfem import operator
@@ -255,18 +256,19 @@ def test_superlu_factors_k0_alone_with_the_symmetric_ordering(monkeypatch):
     r = np.ones(op.shape[0])
     for kind in ("mean", "bsgs", "hs"):
         make_preconditioner(op, kind, EXACT)(r)
-    # SuperLU: K_0 alone; the n_b - 1 BSGS diagonal blocks and D_1..D_3 take
-    # the band Cholesky, each level over its leading n_c nodes
-    assert [matrix.shape for matrix, _ in lus] == [(op.ndof, op.ndof)]
+    # SuperLU: K_0 alone, over its 81 leading rows; the n_b - 1 BSGS
+    # diagonal blocks and D_1..D_3 take the band Cholesky, each over the
+    # leading n_c nodes too
+    assert op.ndof == 121 and op.n_c == 81
+    assert [matrix.shape for matrix, _ in lus] == [(op.n_c, op.n_c)]
+    assert is_mean_matrix(op, lus[0][0])
     assert lus[0][1] == {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     assert len(bands) == (op.n_blocks - 1) + 3 and all(info == 0 for *_, info in bands)
-    # BSGS factors its blocks over all 121 nodes, kd = 10 the spatial
-    # bandwidth, the Dirichlet nodes being numbered last; HS factors D_3,
-    # D_2, D_1 of m = 20, 10, 4 blocks over the 81 leading nodes, whose
-    # bandwidth is 10 (D_3: kd' = 20 * 10 + 19 = 219 rows above the
-    # diagonal), and copies the 40 Dirichlet rows, where each is I
-    assert op.ndof == 121 and op.n_c == 81
-    assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(11, 121)] * (op.n_blocks - 1)
+    # BSGS factors its blocks over the 81 leading nodes, kd = 10 their
+    # bandwidth; HS factors D_3, D_2, D_1 of m = 20, 10, 4 blocks over the
+    # same nodes (D_3: kd' = 20 * 10 + 19 = 219 rows above the diagonal);
+    # both copy the 40 Dirichlet rows, where each block and level is I
+    assert [band.shape for band, *_ in bands[:op.n_blocks - 1]] == [(11, 81)] * (op.n_blocks - 1)
     assert [band.shape for band, *_ in bands[op.n_blocks - 1:]] == [
         (220, 1620), (110, 810), (44, 324)]
 
@@ -1037,8 +1039,10 @@ def spy_bsgs_set_up(monkeypatch) -> tuple:
 
 
 def is_mean_matrix(op, matrix) -> bool:
-    """Whether the sparse ``matrix`` equals K_0 entry for entry."""
-    return (matrix != op.mean_matrix).nnz == 0
+    """Whether the sparse ``matrix`` equals K_0[:n_c, :n_c], over which
+    every mean solve factors, entry for entry."""
+    n = op.n_c
+    return matrix.shape == (n, n) and (matrix != op.mean_matrix[:n, :n]).nnz == 0
 
 
 def upper_band(A: np.ndarray, kd: int) -> np.ndarray:
@@ -1063,10 +1067,10 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
     prec(r)
     coupled = [l for l in range(op.basis.degree + 1) if not op.level_is_scalar_diagonal(l)]
     # each coupled level keeps its couplings summed from the coupling
-    # values, values[j, s, e] = block (j, s) of D_l at position e, and each
-    # of its blocks gets a band Cholesky; nothing is assembled, the
-    # one SuperLU is the K_0 of the scalar level 0, and the exact policy
-    # makes no inner solver
+    # values, values[j, s, e] = block (j, s) of D_l at position e of the
+    # leading n_c rows, and each of its blocks gets a band Cholesky;
+    # nothing is assembled, the one SuperLU is the K_0 of the scalar
+    # level 0, and the exact policy makes no inner solver
     assert assembled == []
     n_coupled = 0
     for l, level in enumerate(prec._level_blocks):
@@ -1075,15 +1079,16 @@ def test_bsgs_builds_its_level_rows_at_the_first_application(monkeypatch, kind):
             continue
         _, tail = op.level_slices(l)
         values, solvers = level
-        m = tail.stop - tail.start
-        assert values.flags.c_contiguous and values.shape == (m, m, len(op.indices))
-        # every stored position (r, c): block (j, s) of D_l at (r, c), and
-        # the same values at its mirror (c, r)
-        rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))
+        m, end = tail.stop - tail.start, op.indptr[op.n_c]
+        assert values.shape == (m, m, end) and values.strides[-1] == values.itemsize
+        # every stored position (r, c) of the leading rows: block (j, s) of
+        # D_l at (r, c), and the same values at its mirror (c, r), a
+        # leading position too
+        rows = np.repeat(np.arange(op.ndof), np.diff(op.indptr))[:end]
         blocks = dense_kron_oracle(op).reshape(op.n_blocks, op.ndof, op.n_blocks, op.ndof)
-        expect = blocks[tail, :, tail][:, rows, :, op.indices].transpose(1, 2, 0)
+        expect = blocks[tail, :, tail][:, rows, :, op.indices[:end]].transpose(1, 2, 0)
         assert np.abs(values - expect).max() <= 1e-14 * np.abs(blocks).max()
-        assert np.array_equal(values, values[..., op._mirror])
+        assert np.array_equal(values, values[..., op._mirror[:end]])
         assert len(solvers) == tail.stop - tail.start
         n_coupled += len(solvers)
     assert n_coupled == (op.n_blocks - 1 if kind == "lognormal" else 0)
@@ -1113,23 +1118,59 @@ def test_bsgs_diagonal_blocks_equal_the_assembled_blocks(monkeypatch):
     lus, _ = spy_factorizations(monkeypatch)
     prec = BlockSGS(op, EXACT)
     prec(np.ones(op.shape[0]))
-    # every block of the coupled levels gets its own band at the first
-    # application, filled from the coupling values bit for bit as the band
-    # of the assembled block; level 0 is K_0 and takes the K_0 LU
+    # every block of the coupled levels gets its own band over the leading
+    # n_c nodes at the first application, filled from the coupling values
+    # bit for bit as the band of the assembled block's leading rows; level
+    # 0 is K_0 and takes the K_0 LU
     assert len(lus) == 1 and is_mean_matrix(op, lus[0][0]) and made == []
     assert len(filled) == op.n_blocks - 1
     # 4 x 4 nodes, the 2 x 2 interior ones first: the Q1 stencil reaches 3
     # nodes away
-    assert [band.shape for band in filled] == [(4, op.ndof)] * (op.n_blocks - 1)
+    n = op.n_c
+    assert n == 4 and [band.shape for band in filled] == [(4, n)] * (op.n_blocks - 1)
     for j, band in enumerate(filled, start=1):
-        assert np.array_equal(band, upper_band(op.assemble_range([j], [j]).toarray(), 3))
+        A_jj = op.assemble_range([j], [j]).toarray()
+        assert np.array_equal(band, upper_band(A_jj[:n, :n], 3))
+
+
+@pytest.mark.parametrize("dims, n_cells", [(2, 3), (1, 10), (2, 10)])
+def test_bsgs_block_solves_equal_the_all_node_band_solve(dims, n_cells):
+    # the Dirichlet rows of A_jj are its unit diagonal, joined to no
+    # leading row: a solve by the band over the leading nodes gives the
+    # leading entries of the all-node band's solve bit for bit, and that
+    # solve leaves the Dirichlet entries as they are, as the sweep's copy
+    # does
+    op = lognormal_operator(dims, 2, n_cells)
+    prec = BlockSGS(op, EXACT)
+    prec(np.ones(op.shape[0]))
+    n = op.n_c
+    b = int(np.abs(op._pattern_rows - op.indices).max())
+    rng = np.random.default_rng(n_cells)
+    solved = 0
+    for l, level in enumerate(prec._level_blocks):
+        if level is None:
+            continue
+        _, tail = op.level_slices(l)
+        for j, solve in enumerate(level[1], start=tail.start):
+            band = upper_band(op.assemble_range([j], [j]).toarray(), b)
+            factor, info = lapack.dpbtrf(band, lower=0)
+            assert info == 0
+            r = rng.standard_normal(op.ndof)
+            ref = lapack.dpbtrs(factor, r)[0]
+            assert np.array_equal(ref[n:], r[n:])
+            assert np.array_equal(solve(r[:n]), ref[:n])
+            solved += 1
+    assert solved == op.n_blocks - 1
 
 
 def test_bsgs_block_solves_leave_their_rhs_unchanged():
+    # each block solver takes one block's leading n_c rows, a vector, and
+    # gives the leading rows of A_jj^{-1}: A_jj joins them to no Dirichlet
+    # row
     op = lognormal_operator(2, 2, 3)
     prec = BlockSGS(op, EXACT)
     prec(np.ones(op.shape[0]))
-    A, n = dense_kron_oracle(op), op.ndof
+    A, N, n = dense_kron_oracle(op), op.ndof, op.n_c
     rng = np.random.default_rng(9)
     solved = 0
     for l, level in enumerate(prec._level_blocks):
@@ -1141,7 +1182,7 @@ def test_bsgs_block_solves_leave_their_rhs_unchanged():
             kept = b.copy()
             x = solve(b)
             assert np.array_equal(b, kept) and x.shape == b.shape
-            A_jj = A[j * n:(j + 1) * n, j * n:(j + 1) * n]
+            A_jj = A[j * N:j * N + n, j * N:j * N + n]
             assert np.linalg.norm(A_jj @ x - b) <= 1e-12 * np.linalg.norm(b)
             solved += 1
     assert solved == op.n_blocks - 1
@@ -1152,9 +1193,11 @@ def test_bsgs_under_the_cg_policy_factors_nothing(monkeypatch):
     _, made, filled = spy_bsgs_set_up(monkeypatch)
     lus, bands = spy_factorizations(monkeypatch)
     BlockSGS(op, TIGHT_CG)(np.ones(op.shape[0]))
-    # every diagonal block, K_0 included, gets an inner CG solver
+    # every diagonal block, K_0 included, gets an inner CG solver over the
+    # leading n_c rows
     assert lus == [] and bands == [] and filled == []
-    assert len(made) == op.n_blocks and made[-1] is op.matrices[0]
+    assert len(made) == op.n_blocks and is_mean_matrix(op, made[-1])
+    assert all(matrix.shape == (op.n_c, op.n_c) for matrix in made)
 
 
 def test_block_tallies_count_the_dense_oracle_blocks_on_the_coarsest_mesh():
@@ -1202,14 +1245,16 @@ def test_band_cholesky_level_solves_match_dense_solves(config, cov, seed):
             R = rng.standard_normal((tail.stop - tail.start, op.ndof))
             kept = R.copy()
             X = op.d_block_solve(level, R, EXACT)
-            # the solve reads R node-major, a view of R when m = 1, never
-            # writes to it and returns its rows block-major, C-contiguous
+            # the solve reads R node-major, never writes to it, not even
+            # for m = 1, where the node-major R is R's own memory, and
+            # returns its rows block-major, C-contiguous
             assert np.array_equal(R, kept) and X.flags.c_contiguous
             ref = np.linalg.solve(dense_part(op, A, level, "D"), R.ravel())
             assert np.linalg.norm(X.ravel() - ref) <= 1e-12 * np.linalg.norm(ref), level
         BlockSGS(op, EXACT)(np.ones(op.shape[0]))
-    # SuperLU factors K_0 alone, for the mean block of BSGS
-    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
+    # SuperLU factors K_0 alone, over its leading rows, for the mean block
+    # of BSGS
+    assert len(lus) == 1 and is_mean_matrix(op, lus[0][0])
     # one band per coupled level and per BSGS diagonal block but the mean one
     assert len(bands) == len(coupled) + op.n_blocks - 1
     assert all(info == 0 for *_, info in bands)
@@ -1222,9 +1267,10 @@ def test_level_band_is_factorized_in_place(monkeypatch):
     op = lognormal_operator(2, 2, 3)
     HierarchicalSchur(op, EXACT)(np.ones(op.shape[0]))
     BlockSGS(op, EXACT)(np.ones(op.shape[0]))
-    # SuperLU factors K_0 alone; HS factors the P levels over their
-    # leading nodes, BSGS the n_b - 1 blocks of the coupled levels
-    assert [m.shape for m, _ in lus] == [(op.ndof, op.ndof)]
+    # SuperLU factors K_0 alone, over its leading rows; HS factors the P
+    # levels and BSGS the n_b - 1 blocks of the coupled levels, all over
+    # the leading nodes
+    assert len(lus) == 1 and is_mean_matrix(op, lus[0][0])
     assert len(bands) == op.basis.degree + op.n_blocks - 1
     for band, kwargs, factor, info in bands:
         assert kwargs == {"lower": 0, "overwrite_ab": 1} and info == 0
@@ -1407,6 +1453,48 @@ def test_level_band_bytes_cover_the_leading_nodes(monkeypatch, n_cells):
         expect = [((m * b + m - 1) + 1) * m * n_c * 8]
         assert [band.nbytes for band, *_ in bands] == expect
         assert [factor.nbytes for _, _, factor, _ in bands] == expect
+    # a block Gauss-Seidel diagonal block is the case m = 1: (b + 1) n_c 8
+    # bytes for each of the n_b - 1 blocks of the coupled levels
+    del bands[:]
+    BlockSGS(op, EXACT)(np.ones(op.shape[0]))
+    expect = [(b + 1) * n_c * 8] * (op.n_blocks - 1)
+    assert [band.nbytes for band, *_ in bands] == expect
+    assert [factor.nbytes for _, _, factor, _ in bands] == expect
+
+
+@pytest.mark.parametrize("inner", [EXACT, TIGHT_CG], ids=["exact", "cg"])
+@pytest.mark.parametrize("dims, n_cells", [(1, 3), (2, 3), (1, 20)])
+def test_no_solver_writes_its_rhs(monkeypatch, inner, dims, n_cells):
+    # N = 1 makes every coupled level one block, whose node-major
+    # right-hand side is the memory of R itself; at 1/h = 20 the 441 dof
+    # exceed MEAN_INVERSE_LIMIT, so K_0 is solved by its LU, not its
+    # dense inverse.  Every level solver runs by band Cholesky and, with
+    # DIRECT_LEVEL_LIMIT 0, by the level CG
+    op = lognormal_operator(dims, 2, n_cells)
+    assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == (n_cells == 3)
+    inner = replace(inner, tol=1e-12)    # the level CG's, under either kind
+    rng = np.random.default_rng(n_cells)
+
+    def check(solve, shape):
+        R = rng.standard_normal(shape)
+        kept = R.copy()
+        X = solve(R)
+        assert np.array_equal(R, kept) and X.shape == shape
+
+    for shape in [(op.ndof,), (1, op.ndof), (3, op.ndof)]:
+        check(op.mean_solver(inner), shape)
+    for limit in (operator.DIRECT_LEVEL_LIMIT, 0):
+        monkeypatch.setattr(operator, "DIRECT_LEVEL_LIMIT", limit)
+        for level in range(op.basis.degree + 1):
+            _, tail = op.level_slices(level)
+            check(lambda R: op.d_block_solve(level, R, inner),
+                  (tail.stop - tail.start, op.ndof))
+    prec = BlockSGS(op, inner)
+    prec(np.ones(op.shape[0]))
+    solvers = [solve for level in prec._level_blocks if level for solve in level[1]]
+    assert len(solvers) == op.n_blocks - 1
+    for solve in solvers:
+        check(solve, (op.n_c,))
 
 
 @pytest.mark.parametrize("where", ["dirichlet", "leading"])

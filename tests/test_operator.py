@@ -350,9 +350,11 @@ def test_block_solvers_give_the_shape_of_the_rhs(solver):
         solve = InnerSolver(kind="cg", tol=1e-12).make(op.mean_matrix)
         shapes = [(op.ndof,), (1, op.ndof), (3, op.ndof)]
     else:
-        A = op.assemble_range([1], [1]).toarray()
+        # a band solver covers the leading n_c nodes, where the caller
+        # passes the rows of one block
+        A = op.assemble_range([1], [1]).toarray()[:op.n_c, :op.n_c]
         solve, = op.band_solvers(np.array([[1]]), ["diagonal block 1"])
-        shapes = [(op.ndof,), (1, op.ndof)]
+        shapes = [(op.n_c,), (1, op.n_c)]
     rng = np.random.default_rng(6)
     for shape in shapes:
         B = rng.standard_normal(shape)
@@ -360,6 +362,30 @@ def test_block_solvers_give_the_shape_of_the_rhs(solver):
         assert X.shape == B.shape
         assert np.linalg.norm(np.atleast_2d(X) @ A.T - np.atleast_2d(B)) \
             <= 1e-10 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("n_cells", [10, 20, 30])
+def test_exact_mean_solve_equals_the_lu_of_the_whole_k0(n_cells):
+    # on the Dirichlet rows K_0 is the unit diagonal and joins no leading
+    # row, so the LU of K_0[:n_c, :n_c] solves the leading rows with the
+    # same operations as the LU of all of K_0, on both sides of
+    # MEAN_INVERSE_LIMIT: up to it, the product with the leading block of
+    # the whole K_0's inverse, the Dirichlet columns copied
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=1, P=1,
+                                         h=1 / n_cells))
+    n = op.n_c
+    assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == (n_cells == 10)
+    lu = spla.splu(op.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   options={"SymmetricMode": True})
+    inv_t = np.ascontiguousarray(lu.solve(np.eye(op.ndof)).T[:n, :n])
+    solve = op.mean_solver(InnerSolver())
+    rng = np.random.default_rng(n_cells)
+    for B in (rng.standard_normal((4, op.ndof)), rng.standard_normal(op.ndof)):
+        ref = lu.solve(B.T).T
+        assert np.array_equal(ref[..., n:], B[..., n:])
+        if n_cells == 10:
+            ref[..., :n] = B[..., :n] @ inv_t
+        assert np.array_equal(solve(B), ref)
 
 
 @pytest.mark.parametrize("n_cells, inverse", [(15, True), (20, False)])
@@ -382,9 +408,9 @@ def test_mean_solver_is_the_dense_inverse_up_to_the_limit(monkeypatch, n_cells, 
     solve = op.mean_solver(InnerSolver())
     assert solve(np.ones((3, op.ndof))).shape == (3, op.ndof)
     assert solve(np.ones(op.ndof)).shape == (op.ndof,)
-    # the inverse is one solve of the identity; the LU solves every call,
-    # a vector as a vector
+    # the LU covers the leading n_c unknowns: the inverse is one solve of
+    # their identity; the LU solves every call, a vector as a vector
     if inverse:
-        assert solves == [(op.ndof, op.ndof)]
+        assert solves == [(op.n_c, op.n_c)]
     else:
-        assert solves == [(op.ndof, 3), (op.ndof,)]
+        assert solves == [(op.n_c, 3), (op.n_c,)]

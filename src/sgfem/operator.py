@@ -34,8 +34,9 @@ diagonal block, with the dense stochastic block T_n = sum_i F[i, n] C_i of
 each node, and a product reads one T_n per node (121 at h=1/10) where a
 block per stored spatial position would read 393.  An operator built from
 plain matrices has no nodal factors and multiplies matrix-free, which is
-exact for any K_i.  No solve assembles a sub-matrix: ``assemble_range``
-serves ``dense`` and ``masked_apply`` alone.
+exact for any K_i.  No product or solve forms a matrix; only ``dense``,
+for small oracles and the spectral diagnostic, sums the Kronecker
+products C_i (x) K_i of the views ``tensor.coupling`` and ``matrices``.
 
 The mesh numbers its boundary nodes last, so the Dirichlet rows, which
 store only K_0's unit diagonal and are zero in every other K_i, form one
@@ -200,9 +201,8 @@ class GalerkinOperator:
     stiffness is data, the spatial dofs being the mesh nodes, and H, S of
     ``fem.local_hat_stiffness``, so that K_i = S diag(F[i] (x) 1_9) H plus,
     for i = 0, the unit diagonal of the spatial rows that S sums nothing
-    into.  ``mean_matrix`` (K_0) and ``matrices`` (every K_i) are CSR views
-    of the rows of data, made on first access: the mean solve reads K_0
-    alone, and only matrix-free products read the others.
+    into.  ``matrices`` holds every K_i, K_0 first, as CSR views of the
+    rows of data, made on first access; no solve or product reads them.
     Block vectors are ndarrays of shape (n_blocks, ndof); ``matvec`` works on
     the flat concatenation.  Immutable after construction (solver caches,
     nodal blocks and level factors are populated lazily but never change
@@ -245,15 +245,9 @@ class GalerkinOperator:
                              "on a pattern that stores every diagonal")
 
     @cached_property
-    def mean_matrix(self) -> sp.csr_matrix:
-        """K_0, a CSR view of data[0]."""
-        return _csr_view(self.data[0], self.indices, self.indptr)
-
-    @cached_property
     def matrices(self) -> tuple:
-        """Every K_i as a CSR view of data[i]."""
-        return (self.mean_matrix, *(_csr_view(row, self.indices, self.indptr)
-                                    for row in self.data[1:]))
+        """Every K_i as a CSR view of data[i], K_0 first."""
+        return tuple(_csr_view(row, self.indices, self.indptr) for row in self.data)
 
     # -- shapes ---------------------------------------------------------
     @property
@@ -474,13 +468,9 @@ class GalerkinOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.apply(np.asarray(u).ravel())
 
-    def masked_apply(self, rows, cols, X: np.ndarray) -> np.ndarray:
-        """Product restricted to the sub-block (rows) x (cols) of the grid.
-
-        X has one row per column block; the result has one row per row block.
-        """
-        sub = self.assemble_range(rows, cols)
-        return (sub @ np.asarray(X).ravel()).reshape(-1, self.ndof)
+    def masked_apply(self, rows: slice, cols: slice, X: np.ndarray) -> np.ndarray:
+        """``product`` over the block ranges rows and cols."""
+        return self.product(rows, cols, X)
 
     # -- diagonal-block solves -------------------------------------------
     @cached_property
@@ -658,7 +648,7 @@ class GalerkinOperator:
                                    + groups[:, None, :]).ravel()]
         return (W @ self.data).reshape(k, m, m, -1)[..., :self.indptr[self.n_c]]
 
-    # -- assembly ----------------------------------------------------------
+    # -- pattern, couplings and the dense matrix ----------------------------
     @cached_property
     def _pattern_rows(self) -> np.ndarray:
         """The spatial row of every stored position, int32."""
@@ -672,32 +662,16 @@ class GalerkinOperator:
         return sp.csr_matrix((v, (t * self.n_blocks + j, i)),
                              shape=(self.n_blocks ** 2, len(self.data)))
 
-    def assemble_range(self, rows, cols) -> sp.csr_matrix:
-        """The sub-matrix sum_i C_i[rows, cols] (x) K_i over block ranges or
-        index arrays, assembled on the shared pattern: the values of the
-        nonzero blocks are W @ data with W[b, i] = c_itj of block b = (t, j),
-        and their positions broadcast the pattern."""
-        rows = np.arange(self.n_blocks)[rows]
-        cols = np.arange(self.n_blocks)[cols]
-        W = self._block_couplings[(rows[:, None] * self.n_blocks + cols).ravel()]
-        # int32 positions halve the memory of this step
-        blocks = np.flatnonzero(np.diff(W.indptr)).astype(np.int32)
-        n = self.ndof
-        R = (blocks // len(cols))[:, None] * n + self._pattern_rows
-        C = (blocks % len(cols))[:, None] * n + self.indices
-        sub = sp.csr_matrix(((W[blocks] @ self.data).ravel(), (R.ravel(), C.ravel())),
-                            shape=(len(rows) * n, len(cols) * n))
-        # e.g. the boundary diagonal of the off-diagonal blocks
-        sub.eliminate_zeros()
-        return sub
-
     def dense(self) -> np.ndarray:
-        """Dense global matrix, up to DENSE_ASSEMBLY_LIMIT rows (oracle tests)."""
+        """The dense global matrix sum_i C_i (x) K_i, up to
+        DENSE_ASSEMBLY_LIMIT rows (oracle tests and the spectral
+        diagnostic)."""
         n = self.shape[0]
         if n > DENSE_ASSEMBLY_LIMIT:
             raise ValueError(f"dense assembly of a {n}-dim operator exceeds the "
                              f"limit {DENSE_ASSEMBLY_LIMIT}")
-        return self.assemble_range(slice(None), slice(None)).toarray()
+        return sum(sp.kron(C, K)
+                   for C, K in zip(self.tensor.coupling, self.matrices)).toarray()
 
     def rhs(self, load: np.ndarray) -> np.ndarray:
         """Global right-hand side: the load in block 0, zero elsewhere."""
@@ -727,8 +701,14 @@ def _node_major_solve(factor: np.ndarray, R: np.ndarray) -> np.ndarray:
     nodes (see ``GalerkinOperator.band_solvers``), R block-major of shape
     (m, n_c) or one block as a vector, whose node-major unknowns are R.T in
     C order.  flatten copies even a contiguous R, which dpbtrs overwrites:
-    R is not written."""
-    x = lapack.dpbtrs(factor, R.T.flatten(), overwrite_b=1)[0]
+    R is not written.  ValueError unless R holds the factor's m n_c
+    unknowns, or if dpbtrs refuses an argument."""
+    if R.size != factor.shape[1]:
+        raise ValueError(f"right-hand side of {R.size} unknowns for a band factor "
+                         f"of order {factor.shape[1]}")
+    x, info = lapack.dpbtrs(factor, R.T.flatten(), overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dpbtrs refused argument {-info}")
     return x if R.ndim == 1 else x.reshape(R.T.shape).T
 
 

@@ -41,9 +41,14 @@ a matrix.  The constructors set an inner policy's tol of None to their
 outer tolerance.
 
 Each preconditioner tallies block-level work: one counter unit is one
-diagonal-block solve or one product with an off-diagonal block the operator
-multiplies (``live_blocks``).  For one application of the hierarchical
-preconditioner on A_L the tallies are 2 m - 1 solves for its m blocks and one
+diagonal-block solve it makes, a level solve of m blocks counting m, or one
+product with an off-diagonal block the operator multiplies
+(``live_blocks``).  Per application the mean-based preconditioner solves
+each of the n_b blocks once.  Block Gauss-Seidel solves each block twice,
+but for those whose update its backward sweep skips: 2 n_b - m_P solves for
+a scalar top level of m_P blocks, 2 n_b - 1 for a coupled one; it
+multiplies each live off-diagonal block once.  The hierarchical
+preconditioner on A_L makes 2 m - 1 solves for its m blocks and one
 product per live block of A_L whose two degrees differ; for A_P of a
 block-diagonal-level operator that is n_ds = 2 n_db - 1 and n_m = n_b - n_db,
 the tabulated work counts.  On either form of the operator a counted
@@ -288,6 +293,16 @@ class BlockSGS(_BlockPreconditioner):
         self._n_products = int(np.count_nonzero(t != j))
 
     @cached_property
+    def _n_solves(self) -> int:
+        """Block solves per application: every block twice but those whose
+        update the backward sweep skips, all of a scalar top level and the
+        last block of a coupled one."""
+        top = self.op.basis.degree
+        _, tail = self.op.level_slices(top)
+        skipped = tail.stop - tail.start if self._level_blocks[top] is None else 1
+        return 2 * self.op.n_blocks - skipped
+
+    @cached_property
     def _level_blocks(self) -> list:
         """Per level l = 0..P: None when D_l = I (x) K_0, else
         (values, solvers), built at the first application.  values[j, s, e]
@@ -348,7 +363,7 @@ class BlockSGS(_BlockPreconditioner):
         self._sweep(W, Y, range(top + 1))
         W, D_y = np.zeros_like(R), W
         self._sweep(W, Y, range(top, -1, -1), back=True, AX=D_y if product else None)
-        self.counters.block_solves += 2 * op.n_blocks
+        self.counters.block_solves += self._n_solves
         self.counters.block_matvecs += self._n_products
         return (Y, -W) if product else Y
 

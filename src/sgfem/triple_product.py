@@ -50,7 +50,7 @@ class TripleProductTensor:
     @cached_property
     def coupling(self) -> tuple:
         """C_i, one CSR view of ``stacked`` per coefficient; built on first
-        access, which the operator never makes."""
+        access, which no product or solve of the operator makes."""
         n = self.n_basis
         return tuple(_rows_view(self.stacked, i * n, (i + 1) * n)
                      for i in range(self.n_coeff))

@@ -1,4 +1,5 @@
-"""A GalerkinOperator from any list of sparse spatial matrices.
+"""A GalerkinOperator from any list of sparse spatial matrices, and the
+oracles of its matrix.
 
 The builders hand the operator the (indices, indptr, data) triple of the
 assembly; tests that perturb, zero or hole the K_i of a built operator put
@@ -6,6 +7,9 @@ the matrices back on one union CSR pattern here.  ``nonsymmetric`` breaks
 the operator's contract, so its constructor refuses it with ValueError;
 ``indefinite`` keeps the contract, and the band Cholesky of every coupled
 level and block refuses it with LinAlgError naming the level or block.
+``dense_kron_oracle`` and ``sub_block_oracle`` sum the Kronecker products
+C_i (x) K_i from the coupling matrices and spatial matrices alone, never
+through the operator's products or solves.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +31,20 @@ def shared_pattern(matrices) -> tuple:
     np.add.at(data, (S.row // n, pos), S.data)
     indptr = np.searchsorted(keys // n, np.arange(n + 1))
     return (keys % n).astype(np.int32), indptr.astype(np.int32), data
+
+
+def dense_kron_oracle(op) -> np.ndarray:
+    """sum_i kron(C_i, K_i), the whole matrix of op, dense."""
+    return sum(np.kron(Ci.toarray(), Ki.toarray())
+               for Ci, Ki in zip(op.tensor.coupling, op.matrices))
+
+
+def sub_block_oracle(op, rows, cols) -> sp.csr_matrix:
+    """sum_i kron(C_i[rows][:, cols], K_i), sparse: the sub-matrix of op's
+    row blocks ``rows`` and column blocks ``cols``, block ranges or index
+    arrays."""
+    return sp.csr_matrix(sum(sp.kron(Ci[rows][:, cols], Ki)
+                             for Ci, Ki in zip(op.tensor.coupling, op.matrices)))
 
 
 def operator_from_matrices(matrices, tensor) -> GalerkinOperator:

@@ -13,7 +13,8 @@ from sgfem.kle import CovarianceSpec, KLExpansion, build_kl_expansion
 from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import InnerSolver, build_uniform_operator
 from sgfem.precond import make_preconditioner
-from shared_pattern import CONTRACT, operator_from_matrices
+from shared_pattern import (CONTRACT, dense_kron_oracle, operator_from_matrices,
+                            sub_block_oracle)
 
 
 def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
@@ -22,14 +23,6 @@ def make_operator(dims=2, degree=2, n_cells=4, sigma=0.5, k0=1.0):
     kl = build_kl_expansion(spec, dims, k0, mesh.node_coords)
     basis = build_multi_index_set(dims, degree)
     return build_uniform_operator(mesh, kl, basis), mesh
-
-
-def dense_kron_oracle(op):
-    """Independent dense assembly: sum of Kronecker products per coefficient."""
-    A = np.zeros(op.shape)
-    for Ci, Ki in zip(op.tensor.coupling, op.matrices):
-        A += np.kron(Ci.toarray(), Ki.toarray())
-    return A
 
 
 def test_constant_chaos_reduces_to_mean_block():
@@ -310,8 +303,8 @@ def test_set_up_makes_no_per_coefficient_matrix():
         make_preconditioner(op, kind)
     assert "matrices" not in op.__dict__ and "coupling" not in op.tensor.__dict__
     assert op.data.shape == (210, len(op.indices)) and op.data.flags.c_contiguous
-    # the mean solve reads K_0 alone, the first of the views made on demand
-    assert op.matrices[0] is op.mean_matrix and len(op.matrices) == 210
+    # the views are made on demand, once, K_0 first
+    assert op.matrices is op.matrices and len(op.matrices) == 210
     for i, K in enumerate(op.matrices):
         assert np.shares_memory(K.data, op.data[i])
 
@@ -324,7 +317,7 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     op = build()
     assert op.ndof <= operator.MEAN_INVERSE_LIMIT
     solve = op.mean_solver(InnerSolver())
-    lu = spla.splu(op.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu(op.matrices[0].tocsc(), permc_spec="MMD_AT_PLUS_A",
                    options={"SymmetricMode": True})
     rng = np.random.default_rng(5)
     for B in (rng.standard_normal(op.ndof), rng.standard_normal((7, op.ndof))):
@@ -338,7 +331,7 @@ def test_mean_solver_inverse_agrees_with_the_lu_solver(build):
     assert op.mean_solver(cg) is not solve and op.mean_solver(InnerSolver(tol=1.0)) is solve
     for kind in ("exact", "lu"):
         with pytest.raises(ValueError, match="cg policy"):
-            InnerSolver(kind=kind).make(op.mean_matrix)
+            InnerSolver(kind=kind).make(op.matrices[0])
 
 
 @pytest.mark.parametrize("solver", ["cg", "band"])
@@ -346,13 +339,13 @@ def test_block_solvers_give_the_shape_of_the_rhs(solver):
     op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.25))
     # a vector takes a vector: block Gauss-Seidel adds it into one block row
     if solver == "cg":
-        A = op.mean_matrix.toarray()
-        solve = InnerSolver(kind="cg", tol=1e-12).make(op.mean_matrix)
+        A = op.matrices[0].toarray()
+        solve = InnerSolver(kind="cg", tol=1e-12).make(op.matrices[0])
         shapes = [(op.ndof,), (1, op.ndof), (3, op.ndof)]
     else:
         # a band solver covers the leading n_c nodes, where the caller
         # passes the rows of one block
-        A = op.assemble_range([1], [1]).toarray()[:op.n_c, :op.n_c]
+        A = sub_block_oracle(op, [1], [1]).toarray()[:op.n_c, :op.n_c]
         solve, = op.band_solvers(np.array([[1]]), ["diagonal block 1"])
         shapes = [(op.n_c,), (1, op.n_c)]
     rng = np.random.default_rng(6)
@@ -362,6 +355,30 @@ def test_block_solvers_give_the_shape_of_the_rhs(solver):
         assert X.shape == B.shape
         assert np.linalg.norm(np.atleast_2d(X) @ A.T - np.atleast_2d(B)) \
             <= 1e-10 * np.linalg.norm(B)
+
+
+def test_band_solvers_refuse_a_rhs_of_another_size(monkeypatch, capfd):
+    # a level solver of band_solvers and a BSGS block solver, each over the
+    # leading n_c nodes: one node too few or too many, or a block's whole
+    # ndof row, is refused before LAPACK sees it, so LAPACK prints nothing
+    op = build_operator(ExperimentConfig(distribution="lognormal", N=2, P=2, h=0.25))
+    _, tail = op.level_slices(2)
+    m, n = tail.stop - tail.start, op.n_c
+    level, = op.band_solvers(np.arange(tail.start, tail.stop)[None], ["level 2"])
+    prec = make_preconditioner(op, "bsgs")
+    block = prec._level_blocks[2][1][0]
+    for solve, rows in ((level, (m,)), (block, ())):
+        k = m if rows else 1
+        for width in (n - 1, n + 1, op.ndof):
+            with pytest.raises(ValueError, match=f"^right-hand side of {k * width} unknowns "
+                                                 f"for a band factor of order {k * n}$"):
+                solve(np.ones(rows + (width,)))
+        assert solve(np.ones(rows + (n,))).shape == rows + (n,)
+    assert capfd.readouterr() == ("", "")
+    # and an argument dpbtrs refuses is an error, not the rhs handed back
+    monkeypatch.setattr(operator.lapack, "dpbtrs", lambda factor, b, **kwargs: (b, -8))
+    with pytest.raises(ValueError, match="^dpbtrs refused argument 8$"):
+        block(np.ones(n))
 
 
 @pytest.mark.parametrize("n_cells", [10, 20, 30])
@@ -375,7 +392,7 @@ def test_exact_mean_solve_equals_the_lu_of_the_whole_k0(n_cells):
                                          h=1 / n_cells))
     n = op.n_c
     assert (op.ndof <= operator.MEAN_INVERSE_LIMIT) == (n_cells == 10)
-    lu = spla.splu(op.mean_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu(op.matrices[0].tocsc(), permc_spec="MMD_AT_PLUS_A",
                    options={"SymmetricMode": True})
     inv_t = np.ascontiguousarray(lu.solve(np.eye(op.ndof)).T[:n, :n])
     solve = op.mean_solver(InnerSolver())

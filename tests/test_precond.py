@@ -13,7 +13,7 @@ from sgfem.multi_index import build_multi_index_set
 from sgfem.operator import GalerkinOperator, InnerSolver, build_uniform_operator
 from sgfem.precond import (BlockSGS, HierarchicalSchur, MeanBased,
                            make_preconditioner, reduced_system_solve, work_count)
-from shared_pattern import CONTRACT, indefinite, nonsymmetric
+from shared_pattern import CONTRACT, indefinite, nonsymmetric, sub_block_oracle
 
 EXACT = InnerSolver(kind="exact")
 TIGHT_CG = InnerSolver(kind="cg", tol=1e-13)
@@ -283,8 +283,51 @@ def test_bsgs_counts():
     prec = BlockSGS(op, EXACT)
     prec(b)
     wc = work_count(2, 2)
-    assert prec.counters.block_solves == 2 * wc.n_db
+    # every block twice but the 3 of the scalar top level, whose backward
+    # update is zero and skipped
+    assert prec.counters.block_solves == 2 * wc.n_db - 3
     assert prec.counters.block_matvecs == wc.n_b - wc.n_db
+
+
+@pytest.mark.parametrize("inner", [EXACT, TIGHT_CG], ids=["exact", "cg"])
+@pytest.mark.parametrize("family, dims, degree", [
+    ("uniform", 3, 1), ("uniform", 2, 3), ("uniform", 2, 0),
+    ("lognormal", 2, 2), ("lognormal", 1, 3)])
+def test_counters_equal_the_solves_made(monkeypatch, family, dims, degree, inner):
+    # a spy on every d_block_solve, counting its rows, and on the mean
+    # solver and the block solvers of coupled BSGS levels, one each a row
+    op = (make_operator(dims, degree, 3)[0] if family == "uniform"
+          else lognormal_operator(dims, degree, 3))
+    made = []
+    d_block_solve = GalerkinOperator.d_block_solve
+
+    def d_block_solve_spy(self, level, rhs, inner):
+        made.append(len(np.atleast_2d(rhs)))
+        return d_block_solve(self, level, rhs, inner)
+
+    def counted(solve):
+        def spy(B):
+            made.append(len(np.atleast_2d(B)))
+            return solve(B)
+        return spy
+
+    monkeypatch.setattr(GalerkinOperator, "d_block_solve", d_block_solve_spy)
+    r = np.random.default_rng(7).standard_normal(op.shape[0])
+    for kind in (MeanBased, BlockSGS, HierarchicalSchur):
+        prec = kind(op, inner)
+        if kind is MeanBased:
+            prec._solve = counted(prec._solve)
+        if kind is BlockSGS:
+            for level in prec._level_blocks:
+                if level is not None:
+                    level[1][:] = map(counted, level[1])
+        made.clear()
+        prec(r)
+        # the paired step, where offered, solves the same blocks
+        step = prec.paired(op.matvec)
+        if step is not None:
+            step(r)
+        assert prec.counters.block_solves == sum(made) > 0, kind.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +519,7 @@ def test_generalized_single_mean_application_converges_slower():
         return mean(X)
 
     import scipy.sparse.linalg as spla
-    lu0 = spla.splu(op.assemble_range([0], [0]).tocsc())
+    lu0 = spla.splu(sub_block_oracle(op, [0], [0]).tocsc())
 
     def s_exact(G):
         return lu0.solve(G.ravel()).reshape(1, op.ndof)
